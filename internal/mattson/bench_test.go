@@ -23,9 +23,9 @@ func benchTrace(b *testing.B) []trace.Access {
 	return benchMaster
 }
 
-// BenchmarkStack pins the relative cost of the two order-statistics
-// backends behind the fully-associative profiler on the same access
-// stream (the package doc's basis for defaulting to the Fenwick variant).
+// BenchmarkStack times the fully-associative profiler's fenwickStack
+// against its treapStack test reference on the same access stream (the
+// cost gap the package doc cites).
 func BenchmarkStack(b *testing.B) {
 	tr := benchTrace(b)
 	run := func(b *testing.B, s distanceStack) {

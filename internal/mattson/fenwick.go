@@ -1,10 +1,6 @@
 package mattson
 
-import (
-	"sort"
-
-	"repro/internal/ranklist"
-)
+import "sort"
 
 // fenwickStack computes LRU stack distances with a Fenwick (binary-indexed)
 // tree over access-time slots. Every access is assigned the next free slot;
@@ -50,7 +46,8 @@ func (f *fenwickStack) prefix(slot int32) int32 {
 	return s
 }
 
-// Touch implements distanceStack.
+// Touch records an access to line and returns the number of distinct lines
+// referenced since the previous access to line, or Cold on first touch.
 func (f *fenwickStack) Touch(line uint64) int {
 	if int(f.next) == len(f.tree)-1 {
 		f.compact()
@@ -97,58 +94,9 @@ func (f *fenwickStack) compact() {
 	f.next = f.live
 }
 
-// Reset implements distanceStack.
+// Reset restores the empty state, retaining allocated capacity.
 func (f *fenwickStack) Reset() {
 	clear(f.tree)
 	clear(f.last)
 	f.next, f.live = 0, 0
-}
-
-// treapStack computes stack distances with internal/ranklist's
-// order-statistics treap. The list holds the last-access timestamp of every
-// line seen, kept in descending order by always PushFront-ing a fresh
-// (strictly increasing) timestamp; a re-referenced line's stack distance is
-// then the rank of its previous timestamp (the count of lines with a more
-// recent access). Benchmarked against fenwickStack in bench_test.go — the
-// Fenwick tree's flat array arithmetic beats the treap's pointer chasing,
-// which is why fenwickStack is the production backend.
-type treapStack struct {
-	list *ranklist.List
-	last map[uint64]uint64 // line -> timestamp of its most recent access
-	now  uint64
-}
-
-const treapSeed = 0x6d617474736f6e // "mattson"
-
-func newTreapStack() *treapStack {
-	return &treapStack{
-		list: ranklist.New(treapSeed),
-		last: make(map[uint64]uint64, 1024),
-	}
-}
-
-// Touch implements distanceStack.
-func (t *treapStack) Touch(line uint64) int {
-	t.now++
-	prev, ok := t.last[line]
-	t.last[line] = t.now
-	if !ok {
-		t.list.PushFront(t.now)
-		return Cold
-	}
-	rank, found := t.list.RankOfDesc(prev)
-	if !found {
-		// Unreachable: every timestamp handed out is in the list.
-		panic("mattson: treap stack lost a timestamp")
-	}
-	t.list.RemoveAt(rank)
-	t.list.PushFront(t.now)
-	return rank
-}
-
-// Reset implements distanceStack.
-func (t *treapStack) Reset() {
-	t.list = ranklist.New(treapSeed)
-	clear(t.last)
-	t.now = 0
 }

@@ -25,35 +25,25 @@
 // configurations the stack algorithm does not cover (non-LRU policies,
 // sectored fills, write-through caches).
 //
-// Two order-statistics backends implement the fully-associative stack: a
-// Fenwick tree over access-time slots (the default) and a treap reusing
-// internal/ranklist's order-statistics list. bench_test.go pins their
-// relative cost; the Fenwick variant wins by a wide margin because its
-// per-op work is a handful of cache-friendly array updates rather than
-// pointer chasing.
+// The fully-associative stack is a Fenwick tree over access-time slots
+// (fenwickStack): each access takes the next slot, and a re-reference's
+// distance is the number of occupied slots after its previous one. The
+// tests cross-check it against an independent treap over the same
+// timestamps, built on internal/ranklist, and bench_test.go pins the cost
+// gap: a handful of cache-friendly array updates per access against the
+// treap's pointer chasing.
 package mattson
 
 // Cold is the distance reported for a first-touch access: no previous
 // reference exists, so the access misses in every finite cache.
 const Cold = -1
 
-// distanceStack records accesses by cache-line address and reports LRU
-// stack distances.
-type distanceStack interface {
-	// Touch records an access to line and returns the number of distinct
-	// lines referenced since the previous access to line, or Cold on
-	// first touch.
-	Touch(line uint64) int
-	// Reset restores the empty state, retaining allocated capacity.
-	Reset()
-}
-
 // Profiler computes exact fully-associative LRU miss ratios at every cache
 // size simultaneously from one pass over an access stream. Feed it line
 // addresses with Record; read the distance histogram with Hist. The zero
 // value is not usable — construct with NewProfiler.
 type Profiler struct {
-	stack distanceStack
+	stack *fenwickStack
 	hist  Histogram
 }
 

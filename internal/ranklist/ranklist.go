@@ -1,8 +1,10 @@
 // Package ranklist implements an order-statistics list: a sequence of
 // uint64 values supporting push-front, rank lookup, and removal by rank in
-// O(log n). It is the data structure behind the stack-distance workload
-// generator — an LRU stack would need O(depth) per move-to-front with a
-// plain slice, which is far too slow for Pareto-tailed depths.
+// O(log n). It is the reference the repository's Fenwick-tree LRU stacks
+// are tested against: internal/workload's lruStack, behind the
+// stack-distance generator, and internal/mattson's fenwickStack, behind
+// the fully-associative profiler. It shares no code with either, and no
+// production code imports it; their flat arrays beat its pointer chasing.
 //
 // The implementation is a size-augmented treap with deterministic
 // pseudo-random priorities (splitmix64 of an insertion counter), so a given

@@ -1,0 +1,190 @@
+package workload
+
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
+
+// maxLines bounds the lines an lruStack holds. Line ids are stored as
+// uint32 and the Fenwick tree counts live slots in uint32, so a stack
+// names at most math.MaxUint32 lines: ids 0 through math.MaxUint32-1.
+const maxLines = math.MaxUint32
+
+// lruStack is an LRU stack of dense line ids: rank 0 is the most recently
+// touched line, rank Len()-1 the least. It is the order-statistics
+// structure behind StackDistance, which moves the line at a Pareto-drawn
+// rank to the top on every access.
+//
+// Every touch takes the next free time slot, so live slots sorted by slot
+// are the stack from bottom to top. One occupancy word marks which of 64
+// slots are live, and a Fenwick tree over per-word live counts sits above
+// the words: rank d is the (Len()-d)-th live slot, found with one tree
+// descent plus a popcount select inside one word. When the slots run out,
+// the live ones compact to the front in recency order with a linear-time
+// rebuild; the slot space doubles only when more than half of it is live,
+// so compaction is amortized O(1) per touch. A slot costs about 4.2 bytes:
+// a uint32 line id, one occupancy bit and 1/64 of a tree counter.
+type lruStack struct {
+	ids  []uint32 // line id at each slot; meaningful where occ is set
+	occ  []uint64 // bit s%64 of occ[s/64] is set iff slot s is live
+	tree []uint32 // Fenwick tree over the words' popcounts, word w at index w+1
+	next int      // next free slot; the top of the stack is at next-1
+	live int      // live slots, the stack's length
+}
+
+// newLRUStack returns a stack holding lines 0..n-1 as if pushed in that
+// order, so line n-1 is on top. Its slot space starts at the smallest
+// power of two that is at least 2n and 64. The caller keeps n within
+// maxLines (StackDistanceConfig.Validate does).
+func newLRUStack(n int) *lruStack {
+	slots := 64
+	for slots < 2*n {
+		slots <<= 1
+	}
+	s := &lruStack{}
+	s.resize(slots)
+	for i := range n {
+		s.ids[i] = uint32(i)
+	}
+	s.rebuild(n)
+	return s
+}
+
+// Len returns the number of lines on the stack.
+func (s *lruStack) Len() int { return s.live }
+
+// PushFront puts a new line on top of the stack. It panics if line is past
+// the uint32 id range rather than wrap it onto another line's id.
+func (s *lruStack) PushFront(line uint64) {
+	if line >= maxLines {
+		panic(fmt.Sprintf("workload: line id %d is past the %d-line id range", line, uint64(maxLines)))
+	}
+	if s.next == len(s.ids) {
+		s.compact()
+	}
+	s.live++
+	s.place(uint32(line))
+}
+
+// MoveToFront moves the line at rank to the top of the stack and returns
+// it. It panics if rank is not in [0, Len()).
+func (s *lruStack) MoveToFront(rank int) uint64 {
+	if rank < 0 || rank >= s.live {
+		panic(fmt.Sprintf("workload: LRU stack rank %d out of range [0, %d)", rank, s.live))
+	}
+	if s.next == len(s.ids) {
+		s.compact()
+	}
+	slot := s.find(s.live - rank)
+	id := s.ids[slot]
+	s.occ[slot>>6] &^= 1 << (slot & 63)
+	for i := slot>>6 + 1; i < len(s.tree); i += i & -i {
+		s.tree[i]--
+	}
+	s.place(id)
+	return uint64(id)
+}
+
+// place writes id into the next free slot and marks it live.
+func (s *lruStack) place(id uint32) {
+	slot := s.next
+	s.next++
+	s.ids[slot] = id
+	s.occ[slot>>6] |= 1 << (slot & 63)
+	for i := slot>>6 + 1; i < len(s.tree); i += i & -i {
+		s.tree[i]++
+	}
+}
+
+// find returns the k-th live slot (1-based) counting from slot 0. The
+// descent starts below the root: len(occ) is a power of two, so the root
+// covers every word and is never stepped past.
+func (s *lruStack) find(k int) int {
+	tree := s.tree
+	pos, rem := 0, uint32(k)
+	for step := len(s.occ) >> 1; step > 0; step >>= 1 {
+		if c := tree[pos+step]; c < rem {
+			pos += step
+			rem -= c
+		}
+	}
+	return pos<<6 + selectBit(s.occ[pos], int(rem-1))
+}
+
+// selectBit returns the index of the r-th (0-based) set bit of w, with
+// Vigna's broadword select: cumulative byte popcounts locate the byte,
+// and a table finishes inside it.
+func selectBit(w uint64, r int) int {
+	const l8, h8 = 0x0101010101010101, 0x8080808080808080
+	c := w - w>>1&0x5555555555555555
+	c = c&0x3333333333333333 + c>>2&0x3333333333333333
+	c = (c + c>>4) & 0x0f0f0f0f0f0f0f0f * l8 // byte i: set bits in bytes 0..i
+	place := bits.OnesCount64(((uint64(r)*l8|h8)-c)&h8) * 8
+	inByte := uint64(r) - (c<<8)>>place&0xff
+	return place + int(selectInByte[w>>place&0xff][inByte])
+}
+
+// selectInByte[b][r] is the index of the r-th set bit of byte b.
+var selectInByte = func() (t [256][8]uint8) {
+	for b := range t {
+		r := 0
+		for i := 0; i < 8; i++ {
+			if b&(1<<i) != 0 {
+				t[b][r] = uint8(i)
+				r++
+			}
+		}
+	}
+	return t
+}()
+
+// compact moves the live slots to the front in recency order, doubling the
+// slot space first if more than half of it is live.
+func (s *lruStack) compact() {
+	j := 0
+	for w, word := range s.occ {
+		for ; word != 0; word &= word - 1 {
+			s.ids[j] = s.ids[w<<6+bits.TrailingZeros64(word)]
+			j++
+		}
+	}
+	if j > len(s.ids)/2 {
+		ids := s.ids
+		s.resize(2 * len(ids))
+		copy(s.ids, ids[:j])
+	}
+	s.rebuild(j)
+}
+
+// resize allocates a slot space of n slots, n a power of two ≥ 64.
+func (s *lruStack) resize(n int) {
+	s.ids = make([]uint32, n)
+	s.occ = make([]uint64, n/64)
+	s.tree = make([]uint32, n/64+1)
+}
+
+// rebuild marks slots 0..live-1 live and everything above free, and builds
+// the Fenwick tree over them in linear time.
+func (s *lruStack) rebuild(live int) {
+	full := live >> 6
+	for w := range s.occ {
+		switch {
+		case w < full:
+			s.occ[w] = math.MaxUint64
+		case w == full:
+			s.occ[w] = 1<<(live&63) - 1
+		default:
+			s.occ[w] = 0
+		}
+	}
+	for i := 1; i < len(s.tree); i++ {
+		s.tree[i] = uint32(bits.OnesCount64(s.occ[i-1]))
+	}
+	for i := 1; i < len(s.tree); i++ {
+		if p := i + i&-i; p < len(s.tree) {
+			s.tree[p] += s.tree[i]
+		}
+	}
+	s.next, s.live = live, live
+}

@@ -16,7 +16,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/ranklist"
 	"repro/internal/trace"
 )
 
@@ -37,7 +36,8 @@ type StackDistanceConfig struct {
 	// footprint. Draws deeper than the live stack are treated as
 	// compulsory misses (brand-new lines), which keeps the unconditioned
 	// Pareto law m(C) = (C/HotLines)^-α exact at every cache size. Must
-	// exceed HotLines.
+	// exceed HotLines and fit the uint32 line-id range (at most
+	// math.MaxUint32 lines).
 	FootprintLines int
 	// ColdProb adds an extra compulsory-miss probability on top of the
 	// Pareto tail (0 disables). Must be in [0, 1).
@@ -71,6 +71,9 @@ func (c StackDistanceConfig) Validate() error {
 	if c.FootprintLines <= c.HotLines {
 		return fmt.Errorf("workload: FootprintLines (%d) must exceed HotLines (%d)", c.FootprintLines, c.HotLines)
 	}
+	if uint64(c.FootprintLines) > maxLines {
+		return fmt.Errorf("workload: FootprintLines (%d) exceeds the %d-line id range", c.FootprintLines, uint64(maxLines))
+	}
 	if c.ColdProb < 0 || c.ColdProb >= 1 {
 		return fmt.Errorf("workload: ColdProb must be in [0, 1), got %g", c.ColdProb)
 	}
@@ -85,7 +88,7 @@ func (c StackDistanceConfig) Validate() error {
 type StackDistance struct {
 	cfg   StackDistanceConfig
 	rng   *rand.Rand
-	stack *ranklist.List
+	stack *lruStack
 	next  uint64 // next fresh line id
 }
 
@@ -95,19 +98,18 @@ func NewStackDistance(cfg StackDistanceConfig) (*StackDistance, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g := &StackDistance{
+	return &StackDistance{
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		stack: ranklist.New(uint64(cfg.Seed) ^ 0xabcdef12345),
-	}
-	for i := 0; i < cfg.FootprintLines; i++ {
-		g.stack.PushFront(g.next)
-		g.next++
-	}
-	return g, nil
+		stack: newLRUStack(cfg.FootprintLines),
+		next:  uint64(cfg.FootprintLines),
+	}, nil
 }
 
-// Footprint returns the number of distinct lines emitted so far.
+// Footprint returns the number of lines on the LRU stack: the
+// FootprintLines pre-seeded lines, whether or not an access has emitted
+// them yet, plus one per cold miss. Before the first Next it already
+// returns FootprintLines.
 func (g *StackDistance) Footprint() int { return g.stack.Len() }
 
 // Next implements trace.Generator.

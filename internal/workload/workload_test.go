@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -43,6 +44,18 @@ func TestStackDistanceConfigValidate(t *testing.T) {
 	c.Alpha = 0
 	if _, err := NewStackDistance(c); err == nil {
 		t.Error("NewStackDistance accepted invalid config")
+	}
+	// A footprint past the uint32 line-id range is refused by name, before
+	// the stack would try to allocate it.
+	c = stackCfg()
+	overRange := uint64(maxLines) + 1
+	c.FootprintLines = int(overRange)
+	if _, err := NewStackDistance(c); err == nil || !strings.Contains(err.Error(), "FootprintLines") {
+		t.Errorf("footprint of %d lines: error %v, want one naming FootprintLines", c.FootprintLines, err)
+	}
+	c.FootprintLines = int(overRange - 1)
+	if err := c.Validate(); err != nil {
+		t.Errorf("footprint at the id range rejected: %v", err)
 	}
 }
 
