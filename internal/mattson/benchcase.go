@@ -61,7 +61,7 @@ func (f Fig1Bench) RunBrute(stream trace.Generator) ([]cachesim.CurvePoint, erro
 }
 
 // RunMattson executes one single-pass pipeline iteration over the same
-// stream with the serial kernel pinned (workers=1), so recorded serial
+// stream with one inline worker pinned (workers=1), so recorded serial
 // numbers stay comparable across machines regardless of GOMAXPROCS.
 func (f Fig1Bench) RunMattson(stream trace.Generator) ([]cachesim.CurvePoint, error) {
 	return MissCurveFastParallel(context.Background(), stream, f.Base, f.Sizes, f.Warmup, f.Accesses, 1)

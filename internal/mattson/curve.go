@@ -49,19 +49,19 @@ func MissCurveFast(gen trace.Generator, base cachesim.Config, sizes []int, warmu
 }
 
 // MissCurveFastCtx is MissCurveFast with cancellation checked at chunk
-// boundaries of the streaming pass (every chunkAccesses accesses), so a
-// canceled sweep aborts within one chunk instead of draining the stream.
-// Set-associative sweeps use the set-parallel driver when GOMAXPROCS and
-// the set count allow it (results are bit-identical either way).
+// boundaries of the streaming pass, so a canceled sweep aborts within one
+// chunk instead of draining the stream. Set-associative sweeps partition
+// their sets across up to GOMAXPROCS workers as the set count allows
+// (results are bit-identical for any worker count).
 func MissCurveFastCtx(ctx context.Context, gen trace.Generator, base cachesim.Config, sizes []int, warmup, n int) ([]cachesim.CurvePoint, error) {
 	return MissCurveFastParallel(ctx, gen, base, sizes, warmup, n, 0)
 }
 
 // MissCurveFastParallel is MissCurveFastCtx with the set-parallel worker
-// count pinned: 0 picks GOMAXPROCS, 1 forces the serial kernel, higher
-// values are rounded down to a power of two and capped so each worker
-// keeps at least minPartSets sets of the smallest swept size (the serial
-// fallback threshold). Output is bit-identical for every worker count —
+// count pinned: 0 picks GOMAXPROCS, 1 forces one partition run inline on
+// the calling goroutine, higher values are rounded down to a power of two
+// and capped so each worker keeps at least minPartSets sets of the
+// smallest swept size. Output is bit-identical for every worker count —
 // the partition is by set index, and per-set LRU state never crosses a
 // partition boundary — so the knob only trades wall-clock for goroutines.
 // Fully-associative and fallback (non-Eligible) sweeps ignore it.
@@ -97,6 +97,9 @@ func MissCurveFastParallel(ctx context.Context, gen trace.Generator, base caches
 	}
 	return setCurve(ctx, gen, cfgs, warmup, n, workers)
 }
+
+// chunkAccesses is the fully-associative pass's cancellation granularity.
+const chunkAccesses = 4096
 
 // faCurve profiles fully-associative sizes via one reuse-distance
 // histogram: a single stack pass, then each size's miss count is a suffix
@@ -142,25 +145,25 @@ func faCurve(ctx context.Context, gen trace.Generator, cfgs []cachesim.Config, w
 	return out, nil
 }
 
-// chunkAccesses is the streaming batch size: one buffer refill feeds every
-// profiler while the chunk is hot in cache.
-const chunkAccesses = 4096
-
-// setCurve profiles set-associative sizes by streaming chunks of the
-// access stream through one lean per-set LRU model per size. The chunk is
-// packed once (lineAddr<<1|write words) and every profiler consumes the
-// packed form. Profilers are ordered largest-first and, for 8-way sweeps,
-// grouped into quintets driven by the fused kernel (runFused5), which
-// turns set-refinement inclusion — a miss in a group's largest cache
-// implies a miss in its four smaller ones — into an in-register skip of
-// the followers' lookups. Leftover sizes run the single-profiler packed
-// loop. Batcher generators (trace replays) hand chunks out as zero-copy
-// sub-slices.
+// setCurve profiles set-associative sizes through the sweep driver in
+// parallel.go, which partitions the sets across parallelWorkers workers
+// (a lone worker runs inline on the calling goroutine). Profilers are
+// ordered largest-first and, for 8-way sweeps, grouped into quintets
+// driven by the fused kernel (runFused5), which turns set-refinement
+// inclusion — a miss in a group's largest cache implies a miss in its
+// four smaller ones — into an in-register skip of the followers' lookups.
+// Leftover sizes run their single-profiler kernels.
 //
-// When workers resolves above 1 (see parallelWorkers) and the sweep is
-// packable (Assoc ≤ 8), the set-parallel driver in feedParallel takes
-// over the feed; the per-set arrays and scratch come from a pooled arena
-// either way, so repeated sweeps stay near zero-alloc.
+// Batcher generators (trace replays) hand chunks out as zero-copy
+// sub-slices that stay valid only until the generator advances, so that
+// path waits out the in-flight chunk before advancing. Other generators
+// are collected into access buffers: two with several workers, so
+// collecting chunk k+1 overlaps the workers' pass over chunk k, and one
+// when the lone worker runs inline and there is nothing to overlap.
+// Worker counters merge into the profilers only at the warmup boundary
+// and the end of the feed, so the hot path takes no locks. The per-set
+// arrays and scratch come from a pooled arena, so repeated sweeps stay
+// near zero-alloc.
 func setCurve(ctx context.Context, gen trace.Generator, cfgs []cachesim.Config, warmup, n, workers int) ([]cachesim.CurvePoint, error) {
 	ar := getArena()
 	defer putArena(ar)
@@ -198,102 +201,20 @@ func setCurve(ctx context.Context, gen trace.Generator, cfgs []cachesim.Config, 
 	for ; i < len(order); i++ {
 		single = append(single, order[i])
 	}
-	packable := profs[0].assoc <= 8
 	minSets := int(profs[0].setMask) + 1
 	for _, p := range profs[1:] {
 		if m := int(p.setMask) + 1; m < minSets {
 			minSets = m
 		}
 	}
-	if packable {
-		if w := parallelWorkers(workers, minSets); w > 1 {
-			return setCurveParallel(ctx, gen, cfgs, profs, fused, single, warmup, n, w, minSets, ar)
-		}
-	}
-	var packedBuf []uint64
-	if packable && len(single) > 0 {
-		packedBuf = ar.grab(chunkAccesses)[:0]
-	}
-	batcher, _ := gen.(trace.Batcher)
-	var buf []trace.Access
-	if batcher == nil {
-		buf = ar.grabAccess(chunkAccesses)
-	}
-	feed := func(count int) error {
-		for count > 0 {
-			if err := robust.Err(ctx); err != nil {
-				return err
-			}
-			var batch []trace.Access
-			if batcher != nil {
-				batch = batcher.Batch(min(count, chunkAccesses))
-			} else {
-				batch = trace.CollectInto(gen, buf[:min(count, chunkAccesses)])
-			}
-			for _, g := range fused {
-				runFused5(batch, profs[0].lineShift, g.p[0], g.p[1], g.p[2], g.p[3], g.p[4])
-			}
-			if len(single) > 0 {
-				if packable {
-					packed := packInto(packedBuf, batch, profs[0].lineShift)
-					for _, si := range single {
-						profs[si].runPacked(packed)
-					}
-				} else {
-					for _, si := range single {
-						profs[si].runShift(batch)
-					}
-				}
-			}
-			count -= len(batch)
-		}
-		return nil
-	}
-	if err := feed(warmup); err != nil {
-		return nil, err
-	}
-	for _, p := range profs {
-		p.ResetStats()
-	}
-	if err := feed(n - warmup); err != nil {
-		return nil, err
-	}
-	return curvePoints(cfgs, profs), nil
-}
-
-// curvePoints snapshots the profilers' stats into the result shape,
-// publishing each size's simulated traffic to the obs registry.
-func curvePoints(cfgs []cachesim.Config, profs []*SetProfiler) []cachesim.CurvePoint {
-	out := make([]cachesim.CurvePoint, len(cfgs))
-	for i, p := range profs {
-		st := p.Stats()
-		cachesim.PublishStats(st)
-		out[i] = cachesim.CurvePoint{SizeBytes: cfgs[i].SizeBytes, Stats: st}
-	}
-	return out
-}
-
-// setCurveParallel is the set-parallel feed: w workers each own a
-// contiguous range of the smallest profiler's set-index space (which
-// partitions every profiler's sets at once — see parallel.go). The main
-// goroutine broadcasts each raw access batch and the workers fuse the
-// pack into their partition filter, so no serial packing pass sits in
-// front of the pool. For generators without a Batch method the accesses
-// are collected into double buffers, overlapping chunk k+1's collection
-// with the workers' pass over chunk k; a Batcher's slice is only valid
-// until the generator advances, so that path waits out the in-flight
-// chunk before advancing (the batch there is a ready-made slice, so
-// there is no collection work to overlap anyway). Worker counters merge
-// into the profilers only at the warmup boundary and the end of the
-// feed, so the hot path takes no locks.
-func setCurveParallel(ctx context.Context, gen trace.Generator, cfgs []cachesim.Config, profs []*SetProfiler, fused []fusedGroup, single []int, warmup, n, w, minSets int, ar *sweepArena) ([]cachesim.CurvePoint, error) {
+	w := parallelWorkers(workers, minSets)
 	run := startWorkers(w, minSets, ar, fused, single, profs)
 	defer run.stop()
 	batcher, _ := gen.(trace.Batcher)
 	var abufs [2][]trace.Access
 	if batcher == nil {
-		all := ar.grabAccess(2 * parallelChunk)
-		abufs[0], abufs[1] = all[:parallelChunk], all[parallelChunk:]
+		all := ar.grabAccess(min(w, 2) * parallelChunk)
+		abufs[0], abufs[1] = all[:parallelChunk], all[len(all)-parallelChunk:]
 	}
 	cur := 0
 	feed := func(count int) error {
@@ -340,5 +261,11 @@ func setCurveParallel(ctx context.Context, gen trace.Generator, cfgs []cachesim.
 		return nil, err
 	}
 	run.merge(profs)
-	return curvePoints(cfgs, profs), nil
+	out := make([]cachesim.CurvePoint, len(cfgs))
+	for i, p := range profs {
+		st := p.Stats()
+		cachesim.PublishStats(st)
+		out[i] = cachesim.CurvePoint{SizeBytes: cfgs[i].SizeBytes, Stats: st}
+	}
+	return out, nil
 }

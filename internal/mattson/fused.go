@@ -2,8 +2,6 @@ package mattson
 
 import (
 	"math/bits"
-
-	"repro/internal/trace"
 )
 
 // This file holds the fused sweep kernel: five nested 8-way SetProfiler
@@ -33,38 +31,22 @@ import (
 // because the per-slot step exceeds the inliner's budget as a function,
 // and five calls per access erase the win. Per-slot counters are packed
 // into one register each — hits | evictions<<20 | writeBacks<<40 — which
-// is what flushPacked unpacks; the 20-bit fields bound chunks to
+// is what partStats.addPacked unpacks; the 20-bit fields bound chunks to
 // fusedMaxChunk accesses.
 
-// fusedMaxChunk is the largest packed chunk runFused5 accepts without
-// overflowing the 20-bit packed-counter fields. The streaming driver's
-// chunkAccesses is far below it.
+// fusedMaxChunk bounds the chunks runFused5 accepts: below it, the 20-bit
+// packed-counter fields cannot overflow. The sweep driver's parallelChunk
+// is far below it.
 const fusedMaxChunk = 1 << 20
 
-// flushPacked folds one chunk's packed counter word (hits, evictions<<20,
-// writeBacks<<40) for n accesses into the profiler's Stats.
-func (p *SetProfiler) flushPacked(n int, c uint64) {
-	hits := c & (fusedMaxChunk - 1)
-	evictions := (c >> 20) & (fusedMaxChunk - 1)
-	writeBacks := c >> 40
-	misses := uint64(n) - hits
-	p.stats.Accesses += uint64(n)
-	p.stats.Hits += hits
-	p.stats.Misses += misses
-	p.stats.Evictions += evictions
-	p.stats.WriteBacks += writeBacks
-	p.stats.FillBytes += misses * p.lineBytes
-	p.stats.WriteBackBytes += writeBacks * p.lineBytes
-}
-
-// runFused5 streams one batch (len < fusedMaxChunk) through five 8-way
-// profilers with strictly nested set counts, p0 the largest. Each slot's
-// step is the runPacked body with the victim aging specialized to assoc 8
-// (the detect and age adds coincide); accesses are decoded inline, so the
-// fused path never materializes a packed chunk. Each slot's miss arm
-// carries the install-only blocks of all smaller slots, so the cascade
-// skip and the slot's own miss handling share one branch.
-func runFused5(batch []trace.Access, lineShift uint, p0, p1, p2, p3, p4 *SetProfiler) {
+// runFused5 streams one packed chunk (lineAddr<<1 | write words, len <
+// fusedMaxChunk) through five 8-way profilers with strictly nested set
+// counts, p0 the largest, and returns the five packed counter words. Each
+// slot's step is the runPackedCounters body with the victim aging
+// specialized to assoc 8 (the detect and age adds coincide). Each slot's
+// miss arm carries the install-only blocks of all smaller slots, so the
+// cascade skip and the slot's own miss handling share one branch.
+func runFused5(packed []uint64, p0, p1, p2, p3, p4 *SetProfiler) [5]uint64 {
 	b0, k0 := p0.ways, p0.setMask
 	s0 := p0.setShift & 63
 	q0 := uint64(len(b0) - 1)
@@ -85,17 +67,16 @@ func runFused5(batch []trace.Access, lineShift uint, p0, p1, p2, p3, p4 *SetProf
 	s4 := p4.setShift & 63
 	q4 := uint64(len(b4) - 1)
 	var c4 uint64
-	ls := lineShift & 63
 	// Non-emptiness lets the prove pass turn every masked index
 	// (x & (len-1)) into a checked-free access.
 	if len(b0) == 0 || len(b1) == 0 || len(b2) == 0 ||
 		len(b3) == 0 || len(b4) == 0 {
-		return
+		return [5]uint64{}
 	}
-	for i := 0; i < len(batch); i++ {
-		a := batch[i]
-		la := a.Addr >> ls
-		wd := b2u(a.Write) << 63
+	for i := 0; i < len(packed); i++ {
+		w := packed[i]
+		la := w >> 1
+		wd := w << 63
 		// One signature byte per line, shared by every slot: the low
 		// byte of the leader's tag. It is a pure function of the line
 		// (bits above the largest set index), so each slot's fingerprint
@@ -482,9 +463,5 @@ func runFused5(batch []trace.Access, lineShift uint, p0, p1, p2, p3, p4 *SetProf
 			c4 += ee4<<20 | (ee4&(pv4>>63))<<40
 		}
 	}
-	p0.flushPacked(len(batch), c0)
-	p1.flushPacked(len(batch), c1)
-	p2.flushPacked(len(batch), c2)
-	p3.flushPacked(len(batch), c3)
-	p4.flushPacked(len(batch), c4)
+	return [5]uint64{c0, c1, c2, c3, c4}
 }

@@ -19,6 +19,15 @@
 //     per-access overhead (no stamps, no victim scans, no sector or
 //     replacement-policy dispatch).
 //
+// The set-associative path has one of each. One encoding: every kernel
+// reads packed words, lineAddr<<1 | write. One fused kernel: runFused5
+// advances each quintet of nested 8-way sizes in a single loop, and the
+// remaining sizes run their single-profiler kernels (runPackedCounters up
+// to 8 ways, runShift above). One driver: setCurve partitions the sets
+// across workers (parallel.go), and a sweep that resolves to one worker
+// runs the same pack-and-kernel step inline on the calling goroutine.
+// Kernel counters become cachesim.Stats only in SetProfiler.addPart.
+//
 // MissCurveFast is the drop-in entry point: it consumes a trace.Generator
 // stream (no full-trace materialization), profiles every requested size
 // simultaneously, and falls back to the brute-force simulator for

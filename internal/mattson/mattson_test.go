@@ -1,6 +1,7 @@
 package mattson
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cachesim"
@@ -181,12 +182,14 @@ func TestSetProfilerMatchesCacheExactly(t *testing.T) {
 func TestMissCurveFastMatchesBruteOnFig1Suite(t *testing.T) {
 	// The acceptance cross-validation: identical Stats at every point of
 	// the Fig 1 sweep for each suite workload, at reduced access counts.
+	// Five nested 8-way sizes make one fused quintet, and workers 1 and 2
+	// run both the inline and the goroutine side of the driver.
 	build := suite.DefaultBuildOptions()
 	build.FootprintLines = 1 << 14
 	build.PhasedLines = 1024
 	build.PhasedDwell = 10_000
 	base := cachesim.Config{LineBytes: 64, Assoc: 8, Policy: cachesim.LRU, WriteBack: true, WriteAllocate: true}
-	sizes := cachesim.PowerOfTwoSizes(32*1024, 256*1024)
+	sizes := cachesim.PowerOfTwoSizes(16*1024, 256*1024)
 	const n, warmup = 30_000, 6_000
 	for _, wl := range suite.Paper {
 		gen, err := wl.Build(build)
@@ -198,13 +201,45 @@ func TestMissCurveFastMatchesBruteOnFig1Suite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := MissCurveFast(trace.MustReplayer(tr), base, sizes, warmup, n)
+		for _, workers := range []int{1, 2} {
+			fast, err := MissCurveFastParallel(context.Background(), trace.MustReplayer(tr), base, sizes, warmup, n, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range brute {
+				if fast[i].SizeBytes != brute[i].SizeBytes || fast[i].Stats != brute[i].Stats {
+					t.Errorf("%s workers %d size %d: brute %+v, fast %+v", wl.Name, workers, brute[i].SizeBytes, brute[i].Stats, fast[i].Stats)
+				}
+			}
+		}
+	}
+}
+
+func TestMissCurveFastWideAssocMatchesBrute(t *testing.T) {
+	// Associativities outside the fused quintet: non-power-of-two ways,
+	// and above 8 the recency-ordered scan-and-shift layout. Sizes are
+	// assoc·line·2^k with 32–256 sets, so workers 4 really resolves.
+	const n, warmup = 30_000, 6_000
+	tr := trace.Collect(testGen(t, 77), n)
+	for _, assoc := range []int{3, 6, 12, 16, 64} {
+		base := cachesim.Config{LineBytes: 64, Assoc: assoc, Policy: cachesim.LRU, WriteBack: true, WriteAllocate: true}
+		var sizes []int
+		for k := 5; k <= 8; k++ {
+			sizes = append(sizes, assoc*base.LineBytes<<k)
+		}
+		brute, err := cachesim.MissCurve(tr, base, sizes, warmup)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range brute {
-			if fast[i].SizeBytes != brute[i].SizeBytes || fast[i].Stats != brute[i].Stats {
-				t.Errorf("%s size %d: brute %+v, fast %+v", wl.Name, brute[i].SizeBytes, brute[i].Stats, fast[i].Stats)
+		for _, workers := range []int{1, 2, 4} {
+			fast, err := MissCurveFastParallel(context.Background(), trace.MustReplayer(tr), base, sizes, warmup, n, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range brute {
+				if fast[i].SizeBytes != brute[i].SizeBytes || fast[i].Stats != brute[i].Stats {
+					t.Errorf("assoc %d workers %d size %d: brute %+v, fast %+v", assoc, workers, brute[i].SizeBytes, brute[i].Stats, fast[i].Stats)
+				}
 			}
 		}
 	}

@@ -8,49 +8,48 @@ import (
 	"repro/internal/trace"
 )
 
-// This file holds the set-parallel sweep driver. Cache sets are
-// independent under any per-set replacement policy: an access touches
-// exactly the set its line address indexes, and no profiler state crosses
-// set boundaries. The swept sizes share one base configuration, so their
-// power-of-two set counts are nested, and an access's set index in every
-// profiler agrees modulo the smallest set count S_min. Partitioning the
-// S_min index space into contiguous ranges therefore partitions the sets
-// of *every* profiler at once: worker w owns the accesses whose
-// (lineAddr & (S_min-1)) falls in its range, and those accesses touch
-// only w's sets in each profiler, in the original stream order. The
-// parallel sweep is exact — bit-identical Stats to the serial kernel for
+// This file holds the set-associative sweep driver; every set-associative
+// sweep runs through it. Cache sets are independent under any per-set
+// replacement policy: an access touches exactly the set its line address
+// indexes, and no profiler state crosses set boundaries. The swept sizes
+// share one base configuration, so their power-of-two set counts are
+// nested, and an access's set index in every profiler agrees modulo the
+// smallest set count S_min. Partitioning the S_min index space into
+// contiguous ranges therefore partitions the sets of *every* profiler at
+// once: worker w owns the accesses whose (lineAddr & (S_min-1)) falls in
+// its range, and those accesses touch only w's sets in each profiler, in
+// the original stream order. The sweep is exact — bit-identical Stats for
 // any worker count — not an approximation.
 //
-// Mechanically, the main goroutine broadcasts each raw access batch to
-// every worker; collecting the next chunk overlaps the workers' pass over
-// the current one. Each worker packs and filters in one fused loop: it
-// converts each access to the packed word the hot loops consume
-// (lineAddr<<1 | write — the same encoding packInto produces) and keeps
-// it with a branchless append only when the partition test passes (the
-// "is mine" test is data-dependent and would mispredict ~(W-1)/W of the
-// time as a branch). Folding the pack into the filter removes the
-// serial main-goroutine packing pass — each worker reads the shared
-// batch once and writes only its private scratch — and then runs the
-// same fused five-size kernel / packed single-profiler kernels as the
-// serial path over the compacted sub-stream, accumulating counters into
-// worker-local partStats. Stats merge into the profilers only at feed
-// boundaries, on the main goroutine.
+// Each worker's step packs and filters in one fused loop: it converts
+// each access of the shared raw batch to the packed word the kernels
+// consume (lineAddr<<1 | write, as packInto builds it) and keeps it with
+// a branchless append only when the partition test passes (the "is mine"
+// test is data-dependent and would mispredict ~(W-1)/W of the time as a
+// branch). It then runs the fused five-size kernel and the
+// single-profiler kernels over the compacted sub-stream, accumulating
+// counters into worker-local partStats, which merge into the profilers
+// only at feed boundaries, on the calling goroutine. With several
+// workers, the calling goroutine broadcasts each batch to one goroutine
+// per worker. With one, every access is the worker's own, so the step
+// packs without the test and runs inline on the calling goroutine: no
+// goroutine, channel or barrier.
 
-// minPartSets is the serial-fallback threshold: each worker must own at
-// least this many sets of the smallest profiler, or partitions get too
-// narrow for the filter cost to amortize and the sweep stays serial.
+// minPartSets is the per-worker floor: each worker must own at least this
+// many sets of the smallest profiler, or partitions get too narrow for
+// the filter cost to amortize and the sweep runs as one partition.
 const minPartSets = 8
 
-// parallelChunk is the broadcast batch size for the parallel driver —
-// large enough to amortize the per-chunk barrier, well under
-// fusedMaxChunk so the packed 20-bit counter fields cannot overflow.
+// parallelChunk is the driver's batch size — large enough to amortize
+// the per-chunk barrier, well under fusedMaxChunk so the packed 20-bit
+// counter fields cannot overflow.
 const parallelChunk = 32768
 
 // parallelWorkers resolves the worker count for a sweep whose smallest
 // profiler has minSets sets: requested (0 = GOMAXPROCS) rounded down to a
 // power of two — partitions must divide the power-of-two set space
 // evenly — and capped so every worker keeps at least minPartSets sets.
-// The result is ≥ 1; 1 means the serial driver runs.
+// The result is ≥ 1; 1 means one partition, run inline.
 func parallelWorkers(requested, minSets int) int {
 	if requested == 1 || minSets <= 0 {
 		return 1
@@ -69,8 +68,9 @@ func parallelWorkers(requested, minSets int) int {
 	return 1 << (bits.Len(uint(requested)) - 1)
 }
 
-// partStats is one worker's private view of one profiler's counters,
-// merged into the shared Stats at feed boundaries.
+// partStats accumulates one profiler's kernel counters: a worker's
+// private view of its partition, merged into the shared Stats at feed
+// boundaries, or SetProfiler.Run's tally for one call.
 type partStats struct {
 	n, hits, evictions, writeBacks uint64
 }
@@ -84,8 +84,9 @@ func (a *partStats) addPacked(n int, c uint64) {
 	a.writeBacks += c >> 40
 }
 
-// addPart folds a worker's accumulated counters into the profiler's
-// Stats, mirroring flushPacked's derived fields. Main-goroutine only.
+// addPart folds accumulated counters into the profiler's Stats — the one
+// place kernel counters become cachesim.Stats, with misses and the byte
+// counts derived here. Calling goroutine only.
 func (p *SetProfiler) addPart(a partStats) {
 	misses := a.n - a.hits
 	p.stats.Accesses += a.n
@@ -98,10 +99,10 @@ func (p *SetProfiler) addPart(a partStats) {
 }
 
 // sweepArena is a pooled slab allocator for one sweep's transient arrays:
-// per-set ways blocks, packed chunk double-buffers, per-worker filter
-// scratch, and the access-collection buffers. Sweeps allocate the same
-// shapes every call, so recycling the slabs keeps repeated sweeps
-// (benchmark iterations, batch queries) near zero-alloc in steady state.
+// per-set ways blocks, per-worker packed scratch, and the
+// access-collection buffers. Sweeps allocate the same shapes every call,
+// so recycling the slabs keeps repeated sweeps (benchmark iterations,
+// batch queries) near zero-alloc in steady state.
 // Grabbed memory is dirty; callers initialize every word they later read.
 type sweepArena struct {
 	words  []uint64
@@ -167,19 +168,27 @@ type curveWorker struct {
 	lineShift uint   // shared line geometry (all profilers agree)
 	buf       []uint64
 	accs      []partStats // one per profiler, indexed like profs
-	in        chan []trace.Access
+	fused     []fusedGroup
+	singles   []int
+	profs     []*SetProfiler
+	in        chan []trace.Access // nil for a worker run inline
 }
 
-// run consumes broadcast raw access batches until the channel closes,
-// pack-filtering each down to the worker's partition in one fused pass
-// and running the shared kernels over the compacted sub-stream. The ways
-// arrays are shared across workers but each 16-word set block is written
-// by exactly one worker (the partition invariant), so no synchronization
-// beyond the per-chunk barrier is needed.
-func (w *curveWorker) run(fused []fusedGroup, singles []int, profs []*SetProfiler, wg *sync.WaitGroup) {
-	pm, pshift, pid := w.pm, w.pshift&63, w.pid
-	lineShift := w.lineShift & 63
-	for batch := range w.in {
+// step packs one raw access batch, filtering it down to the worker's
+// partition in the same pass, and runs the kernels over the compacted
+// sub-stream. The ways arrays are shared across workers but each set's
+// block is written by exactly one worker (the partition invariant), so no
+// synchronization beyond the per-chunk barrier is needed.
+func (w *curveWorker) step(batch []trace.Access) {
+	var sub []uint64
+	if w.pm>>(w.pshift&63) == 0 {
+		// pm>>pshift is the highest partition index, so this is a lone
+		// worker: every access is its own, and the plain pack runs about
+		// twice as fast as the filter with its data-dependent store index.
+		sub = packInto(w.buf, batch, w.lineShift)
+	} else {
+		pm, pshift, pid := w.pm, w.pshift&63, w.pid
+		lineShift := w.lineShift & 63
 		buf := w.buf[:len(batch)]
 		j := 0
 		for i := 0; i < len(batch); i++ {
@@ -188,33 +197,28 @@ func (w *curveWorker) run(fused []fusedGroup, singles []int, profs []*SetProfile
 			buf[j] = x
 			j += int(b2u(((x>>1)&pm)>>pshift == pid))
 		}
-		sub := buf[:j]
-		for _, g := range fused {
-			c := runFused5Packed(sub, g.p[0], g.p[1], g.p[2], g.p[3], g.p[4])
-			for k := 0; k < 5; k++ {
-				w.accs[g.idx[k]].addPacked(j, c[k])
-			}
+		sub = buf[:j]
+	}
+	for _, g := range w.fused {
+		c := runFused5(sub, g.p[0], g.p[1], g.p[2], g.p[3], g.p[4])
+		for k := 0; k < 5; k++ {
+			w.accs[g.idx[k]].addPacked(len(sub), c[k])
 		}
-		for _, si := range singles {
-			h, e, wb := profs[si].runPackedCounters(sub)
-			acc := &w.accs[si]
-			acc.n += uint64(j)
-			acc.hits += h
-			acc.evictions += e
-			acc.writeBacks += wb
-		}
-		wg.Done()
+	}
+	for _, si := range w.singles {
+		w.profs[si].runChunk(sub, &w.accs[si])
 	}
 }
 
-// parallelRun drives the worker pool for one sweep.
+// parallelRun drives one sweep's workers.
 type parallelRun struct {
 	workers []*curveWorker
 	wg      sync.WaitGroup
 }
 
-// startWorkers builds and launches W workers over the sweep's profilers.
-// minSets is the smallest profiler's set count; scratch comes from ar.
+// startWorkers builds w workers over the sweep's profilers and, when
+// there are several, launches one goroutine each. minSets is the
+// smallest profiler's set count; scratch comes from ar.
 func startWorkers(w int, minSets int, ar *sweepArena, fused []fusedGroup, singles []int, profs []*SetProfiler) *parallelRun {
 	pr := &parallelRun{workers: make([]*curveWorker, w)}
 	pshift := uint(bits.TrailingZeros(uint(minSets / w)))
@@ -226,18 +230,32 @@ func startWorkers(w int, minSets int, ar *sweepArena, fused []fusedGroup, single
 			lineShift: profs[0].lineShift,
 			buf:       ar.grab(parallelChunk),
 			accs:      make([]partStats, len(profs)),
-			in:        make(chan []trace.Access, 1),
+			fused:     fused,
+			singles:   singles,
+			profs:     profs,
 		}
 		pr.workers[i] = cw
-		go cw.run(fused, singles, profs, &pr.wg)
+		if w > 1 {
+			cw.in = make(chan []trace.Access, 1)
+			go func() {
+				for batch := range cw.in {
+					cw.step(batch)
+					pr.wg.Done()
+				}
+			}()
+		}
 	}
 	return pr
 }
 
 // broadcast hands one raw access batch to every worker and returns once
 // all of them are scheduled to pick it up; wait() blocks until they
-// finish.
+// finish. A lone worker runs the batch before broadcast returns.
 func (pr *parallelRun) broadcast(batch []trace.Access) {
+	if len(pr.workers) == 1 {
+		pr.workers[0].step(batch)
+		return
+	}
 	pr.wg.Add(len(pr.workers))
 	for _, w := range pr.workers {
 		w.in <- batch
@@ -260,10 +278,12 @@ func (pr *parallelRun) merge(profs []*SetProfiler) {
 	}
 }
 
-// stop shuts the workers down. Safe after any number of broadcasts as
-// long as wait() has been called since the last one.
+// stop shuts the worker goroutines down. Safe after any number of
+// broadcasts as long as wait() has been called since the last one.
 func (pr *parallelRun) stop() {
 	for _, w := range pr.workers {
-		close(w.in)
+		if w.in != nil {
+			close(w.in)
+		}
 	}
 }

@@ -43,10 +43,15 @@ func TestParallelWorkers(t *testing.T) {
 	}
 }
 
-// TestFusedPackedMatchesFused pins the generated packed kernel against
-// runFused5, which it must stay in lockstep with: identical counters and
-// identical per-set state after the same stream.
-func TestFusedPackedMatchesFused(t *testing.T) {
+// TestFusedMatchesSingle pins the fused five-size kernel against five
+// separate runPackedCounters passes over the same chunk: equal counters,
+// and equal tag and recency words in every set. Word 0 of each 16-word
+// block is skipped: the fused kernel signs every slot's fingerprint with
+// the leader's tag byte, so the followers' fingerprint words
+// legitimately differ. The longest chunk replays a hot 256-line stream
+// that never leaves the smallest cache, so the 20-bit hit field ends 257
+// short of overflow.
+func TestFusedMatchesSingle(t *testing.T) {
 	base := cachesim.Config{
 		LineBytes: 64, Assoc: 8, Policy: cachesim.LRU,
 		WriteBack: true, WriteAllocate: true,
@@ -54,10 +59,9 @@ func TestFusedPackedMatchesFused(t *testing.T) {
 	sizes := cachesim.PowerOfTwoSizes(32*1024, 512*1024)
 	build := func() [5]*SetProfiler {
 		var ps [5]*SetProfiler
-		for i, sz := range sizes {
+		for i := range ps {
 			cfg := base
 			cfg.SizeBytes = sizes[len(sizes)-1-i] // largest first
-			_ = sz
 			p, err := NewSetProfiler(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -67,26 +71,29 @@ func TestFusedPackedMatchesFused(t *testing.T) {
 		return ps
 	}
 	rng := rand.New(rand.NewSource(99))
-	batch := make([]trace.Access, 4096)
-	for i := range batch {
-		batch[i] = trace.Access{Addr: uint64(rng.Intn(1<<18) * 64), Write: rng.Intn(3) == 0}
-	}
-	a := build()
-	runFused5(batch, 6, a[0], a[1], a[2], a[3], a[4])
-
-	b := build()
-	packed := packInto(make([]uint64, 0, len(batch)), batch, 6)
-	c := runFused5Packed(packed, b[0], b[1], b[2], b[3], b[4])
-	for k := 0; k < 5; k++ {
-		b[k].flushPacked(len(batch), c[k])
-	}
-	for k := 0; k < 5; k++ {
-		if a[k].Stats() != b[k].Stats() {
-			t.Errorf("slot %d stats diverge: fused %+v packed %+v", k, a[k].Stats(), b[k].Stats())
+	for _, tc := range []struct{ n, lines int }{
+		{1, 1 << 18},
+		{4096, 1 << 18},
+		{fusedMaxChunk - 1, 256},
+	} {
+		packed := make([]uint64, tc.n)
+		for i := range packed {
+			packed[i] = uint64(rng.Intn(tc.lines))<<1 | b2u(rng.Intn(3) == 0)
 		}
-		for w := range a[k].ways {
-			if a[k].ways[w] != b[k].ways[w] {
-				t.Fatalf("slot %d ways[%d] diverge: %#x vs %#x", k, w, a[k].ways[w], b[k].ways[w])
+		fused, single := build(), build()
+		c := runFused5(packed, fused[0], fused[1], fused[2], fused[3], fused[4])
+		for k := range single {
+			var got partStats
+			got.addPacked(tc.n, c[k])
+			h, e, wb := single[k].runPackedCounters(packed)
+			want := partStats{n: uint64(tc.n), hits: h, evictions: e, writeBacks: wb}
+			if got != want {
+				t.Errorf("chunk %d slot %d: fused counters %+v, single %+v", tc.n, k, got, want)
+			}
+			for w, fw := range fused[k].ways {
+				if w%16 != 0 && fw != single[k].ways[w] {
+					t.Fatalf("chunk %d slot %d ways[%d]: fused %#x, single %#x", tc.n, k, w, fw, single[k].ways[w])
+				}
 			}
 		}
 	}
@@ -94,7 +101,8 @@ func TestFusedPackedMatchesFused(t *testing.T) {
 
 // TestParallelMatchesSerial pins the headline determinism claim on the
 // canonical benchmark workload: the set-parallel sweep must produce
-// bit-identical CurvePoints to the serial kernel for every worker count.
+// bit-identical CurvePoints to the one-partition sweep for every worker
+// count.
 func TestParallelMatchesSerial(t *testing.T) {
 	bc := QuickFig1Bench()
 	accesses, warmup := bc.Accesses, bc.Warmup
@@ -110,17 +118,26 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{2, 4, 8} {
-		got, err := MissCurveFastParallel(context.Background(), trace.MustReplayer(master), bc.Base, bc.Sizes, warmup, accesses, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(serial) {
-			t.Fatalf("workers=%d: %d points, want %d", w, len(got), len(serial))
-		}
-		for i := range got {
-			if got[i] != serial[i] {
-				t.Errorf("workers=%d size=%d: parallel %+v != serial %+v", w, got[i].SizeBytes, got[i].Stats, serial[i].Stats)
+	for _, w := range []int{1, 2, 4, 8} {
+		// The wrapped replayer hides Batch, so the sweep collects the
+		// stream into its own access buffers (double-buffered above one
+		// worker) across many chunks.
+		for _, gen := range []trace.Generator{trace.MustReplayer(master), struct{ trace.Generator }{trace.MustReplayer(master)}} {
+			_, batched := gen.(trace.Batcher)
+			if w == 1 && batched {
+				continue
+			}
+			got, err := MissCurveFastParallel(context.Background(), gen, bc.Base, bc.Sizes, warmup, accesses, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(serial) {
+				t.Fatalf("workers=%d: %d points, want %d", w, len(got), len(serial))
+			}
+			for i := range got {
+				if got[i] != serial[i] {
+					t.Errorf("workers=%d batched=%v size=%d: %+v != one batched worker's %+v", w, batched, got[i].SizeBytes, got[i].Stats, serial[i].Stats)
+				}
 			}
 		}
 	}

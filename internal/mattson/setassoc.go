@@ -57,8 +57,9 @@ const invInit = uint64(0x76543210)
 //
 // It produces Stats bit-identical to cachesim.Cache for every
 // configuration Eligible accepts (cross-validated in tests) at a fraction
-// of the per-access cost; MissCurveFast streams one instance per swept
-// size and fuses nested 8-way sweeps (see runFused5).
+// of the per-access cost; MissCurveFast's sweep driver runs one instance
+// per swept size and advances nested 8-way quintets in one fused loop
+// (runFused5).
 //
 // The fingerprint/permutation representation covers Assoc ≤ 8 (one nibble
 // and one byte per way). Wider set-associative configurations keep the
@@ -163,35 +164,45 @@ func (p *SetProfiler) Access(a trace.Access) {
 	p.Run(batch[:])
 }
 
-// packInto produces the chunk-level access encoding the hot loops
-// consume: lineAddr<<1 | write. One packing pass serves every profiler of
-// a sweep (they share LineBytes), replaces the 16-byte Access struct with
-// one word, and turns the dirty flag into a single shift (w<<63).
+// packInto produces the access encoding every kernel consumes:
+// lineAddr<<1 | write, into dst, which must have room for len(batch)
+// words. It replaces the 16-byte Access struct with one word and turns
+// the dirty flag into a single shift (w<<63); partitioned sweep workers
+// build the same words inside their partition filter.
 func packInto(dst []uint64, batch []trace.Access, lineShift uint) []uint64 {
-	dst = dst[:0]
-	for _, a := range batch {
-		w := (a.Addr >> (lineShift & 63)) << 1
-		if a.Write {
-			w |= 1
-		}
-		dst = append(dst, w)
+	dst = dst[:len(batch)]
+	for i, a := range batch {
+		dst[i] = (a.Addr>>(lineShift&63))<<1 | b2u(a.Write)
 	}
 	return dst
 }
 
-// Run streams a batch of accesses through the model.
+// Run streams a batch of accesses through the model, packing it 512
+// words at a time on the stack.
 func (p *SetProfiler) Run(batch []trace.Access) {
-	if p.assoc > 8 {
-		p.runShift(batch)
-		return
-	}
 	var pk [512]uint64
+	var acc partStats
 	for len(batch) > 0 {
 		n := min(len(batch), len(pk))
-		packed := packInto(pk[:0], batch[:n], p.lineShift)
-		p.runPacked(packed)
+		p.runChunk(packInto(pk[:0], batch[:n], p.lineShift), &acc)
 		batch = batch[n:]
 	}
+	p.addPart(acc)
+}
+
+// runChunk streams one packed chunk through the kernel for the model's
+// associativity and folds the chunk's counters into acc.
+func (p *SetProfiler) runChunk(packed []uint64, acc *partStats) {
+	var hits, evictions, writeBacks uint64
+	if p.assoc > 8 {
+		hits, evictions, writeBacks = p.runShift(packed)
+	} else {
+		hits, evictions, writeBacks = p.runPackedCounters(packed)
+	}
+	acc.n += uint64(len(packed))
+	acc.hits += hits
+	acc.evictions += evictions
+	acc.writeBacks += writeBacks
 }
 
 // b2u is a branch-free bool→uint64 (compiles to SETcc).
@@ -219,22 +230,6 @@ func permRare(st []uint64, zm, base, tag, mask uint64) (uint64, uint64, uint64, 
 		}
 	}
 	return 0, 0, 0, false
-}
-
-// runPacked streams one packed chunk through the model and folds the
-// counters into the profiler's Stats. The loop body lives in
-// runPackedCounters so the parallel sweep driver can run the identical
-// kernel against a worker-private accumulator instead of the shared Stats.
-func (p *SetProfiler) runPacked(packed []uint64) {
-	hits, evictions, writeBacks := p.runPackedCounters(packed)
-	misses := uint64(len(packed)) - hits
-	p.stats.Accesses += uint64(len(packed))
-	p.stats.Hits += hits
-	p.stats.Misses += misses
-	p.stats.Evictions += evictions
-	p.stats.WriteBacks += writeBacks
-	p.stats.FillBytes += misses * p.lineBytes
-	p.stats.WriteBackBytes += writeBacks * p.lineBytes
 }
 
 // runPackedCounters is the single-profiler hot loop for Assoc ≤ 8. Per access:
@@ -314,23 +309,18 @@ func (p *SetProfiler) runPackedCounters(packed []uint64) (hits, evictions, write
 // goes, so a hit at depth i has already done its rotation and a full scan
 // has already done the miss path's shift — with the evicted way left in
 // hand.
-func (p *SetProfiler) runShift(batch []trace.Access) {
+func (p *SetProfiler) runShift(packed []uint64) (hits, evictions, writeBacks uint64) {
 	ways := p.ways
 	assoc := p.assoc
 	setMask := p.setMask
 	setShift := p.setShift
-	lineShift := p.lineShift
-	var hits, misses, evictions, writeBacks uint64
-	for _, a := range batch {
-		lineAddr := a.Addr >> (lineShift & 63)
+	for _, w := range packed {
+		lineAddr := w >> 1
 		setIdx := lineAddr & setMask
 		tag := lineAddr >> (setShift & 63)
 		base := int(setIdx) * assoc
 		ws := ways[base : base+assoc]
-		var wdirty uint64
-		if a.Write {
-			wdirty = dirtyFlag
-		}
+		wdirty := w << 63
 		prev := ws[0]
 		if prev&^dirtyFlag == tag {
 			hits++
@@ -356,17 +346,10 @@ func (p *SetProfiler) runShift(batch []trace.Access) {
 		// in prev. A sentinel victim means the set still had an empty way —
 		// exactly the brute simulator's prefer-invalid victim choice.
 		ws[0] = tag | wdirty
-		misses++
 		if prev != invalidTag {
 			evictions++
 			writeBacks += prev >> 63
 		}
 	}
-	p.stats.Accesses += uint64(len(batch))
-	p.stats.Hits += hits
-	p.stats.Misses += misses
-	p.stats.Evictions += evictions
-	p.stats.WriteBacks += writeBacks
-	p.stats.FillBytes += misses * p.lineBytes
-	p.stats.WriteBackBytes += writeBacks * p.lineBytes
+	return hits, evictions, writeBacks
 }

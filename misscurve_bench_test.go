@@ -56,9 +56,10 @@ func BenchmarkMissCurveMattson(b *testing.B) {
 // BenchmarkMissCurveParallel measures the set-parallel kernel with the
 // worker count following GOMAXPROCS, so `go test -bench MissCurveParallel
 // -cpu 1,2,4,8` sweeps the scaling curve in one invocation. Results are
-// bit-identical to the serial kernel at every point; only wall-clock
-// moves. At -cpu 1 the driver falls back to the serial kernel, making
-// that sub-benchmark the baseline for the ratio.
+// bit-identical to the one-worker sweep at every point; only wall-clock
+// moves. At -cpu 1 the driver resolves to one partition run inline on
+// the calling goroutine, making that sub-benchmark the baseline for the
+// ratio.
 func BenchmarkMissCurveParallel(b *testing.B) {
 	bc := mattson.QuickFig1Bench()
 	stream := trace.MustReplayer(masterTrace())
