@@ -112,6 +112,9 @@ type Result struct {
 	Hit       bool
 	Evicted   bool
 	WroteBack bool
+	// Victim is the line address (Addr / LineBytes) of the line this
+	// access displaced; it is meaningful only when Evicted is set.
+	Victim uint64
 	// FillBytes and WriteBackBytes are the off-side traffic this access
 	// generated (fills inward, write backs outward).
 	FillBytes      int
@@ -185,6 +188,7 @@ func (c *Cache) Access(a trace.Access) Result {
 	var res Result
 	if w.valid {
 		res.Evicted = true
+		res.Victim = w.tag<<c.setShift | setIdx
 		c.stats.Evictions++
 		if w.dirty {
 			res.WroteBack = true

@@ -94,7 +94,8 @@ func (c *CompressedCache) EffectiveRatio() float64 {
 	return float64(c.storedRaw) / float64(c.storedComp)
 }
 
-// Access runs one reference through the compressed cache.
+// Access runs one reference through the compressed cache. A miss can evict
+// several lines to make room; Result.Victim then names the last of them.
 func (c *CompressedCache) Access(a trace.Access) Result {
 	c.stats.Accesses++
 	lineAddr := a.Addr >> c.lineShift
@@ -134,6 +135,7 @@ func (c *CompressedCache) Access(a trace.Access) Result {
 		s.lru.Remove(back)
 		s.used -= victim.size
 		res.Evicted = true
+		res.Victim = victim.tag<<c.setShift | setIdx
 		c.stats.Evictions++
 		if victim.dirty {
 			res.WroteBack = true

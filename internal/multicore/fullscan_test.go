@@ -1,0 +1,98 @@
+package multicore
+
+import (
+	"fmt"
+	"math/bits"
+
+	"repro/internal/cachesim"
+	"repro/internal/trace"
+)
+
+// fullScanCMP is the sharing tracker as it was before the pending list,
+// kept as the reference the CMP is tested against. It does not learn which
+// line an access evicted; on an evicting access, once the sharer map holds
+// at least L2.Lines()+64 entries, it rescans the whole map and harvests
+// every entry whose line the L2 no longer holds.
+type fullScanCMP struct {
+	cfg     Config
+	l1s     []*cachesim.Cache
+	l2      *cachesim.Cache
+	sharers map[uint64]uint64 // L2 line -> sharer core bitmask
+	stats   SharingStats
+}
+
+func newFullScan(cfg Config) (*fullScanCMP, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	c := &fullScanCMP{
+		cfg:     cfg,
+		l1s:     make([]*cachesim.Cache, cfg.Cores),
+		sharers: make(map[uint64]uint64, cfg.L2.Lines()),
+	}
+	for i := range c.l1s {
+		l1, err := cachesim.New(cfg.L1)
+		if err != nil {
+			return nil, err
+		}
+		c.l1s[i] = l1
+	}
+	l2, err := cachesim.New(cfg.L2)
+	if err != nil {
+		return nil, err
+	}
+	c.l2 = l2
+	return c, nil
+}
+
+func (c *fullScanCMP) Access(a trace.Access) error {
+	core := int(a.TID)
+	if core >= c.cfg.Cores {
+		return fmt.Errorf("multicore: access from core %d on a %d-core chip", core, c.cfg.Cores)
+	}
+	if c.l1s[core].Access(a).Hit {
+		return nil
+	}
+	line := a.Line(c.cfg.L2.LineBytes)
+	if c.l2.Access(a).Evicted {
+		c.reconcile(line)
+	}
+	c.sharers[line] |= 1 << uint(core)
+	return nil
+}
+
+func (c *fullScanCMP) reconcile(justInserted uint64) {
+	if len(c.sharers) < c.cfg.L2.Lines()+64 {
+		return
+	}
+	for line, mask := range c.sharers {
+		if line == justInserted {
+			continue
+		}
+		if !c.l2.Contains(line * uint64(c.cfg.L2.LineBytes)) {
+			c.stats.EvictedLines++
+			if bits.OnesCount64(mask) > 1 {
+				c.stats.EvictedShared++
+			}
+			delete(c.sharers, line)
+		}
+	}
+}
+
+func (c *fullScanCMP) Sharing() SharingStats {
+	st := c.stats
+	for line, mask := range c.sharers {
+		if !c.l2.Contains(line * uint64(c.cfg.L2.LineBytes)) {
+			st.EvictedLines++
+			if bits.OnesCount64(mask) > 1 {
+				st.EvictedShared++
+			}
+			continue
+		}
+		st.LiveLines++
+		if bits.OnesCount64(mask) > 1 {
+			st.LiveShared++
+		}
+	}
+	return st
+}

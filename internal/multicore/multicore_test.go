@@ -1,6 +1,7 @@
 package multicore
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cachesim"
@@ -46,6 +47,23 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := New(c); err == nil {
 		t.Error("New accepted bad config")
+	}
+	// A sectored L2, or a write-through L2 that lets store misses bypass
+	// it, breaks per-line lifetime tracking: the first reports a resident
+	// line as evicted, the second a lifetime for a line it never held.
+	c = testConfig(4)
+	c.L2.SectorBytes = 16
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "L2.SectorBytes") {
+		t.Errorf("sectored L2: err = %v, want one naming L2.SectorBytes", err)
+	}
+	c = testConfig(4)
+	c.L2.WriteBack, c.L2.WriteAllocate = false, false
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "L2.WriteAllocate") {
+		t.Errorf("write-through no-allocate L2: err = %v, want one naming L2.WriteAllocate", err)
+	}
+	c.L2.WriteAllocate = true
+	if err := c.Validate(); err != nil {
+		t.Errorf("write-through write-allocate L2 rejected: %v", err)
 	}
 }
 
