@@ -13,9 +13,10 @@ import (
 )
 
 // cmdGateway runs the fleet front tier: a fault-tolerant gateway that
-// partitions /v1/eval traffic across bandwall serve replicas by spec
-// fingerprint, with circuit breaking, failover, hedging, deadline
-// budgets, and stale-reserve degradation (see internal/fleet).
+// partitions /v1/eval and /v1/optimize traffic across bandwall serve
+// replicas by the query's fingerprint, with circuit breaking, failover,
+// hedging, deadline budgets, and stale-reserve degradation (see
+// internal/fleet).
 func cmdGateway(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gateway", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8090", "listen address (host:port; :0 picks a free port)")

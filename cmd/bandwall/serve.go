@@ -28,7 +28,7 @@ const registrySpanCap = 1024
 func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; :0 picks a free port)")
-	inflight := fs.Int("inflight", serve.DefaultMaxInflight, "max concurrently admitted eval/run requests (beyond: 429)")
+	inflight := fs.Int("inflight", serve.DefaultMaxInflight, "max concurrently admitted eval/optimize/run requests (beyond: 429)")
 	timeout := fs.Duration("timeout", serve.DefaultEvalTimeout, "per-request solver deadline")
 	drain := fs.Duration("drain", serve.DefaultDrainTimeout, "graceful-shutdown drain budget")
 	cacheSize := fs.Int("cache", serve.DefaultCacheSize, "response cache entries (negative disables)")

@@ -2,10 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
-
-	"repro/internal/robust"
 )
 
 // Error kinds in gateway-originated JSON error bodies. They are the
@@ -14,32 +11,16 @@ import (
 const (
 	kindDomain      = "domain"      // spec outside the model domain → 400, never proxied
 	kindBadRequest  = "bad_request" // malformed request at the gateway → 400
-	kindNotFound    = "not_found"   // unknown route → 404
 	kindCanceled    = "canceled"    // deadline budget exhausted → 504
 	kindUnavailable = "unavailable" // total ring failure, no stale reserve → 503
 	kindInternal    = "internal"    // anything else → 500
 )
 
 // gwError is the gateway's JSON error body — the same shape as the
-// serve tier's, plus the replica field naming the last replica tried
-// (empty when the request never reached the ring).
+// serve tier's.
 type gwError struct {
-	Error   string `json:"error"`
-	Kind    string `json:"kind"`
-	Replica string `json:"replica,omitempty"`
-}
-
-// classifyErr maps a gateway-side error (spec parse, injected fault,
-// budget expiry) onto status and kind per the robust taxonomy.
-func classifyErr(err error) (status int, kind string) {
-	switch {
-	case errors.Is(err, robust.ErrDomain):
-		return http.StatusBadRequest, kindDomain
-	case robust.Classify(err) == robust.Canceled:
-		return http.StatusGatewayTimeout, kindCanceled
-	default:
-		return http.StatusInternalServerError, kindInternal
-	}
+	Error string `json:"error"`
+	Kind  string `json:"kind"`
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -48,9 +29,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeErr(w http.ResponseWriter, status int, kind string, err error, replicaBase string) {
+func writeErr(w http.ResponseWriter, status int, kind string, err error) {
 	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, status, gwError{Error: err.Error(), Kind: kind, Replica: replicaBase})
+	writeJSON(w, status, gwError{Error: err.Error(), Kind: kind})
 }

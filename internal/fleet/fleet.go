@@ -31,6 +31,12 @@
 //     stale cache, marked X-Bandwall-Degraded: stale — else 503 with
 //     Retry-After.
 //
+// Eval and optimize share one gateway handler. It routes on serve's own
+// key function for the query kind (serve.EvalKey, serve.OptimizeKey), so
+// the gateway and the replica derive a body's fingerprint the same way
+// by construction, and it reads bodies, lowers ?timeout= and drains with
+// serve's code too.
+//
 // The gateway is itself drain-aware (SIGTERM flips /healthz to 503
 // "draining" while in-flight requests finish) and chaos-ready: the
 // BANDWALL_FAULTS plan grammar reaches its transport at the fleet.dial
@@ -55,7 +61,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/robust"
-	"repro/internal/scenario"
 	"repro/internal/serve"
 )
 
@@ -83,7 +88,6 @@ const (
 	DefaultHedgeQuantile    = 0.9
 	DefaultStaleCacheSize   = 256
 	DefaultDrainTimeout     = 10 * time.Second
-	defaultMaxSpecBytes     = 1 << 20
 )
 
 // Config tunes one Gateway. Replicas is required; everything else
@@ -284,8 +288,8 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
 	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
-	g.mux.HandleFunc("POST /v1/eval", g.instrument("eval", g.handleEval))
-	g.mux.HandleFunc("POST /v1/optimize", g.instrument("optimize", g.handleOptimize))
+	g.mux.HandleFunc("POST /v1/eval", g.instrument("eval", g.handleQuery("/v1/eval", serve.EvalKey)))
+	g.mux.HandleFunc("POST /v1/optimize", g.instrument("optimize", g.handleQuery("/v1/optimize", serve.OptimizeKey)))
 	g.mux.HandleFunc("POST /v1/validate", g.instrument("validate", g.handleValidate))
 	g.mux.HandleFunc("GET /v1/experiments", g.instrument("experiments", g.handleExperiments))
 	g.mux.HandleFunc("POST /v1/experiments/{id}/run", g.instrument("run", g.handleExperimentRun))
@@ -356,23 +360,6 @@ func (g *Gateway) instrument(route string, h http.HandlerFunc) http.HandlerFunc 
 	}
 }
 
-// budgetCtx derives the request's deadline budget: the configured
-// default, lowered (never raised) by ?timeout=D.
-func (g *Gateway) budgetCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
-	timeout := g.cfg.timeout()
-	if q := r.URL.Query().Get("timeout"); q != "" {
-		d, err := time.ParseDuration(q)
-		if err != nil || d <= 0 {
-			return nil, nil, fmt.Errorf("invalid timeout %q (want a positive Go duration)", q)
-		}
-		if d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	return ctx, cancel, nil
-}
-
 // relay copies a buffered upstream response to the client, stamping the
 // replica that produced it.
 func (g *Gateway) relay(w http.ResponseWriter, res *proxyResult) {
@@ -402,18 +389,18 @@ func (g *Gateway) finish(w http.ResponseWriter, res *proxyResult, attempts int, 
 	}
 	if ferr != nil {
 		if robust.Classify(ferr) == robust.Canceled {
-			writeErr(w, http.StatusGatewayTimeout, kindCanceled, ferr, "")
+			writeErr(w, http.StatusGatewayTimeout, kindCanceled, ferr)
 			return
 		}
 		if errors.Is(ferr, robust.ErrDomain) {
-			writeErr(w, http.StatusBadRequest, kindDomain, ferr, "")
+			writeErr(w, http.StatusBadRequest, kindDomain, ferr)
 			return
 		}
 		// A permanent non-domain fault (e.g. a contained injected panic in
 		// the proxy path) is a gateway-side failure: the ring may be fine,
 		// so the stale reserve is the wrong answer — report it as 500.
 		if !errors.Is(ferr, errNoReplica) && robust.Classify(ferr) == robust.Permanent {
-			writeErr(w, http.StatusInternalServerError, kindInternal, ferr, "")
+			writeErr(w, http.StatusInternalServerError, kindInternal, ferr)
 			return
 		}
 	}
@@ -441,122 +428,70 @@ func (g *Gateway) finish(w http.ResponseWriter, res *proxyResult, attempts int, 
 	if ferr == nil {
 		ferr = errNoReplica
 	}
-	writeErr(w, http.StatusServiceUnavailable, kindUnavailable, ferr, "")
+	writeErr(w, http.StatusServiceUnavailable, kindUnavailable, ferr)
 }
 
-// readBody reads up to limit bytes of request body.
-func readBody(r *http.Request, limit int64) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
-	if err != nil {
-		return nil, fmt.Errorf("reading body: %w", err)
-	}
-	if int64(len(body)) > limit {
-		return nil, fmt.Errorf("body exceeds %d bytes", limit)
-	}
-	return body, nil
-}
-
-// handleEval is the partitioned, hedged, failing-over eval route. The
-// gateway parses the spec itself first: that yields the routing
-// fingerprint, and it means a domain-invalid spec is answered 400
-// without consuming a single ring attempt — the no-retry-on-400
-// guarantee holds by construction.
-func (g *Gateway) handleEval(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r, defaultMaxSpecBytes)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, kindBadRequest, err, "")
-		return
-	}
-	sp, err := scenario.ParseSpec(body)
-	if err != nil {
-		kind := kindBadRequest
-		if errors.Is(err, robust.ErrDomain) {
-			kind = kindDomain
+// handleQuery is the partitioned, hedged, failing-over route for one
+// query kind. The gateway keys the body with serve's own key function
+// first: that yields the routing fingerprint — the key the owning
+// replica caches the answer under — and it means a domain-invalid spec
+// is answered 400 without consuming a single ring attempt, so the
+// no-retry-on-400 guarantee holds by construction.
+func (g *Gateway) handleQuery(path string, key func(body []byte) (string, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, err := serve.ReadSpec(r)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, kindBadRequest, err)
+			return
 		}
-		w.Header().Set(AttemptsHeader, "0")
-		writeErr(w, http.StatusBadRequest, kind, err, "")
-		return
-	}
-	fp, err := serve.FingerprintSpec(sp)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, kindInternal, err, "")
-		return
-	}
-	ctx, cancel, err := g.budgetCtx(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, kindBadRequest, err, "")
-		return
-	}
-	defer cancel()
-	order := rendezvousOrder(g.replicas, fp)
-	res, attempts, ferr := g.forwardHedged(ctx, order, http.MethodPost, "/v1/eval", "", body, true)
-	g.finish(w, res, attempts, ferr, fp)
-}
-
-// handleOptimize routes inverse design-space queries exactly like eval:
-// parse first (domain-invalid queries never cost a ring attempt), then
-// rendezvous-route on the optimize fingerprint — the same key the
-// replicas cache the rendered search under, so repeated queries land on
-// the replica that already holds the answer.
-func (g *Gateway) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r, defaultMaxSpecBytes)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, kindBadRequest, err, "")
-		return
-	}
-	osp, err := scenario.ParseOptimizeSpec(body)
-	if err != nil {
-		kind := kindBadRequest
-		if errors.Is(err, robust.ErrDomain) {
-			kind = kindDomain
+		fp, err := key(body)
+		if err != nil {
+			status, kind := http.StatusInternalServerError, kindInternal
+			if errors.Is(err, robust.ErrDomain) {
+				status, kind = http.StatusBadRequest, kindDomain
+			}
+			w.Header().Set(AttemptsHeader, "0")
+			writeErr(w, status, kind, err)
+			return
 		}
-		w.Header().Set(AttemptsHeader, "0")
-		writeErr(w, http.StatusBadRequest, kind, err, "")
-		return
+		ctx, cancel, err := serve.RequestContext(r, g.cfg.timeout())
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, kindBadRequest, err)
+			return
+		}
+		defer cancel()
+		res, attempts, ferr := g.forwardHedged(ctx, rendezvousOrder(g.replicas, fp), http.MethodPost, path, body, true)
+		g.finish(w, res, attempts, ferr, fp)
 	}
-	fp, err := serve.FingerprintOptimizeSpec(osp)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, kindInternal, err, "")
-		return
-	}
-	ctx, cancel, err := g.budgetCtx(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, kindBadRequest, err, "")
-		return
-	}
-	defer cancel()
-	order := rendezvousOrder(g.replicas, fp)
-	res, attempts, ferr := g.forwardHedged(ctx, order, http.MethodPost, "/v1/optimize", "", body, true)
-	g.finish(w, res, attempts, ferr, fp)
 }
 
 // handleValidate fans a validation request to any healthy replica —
 // validation is stateless, so round-robin spreads the parse load.
 func (g *Gateway) handleValidate(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r, defaultMaxSpecBytes)
+	body, err := serve.ReadSpec(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, kindBadRequest, err, "")
+		writeErr(w, http.StatusBadRequest, kindBadRequest, err)
 		return
 	}
-	ctx, cancel, err := g.budgetCtx(r)
+	ctx, cancel, err := serve.RequestContext(r, g.cfg.timeout())
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, kindBadRequest, err, "")
+		writeErr(w, http.StatusBadRequest, kindBadRequest, err)
 		return
 	}
 	defer cancel()
-	res, attempts, ferr := g.forward(ctx, g.rrOrder(), http.MethodPost, "/v1/validate", "", body, false)
+	res, attempts, ferr := g.forward(ctx, g.rrOrder(), http.MethodPost, "/v1/validate", body, false)
 	g.finish(w, res, attempts, ferr, "")
 }
 
 // handleExperiments round-robins the read-only experiment listing.
 func (g *Gateway) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, err := g.budgetCtx(r)
+	ctx, cancel, err := serve.RequestContext(r, g.cfg.timeout())
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, kindBadRequest, err, "")
+		writeErr(w, http.StatusBadRequest, kindBadRequest, err)
 		return
 	}
 	defer cancel()
-	res, attempts, ferr := g.forward(ctx, g.rrOrder(), http.MethodGet, "/v1/experiments", "", nil, false)
+	res, attempts, ferr := g.forward(ctx, g.rrOrder(), http.MethodGet, "/v1/experiments", nil, false)
 	g.finish(w, res, attempts, ferr, "")
 }
 
@@ -564,15 +499,15 @@ func (g *Gateway) handleExperiments(w http.ResponseWriter, r *http.Request) {
 // so repeated runs of one experiment hit the same replica's caches.
 func (g *Gateway) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	ctx, cancel, err := g.budgetCtx(r)
+	ctx, cancel, err := serve.RequestContext(r, g.cfg.timeout())
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, kindBadRequest, err, "")
+		writeErr(w, http.StatusBadRequest, kindBadRequest, err)
 		return
 	}
 	defer cancel()
 	key := "exp|" + id
 	order := rendezvousOrder(g.replicas, key)
-	res, attempts, ferr := g.forward(ctx, order, http.MethodPost, "/v1/experiments/"+url.PathEscape(id)+"/run", "", nil, true)
+	res, attempts, ferr := g.forward(ctx, order, http.MethodPost, "/v1/experiments/"+url.PathEscape(id)+"/run", nil, true)
 	g.finish(w, res, attempts, ferr, key)
 }
 
@@ -688,7 +623,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if g.reg == nil {
 		writeErr(w, http.StatusServiceUnavailable, kindInternal,
-			fmt.Errorf("metrics collection is disabled (no obs registry installed)"), "")
+			fmt.Errorf("metrics collection is disabled (no obs registry installed)"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -713,40 +648,7 @@ func (g *Gateway) ListenAndServe(ctx context.Context, addr string, ready func(ne
 // Serve is ListenAndServe over an existing listener. It owns l and
 // closes it on return.
 func (g *Gateway) Serve(ctx context.Context, l net.Listener) error {
-	srv := &http.Server{
-		Handler:           g.mux,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	hctx, stopHealth := context.WithCancel(ctx)
-	defer stopHealth()
-	go g.checkHealth(hctx)
-	errc := make(chan error, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := srv.Serve(l); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-			return
-		}
-		errc <- nil
-	}()
-	select {
-	case err := <-errc:
-		wg.Wait()
-		return err
-	case <-ctx.Done():
-	}
-	g.draining.Store(true)
-	dctx, cancel := context.WithTimeout(context.Background(), g.cfg.drainTimeout())
-	defer cancel()
-	shutErr := srv.Shutdown(dctx)
-	wg.Wait()
-	<-errc
-	if shutErr != nil {
-		return fmt.Errorf("fleet: drain exceeded %s: %w", g.cfg.drainTimeout(), shutErr)
-	}
-	return nil
+	return serve.ServeAndDrain(ctx, l, g.mux, g.cfg.drainTimeout(), &g.draining, g.checkHealth)
 }
 
 // rrOrder rotates the replica list by an atomic cursor: the failover

@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,7 +17,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/robust"
-	"repro/internal/scenario"
 	"repro/internal/serve"
 )
 
@@ -38,14 +39,10 @@ func installPlan(t *testing.T, spec string) (restore func()) {
 }
 
 // fingerprintOf computes the routing fingerprint the gateway will use
-// for a spec body.
+// for an eval body: serve's own key function, as the gateway calls it.
 func fingerprintOf(t *testing.T, body string) string {
 	t.Helper()
-	sp, err := scenario.ParseSpec([]byte(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := serve.FingerprintSpec(sp)
+	fp, err := serve.EvalKey([]byte(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +175,40 @@ func TestRendezvousOrderDeterministicAndSpread(t *testing.T) {
 	}
 }
 
+// TestRendezvousSpreadManyRings: across many seeded three-replica
+// loopback rings on nearby ports, each routing 30 random fingerprints,
+// a replica is left owning no key about as rarely as uniform hashing
+// predicts (3·(2/3)^30 ≈ 1.6e-5 per ring, 0.16 expected here). Raw
+// FNV-1a scores left ~0.09 % of rings with an empty replica (≈9 here).
+func TestRendezvousSpreadManyRings(t *testing.T) {
+	const rings, keys = 10000, 30
+	rng := rand.New(rand.NewSource(1))
+	var key [32]byte
+	empty := 0
+	for r := 0; r < rings; r++ {
+		port := 32768 + rng.Intn(28000)
+		ports := map[int]bool{port: true}
+		for len(ports) < 3 {
+			ports[port+rng.Intn(201)] = true
+		}
+		var reps []*replica
+		for p := range ports {
+			reps = append(reps, newReplica(fmt.Sprintf("http://127.0.0.1:%d", p), 1, time.Second))
+		}
+		owned := map[*replica]int{}
+		for k := 0; k < keys; k++ {
+			rng.Read(key[:])
+			owned[rendezvousOrder(reps, hex.EncodeToString(key[:]))[0]]++
+		}
+		if len(owned) < 3 {
+			empty++
+		}
+	}
+	if empty > 2 {
+		t.Errorf("%d of %d rings left a replica with none of %d keys, want at most 2", empty, rings, keys)
+	}
+}
+
 func TestEvalRoutesToOwnerAndSticks(t *testing.T) {
 	g, _ := newTestGateway(t, 3, nil)
 	body := specWithID("route-stick", 16)
@@ -261,28 +292,64 @@ func TestEvalBreakerOpensAndSkipsDeadReplica(t *testing.T) {
 	}
 }
 
+// TestDomainErrorNeverReachesRing pins the no-retry-on-400 guarantee
+// for every query kind: a domain-invalid spec is answered by the
+// gateway itself, with serve's taxonomy and zero ring attempts.
 func TestDomainErrorNeverReachesRing(t *testing.T) {
+	for _, tc := range []struct{ name, path, body string }{
+		// Structurally valid JSON that fails validation: an unknown
+		// technique name → robust.ErrDomain.
+		{"eval", "/v1/eval", `{"id":"dom","axis":{"n2":[16]},"cases":[{"label":"X","value_key":"v","stack":[{"name":"NOPE"}]}]}`},
+		{"optimize", "/v1/optimize", `{"id":"bad","n2":-1}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, _ := newTestGateway(t, 3, nil)
+			w := postGateway(t, g, tc.path, tc.body)
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400: %s", w.Code, w.Body)
+			}
+			var ge gwError
+			if err := json.Unmarshal(w.Body.Bytes(), &ge); err != nil {
+				t.Fatalf("error body not JSON: %v\n%s", err, w.Body)
+			}
+			if ge.Kind != kindDomain {
+				t.Errorf("kind = %q, want %q", ge.Kind, kindDomain)
+			}
+			if got := w.Header().Get(AttemptsHeader); got != "0" {
+				t.Errorf("attempts = %q, want 0 (domain errors must not be proxied, let alone retried)", got)
+			}
+			for base, hits := range g.ReplicaHits() {
+				if hits != 0 {
+					t.Errorf("replica %s saw %d proxy attempts for a domain-invalid spec", base, hits)
+				}
+			}
+		})
+	}
+}
+
+// TestOversizedBodyNeverReachesRing: a body one byte over serve's limit
+// is refused by the gateway with 400 "bad_request", on both query routes
+// and on /v1/validate, without a single replica attempt.
+func TestOversizedBodyNeverReachesRing(t *testing.T) {
 	g, _ := newTestGateway(t, 3, nil)
-	// A structurally valid JSON body that fails spec validation: unknown
-	// technique name → robust.ErrDomain.
-	bad := `{"id":"dom","axis":{"n2":[16]},"cases":[{"label":"X","value_key":"v","stack":[{"name":"NOPE"}]}]}`
-	w := postGateway(t, g, "/v1/eval", bad)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400: %s", w.Code, w.Body)
-	}
-	var ge gwError
-	if err := json.Unmarshal(w.Body.Bytes(), &ge); err != nil {
-		t.Fatalf("error body not JSON: %v", err)
-	}
-	if ge.Kind != kindDomain {
-		t.Errorf("kind = %q, want %q", ge.Kind, kindDomain)
-	}
-	if got := w.Header().Get(AttemptsHeader); got != "0" {
-		t.Errorf("attempts = %s, want 0 (domain errors must not be proxied, let alone retried)", got)
+	big := strings.Repeat(" ", 1<<20+1)
+	for _, path := range []string{"/v1/eval", "/v1/optimize", "/v1/validate"} {
+		w := postGateway(t, g, path, big)
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", path, w.Code, w.Body)
+			continue
+		}
+		var ge gwError
+		if err := json.Unmarshal(w.Body.Bytes(), &ge); err != nil {
+			t.Fatalf("%s: error body not JSON: %v", path, err)
+		}
+		if ge.Kind != kindBadRequest || ge.Error != "spec exceeds 1048576 bytes" {
+			t.Errorf("%s: error = %+v, want bad_request \"spec exceeds 1048576 bytes\"", path, ge)
+		}
 	}
 	for base, hits := range g.ReplicaHits() {
 		if hits != 0 {
-			t.Errorf("replica %s saw %d proxy attempts for a domain-invalid spec", base, hits)
+			t.Errorf("replica %s saw %d proxy attempts for oversized bodies", base, hits)
 		}
 	}
 }
@@ -678,31 +745,5 @@ func TestOptimizeThroughGateway(t *testing.T) {
 	}
 	if or.ID != "fleet-opt" || len(or.Frontier) == 0 || or.Best.Cores <= 0 {
 		t.Errorf("unexpected optimize answer: id=%q frontier=%d best=%d cores", or.ID, len(or.Frontier), or.Best.Cores)
-	}
-}
-
-// TestOptimizeDomainNeverReachesRing pins the no-retry-on-400 guarantee
-// for the optimize route: a domain-invalid query is answered by the
-// gateway itself with zero ring attempts.
-func TestOptimizeDomainNeverReachesRing(t *testing.T) {
-	g, _ := newTestGateway(t, 2, nil)
-	w := postGateway(t, g, "/v1/optimize", `{"id":"bad","n2":-1}`)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400: %s", w.Code, w.Body)
-	}
-	if got := w.Header().Get(AttemptsHeader); got != "0" {
-		t.Errorf("attempts = %q, want 0", got)
-	}
-	var he gwError
-	if err := json.Unmarshal(w.Body.Bytes(), &he); err != nil {
-		t.Fatalf("error body is not JSON: %v\n%s", err, w.Body)
-	}
-	if he.Kind != "domain" {
-		t.Errorf("error kind = %q, want domain", he.Kind)
-	}
-	for base, hits := range g.ReplicaHits() {
-		if hits != 0 {
-			t.Errorf("replica %s saw %d attempts for a domain-invalid query", base, hits)
-		}
 	}
 }

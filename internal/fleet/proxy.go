@@ -125,7 +125,7 @@ func (g *Gateway) attempt(ctx context.Context, rep *replica, method, path, query
 //   - (nil, n, err): no upstream answer at all — err is the budget
 //     expiry (Canceled), an injected permanent fault, errNoReplica, or
 //     the last transport error.
-func (g *Gateway) forward(ctx context.Context, order []*replica, method, path, query string, body []byte, forwardTimeout bool) (res *proxyResult, attempts int, err error) {
+func (g *Gateway) forward(ctx context.Context, order []*replica, method, path string, body []byte, forwardTimeout bool) (res *proxyResult, attempts int, err error) {
 	if len(order) == 0 {
 		return nil, 0, errNoReplica
 	}
@@ -161,7 +161,7 @@ func (g *Gateway) forward(ctx context.Context, order []*replica, method, path, q
 			slice = remaining / time.Duration(maxAtt-attempts)
 		}
 		attempts++
-		pr, aerr := g.attempt(ctx, rep, method, path, query, body, slice, forwardTimeout)
+		pr, aerr := g.attempt(ctx, rep, method, path, "", body, slice, forwardTimeout)
 		if aerr == nil {
 			if pr.status < http.StatusInternalServerError {
 				rep.br.Success()
@@ -246,10 +246,10 @@ const minHedgeDelay = time.Millisecond
 // Both responses are fully buffered, so the loser is simply cancelled
 // and garbage-collected; its context cancellation is the only side
 // effect the loser's replica ever sees.
-func (g *Gateway) forwardHedged(ctx context.Context, order []*replica, method, path, query string, body []byte, forwardTimeout bool) (*proxyResult, int, error) {
+func (g *Gateway) forwardHedged(ctx context.Context, order []*replica, method, path string, body []byte, forwardTimeout bool) (*proxyResult, int, error) {
 	delay, ok := g.hedgeDelay(order[0])
 	if !ok || len(order) < 2 {
-		return g.forward(ctx, order, method, path, query, body, forwardTimeout)
+		return g.forward(ctx, order, method, path, body, forwardTimeout)
 	}
 	type out struct {
 		res      *proxyResult
@@ -263,7 +263,7 @@ func (g *Gateway) forwardHedged(ctx context.Context, order []*replica, method, p
 	hctx, hcancel := context.WithCancel(ctx)
 	defer hcancel()
 	run := func(c context.Context, ord []*replica, hedge bool) {
-		r, a, e := g.forward(c, ord, method, path, query, body, forwardTimeout)
+		r, a, e := g.forward(c, ord, method, path, body, forwardTimeout)
 		ch <- out{res: r, attempts: a, err: e, hedge: hedge}
 	}
 	go run(pctx, order, false)

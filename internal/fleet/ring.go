@@ -38,16 +38,17 @@ func newReplica(base string, threshold int, cooldown time.Duration) *replica {
 
 // order returns the replicas in rendezvous (highest-random-weight)
 // preference order for key: each replica scores
-// HashString(base + "|" + key) and higher scores are preferred. The
-// head of the slice owns the key — every gateway process computes the
-// same owner for the same addresses, with no coordination state — and
-// the tail is the deterministic failover sequence, so a dead owner's
-// keys spill to the *next* scored replica rather than rehashing the
-// whole ring (only 1/n of keys move when a replica joins or leaves).
+// splitmix64(HashString(base + "|" + key)) and higher scores are
+// preferred. The head of the slice owns the key — every gateway process
+// computes the same owner for the same addresses, with no coordination
+// state — and the tail is the deterministic failover sequence, so a
+// dead owner's keys spill to the *next* scored replica rather than
+// rehashing the whole ring (only 1/n of keys move when a replica joins
+// or leaves).
 func rendezvousOrder(reps []*replica, key string) []*replica {
 	out := make([]*replica, len(reps))
 	copy(out, reps)
-	score := func(r *replica) uint64 { return scaling.HashString(r.base + "|" + key) }
+	score := func(r *replica) uint64 { return splitmix64(scaling.HashString(r.base + "|" + key)) }
 	sort.SliceStable(out, func(i, j int) bool {
 		si, sj := score(out[i]), score(out[j])
 		if si != sj {
@@ -56,4 +57,17 @@ func rendezvousOrder(reps []*replica, key string) []*replica {
 		return out[i].base < out[j].base // total order even on hash ties
 	})
 	return out
+}
+
+// splitmix64 is the finalizer from Vigna's splitmix64 generator. Raw
+// FNV-1a scores of bases that differ in a few bytes — loopback replicas
+// on nearby ports — are correlated: in a three-replica ring, one replica
+// owned none of 30 keys about 50 times as often as uniform hashing
+// predicts. The finalizer's full avalanche removes the correlation.
+// Lock-shard selection compares no scores and keeps raw HashString.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }

@@ -2,7 +2,12 @@ package serve
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // BenchmarkRespCacheContention measures the response LRU under parallel
@@ -40,6 +45,42 @@ func BenchmarkRespCacheContention(b *testing.B) {
 					i++
 				}
 			})
+		})
+	}
+}
+
+// BenchmarkQueryHitPath times one warmed request of each query kind
+// through the whole in-process handler stack — instrument, admit, read
+// (body, parse, fingerprint), response-cache hit, write — on a
+// recorder, without the network: the serve tier's share of a hot
+// request.
+func BenchmarkQueryHitPath(b *testing.B) {
+	for _, q := range []struct{ name, path, body string }{
+		{"eval", "/v1/eval", stackedSpec},
+		{"optimize", "/v1/optimize", optimizeSpecBody},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			prev := obs.Default()
+			reg := obs.NewRegistry()
+			RegisterObs(reg)
+			obs.SetDefault(reg)
+			defer obs.SetDefault(prev)
+			h := NewServer(Config{}).Handler()
+			do := func() *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, q.path, strings.NewReader(q.body)))
+				return rec
+			}
+			if rec := do(); rec.Code != http.StatusOK {
+				b.Fatalf("warm-up status %d: %s", rec.Code, rec.Body)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rec := do(); rec.Header().Get(CacheHeader) != "hit" {
+					b.Fatalf("request %d: %s = %q, want hit", i, CacheHeader, rec.Header().Get(CacheHeader))
+				}
+			}
 		})
 	}
 }

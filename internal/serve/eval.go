@@ -6,25 +6,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
 
-	"repro/internal/obs"
-	"repro/internal/robust"
 	"repro/internal/scaling"
 	"repro/internal/scenario"
 )
-
-// maxSpecBytes bounds an eval request body. The largest shipped example
-// spec is under 2 KiB; 1 MiB leaves three orders of magnitude of
-// headroom while keeping a hostile client from ballooning the heap.
-const maxSpecBytes = 1 << 20
-
-// CacheHeader names the response header carrying the cache disposition
-// ("hit", "miss", "shared"). Exported so the fleet gateway can relay the
-// disposition its clients use to observe end-to-end caching.
-const CacheHeader = "X-Bandwall-Cache"
 
 // EvalResponse is the POST /v1/eval response body.
 type EvalResponse struct {
@@ -60,111 +46,16 @@ type CacheStats struct {
 	Misses uint64 `json:"misses"`
 }
 
-// handleEval evaluates a scenario.Spec JSON body. The flow is the
-// serving pipeline in miniature: parse strictly → fingerprint → response
-// cache → singleflight → shared engine (itself backed by the memoized
-// solver cache) → render once, cache, reply.
-func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
-	tr := obs.TraceFrom(ctx)
-
-	parseSpan := obs.StartTraceSpanLeaf(ctx, StageParse)
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
-	if err != nil {
-		parseSpan.End()
-		writeError(w, r, http.StatusBadRequest, kindBadRequest, fmt.Errorf("reading body: %w", err))
-		return
-	}
-	if len(body) > maxSpecBytes {
-		parseSpan.End()
-		writeError(w, r, http.StatusBadRequest, kindBadRequest,
-			fmt.Errorf("spec exceeds %d bytes", maxSpecBytes))
-		return
-	}
-	sp, err := scenario.ParseSpec(body)
-	parseSpan.End()
-	if err != nil {
-		writeModelError(w, r, err) // ErrDomain-classified → 400 with kind "domain"
-		return
-	}
-
-	fpSpan := obs.StartTraceSpanLeaf(ctx, StageFingerprint)
-	key, err := FingerprintSpec(sp)
-	fpSpan.End()
-	if err != nil {
-		writeModelError(w, r, err)
-		return
-	}
-	lookSpan := obs.StartTraceSpanLeaf(ctx, StageCacheLookup)
-	cached, ok := s.cache.Get(key)
-	lookSpan.End()
-	if ok {
-		s.mCacheHits.Inc()
-		tr.SetAttr("cache", "hit")
-		writeCached(ctx, w, cached, "hit")
-		return
-	}
-	s.mCacheMiss.Inc()
-
-	// The singleflight stage covers leader work (engine + solver, whose
-	// own spans nest under it via sfctx) and follower waiting alike. A
-	// leader error is stamped with this trace's ID before the group fans
-	// it out, so followers' error bodies name the trace that did the
-	// failing work.
-	sfctx, sfSpan := obs.StartTraceSpan(ctx, StageSingleflight)
-	resp, shared, err := s.flight.Do(key, func() ([]byte, error) {
-		// Chaos hook: a seeded BANDWALL_FAULTS plan can make this replica
-		// error, hang (sleep), or panic here. Panics are contained by the
-		// singleflight group's robust.Safe wrapper into a 500 "panic" body —
-		// the failure mode the fleet gateway's failover must absorb.
-		if err := robust.Hit(sfctx, "serve.eval"); err != nil {
-			return nil, robust.WithTraceID(err, tr.ID())
-		}
-		if s.evalGate != nil {
-			s.evalGate(sfctx, sp)
-		}
-		o, err := s.engine.Evaluate(sfctx, sp)
-		if err != nil {
-			return nil, robust.WithTraceID(err, tr.ID())
-		}
-		s.solveCount.Add(1)
-		s.mSolves.Inc()
-		renderSpan := obs.StartTraceSpanLeaf(sfctx, StageRender)
-		rendered, err := renderOutcome(o)
-		renderSpan.End()
-		if err != nil {
-			return nil, robust.WithTraceID(err, tr.ID())
-		}
-		s.cache.Put(key, rendered)
-		return rendered, nil
-	})
-	sfSpan.End()
-	if shared {
-		s.sharedCount.Add(1)
-		s.mShared.Inc()
-	}
-	tr.SetAttr("shared", fmt.Sprintf("%t", shared))
-	if err != nil {
-		writeModelError(w, r, err)
-		return
-	}
-	flag := "miss"
-	if shared {
-		flag = "shared"
-	}
-	tr.SetAttr("cache", flag)
-	writeCached(ctx, w, resp, flag)
-}
-
-// writeCached writes a pre-rendered JSON response with its cache
-// disposition header, recording the write as a trace stage.
-func writeCached(ctx context.Context, w http.ResponseWriter, body []byte, disposition string) {
-	span := obs.StartTraceSpanLeaf(ctx, StageWrite)
-	defer span.End()
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(CacheHeader, disposition)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+// evalQuery declares POST /v1/eval: a scenario.Spec evaluated by the
+// shared engine, itself backed by the memoized solver cache.
+var evalQuery = query[*scenario.Spec, *scenario.Outcome]{
+	route:       "eval",
+	parse:       scenario.ParseSpec,
+	fingerprint: FingerprintSpec,
+	solve: func(s *Server, ctx context.Context, sp *scenario.Spec) (*scenario.Outcome, error) {
+		return s.engine.Evaluate(ctx, sp)
+	},
+	render: renderOutcome,
 }
 
 // FingerprintSpec derives the response-cache and singleflight key: the
@@ -172,9 +63,9 @@ func writeCached(ctx context.Context, w http.ResponseWriter, body []byte, dispos
 // struct (not the request bytes) normalizes field order, whitespace,
 // and numeric spellings, so two textually different bodies describing
 // the same query collapse onto one key — the request-level analogue of
-// the PR-4 solver-cache fingerprint. Exported because the fleet gateway
-// routes on exactly this key: the fingerprint that names a response in
-// a replica's cache is the fingerprint that picks the replica.
+// the solver-cache fingerprint. The fleet gateway routes on it through
+// EvalKey: the fingerprint that names a response in a replica's cache
+// is the fingerprint that picks the replica.
 func FingerprintSpec(sp *scenario.Spec) (string, error) {
 	canon, err := json.Marshal(sp)
 	if err != nil {

@@ -1,17 +1,14 @@
 package serve
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
 
-	"repro/internal/obs"
 	"repro/internal/optimize"
-	"repro/internal/robust"
 	"repro/internal/scenario"
 )
 
@@ -37,90 +34,16 @@ type OptimizeResponse struct {
 	Cache CacheStats `json:"cache"`
 }
 
-// handleOptimize runs an inverse design-space search from an OptimizeSpec
-// JSON body through the same serving pipeline as /v1/eval: strict parse →
-// canonical fingerprint → response cache → singleflight → shared-cache
-// optimizer → render once, cache, reply.
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
-	tr := obs.TraceFrom(ctx)
-
-	parseSpan := obs.StartTraceSpanLeaf(ctx, StageParse)
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
-	if err != nil {
-		parseSpan.End()
-		writeError(w, r, http.StatusBadRequest, kindBadRequest, fmt.Errorf("reading body: %w", err))
-		return
-	}
-	if len(body) > maxSpecBytes {
-		parseSpan.End()
-		writeError(w, r, http.StatusBadRequest, kindBadRequest,
-			fmt.Errorf("spec exceeds %d bytes", maxSpecBytes))
-		return
-	}
-	osp, err := scenario.ParseOptimizeSpec(body)
-	parseSpan.End()
-	if err != nil {
-		writeModelError(w, r, err)
-		return
-	}
-
-	fpSpan := obs.StartTraceSpanLeaf(ctx, StageFingerprint)
-	key, err := FingerprintOptimizeSpec(osp)
-	fpSpan.End()
-	if err != nil {
-		writeModelError(w, r, err)
-		return
-	}
-	lookSpan := obs.StartTraceSpanLeaf(ctx, StageCacheLookup)
-	cached, ok := s.cache.Get(key)
-	lookSpan.End()
-	if ok {
-		s.mCacheHits.Inc()
-		tr.SetAttr("cache", "hit")
-		writeCached(ctx, w, cached, "hit")
-		return
-	}
-	s.mCacheMiss.Inc()
-
-	sfctx, sfSpan := obs.StartTraceSpan(ctx, StageSingleflight)
-	resp, shared, err := s.flight.Do(key, func() ([]byte, error) {
-		// Chaos hook, mirroring serve.eval: a seeded fault plan can make
-		// this replica error, hang, or panic mid-search.
-		if err := robust.Hit(sfctx, "serve.optimize"); err != nil {
-			return nil, robust.WithTraceID(err, tr.ID())
-		}
-		res, err := s.opt.Search(sfctx, osp)
-		if err != nil {
-			return nil, robust.WithTraceID(err, tr.ID())
-		}
-		s.solveCount.Add(1)
-		s.mSolves.Inc()
-		renderSpan := obs.StartTraceSpanLeaf(sfctx, StageRender)
-		rendered, err := renderOptimizeResult(res)
-		renderSpan.End()
-		if err != nil {
-			return nil, robust.WithTraceID(err, tr.ID())
-		}
-		s.cache.Put(key, rendered)
-		return rendered, nil
-	})
-	sfSpan.End()
-	if shared {
-		s.sharedCount.Add(1)
-		s.mShared.Inc()
-	}
-	tr.SetAttr("shared", fmt.Sprintf("%t", shared))
-	if err != nil {
-		writeModelError(w, r, err)
-		return
-	}
-	flag := "miss"
-	if shared {
-		flag = "shared"
-	}
-	tr.SetAttr("cache", flag)
-	writeCached(ctx, w, resp, flag)
+// optimizeQuery declares POST /v1/optimize: an inverse design-space
+// search run by the optimizer that shares the engine's solver cache.
+var optimizeQuery = query[*scenario.OptimizeSpec, *optimize.Result]{
+	route:       "optimize",
+	parse:       scenario.ParseOptimizeSpec,
+	fingerprint: FingerprintOptimizeSpec,
+	solve: func(s *Server, ctx context.Context, osp *scenario.OptimizeSpec) (*optimize.Result, error) {
+		return s.opt.Search(ctx, osp)
+	},
+	render: renderOptimizeResult,
 }
 
 // FingerprintOptimizeSpec derives the response-cache, singleflight, and

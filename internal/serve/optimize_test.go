@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -29,16 +28,7 @@ const optimizeSpecBody = `{
 
 func postOptimize(t *testing.T, base, body string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(base+"/v1/optimize", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, data
+	return post(t, base+"/v1/optimize", body)
 }
 
 // TestOptimizeHappyPath round-trips an inverse query and pins it against

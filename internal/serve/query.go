@@ -1,0 +1,180 @@
+package serve
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"net/http"
+
+	"repro/internal/obs"
+	"repro/internal/robust"
+)
+
+// maxSpecBytes bounds a query request body on both tiers. The largest
+// shipped example spec is under 2 KiB; 1 MiB leaves three orders of
+// magnitude of headroom while keeping a hostile client from ballooning
+// the heap.
+const maxSpecBytes = 1 << 20
+
+// CacheHeader names the response header carrying the cache disposition
+// ("hit", "miss", "shared"). Exported so the fleet gateway can relay the
+// disposition its clients use to observe end-to-end caching.
+const CacheHeader = "X-Bandwall-Cache"
+
+// query declares one query kind on the serving pipeline: how a request
+// body becomes a typed spec (parse), a cache key (fingerprint), an
+// answer (solve) and response bytes (render). Eval and optimize are two
+// declarations of it; a third kind is one more declaration plus one mux
+// line here and one in the gateway.
+type query[T, R any] struct {
+	route       string // trace and stage-histogram route; "serve."+route is the leader's fault point
+	parse       func(body []byte) (T, error)
+	fingerprint func(spec T) (string, error)
+	solve       func(s *Server, ctx context.Context, spec T) (R, error)
+	render      func(answer R) ([]byte, error)
+}
+
+// key parses body and fingerprints it, untraced. It is the gateway's
+// routing key, so the replica a body is routed to files its answer
+// under the same key.
+func (q query[T, R]) key(body []byte) (string, error) {
+	spec, err := q.parse(body)
+	if err != nil {
+		return "", err
+	}
+	return q.fingerprint(spec)
+}
+
+// EvalKey parses a POST /v1/eval body and returns its fingerprint: the
+// key the replica caches the answer under and the gateway routes on.
+func EvalKey(body []byte) (string, error) { return evalQuery.key(body) }
+
+// OptimizeKey is EvalKey for POST /v1/optimize bodies.
+func OptimizeKey(body []byte) (string, error) { return optimizeQuery.key(body) }
+
+// ReadSpec reads a query request body, refusing more than 1 MiB. Both
+// tiers read bodies with it, so they share one limit and one message.
+func ReadSpec(r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("reading body: %w", err)
+	}
+	if len(body) > maxSpecBytes {
+		return nil, fmt.Errorf("spec exceeds %d bytes", maxSpecBytes)
+	}
+	return body, nil
+}
+
+// read is the pipeline's first half: read the body, parse it strictly,
+// fingerprint it. On failure it has already written the error response
+// (an oversized or unreadable body is 400 "bad_request"; parse errors
+// follow the robust taxonomy) and ok is false.
+func (q query[T, R]) read(w http.ResponseWriter, r *http.Request) (spec T, key string, ok bool) {
+	ctx := r.Context()
+	parseSpan := obs.StartTraceSpanLeaf(ctx, StageParse)
+	body, err := ReadSpec(r)
+	if err != nil {
+		parseSpan.End()
+		writeError(w, r, http.StatusBadRequest, kindBadRequest, err)
+		return spec, "", false
+	}
+	spec, err = q.parse(body)
+	parseSpan.End()
+	if err != nil {
+		writeModelError(w, r, err) // ErrDomain-classified → 400 with kind "domain"
+		return spec, "", false
+	}
+	fpSpan := obs.StartTraceSpanLeaf(ctx, StageFingerprint)
+	key, err = q.fingerprint(spec)
+	fpSpan.End()
+	if err != nil {
+		writeModelError(w, r, err)
+		return spec, "", false
+	}
+	return spec, key, true
+}
+
+// handleQuery serves one query kind behind instrumentation and
+// admission: read → response cache → singleflight (fault point, solve,
+// render once, cache) → write.
+func handleQuery[T, R any](s *Server, q query[T, R]) http.HandlerFunc {
+	fault := "serve." + q.route
+	return s.instrument(q.route, s.admit(func(w http.ResponseWriter, r *http.Request) {
+		spec, key, ok := q.read(w, r)
+		if !ok {
+			return
+		}
+		ctx := r.Context()
+		tr := obs.TraceFrom(ctx)
+		lookSpan := obs.StartTraceSpanLeaf(ctx, StageCacheLookup)
+		cached, ok := s.cache.Get(key)
+		lookSpan.End()
+		if ok {
+			s.mCacheHits.Inc()
+			tr.SetAttr("cache", "hit")
+			writeCached(ctx, w, cached, "hit")
+			return
+		}
+		s.mCacheMiss.Inc()
+
+		// The singleflight stage covers leader work (solve and render, whose
+		// own spans nest under it via sfctx) and follower waiting alike. A
+		// leader error is stamped with this trace's ID before the group fans
+		// it out, so followers' error bodies name the trace that did the
+		// failing work.
+		sfctx, sfSpan := obs.StartTraceSpan(ctx, StageSingleflight)
+		resp, shared, err := s.flight.Do(key, func() ([]byte, error) {
+			// Chaos hook: a seeded BANDWALL_FAULTS plan can make this replica
+			// error, hang (sleep), or panic here. Panics are contained by the
+			// singleflight group's robust.Safe wrapper into a 500 "panic" body —
+			// the failure mode the fleet gateway's failover must absorb.
+			if err := robust.Hit(sfctx, fault); err != nil {
+				return nil, robust.WithTraceID(err, tr.ID())
+			}
+			if s.leaderGate != nil {
+				s.leaderGate(sfctx, key)
+			}
+			answer, err := q.solve(s, sfctx, spec)
+			if err != nil {
+				return nil, robust.WithTraceID(err, tr.ID())
+			}
+			s.solveCount.Add(1)
+			s.mSolves.Inc()
+			renderSpan := obs.StartTraceSpanLeaf(sfctx, StageRender)
+			rendered, err := q.render(answer)
+			renderSpan.End()
+			if err != nil {
+				return nil, robust.WithTraceID(err, tr.ID())
+			}
+			s.cache.Put(key, rendered)
+			return rendered, nil
+		})
+		sfSpan.End()
+		if shared {
+			s.sharedCount.Add(1)
+			s.mShared.Inc()
+		}
+		tr.SetAttr("shared", fmt.Sprintf("%t", shared))
+		if err != nil {
+			writeModelError(w, r, err)
+			return
+		}
+		flag := "miss"
+		if shared {
+			flag = "shared"
+		}
+		tr.SetAttr("cache", flag)
+		writeCached(ctx, w, resp, flag)
+	}))
+}
+
+// writeCached writes a pre-rendered JSON response with its cache
+// disposition header, recording the write as a trace stage.
+func writeCached(ctx context.Context, w http.ResponseWriter, body []byte, disposition string) {
+	span := obs.StartTraceSpanLeaf(ctx, StageWrite)
+	defer span.End()
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set(CacheHeader, disposition)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
 	"strings"
 )
 
@@ -128,16 +127,6 @@ func (s MetricsSnapshot) StageHistograms(route string) map[string]HistogramSnaps
 	return out
 }
 
-// HistogramNames returns the scraped histogram names, sorted.
-func (s MetricsSnapshot) HistogramNames() []string {
-	out := make([]string, 0, len(s.Histograms))
-	for name := range s.Histograms {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ScrapeMetrics fetches and parses baseURL's /metrics NDJSON exposition.
 // Span lines are skipped (the scrape consumers want series, not events).
 func ScrapeMetrics(ctx context.Context, client *http.Client, baseURL string) (MetricsSnapshot, error) {
@@ -163,11 +152,11 @@ func ScrapeMetrics(ctx context.Context, client *http.Client, baseURL string) (Me
 	}
 
 	type line struct {
-		Kind    string  `json:"kind"`
-		Name    string  `json:"name"`
+		Kind    string      `json:"kind"`
+		Name    string      `json:"name"`
 		Value   json.Number `json:"value"`
-		Count   uint64  `json:"count"`
-		Sum     float64 `json:"sum"`
+		Count   uint64      `json:"count"`
+		Sum     float64     `json:"sum"`
 		Buckets []struct {
 			LE       *float64 `json:"le"`
 			Count    uint64   `json:"count"`

@@ -8,6 +8,7 @@
 //
 //	POST   /v1/eval                    evaluate a scenario.Spec JSON body
 //	POST   /v1/optimize                inverse design-space search from an OptimizeSpec JSON body
+//	POST   /v1/validate                parse + fingerprint a scenario.Spec without solving it
 //	GET    /v1/experiments             list the registered reproductions
 //	POST   /v1/experiments/{id}/run    run one reproduction
 //	GET    /v1/catalog                 the technique registry + param schemas
@@ -26,6 +27,14 @@
 // identical spec evaluations into one solve, a bounded LRU response
 // cache, structured access logging, and graceful shutdown that drains
 // in-flight evaluations.
+//
+// The query endpoints share one pipeline. Eval and optimize are two
+// declarations of a query kind — parser, fingerprint, solver, renderer —
+// on a single handler, and /v1/validate runs that handler's first half
+// (read, parse, fingerprint). The same package exports the body reader,
+// the per-kind key functions (EvalKey, OptimizeKey), the ?timeout= rule
+// and the drain loop, so the fleet gateway routes on serve's own key and
+// both tiers share one request lifecycle.
 //
 // Every request is traced, always-on: the handler pipeline records a
 // per-stage span tree (admission → parse → fingerprint → cache lookup →
@@ -47,7 +56,6 @@ import (
 	"net"
 	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,10 +69,10 @@ import (
 // below.
 type Config struct {
 	// MaxInflight bounds concurrently admitted requests on the evaluation
-	// endpoints (/v1/eval, /v1/experiments/{id}/run). Requests beyond the
-	// bound are rejected with 429 + Retry-After instead of queueing, so a
-	// saturated server degrades by shedding rather than by latency
-	// collapse. ≤0 means DefaultMaxInflight.
+	// endpoints (/v1/eval, /v1/optimize, /v1/experiments/{id}/run).
+	// Requests beyond the bound are rejected with 429 + Retry-After
+	// instead of queueing, so a saturated server degrades by shedding
+	// rather than by latency collapse. ≤0 means DefaultMaxInflight.
 	MaxInflight int
 	// EvalTimeout is the per-request solver deadline. A request may lower
 	// (never raise) it with ?timeout=D. ≤0 means DefaultEvalTimeout.
@@ -147,11 +155,11 @@ type Server struct {
 	engine *scenario.Engine
 	opt    *optimize.Optimizer // shares the engine's solver cache
 
-	sem    chan struct{} // admission slots for the heavy endpoints
-	flight *group        // collapses concurrent identical evals
-	cache  *respCache    // fingerprint → rendered response
-	ring   *traceRing    // recent completed request traces
-	reg    *obs.Registry // resolved once at construction (may be nil)
+	sem    chan struct{}                        // admission slots for the heavy endpoints
+	flight *group                               // collapses concurrent identical queries
+	cache  *respCache                           // fingerprint → rendered response
+	ring   *traceRing                           // recent completed request traces
+	reg    *obs.Registry                        // resolved once at construction (may be nil)
 	stageH map[string]map[string]*obs.Histogram // route → stage → histogram, read-only after NewServer
 
 	accessLog *slog.Logger
@@ -177,10 +185,11 @@ type Server struct {
 	solveCount  atomic.Uint64 // underlying evaluations (the singleflight proof)
 	sharedCount atomic.Uint64 // requests served by another request's solve
 
-	// evalGate, when non-nil, is called by the singleflight leader before
-	// it evaluates — the test hook that makes saturation, deadline, and
+	// leaderGate, when non-nil, is called by every query kind's
+	// singleflight leader right after the fault point, with the query's
+	// fingerprint — the test hook that makes saturation, deadline, and
 	// collapse behavior deterministic.
-	evalGate func(ctx context.Context, sp *scenario.Spec)
+	leaderGate func(ctx context.Context, key string)
 }
 
 // Metric names published by this package.
@@ -226,8 +235,8 @@ func RegisterObs(reg *obs.Registry) {
 		reg.Gauge(name)
 	}
 	// The eval pipeline's stage histograms, pre-registered so /metrics has
-	// a stable shape before the first eval. Other routes register theirs
-	// lazily on first traffic.
+	// a stable shape before the first eval. NewServer resolves every
+	// other route's stage histograms when it builds the server.
 	for _, stage := range []string{
 		StageTotal, StageAdmit, StageParse, StageFingerprint,
 		StageCacheLookup, StageSingleflight, StageWrite,
@@ -286,8 +295,8 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/catalog", s.instrument("catalog", s.handleCatalog))
 	s.mux.HandleFunc("GET /v1/experiments", s.instrument("experiments", s.handleExperiments))
 	s.mux.HandleFunc("POST /v1/experiments/{id}/run", s.instrument("run", s.admit(s.handleExperimentRun)))
-	s.mux.HandleFunc("POST /v1/eval", s.instrument("eval", s.admit(s.handleEval)))
-	s.mux.HandleFunc("POST /v1/optimize", s.instrument("optimize", s.admit(s.handleOptimize)))
+	s.mux.HandleFunc("POST /v1/eval", handleQuery(s, evalQuery))
+	s.mux.HandleFunc("POST /v1/optimize", handleQuery(s, optimizeQuery))
 	s.mux.HandleFunc("POST /v1/validate", s.instrument("validate", s.handleValidate))
 	s.mux.HandleFunc("GET /v1/trace", s.instrument("trace", s.handleTrace))
 	s.mux.HandleFunc("GET /v1/cache", s.instrument("cache", s.handleCacheGet))
@@ -422,22 +431,29 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 			s.gInflight.Set(float64(s.inflight.Add(-1)))
 		}()
 
-		timeout := s.cfg.evalTimeout()
-		if q := r.URL.Query().Get("timeout"); q != "" {
-			d, err := time.ParseDuration(q)
-			if err != nil || d <= 0 {
-				writeError(w, r, http.StatusBadRequest, kindBadRequest,
-					fmt.Errorf("invalid timeout %q (want a positive Go duration)", q))
-				return
-			}
-			if d < timeout {
-				timeout = d
-			}
+		ctx, cancel, err := RequestContext(r, s.cfg.evalTimeout())
+		if err != nil {
+			writeError(w, r, http.StatusBadRequest, kindBadRequest, err)
+			return
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
 		h(w, r.WithContext(ctx))
 	}
+}
+
+// RequestContext derives a request's deadline: def, lowered (never
+// raised) by ?timeout=D. A timeout that is not a positive Go duration
+// is an error, which both tiers answer with 400 "bad_request".
+func RequestContext(r *http.Request, def time.Duration) (context.Context, context.CancelFunc, error) {
+	if q := r.URL.Query().Get("timeout"); q != "" {
+		d, err := time.ParseDuration(q)
+		if err != nil || d <= 0 {
+			return nil, nil, fmt.Errorf("invalid timeout %q (want a positive Go duration)", q)
+		}
+		def = min(def, d)
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), def)
+	return ctx, cancel, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -469,7 +485,9 @@ func (s *Server) SampleRuntime() {
 	s.reg.Gauge(MetricGCCycles).Set(float64(ms.NumGC))
 }
 
-// collectRuntime samples runtime gauges until ctx is done.
+// collectRuntime samples runtime gauges until ctx is done. ReadMemStats
+// briefly stops the world, so it runs on a fixed coarse tick, never
+// per request.
 func (s *Server) collectRuntime(ctx context.Context) {
 	t := time.NewTicker(s.cfg.runtimeSampleInterval())
 	defer t.Stop()
@@ -502,46 +520,41 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, ready func(net
 // Serve is ListenAndServe over an existing listener. It owns l and
 // closes it on return.
 func (s *Server) Serve(ctx context.Context, l net.Listener) error {
-	srv := &http.Server{
-		Handler:           s.mux,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	// ReadMemStats briefly stops the world, so the collector runs on a
-	// fixed coarse tick, never per-request.
-	collectCtx, stopCollect := context.WithCancel(ctx)
-	defer stopCollect()
-	go s.collectRuntime(collectCtx)
+	return ServeAndDrain(ctx, l, s.mux, s.cfg.drainTimeout(), &s.draining, s.collectRuntime)
+}
+
+// ServeAndDrain serves h on l until ctx is canceled, running background
+// beside it, then drains. Readiness flips first: draining is set before
+// the listener closes, so a gateway polling /healthz sees "draining"
+// (503) and stops routing here while the requests already in flight
+// complete. Shutdown does not cancel request contexts, so running
+// solves finish within their own deadlines; the whole drain gets up to
+// drain. A clean drain returns nil. Both tiers serve with it.
+func ServeAndDrain(ctx context.Context, l net.Listener, h http.Handler, drain time.Duration, draining *atomic.Bool, background func(context.Context)) error {
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	bctx, stop := context.WithCancel(ctx)
+	defer stop()
+	go background(bctx)
 	errc := make(chan error, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
 	go func() {
-		defer wg.Done()
-		if err := srv.Serve(l); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-			return
+		err := srv.Serve(l)
+		if errors.Is(err, http.ErrServerClosed) {
+			err = nil
 		}
-		errc <- nil
+		errc <- err
 	}()
 	select {
 	case err := <-errc:
-		wg.Wait()
 		return err
 	case <-ctx.Done():
 	}
-	// Readiness flips before the listener closes: a gateway polling
-	// /healthz sees "draining" (503) and stops routing here while the
-	// requests already in flight still complete below.
-	s.draining.Store(true)
-	// Graceful drain: stop accepting, let in-flight requests finish.
-	// Request contexts are NOT canceled by Shutdown, so running solves
-	// complete (their own deadlines still bound them).
-	dctx, cancel := context.WithTimeout(context.Background(), s.cfg.drainTimeout())
+	draining.Store(true)
+	dctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	shutErr := srv.Shutdown(dctx)
-	wg.Wait()
 	<-errc
 	if shutErr != nil {
-		return fmt.Errorf("serve: drain exceeded %s: %w", s.cfg.drainTimeout(), shutErr)
+		return fmt.Errorf("drain exceeded %s: %w", drain, shutErr)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/scenario"
 )
 
 // stackedSpec mirrors examples/scenarios/stacked-compression.json's
@@ -37,10 +37,43 @@ func specWithID(id string, n2 float64) string {
 	return fmt.Sprintf(`{"id":%q,"axis":{"n2":[%g]},"cases":[{"label":"BASE","value_key":"cores"}]}`, id, n2)
 }
 
+// optimizeWithID builds a small distinct optimize query: one catalog
+// entry × two split points on the 32-CEA chip.
+func optimizeWithID(id string) string {
+	return fmt.Sprintf(`{"id":%q,"n2":32,"budget":{"envelope":1},`+
+		`"catalog":[{"name":"LC","params":{"ratio":2},"cost":1}],"split":{"min":0.5,"max":2,"points":2}}`, id)
+}
+
+// queryKind is one query route of the pipeline, for the tests that must
+// hold for every kind: its path, a factory of distinct bodies, a fixed
+// body for the collapse and cache-hit tests, and the key function the
+// gateway routes on.
+type queryKind struct {
+	name, path string
+	withID     func(id string) string
+	body       string
+	key        func([]byte) (string, error)
+}
+
+var queryKinds = []queryKind{
+	{"eval", "/v1/eval", func(id string) string { return specWithID(id, 32) }, stackedSpec, EvalKey},
+	{"optimize", "/v1/optimize", optimizeWithID, optimizeSpecBody, OptimizeKey},
+}
+
+// mustKey is k's fingerprint of body.
+func (k queryKind) mustKey(t *testing.T, body string) string {
+	t.Helper()
+	key, err := k.key([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
 // newTestServer installs a fresh obs registry, builds a Server (with an
-// optional eval gate, which must be set before any request arrives),
+// optional leader gate, which must be set before any request arrives),
 // and starts an httptest front end.
-func newTestServer(t *testing.T, cfg Config, gate func(context.Context, *scenario.Spec)) (*Server, *httptest.Server, *obs.Registry) {
+func newTestServer(t *testing.T, cfg Config, gate func(ctx context.Context, key string)) (*Server, *httptest.Server, *obs.Registry) {
 	t.Helper()
 	prev := obs.Default()
 	reg := obs.NewRegistry()
@@ -48,7 +81,7 @@ func newTestServer(t *testing.T, cfg Config, gate func(context.Context, *scenari
 	obs.SetDefault(reg)
 	t.Cleanup(func() { obs.SetDefault(prev) })
 	s := NewServer(cfg)
-	s.evalGate = gate
+	s.leaderGate = gate
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts, reg
@@ -56,7 +89,13 @@ func newTestServer(t *testing.T, cfg Config, gate func(context.Context, *scenari
 
 func postEval(t *testing.T, base, body string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(base+"/v1/eval", "application/json", strings.NewReader(body))
+	return post(t, base+"/v1/eval", body)
+}
+
+// post sends body to url and returns the response with its body read.
+func post(t *testing.T, url, body string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,20 +196,27 @@ func TestEvalMalformedSpec(t *testing.T) {
 
 func TestEvalDeadline(t *testing.T) {
 	// The gate holds the solve until the per-request deadline fires, so
-	// the handler must answer 504 with the canceled kind.
-	gate := func(ctx context.Context, _ *scenario.Spec) { <-ctx.Done() }
-	_, ts, _ := newTestServer(t, Config{EvalTimeout: 30 * time.Millisecond}, gate)
-	resp, data := postEval(t, ts.URL, specWithID("deadline", 32))
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504 (%s)", resp.StatusCode, data)
-	}
-	if he := decodeError(t, data); he.Kind != kindCanceled {
-		t.Errorf("kind = %q, want %q", he.Kind, kindCanceled)
+	// the handler must answer 504 with the canceled kind — for every kind.
+	for _, k := range queryKinds {
+		t.Run(k.name, func(t *testing.T) {
+			gate := func(ctx context.Context, _ string) { <-ctx.Done() }
+			s, ts, _ := newTestServer(t, Config{EvalTimeout: 30 * time.Millisecond}, gate)
+			resp, data := post(t, ts.URL+k.path, k.withID("deadline"))
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("status %d, want 504 (%s)", resp.StatusCode, data)
+			}
+			if he := decodeError(t, data); he.Kind != kindCanceled {
+				t.Errorf("kind = %q, want %q", he.Kind, kindCanceled)
+			}
+			if s.Solves() != 0 {
+				t.Errorf("solves = %d, want 0", s.Solves())
+			}
+		})
 	}
 }
 
 func TestEvalTimeoutQueryParam(t *testing.T) {
-	gate := func(ctx context.Context, _ *scenario.Spec) { <-ctx.Done() }
+	gate := func(ctx context.Context, _ string) { <-ctx.Done() }
 	_, ts, _ := newTestServer(t, Config{EvalTimeout: time.Minute}, gate)
 	// A request may lower the server deadline…
 	resp, err := http.Post(ts.URL+"/v1/eval?timeout=20ms", "application/json",
@@ -198,127 +244,150 @@ func TestEvalTimeoutQueryParam(t *testing.T) {
 	}
 }
 
+// TestEvalSaturation: with the single admission slot held by a solve,
+// the next request of either kind sheds with 429 + Retry-After, and
+// works once the slot frees.
 func TestEvalSaturation(t *testing.T) {
-	release := make(chan struct{})
-	gate := func(ctx context.Context, sp *scenario.Spec) {
-		if sp.ID == "blocker" {
-			<-release
-		}
-	}
-	s, ts, reg := newTestServer(t, Config{MaxInflight: 1}, gate)
-
-	errc := make(chan error, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/eval", "application/json",
-			strings.NewReader(specWithID("blocker", 32)))
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				err = fmt.Errorf("blocker status %d", resp.StatusCode)
+	for _, k := range queryKinds {
+		t.Run(k.name, func(t *testing.T) {
+			release := make(chan struct{})
+			blocker := k.withID("blocker")
+			blockerKey := k.mustKey(t, blocker)
+			gate := func(ctx context.Context, key string) {
+				if key == blockerKey {
+					<-release
+				}
 			}
-		}
-		errc <- err
-	}()
-	waitFor(t, "blocker admitted", func() bool { return s.Inflight() == 1 })
+			s, ts, reg := newTestServer(t, Config{MaxInflight: 1}, gate)
 
-	// The single admission slot is held: the next request must shed.
-	resp, data := postEval(t, ts.URL, specWithID("shed", 32))
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429 (%s)", resp.StatusCode, data)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 missing Retry-After header")
-	}
-	if he := decodeError(t, data); he.Kind != kindSaturated {
-		t.Errorf("kind = %q, want %q", he.Kind, kindSaturated)
-	}
-	if reg.Counter(MetricSaturated).Value() != 1 {
-		t.Errorf("saturated counter = %d, want 1", reg.Counter(MetricSaturated).Value())
-	}
+			errc := make(chan error, 1)
+			go func() {
+				resp, err := http.Post(ts.URL+k.path, "application/json", strings.NewReader(blocker))
+				if err == nil {
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						err = fmt.Errorf("blocker status %d", resp.StatusCode)
+					}
+				}
+				errc <- err
+			}()
+			waitFor(t, "blocker admitted", func() bool { return s.Inflight() == 1 })
 
-	// Releasing the blocker frees the slot; the same shed request now works.
-	close(release)
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	resp2, data2 := postEval(t, ts.URL, specWithID("shed", 32))
-	if resp2.StatusCode != http.StatusOK {
-		t.Errorf("after release: status %d (%s)", resp2.StatusCode, data2)
+			// The single admission slot is held: the next request must shed.
+			resp, data := post(t, ts.URL+k.path, k.withID("shed"))
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("status %d, want 429 (%s)", resp.StatusCode, data)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Error("429 missing Retry-After header")
+			}
+			if he := decodeError(t, data); he.Kind != kindSaturated {
+				t.Errorf("kind = %q, want %q", he.Kind, kindSaturated)
+			}
+			if reg.Counter(MetricSaturated).Value() != 1 {
+				t.Errorf("saturated counter = %d, want 1", reg.Counter(MetricSaturated).Value())
+			}
+
+			// Releasing the blocker frees the slot; the same shed request now works.
+			close(release)
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+			resp2, data2 := post(t, ts.URL+k.path, k.withID("shed"))
+			if resp2.StatusCode != http.StatusOK {
+				t.Errorf("after release: status %d (%s)", resp2.StatusCode, data2)
+			}
+		})
 	}
 }
 
-// TestEvalSingleflight is the -race collapse proof: N concurrent
-// identical specs produce exactly one underlying solve, with the other
-// N-1 requests served as singleflight waiters.
+// TestEvalSingleflight is the -race collapse proof, for every kind: N
+// concurrent identical queries produce exactly one underlying solve,
+// with the other N-1 requests served as singleflight waiters, and every
+// one of them gets the leader's bytes.
 func TestEvalSingleflight(t *testing.T) {
 	const n = 8
-	release := make(chan struct{})
-	gate := func(ctx context.Context, _ *scenario.Spec) { <-release }
-	s, ts, reg := newTestServer(t, Config{MaxInflight: 2 * n}, gate)
+	for _, k := range queryKinds {
+		t.Run(k.name, func(t *testing.T) {
+			release := make(chan struct{})
+			gate := func(ctx context.Context, _ string) { <-release }
+			s, ts, reg := newTestServer(t, Config{MaxInflight: 2 * n}, gate)
+			key := k.mustKey(t, k.body)
 
-	sp, err := scenario.ParseSpec([]byte(stackedSpec))
-	if err != nil {
-		t.Fatal(err)
+			var wg sync.WaitGroup
+			errs := make([]error, n)
+			bodies := make([][]byte, n)
+			wg.Add(n)
+			for i := 0; i < n; i++ {
+				go func(i int) {
+					defer wg.Done()
+					resp, err := http.Post(ts.URL+k.path, "application/json", strings.NewReader(k.body))
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					bodies[i], _ = io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						errs[i] = fmt.Errorf("status %d: %s", resp.StatusCode, bodies[i])
+					}
+				}(i)
+			}
+			// Hold the leader until every other request is blocked on its flight,
+			// so the collapse is deterministic rather than timing-dependent.
+			waitFor(t, "waiters assembled", func() bool { return s.flight.Waiters(key) == n-1 })
+			close(release)
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Errorf("request %d: %v", i, err)
+				}
+			}
+			if s.Solves() != 1 {
+				t.Errorf("solves = %d, want exactly 1 for %d concurrent identical requests", s.Solves(), n)
+			}
+			if s.SharedFlights() != n-1 {
+				t.Errorf("shared flights = %d, want %d", s.SharedFlights(), n-1)
+			}
+			if got := reg.Counter(MetricSingleflightShared).Value(); got != n-1 {
+				t.Errorf("obs shared counter = %d, want %d", got, n-1)
+			}
+			// A follow-up request is a plain response-cache hit with the same bytes.
+			resp, data := post(t, ts.URL+k.path, k.body)
+			if got := resp.Header.Get(CacheHeader); got != "hit" {
+				t.Errorf("follow-up disposition = %q, want hit", got)
+			}
+			for i, b := range bodies {
+				if !bytes.Equal(b, data) {
+					t.Errorf("request %d body differs from the cached answer", i)
+				}
+			}
+			if s.Solves() != 1 {
+				t.Errorf("solves after follow-up = %d, want 1", s.Solves())
+			}
+		})
 	}
-	key, err := FingerprintSpec(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/eval", "application/json", strings.NewReader(stackedSpec))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			data, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("status %d: %s", resp.StatusCode, data)
-				return
-			}
-			var er EvalResponse
-			if err := json.Unmarshal(data, &er); err != nil {
-				errs[i] = err
-				return
-			}
-			if er.Values["cores@cc+lc"] != 18 {
-				errs[i] = fmt.Errorf("values = %v", er.Values)
-			}
-		}(i)
-	}
-	// Hold the leader until every other request is blocked on its flight,
-	// so the collapse is deterministic rather than timing-dependent.
-	waitFor(t, "waiters assembled", func() bool { return s.flight.Waiters(key) == n-1 })
-	close(release)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("request %d: %v", i, err)
+// TestOversizedBody: a body one byte over the limit is refused with 400
+// "bad_request" on every query route and on /v1/validate, before any
+// solve.
+func TestOversizedBody(t *testing.T) {
+	s, ts, _ := newTestServer(t, Config{}, nil)
+	big := strings.Repeat(" ", maxSpecBytes+1)
+	for _, path := range []string{"/v1/eval", "/v1/optimize", "/v1/validate"} {
+		resp, data := post(t, ts.URL+path, big)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", path, resp.StatusCode, data)
+			continue
+		}
+		if he := decodeError(t, data); he.Kind != kindBadRequest || he.Error != "spec exceeds 1048576 bytes" {
+			t.Errorf("%s: error body = %+v, want bad_request \"spec exceeds 1048576 bytes\"", path, he)
 		}
 	}
-	if s.Solves() != 1 {
-		t.Errorf("solves = %d, want exactly 1 for %d concurrent identical requests", s.Solves(), n)
-	}
-	if s.SharedFlights() != n-1 {
-		t.Errorf("shared flights = %d, want %d", s.SharedFlights(), n-1)
-	}
-	if got := reg.Counter(MetricSingleflightShared).Value(); got != n-1 {
-		t.Errorf("obs shared counter = %d, want %d", got, n-1)
-	}
-	// A follow-up request is a plain response-cache hit.
-	resp, _ := postEval(t, ts.URL, stackedSpec)
-	if got := resp.Header.Get("X-Bandwall-Cache"); got != "hit" {
-		t.Errorf("follow-up disposition = %q, want hit", got)
-	}
-	if s.Solves() != 1 {
-		t.Errorf("solves after follow-up = %d, want 1", s.Solves())
+	if s.Solves() != 0 {
+		t.Errorf("solves = %d, want 0", s.Solves())
 	}
 }
 
@@ -482,7 +551,7 @@ func TestGracefulDrain(t *testing.T) {
 
 	release := make(chan struct{})
 	s := NewServer(Config{DrainTimeout: 5 * time.Second})
-	s.evalGate = func(ctx context.Context, _ *scenario.Spec) { <-release }
+	s.leaderGate = func(ctx context.Context, _ string) { <-release }
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/scenario"
 )
 
 func getJSON(t *testing.T, url string, v any) *http.Response {
@@ -78,100 +77,121 @@ func TestTraceHeaderAndRetrieval(t *testing.T) {
 	}
 }
 
-// TestTraceStagesColdEval: a cold eval's trace records the whole
+// TestTraceStagesColdEval: a cold query's trace records the whole
 // pipeline — admit, parse, fingerprint, cache.lookup, singleflight with
-// the engine and solver nested under it, write — and the top-level
+// the solver nested under it, write — for every kind, and the top-level
 // stage durations account for the bulk of the request wall-clock.
 func TestTraceStagesColdEval(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{}, nil)
-	// A wide axis keeps the solve on the critical path long enough that
+	// Wide queries keep the solve on the critical path long enough that
 	// the ±10% accounting check measures tiling, not fixed overhead.
-	spec := `{"id":"wide","axis":{"n2":[2,4,8,16,32,64,128,256,512,1024]},"cases":[
-	  {"label":"BASE","value_key":"cores@base"},
-	  {"label":"CC","stack":[{"name":"CC","params":{"ratio":2}}]},
-	  {"label":"LC","stack":[{"name":"LC","params":{"ratio":2}}]},
-	  {"label":"CC+LC","stack":[{"name":"CC","params":{"ratio":2}},{"name":"LC","params":{"ratio":2}}]}
-	]}`
-	resp, _ := postEval(t, ts.URL, spec)
-	ti := fetchTrace(t, ts.URL, resp.Header.Get(TraceHeader))
-
-	stages := stageSet(ti)
-	for _, want := range []string{StageAdmit, StageParse, StageFingerprint, StageCacheLookup, StageSingleflight, StageWrite} {
-		if _, ok := stages[want]; !ok {
-			t.Errorf("cold eval trace missing top-level stage %q (have %v)", want, ti.Spans)
-		}
+	cold := []struct{ name, path, body, engine string }{
+		{"eval", "/v1/eval", `{"id":"wide","axis":{"n2":[2,4,8,16,32,64,128,256,512,1024]},"cases":[
+		  {"label":"BASE","value_key":"cores@base"},
+		  {"label":"CC","stack":[{"name":"CC","params":{"ratio":2}}]},
+		  {"label":"LC","stack":[{"name":"LC","params":{"ratio":2}}]},
+		  {"label":"CC+LC","stack":[{"name":"CC","params":{"ratio":2}},{"name":"LC","params":{"ratio":2}}]}
+		]}`, "scenario.eval"},
+		{"optimize", "/v1/optimize", `{"id":"wide","n2":32,
+		  "envelopes":[{"kind":"bandwidth","limit":1},{"kind":"thermal","limit":2.08}],
+		  "catalog":[
+		    {"name":"Fltr","params":{"unused":0.4},"cost":1},
+		    {"name":"LC","params":{"ratio":2},"cost":1.5},
+		    {"name":"CC","params":{"ratio":2},"cost":2},
+		    {"name":"DRAM","params":{"density":8},"cost":4}
+		  ],
+		  "split":{"min":0.25,"max":4,"points":8}}`, "optimize.search"},
 	}
-	if ti.Attrs["cache"] != "miss" {
-		t.Errorf("cold eval attrs[cache] = %q, want miss", ti.Attrs["cache"])
-	}
-	if ti.Attrs["shared"] != "false" {
-		t.Errorf("cold eval attrs[shared] = %q, want false", ti.Attrs["shared"])
-	}
-
-	// The engine and at least one solver evaluation nest under singleflight.
-	sf := stages[StageSingleflight]
-	byID := make(map[int]SpanInfo, len(ti.Spans))
-	for _, sp := range ti.Spans {
-		byID[sp.ID] = sp
-	}
-	rootOf := func(sp SpanInfo) SpanInfo {
-		for sp.Parent != 0 {
-			sp = byID[sp.Parent]
-		}
-		return sp
-	}
-	var sawEngine, sawSolve bool
-	for _, sp := range ti.Spans {
-		switch sp.Name {
-		case "scenario.eval":
-			sawEngine = true
-			if rootOf(sp).ID != sf.ID {
-				t.Errorf("scenario.eval span not nested under singleflight (parent chain root %d, want %d)", rootOf(sp).ID, sf.ID)
+	for _, c := range cold {
+		t.Run(c.name, func(t *testing.T) {
+			_, ts, _ := newTestServer(t, Config{}, nil)
+			resp, data := post(t, ts.URL+c.path, c.body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, data)
 			}
-		case "scaling.solve":
-			sawSolve = true
-		}
-	}
-	if !sawEngine {
-		t.Error("cold eval trace has no scenario.eval span")
-	}
-	if !sawSolve {
-		t.Error("cold eval trace has no scaling.solve span")
-	}
+			ti := fetchTrace(t, ts.URL, resp.Header.Get(TraceHeader))
 
-	// Wall-clock accounting: the top-level stages tile the handler, so
-	// their sum must land within 10% of the request wall time.
-	var sum float64
-	for _, sp := range stages {
-		sum += sp.WallUS
-	}
-	wall := ti.WallMS * 1e3
-	if sum < 0.9*wall || sum > 1.1*wall {
-		t.Errorf("stage sum %.1fµs vs request wall %.1fµs: outside ±10%%", sum, wall)
+			stages := stageSet(ti)
+			for _, want := range []string{StageAdmit, StageParse, StageFingerprint, StageCacheLookup, StageSingleflight, StageWrite} {
+				if _, ok := stages[want]; !ok {
+					t.Errorf("cold trace missing top-level stage %q (have %v)", want, ti.Spans)
+				}
+			}
+			if ti.Attrs["cache"] != "miss" {
+				t.Errorf("cold attrs[cache] = %q, want miss", ti.Attrs["cache"])
+			}
+			if ti.Attrs["shared"] != "false" {
+				t.Errorf("cold attrs[shared] = %q, want false", ti.Attrs["shared"])
+			}
+
+			// The engine, render and at least one solver evaluation nest under
+			// singleflight.
+			sf := stages[StageSingleflight]
+			byID := make(map[int]SpanInfo, len(ti.Spans))
+			for _, sp := range ti.Spans {
+				byID[sp.ID] = sp
+			}
+			rootOf := func(sp SpanInfo) SpanInfo {
+				for sp.Parent != 0 {
+					sp = byID[sp.Parent]
+				}
+				return sp
+			}
+			seen := map[string]bool{}
+			for _, sp := range ti.Spans {
+				switch sp.Name {
+				case c.engine, StageRender:
+					if rootOf(sp).ID != sf.ID {
+						t.Errorf("%s span not nested under singleflight (parent chain root %d, want %d)", sp.Name, rootOf(sp).ID, sf.ID)
+					}
+				}
+				seen[sp.Name] = true
+			}
+			for _, want := range []string{c.engine, StageRender, "scaling.solve"} {
+				if !seen[want] {
+					t.Errorf("cold trace has no %s span", want)
+				}
+			}
+
+			// Wall-clock accounting: the top-level stages tile the handler, so
+			// their sum must land within 10% of the request wall time.
+			var sum float64
+			for _, sp := range stages {
+				sum += sp.WallUS
+			}
+			wall := ti.WallMS * 1e3
+			if sum < 0.9*wall || sum > 1.1*wall {
+				t.Errorf("stage sum %.1fµs vs request wall %.1fµs: outside ±10%%", sum, wall)
+			}
+		})
 	}
 }
 
-// TestTraceStagesCacheHit: a repeat eval is served from the response
-// cache — its trace stops at cache.lookup and never enters singleflight.
+// TestTraceStagesCacheHit: a repeat query of either kind is served from
+// the response cache — its trace stops at cache.lookup and never enters
+// singleflight.
 func TestTraceStagesCacheHit(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{}, nil)
-	postEval(t, ts.URL, stackedSpec) // warm
-	resp, _ := postEval(t, ts.URL, stackedSpec)
-	if got := resp.Header.Get("X-Bandwall-Cache"); got != "hit" {
-		t.Fatalf("X-Bandwall-Cache = %q, want hit", got)
-	}
-	ti := fetchTrace(t, ts.URL, resp.Header.Get(TraceHeader))
-	stages := stageSet(ti)
-	for _, want := range []string{StageParse, StageFingerprint, StageCacheLookup, StageWrite} {
-		if _, ok := stages[want]; !ok {
-			t.Errorf("cache-hit trace missing stage %q", want)
-		}
-	}
-	if _, ok := stages[StageSingleflight]; ok {
-		t.Error("cache-hit trace has a singleflight stage; the lookup should have short-circuited")
-	}
-	if ti.Attrs["cache"] != "hit" {
-		t.Errorf("attrs[cache] = %q, want hit", ti.Attrs["cache"])
+	for _, k := range queryKinds {
+		t.Run(k.name, func(t *testing.T) {
+			_, ts, _ := newTestServer(t, Config{}, nil)
+			post(t, ts.URL+k.path, k.body) // warm
+			resp, _ := post(t, ts.URL+k.path, k.body)
+			if got := resp.Header.Get(CacheHeader); got != "hit" {
+				t.Fatalf("%s = %q, want hit", CacheHeader, got)
+			}
+			ti := fetchTrace(t, ts.URL, resp.Header.Get(TraceHeader))
+			stages := stageSet(ti)
+			for _, want := range []string{StageAdmit, StageParse, StageFingerprint, StageCacheLookup, StageWrite} {
+				if _, ok := stages[want]; !ok {
+					t.Errorf("cache-hit trace missing stage %q", want)
+				}
+			}
+			if _, ok := stages[StageSingleflight]; ok {
+				t.Error("cache-hit trace has a singleflight stage; the lookup should have short-circuited")
+			}
+			if ti.Attrs["cache"] != "hit" {
+				t.Errorf("attrs[cache] = %q, want hit", ti.Attrs["cache"])
+			}
+		})
 	}
 }
 
@@ -181,7 +201,7 @@ func TestTraceStagesCacheHit(t *testing.T) {
 func TestTraceSingleflightFollower(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	gate := func(ctx context.Context, sp *scenario.Spec) {
+	gate := func(ctx context.Context, _ string) {
 		started <- struct{}{}
 		<-release
 	}
@@ -208,7 +228,13 @@ func TestTraceSingleflightFollower(t *testing.T) {
 		}()
 	}
 	<-started // leader is inside the gate
-	waitFor(t, "follower to join the flight", func() bool { return s.Inflight() == 2 })
+	key, err := EvalKey([]byte(stackedSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Admission alone (Inflight() == 2) can race the follower's arrival at
+	// the flight; wait until it is blocked on the leader's call.
+	waitFor(t, "follower to join the flight", func() bool { return s.flight.Waiters(key) == 1 })
 	close(release)
 	wg.Wait()
 	close(results)

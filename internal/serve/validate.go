@@ -1,12 +1,6 @@
 package serve
 
-import (
-	"fmt"
-	"io"
-	"net/http"
-
-	"repro/internal/scenario"
-)
+import "net/http"
 
 // ValidateResponse is the POST /v1/validate success body: the spec
 // parsed and validated without a single solver call. Fingerprint is the
@@ -21,31 +15,14 @@ type ValidateResponse struct {
 	Cases       int    `json:"cases"`
 }
 
-// handleValidate parses and validates a scenario.Spec JSON body —
-// catalog names, envelope, axis, the full strict-parse path — without
-// evaluating anything. Invalid specs get the robust taxonomy error body
-// (ErrDomain → 400 "domain"), exactly what /v1/eval would have said,
-// which makes this the cheap per-keystroke check: no admission slot, no
-// deadline, no solver work.
+// handleValidate runs the eval pipeline's first half — body read, the
+// full strict parse (catalog names, envelope, axis), fingerprint — and
+// stops there. Invalid specs get exactly the error body /v1/eval would
+// have sent (ErrDomain → 400 "domain"), which makes this the cheap
+// per-keystroke check: no admission slot, no deadline, no solver work.
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, kindBadRequest, fmt.Errorf("reading body: %w", err))
-		return
-	}
-	if len(body) > maxSpecBytes {
-		writeError(w, r, http.StatusBadRequest, kindBadRequest,
-			fmt.Errorf("spec exceeds %d bytes", maxSpecBytes))
-		return
-	}
-	sp, err := scenario.ParseSpec(body)
-	if err != nil {
-		writeModelError(w, r, err)
-		return
-	}
-	key, err := FingerprintSpec(sp)
-	if err != nil {
-		writeModelError(w, r, err)
+	sp, key, ok := evalQuery.read(w, r)
+	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, ValidateResponse{

@@ -12,21 +12,11 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/scenario"
 )
 
 func postValidate(t *testing.T, base, body string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(base+"/v1/validate", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, data
+	return post(t, base+"/v1/validate", body)
 }
 
 func TestValidateHappyPath(t *testing.T) {
@@ -84,7 +74,7 @@ func TestValidateNoAdmissionSlot(t *testing.T) {
 	// sheds (429) but /v1/validate still answers: validation bypasses
 	// admission entirely.
 	release := make(chan struct{})
-	gate := func(ctx context.Context, _ *scenario.Spec) { <-release }
+	gate := func(ctx context.Context, _ string) { <-release }
 	s, ts, _ := newTestServer(t, Config{MaxInflight: 1}, gate)
 	defer close(release)
 
@@ -118,7 +108,7 @@ func TestHealthzDrainReadiness(t *testing.T) {
 
 	release := make(chan struct{})
 	s := NewServer(Config{DrainTimeout: 5 * time.Second})
-	s.evalGate = func(ctx context.Context, _ *scenario.Spec) { <-release }
+	s.leaderGate = func(ctx context.Context, _ string) { <-release }
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

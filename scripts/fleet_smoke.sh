@@ -74,7 +74,7 @@ BASE="http://127.0.0.1:18100"
 echo "== eval $SPEC through the gateway"
 HDRS="$(mktemp)"
 RESP="$(curl -sf -D "$HDRS" -X POST --data-binary "@$SPEC" "$BASE/v1/eval")"
-echo "$RESP" | grep -q '"cores@cc+lc":18' || {
+grep -q '"cores@cc+lc":18' <<<"$RESP" || {
   echo "FAIL: gateway eval missing the Fig 12 answer (cores@cc+lc=18):" >&2
   echo "$RESP" | head -c 600 >&2
   exit 1

@@ -43,7 +43,7 @@ curl -sf "$BASE/healthz" | grep -q '"ok"'
 echo "== POST $SPEC"
 HDRS="$(mktemp)"
 RESP="$(curl -sf -D "$HDRS" -X POST --data-binary "@$SPEC" "$BASE/v1/eval")"
-echo "$RESP" | grep -q '"cores@cc+lc":18' || {
+grep -q '"cores@cc+lc":18' <<<"$RESP" || {
   echo "FAIL: eval response missing the Fig 12 answer (cores@cc+lc=18):" >&2
   echo "$RESP" | head -c 600 >&2
   exit 1
@@ -56,14 +56,14 @@ fi
 
 echo "== GET /v1/trace?id=$TRACE_ID"
 TRACES="$(curl -sf "$BASE/v1/trace?id=$TRACE_ID")"
-echo "$TRACES" | grep -q "\"id\":\"$TRACE_ID\"" || {
+grep -q "\"id\":\"$TRACE_ID\"" <<<"$TRACES" || {
   echo "FAIL: /v1/trace does not return the eval's trace" >&2
   echo "$TRACES" | head -c 600 >&2
   exit 1
 }
 # The span tree must be non-empty and carry the pipeline stages.
 for stage in '"singleflight"' '"cache.lookup"' '"scenario.eval"'; do
-  echo "$TRACES" | grep -q "$stage" || {
+  grep -q "$stage" <<<"$TRACES" || {
     echo "FAIL: trace span tree missing $stage" >&2
     echo "$TRACES" | head -c 600 >&2
     exit 1
@@ -72,11 +72,11 @@ done
 
 echo "== GET /v1/cache"
 CACHE="$(curl -sf "$BASE/v1/cache")"
-echo "$CACHE" | grep -q '"response_cache"' || {
+grep -q '"response_cache"' <<<"$CACHE" || {
   echo "FAIL: /v1/cache missing response_cache" >&2
   exit 1
 }
-echo "$CACHE" | grep -q '"entries":1' || {
+grep -q '"entries":1' <<<"$CACHE" || {
   echo "FAIL: /v1/cache does not show the cached eval" >&2
   echo "$CACHE" | head -c 600 >&2
   exit 1
@@ -84,7 +84,7 @@ echo "$CACHE" | grep -q '"entries":1' || {
 
 echo "== DELETE /v1/cache"
 PURGED="$(curl -sf -X DELETE "$BASE/v1/cache")"
-echo "$PURGED" | grep -q '"response_entries_purged":1' || {
+grep -q '"response_entries_purged":1' <<<"$PURGED" || {
   echo "FAIL: purge did not report the cached response" >&2
   echo "$PURGED" | head -c 600 >&2
   exit 1
@@ -98,12 +98,12 @@ echo "== POST /v1/optimize (inverse query round trip)"
 OPT_SPEC="examples/scenarios/optimize-area-budget.json"
 OPT_HDRS="$(mktemp)"
 OPT_RESP="$(curl -sf -D "$OPT_HDRS" -X POST --data-binary "@$OPT_SPEC" "$BASE/v1/optimize")"
-echo "$OPT_RESP" | grep -q '"label":"3D"' || {
+grep -q '"label":"3D"' <<<"$OPT_RESP" || {
   echo "FAIL: optimize response missing the best stack (3D):" >&2
   echo "$OPT_RESP" | head -c 600 >&2
   exit 1
 }
-echo "$OPT_RESP" | grep -q '"binding":"thermal"' || {
+grep -q '"binding":"thermal"' <<<"$OPT_RESP" || {
   echo "FAIL: optimize response missing the thermal binding attribution" >&2
   echo "$OPT_RESP" | head -c 600 >&2
   exit 1
@@ -126,10 +126,11 @@ if [[ "$OPT_RESP" != "$OPT_RESP2" ]]; then
 fi
 
 echo "== scrape /metrics"
-# Capture first: grep -q closing the pipe early would SIGPIPE curl and
-# trip pipefail even on a healthy response.
+# Capture first, then grep a here-string: grep -q exits at the first
+# match, so any writer piped into it (curl, or echo of a ~75 KB body)
+# can take SIGPIPE and trip pipefail even on a healthy response.
 METRICS="$(curl -sf "$BASE/metrics")"
-echo "$METRICS" | grep -q '^bandwall_serve_requests ' || {
+grep -q '^bandwall_serve_requests ' <<<"$METRICS" || {
   echo "FAIL: /metrics missing bandwall_serve_requests" >&2
   exit 1
 }
