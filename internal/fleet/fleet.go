@@ -35,7 +35,9 @@
 // key function for the query kind (serve.EvalKey, serve.OptimizeKey), so
 // the gateway and the replica derive a body's fingerprint the same way
 // by construction, and it reads bodies, lowers ?timeout= and drains with
-// serve's code too.
+// serve's code too. A serve.KeyMemo in front of the key function routes a
+// repeated body without parsing it, once its owning replica has answered
+// it from its response cache.
 //
 // The gateway is itself drain-aware (SIGTERM flips /healthz to 503
 // "draining" while in-flight requests finish) and chaos-ready: the
@@ -211,6 +213,8 @@ const (
 	MetricDegraded     = "fleet.degraded.stale"
 	MetricUnavailable  = "fleet.unavailable"
 	MetricBreakerOpens = "fleet.breaker.opens"
+	MetricMemoHits     = "fleet.key_memo.hits"
+	MetricMemoMisses   = "fleet.key_memo.misses"
 )
 
 // Gateway is the fleet front tier. Create one with NewGateway.
@@ -219,6 +223,7 @@ type Gateway struct {
 	replicas []*replica
 	client   *http.Client
 	mux      *http.ServeMux
+	memo     *serve.KeyMemo // exact repeated body → routing fingerprint
 	stale    *staleCache
 	reg      *obs.Registry
 
@@ -234,6 +239,8 @@ type Gateway struct {
 	mDegraded    *obs.Counter
 	mUnavailable *obs.Counter
 	mOpens       *obs.Counter
+	mMemoHits    *obs.Counter
+	mMemoMisses  *obs.Counter
 }
 
 // NewGateway builds a Gateway over the configured replica set.
@@ -244,6 +251,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	reg := obs.Default()
 	g := &Gateway{
 		cfg:   cfg,
+		memo:  serve.NewKeyMemo(),
 		stale: newStaleCache(cfg.staleCacheSize()),
 		reg:   reg,
 		client: &http.Client{
@@ -261,6 +269,8 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		mDegraded:    reg.Counter(MetricDegraded),
 		mUnavailable: reg.Counter(MetricUnavailable),
 		mOpens:       reg.Counter(MetricBreakerOpens),
+		mMemoHits:    reg.Counter(MetricMemoHits),
+		mMemoMisses:  reg.Counter(MetricMemoMisses),
 	}
 	seen := make(map[string]bool, len(cfg.Replicas))
 	for _, raw := range cfg.Replicas {
@@ -436,7 +446,9 @@ func (g *Gateway) finish(w http.ResponseWriter, res *proxyResult, attempts int, 
 // first: that yields the routing fingerprint — the key the owning
 // replica caches the answer under — and it means a domain-invalid spec
 // is answered 400 without consuming a single ring attempt, so the
-// no-retry-on-400 guarantee holds by construction.
+// no-retry-on-400 guarantee holds by construction. A body the key memo
+// holds skips the key function; the memo admits a body once its owning
+// replica answers it from its response cache.
 func (g *Gateway) handleQuery(path string, key func(body []byte) (string, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := serve.ReadSpec(r)
@@ -444,15 +456,20 @@ func (g *Gateway) handleQuery(path string, key func(body []byte) (string, error)
 			writeErr(w, http.StatusBadRequest, kindBadRequest, err)
 			return
 		}
-		fp, err := key(body)
-		if err != nil {
-			status, kind := http.StatusInternalServerError, kindInternal
-			if errors.Is(err, robust.ErrDomain) {
-				status, kind = http.StatusBadRequest, kindDomain
+		fp, memoHit := g.memo.Get(path, body)
+		if memoHit {
+			g.mMemoHits.Inc()
+		} else {
+			g.mMemoMisses.Inc()
+			if fp, err = key(body); err != nil {
+				status, kind := http.StatusInternalServerError, kindInternal
+				if errors.Is(err, robust.ErrDomain) {
+					status, kind = http.StatusBadRequest, kindDomain
+				}
+				w.Header().Set(AttemptsHeader, "0")
+				writeErr(w, status, kind, err)
+				return
 			}
-			w.Header().Set(AttemptsHeader, "0")
-			writeErr(w, status, kind, err)
-			return
 		}
 		ctx, cancel, err := serve.RequestContext(r, g.cfg.timeout())
 		if err != nil {
@@ -461,6 +478,9 @@ func (g *Gateway) handleQuery(path string, key func(body []byte) (string, error)
 		}
 		defer cancel()
 		res, attempts, ferr := g.forwardHedged(ctx, rendezvousOrder(g.replicas, fp), http.MethodPost, path, body, true)
+		if !memoHit && res != nil && res.status == http.StatusOK && res.header.Get(serve.CacheHeader) == "hit" {
+			g.memo.Put(path, body, fp)
+		}
 		g.finish(w, res, attempts, ferr, fp)
 	}
 }
@@ -516,33 +536,37 @@ func (g *Gateway) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 type CacheFanout struct {
 	Replicas map[string]json.RawMessage `json:"replicas"`
 	Errors   map[string]string          `json:"errors,omitempty"`
-	// StalePurged reports how many entries DELETE dropped from the
-	// gateway's own stale-response reserve (absent on GET).
-	StalePurged *int `json:"stale_purged,omitempty"`
+	// StalePurged and KeyMemoPurged report how many entries DELETE
+	// dropped from the gateway's own stale-response reserve and key memo
+	// (absent on GET).
+	StalePurged   *int `json:"stale_purged,omitempty"`
+	KeyMemoPurged *int `json:"key_memo_purged,omitempty"`
 }
 
 // handleCacheGet fans the cache introspection out to every replica and
 // aggregates — the fleet-wide view that shows the keyspace partition.
 func (g *Gateway) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	g.fanout(w, r, http.MethodGet, r.URL.RawQuery, nil)
+	g.fanout(w, r, http.MethodGet, r.URL.RawQuery, CacheFanout{})
 }
 
 // handleCacheDelete purges every replica's caches — and the gateway's own
-// stale-response reserve in the same operation. The reserve holds
-// last-known-good bodies for degraded serving; leaving it populated after
-// an operator-requested invalidation would let a post-purge total-ring
-// failure serve exactly the results the operator just invalidated.
+// stale-response reserve and key memo in the same operation. The reserve
+// holds last-known-good bodies for degraded serving; leaving it populated
+// after an operator-requested invalidation would let a post-purge
+// total-ring failure serve exactly the results the operator just
+// invalidated. The memo cannot go stale, but the endpoint's contract is
+// that it empties every cache.
 func (g *Gateway) handleCacheDelete(w http.ResponseWriter, r *http.Request) {
-	purged := g.stale.Purge()
-	g.fanout(w, r, http.MethodDelete, "", &purged)
+	stale, memo := g.stale.Purge(), g.memo.Purge()
+	g.fanout(w, r, http.MethodDelete, "", CacheFanout{StalePurged: &stale, KeyMemoPurged: &memo})
 }
 
-// handleCacheGet and handleCacheDelete share fanout; stalePurged is nil
-// on GET.
-func (g *Gateway) fanout(w http.ResponseWriter, r *http.Request, method, query string, stalePurged *int) {
+// handleCacheGet and handleCacheDelete share fanout, which fills out's
+// per-replica maps.
+func (g *Gateway) fanout(w http.ResponseWriter, r *http.Request, method, query string, out CacheFanout) {
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.healthTimeout()*4)
 	defer cancel()
-	out := CacheFanout{Replicas: make(map[string]json.RawMessage, len(g.replicas)), StalePurged: stalePurged}
+	out.Replicas = make(map[string]json.RawMessage, len(g.replicas))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, rep := range g.replicas {

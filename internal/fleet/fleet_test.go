@@ -58,6 +58,9 @@ type stubReplica struct {
 	// canceled flips when a hanging request saw its context cancelled —
 	// the hedge-loser proof.
 	canceled atomic.Bool
+	// cacheHit makes 200 answers carry X-Bandwall-Cache: hit, as a real
+	// replica's response-cache hits do.
+	cacheHit atomic.Bool
 }
 
 const (
@@ -94,6 +97,9 @@ func newStubReplica(t *testing.T) *stubReplica {
 			w.WriteHeader(http.StatusInternalServerError)
 		default:
 			w.Header().Set("Content-Type", "application/json")
+			if s.cacheHit.Load() {
+				w.Header().Set(serve.CacheHeader, "hit")
+			}
 			w.WriteHeader(http.StatusOK)
 			_, _ = io.WriteString(w, `{"stub":"`+s.ts.URL+`"}`)
 		}
@@ -659,13 +665,17 @@ func TestGatewayDrainFlipsReadiness(t *testing.T) {
 func TestCacheDeletePurgesStaleReserve(t *testing.T) {
 	g, stubs := newTestGateway(t, 2, nil)
 	body := specWithID("purge-stale", 16)
+	for _, s := range stubs {
+		s.cacheHit.Store(true)
+	}
 
-	// Warm the stale reserve with a healthy answer.
+	// Warm the stale reserve with a healthy answer; relayed as a replica
+	// cache hit, it also admits the body to the key memo.
 	if w := postGateway(t, g, "/v1/eval", body); w.Code != http.StatusOK {
 		t.Fatalf("warmup status %d", w.Code)
 	}
-	if g.StaleLen() != 1 {
-		t.Fatalf("stale reserve = %d entries, want 1", g.StaleLen())
+	if g.StaleLen() != 1 || g.memo.Info().Entries != 1 {
+		t.Fatalf("stale reserve = %d entries, key memo = %d; want 1 each", g.StaleLen(), g.memo.Info().Entries)
 	}
 
 	// Operator invalidation: the fan-out must purge the reserve too and
@@ -676,8 +686,8 @@ func TestCacheDeletePurgesStaleReserve(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("purge status %d: %s", w.Code, w.Body)
 	}
-	if g.StaleLen() != 0 {
-		t.Fatalf("stale reserve = %d entries after DELETE /v1/cache, want 0", g.StaleLen())
+	if g.StaleLen() != 0 || g.memo.Info().Entries != 0 {
+		t.Fatalf("stale reserve = %d entries, key memo = %d after DELETE /v1/cache; want 0 each", g.StaleLen(), g.memo.Info().Entries)
 	}
 	var fan CacheFanout
 	if err := json.Unmarshal(w.Body.Bytes(), &fan); err != nil {
@@ -685,6 +695,9 @@ func TestCacheDeletePurgesStaleReserve(t *testing.T) {
 	}
 	if fan.StalePurged == nil || *fan.StalePurged != 1 {
 		t.Errorf("stale_purged = %v, want 1", fan.StalePurged)
+	}
+	if fan.KeyMemoPurged == nil || *fan.KeyMemoPurged != 1 {
+		t.Errorf("key_memo_purged = %v, want 1", fan.KeyMemoPurged)
 	}
 
 	// Total ring failure after the purge: the invalidated body must NOT
@@ -745,5 +758,70 @@ func TestOptimizeThroughGateway(t *testing.T) {
 	}
 	if or.ID != "fleet-opt" || len(or.Frontier) == 0 || or.Best.Cores <= 0 {
 		t.Errorf("unexpected optimize answer: id=%q frontier=%d best=%d cores", or.ID, len(or.Frontier), or.Best.Cores)
+	}
+}
+
+// TestGatewayKeyMemo: the gateway admits a body to its key memo only
+// when the owning replica relays a 200 answered from its response cache,
+// then routes the body from the memo to the same replica with the same
+// answer. A domain-invalid body is never retained, and neither is one
+// whose answers were never relayed as cache hits.
+func TestGatewayKeyMemo(t *testing.T) {
+	g, _, servers := newServeFleet(t, 3, nil)
+	reg := obs.Default()
+	body := specWithID("memo", 24)
+	var first *httptest.ResponseRecorder
+	for i, want := range []struct {
+		cache         string
+		entries       int
+		hits, misses  uint64
+		replicaMemoed int
+	}{{"miss", 0, 0, 1, 0}, {"hit", 1, 0, 2, 1}, {"hit", 1, 1, 2, 1}} {
+		w := postGateway(t, g, "/v1/eval", body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, w.Code, w.Body)
+		}
+		if i == 0 {
+			first = w
+		}
+		if got := w.Header().Get(serve.CacheHeader); got != want.cache {
+			t.Errorf("request %d: %s = %q, want %q", i, serve.CacheHeader, got, want.cache)
+		}
+		if w.Header().Get(ReplicaHeader) != first.Header().Get(ReplicaHeader) || w.Body.String() != first.Body.String() {
+			t.Errorf("request %d: answered by %s with a different body; want %s's answer", i, w.Header().Get(ReplicaHeader), first.Header().Get(ReplicaHeader))
+		}
+		if got := g.memo.Info().Entries; got != want.entries {
+			t.Errorf("request %d: gateway memo entries = %d, want %d", i, got, want.entries)
+		}
+		if h, m := reg.Counter(MetricMemoHits).Value(), reg.Counter(MetricMemoMisses).Value(); h != want.hits || m != want.misses {
+			t.Errorf("request %d: %s/%s = %d/%d, want %d/%d", i, MetricMemoHits, MetricMemoMisses, h, m, want.hits, want.misses)
+		}
+		memoed := 0
+		for _, s := range servers {
+			memoed += s.CacheInfo(0).KeyMemo.Entries
+		}
+		if memoed != want.replicaMemoed {
+			t.Errorf("request %d: replica memo entries = %d, want %d", i, memoed, want.replicaMemoed)
+		}
+	}
+	invalid := `{"id":"dom","axis":{"n2":[16]},"cases":[{"label":"X","value_key":"v","stack":[{"name":"NOPE"}]}]}`
+	for i := 0; i < 3; i++ {
+		if w := postGateway(t, g, "/v1/eval", invalid); w.Code != http.StatusBadRequest {
+			t.Fatalf("invalid body: status %d, want 400", w.Code)
+		}
+	}
+	if got := g.memo.Info().Entries; got != 1 {
+		t.Errorf("gateway memo entries = %d after invalid bodies, want 1", got)
+	}
+
+	// Replicas that never report a cache hit never get a body admitted.
+	gs, _ := newTestGateway(t, 2, nil)
+	for i := 0; i < 3; i++ {
+		if w := postGateway(t, gs, "/v1/eval", body); w.Code != http.StatusOK {
+			t.Fatalf("stub request %d: status %d", i, w.Code)
+		}
+	}
+	if got := gs.memo.Info(); got.Entries != 0 || got.Misses != 3 {
+		t.Errorf("gateway memo over cache-less stubs = %+v, want 0 entries and 3 misses", got)
 	}
 }

@@ -258,7 +258,7 @@ func ParseOptimizeSpec(data []byte) (*OptimizeSpec, error) {
 	if err := dec.Decode(&osp); err != nil {
 		return nil, errf("decoding optimize spec: %v", err)
 	}
-	if dec.More() {
+	if trailingData(dec, data) {
 		return nil, errf("optimize spec %s: trailing data after JSON object", osp.ID)
 	}
 	osp.normalize()

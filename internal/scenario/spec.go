@@ -521,8 +521,7 @@ func ParseSpec(data []byte) (*Spec, error) {
 	if err := dec.Decode(&sp); err != nil {
 		return nil, errf("decoding spec: %v", err)
 	}
-	// Reject trailing garbage after the spec object.
-	if dec.More() {
+	if trailingData(dec, data) {
 		return nil, errf("spec %s: trailing data after JSON object", sp.ID)
 	}
 	sp.normalize()
@@ -530,6 +529,13 @@ func ParseSpec(data []byte) (*Spec, error) {
 		return nil, err
 	}
 	return &sp, nil
+}
+
+// trailingData reports whether anything but JSON whitespace follows the
+// value dec has just decoded from data. dec.More alone is not enough: it
+// reports false before a closing '}' or ']'.
+func trailingData(dec *json.Decoder, data []byte) bool {
+	return len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0
 }
 
 // specJSON is Spec stripped of its methods, for canonical marshaling.

@@ -45,9 +45,30 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// trailingTails are tails neither parser may accept after a valid
+// object. dec.More reports false before a closing delimiter, so a check
+// built on it alone accepts the first four. The fuzz targets seed from
+// them too.
+var trailingTails = []string{"}", "]", "}}", "]x", " {}", "x", ` {"id":"y"}`}
+
+// TestParseSpecRejectsTrailingData: both parsers accept JSON whitespace
+// after the object and reject anything else with robust.ErrDomain.
 func TestParseSpecRejectsTrailingData(t *testing.T) {
-	if _, err := ParseSpec([]byte(`{"id":"x","axis":{"n2":[32]},"cases":[{}]} {"id":"y"}`)); err == nil {
-		t.Fatal("trailing JSON accepted")
+	for _, p := range []struct {
+		name, body string
+		parse      func([]byte) error
+	}{
+		{"spec", `{"id":"x","axis":{"n2":[32]},"cases":[{}]}`, func(b []byte) error { _, err := ParseSpec(b); return err }},
+		{"optimize", optSpec, func(b []byte) error { _, err := ParseOptimizeSpec(b); return err }},
+	} {
+		if err := p.parse([]byte(p.body + " \t\r\n")); err != nil {
+			t.Errorf("%s: trailing whitespace rejected: %v", p.name, err)
+		}
+		for _, tail := range trailingTails {
+			if err := p.parse([]byte(p.body + tail)); !errors.Is(err, robust.ErrDomain) {
+				t.Errorf("%s + %q: err = %v, want robust.ErrDomain", p.name, tail, err)
+			}
+		}
 	}
 }
 

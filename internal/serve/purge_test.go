@@ -9,9 +9,10 @@ import (
 	"testing"
 )
 
-// TestCachePurgeUnderLoad hammers both sharded cache layers with
-// concurrent evals (a mix of repeated hot specs and a churning cold
-// tail) while a purger fires DELETE /v1/cache in a loop. Every eval must
+// TestCachePurgeUnderLoad hammers the cache layers with concurrent
+// evals (a mix of repeated hot specs, which the key memo admits and
+// then answers, and a churning cold tail) while a purger fires
+// DELETE /v1/cache in a loop. Every eval must
 // still return 200 with a non-empty body — purge walks the shards one at
 // a time, so requests racing a purge land in a half-empty cache, never a
 // broken one — and the endpoint must stay internally consistent
@@ -92,6 +93,12 @@ func TestCachePurgeUnderLoad(t *testing.T) {
 	if got := info.ResponseCache.Hits + info.ResponseCache.Misses; got != workers*perWorker {
 		t.Errorf("response cache hits+misses = %d, want %d (lifetime counters must survive purges)",
 			got, workers*perWorker)
+	}
+	if got := info.KeyMemo.Hits + info.KeyMemo.Misses; got != workers*perWorker {
+		t.Errorf("key memo hits+misses = %d, want %d", got, workers*perWorker)
+	}
+	if info.KeyMemo.Bytes > info.KeyMemo.Cap {
+		t.Errorf("key memo holds %d bytes, over its cap %d", info.KeyMemo.Bytes, info.KeyMemo.Cap)
 	}
 	if info.ResponseCache.Entries > 64 {
 		t.Errorf("response cache entries = %d, want ≤ 64", info.ResponseCache.Entries)

@@ -65,33 +65,63 @@ func ReadSpec(r *http.Request) ([]byte, error) {
 	return body, nil
 }
 
-// read is the pipeline's first half: read the body, parse it strictly,
-// fingerprint it. On failure it has already written the error response
-// (an oversized or unreadable body is 400 "bad_request"; parse errors
-// follow the robust taxonomy) and ok is false.
-func (q query[T, R]) read(w http.ResponseWriter, r *http.Request) (spec T, key string, ok bool) {
+// input is one query body read off the wire and its cache key. spec is
+// set only when parsed is: a body whose key came from the memo is parsed
+// later, and only if the response cache misses.
+type input[T any] struct {
+	body   []byte
+	key    string
+	spec   T
+	parsed bool
+}
+
+// read is the pipeline's first half: read the body, then key it. A body
+// whose exact bytes memo holds takes its key from there, unparsed; any
+// other body is parsed strictly and fingerprinted (always, when memo is
+// nil). On failure read has already written the error response (an
+// oversized or unreadable body is 400 "bad_request"; parse errors follow
+// the robust taxonomy) and ok is false.
+//
+// Every path records the parse and fingerprint stages, and the trace
+// carries memo=hit or memo=miss. On a hit the parse stage covers the body
+// read and the lookup, and the fingerprint stage is empty: the lookup's
+// outcome is known only after it runs, and on a miss the parse stage
+// must go on to cover the strict parse.
+func (q query[T, R]) read(w http.ResponseWriter, r *http.Request, memo *KeyMemo) (in input[T], ok bool) {
 	ctx := r.Context()
 	parseSpan := obs.StartTraceSpanLeaf(ctx, StageParse)
 	body, err := ReadSpec(r)
 	if err != nil {
 		parseSpan.End()
 		writeError(w, r, http.StatusBadRequest, kindBadRequest, err)
-		return spec, "", false
+		return in, false
 	}
-	spec, err = q.parse(body)
+	in.body = body
+	if memo != nil {
+		if key, hit := memo.Get(q.route, body); hit {
+			parseSpan.End()
+			obs.StartTraceSpanLeaf(ctx, StageFingerprint).End()
+			obs.TraceFrom(ctx).SetAttr("memo", "hit")
+			in.key = key
+			return in, true
+		}
+		obs.TraceFrom(ctx).SetAttr("memo", "miss")
+	}
+	in.spec, err = q.parse(body)
 	parseSpan.End()
 	if err != nil {
 		writeModelError(w, r, err) // ErrDomain-classified → 400 with kind "domain"
-		return spec, "", false
+		return in, false
 	}
 	fpSpan := obs.StartTraceSpanLeaf(ctx, StageFingerprint)
-	key, err = q.fingerprint(spec)
+	in.key, err = q.fingerprint(in.spec)
 	fpSpan.End()
 	if err != nil {
 		writeModelError(w, r, err)
-		return spec, "", false
+		return in, false
 	}
-	return spec, key, true
+	in.parsed = true
+	return in, true
 }
 
 // handleQuery serves one query kind behind instrumentation and
@@ -100,16 +130,22 @@ func (q query[T, R]) read(w http.ResponseWriter, r *http.Request) (spec T, key s
 func handleQuery[T, R any](s *Server, q query[T, R]) http.HandlerFunc {
 	fault := "serve." + q.route
 	return s.instrument(q.route, s.admit(func(w http.ResponseWriter, r *http.Request) {
-		spec, key, ok := q.read(w, r)
+		in, ok := q.read(w, r, s.memo)
 		if !ok {
 			return
 		}
+		key := in.key
 		ctx := r.Context()
 		tr := obs.TraceFrom(ctx)
 		lookSpan := obs.StartTraceSpanLeaf(ctx, StageCacheLookup)
 		cached, ok := s.cache.Get(key)
 		lookSpan.End()
 		if ok {
+			if in.parsed {
+				// Its answer was cached, so this body has been asked
+				// before: admit it to the memo.
+				s.memo.Put(q.route, in.body, key)
+			}
 			s.mCacheHits.Inc()
 			tr.SetAttr("cache", "hit")
 			writeCached(ctx, w, cached, "hit")
@@ -133,6 +169,13 @@ func handleQuery[T, R any](s *Server, q query[T, R]) http.HandlerFunc {
 			}
 			if s.leaderGate != nil {
 				s.leaderGate(sfctx, key)
+			}
+			spec := in.spec
+			if !in.parsed { // the key came from the memo; solving needs the spec
+				var err error
+				if spec, err = q.parse(in.body); err != nil {
+					return nil, robust.WithTraceID(err, tr.ID())
+				}
 			}
 			answer, err := q.solve(s, sfctx, spec)
 			if err != nil {

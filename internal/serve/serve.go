@@ -14,7 +14,7 @@
 //	GET    /v1/catalog                 the technique registry + param schemas
 //	GET    /v1/trace                   recent request traces (?slow=D, ?route=, ?id=, ?limit=)
 //	GET    /v1/cache                   cache occupancy + hit ratios (?top=N)
-//	DELETE /v1/cache                   purge the response LRU and solver cache
+//	DELETE /v1/cache                   purge the key memo, response LRU and solver cache
 //	GET    /healthz                    liveness probe
 //	GET    /metrics                    obs registry snapshot (text or NDJSON)
 //
@@ -34,7 +34,9 @@
 // (read, parse, fingerprint). The same package exports the body reader,
 // the per-kind key functions (EvalKey, OptimizeKey), the ?timeout= rule
 // and the drain loop, so the fleet gateway routes on serve's own key and
-// both tiers share one request lifecycle.
+// both tiers share one request lifecycle. Both tiers also put a KeyMemo
+// in front of the key function: a body whose exact bytes already had an
+// answer served from a response cache skips parse and fingerprint.
 //
 // Every request is traced, always-on: the handler pipeline records a
 // per-stage span tree (admission → parse → fingerprint → cache lookup →
@@ -98,8 +100,9 @@ type Config struct {
 	// DefaultRuntimeSampleInterval.
 	RuntimeSampleInterval time.Duration
 	// AccessLog receives one slog key=value line per request (method,
-	// path, status, bytes, duration, trace ID, cache disposition,
-	// singleflight-shared flag). Nil disables access logging.
+	// path, status, bytes, duration, trace ID, key-memo and cache
+	// dispositions, singleflight-shared flag). Nil disables access
+	// logging.
 	AccessLog io.Writer
 }
 
@@ -157,6 +160,7 @@ type Server struct {
 
 	sem    chan struct{}                        // admission slots for the heavy endpoints
 	flight *group                               // collapses concurrent identical queries
+	memo   *KeyMemo                             // exact repeated body → fingerprint
 	cache  *respCache                           // fingerprint → rendered response
 	ring   *traceRing                           // recent completed request traces
 	reg    *obs.Registry                        // resolved once at construction (may be nil)
@@ -256,6 +260,7 @@ func NewServer(cfg Config) *Server {
 		engine:     scenario.NewEngine(),
 		sem:        make(chan struct{}, cfg.maxInflight()),
 		flight:     newGroup(),
+		memo:       NewKeyMemo(),
 		cache:      newRespCacheShards(cfg.CacheSize, cfg.CacheShards),
 		ring:       newTraceRing(cfg.traceBuffer()),
 		reg:        reg,
@@ -383,11 +388,10 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 				slog.String("trace", tr.ID()),
 				slog.String("remote", r.RemoteAddr),
 			}
-			if v, ok := rec.Attrs["cache"]; ok {
-				attrs = append(attrs, slog.String("cache", v))
-			}
-			if v, ok := rec.Attrs["shared"]; ok {
-				attrs = append(attrs, slog.String("shared", v))
+			for _, k := range []string{"memo", "cache", "shared"} {
+				if v, ok := rec.Attrs[k]; ok {
+					attrs = append(attrs, slog.String(k, v))
+				}
 			}
 			s.accessLog.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
 		}

@@ -181,6 +181,7 @@ func TestEvalMalformedSpec(t *testing.T) {
 		{"no axis", `{"id":"x","cases":[{}]}`, kindDomain},
 		{"unknown technique", `{"id":"x","axis":{"n2":[32]},"cases":[{"stack":[{"name":"Nope"}]}]}`, kindDomain},
 		{"bad param", `{"id":"x","axis":{"n2":[32]},"cases":[{"stack":[{"name":"CC","params":{"ratio":0.5}}]}]}`, kindDomain},
+		{"trailing brace", `{"id":"x","axis":{"n2":[32]},"cases":[{}]}}`, kindDomain},
 	}
 	for _, tc := range cases {
 		resp, data := postEval(t, ts.URL, tc.body)

@@ -18,8 +18,8 @@ const TraceHeader = "X-Bandwall-Trace"
 // (and as per-route histograms serve.stage_us.{route}.{stage}).
 const (
 	StageAdmit        = "admit"        // admission-semaphore acquisition
-	StageParse        = "parse"        // body read + strict spec parse
-	StageFingerprint  = "fingerprint"  // canonical spec fingerprint
+	StageParse        = "parse"        // body read + key-memo lookup + strict spec parse (memo miss only)
+	StageFingerprint  = "fingerprint"  // canonical spec fingerprint (empty on a key-memo hit)
 	StageCacheLookup  = "cache.lookup" // response-LRU probe
 	StageSingleflight = "singleflight" // leader solve or follower wait
 	StageRender       = "render"       // outcome → response bytes (inside singleflight)

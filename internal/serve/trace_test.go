@@ -168,28 +168,31 @@ func TestTraceStagesColdEval(t *testing.T) {
 
 // TestTraceStagesCacheHit: a repeat query of either kind is served from
 // the response cache — its trace stops at cache.lookup and never enters
-// singleflight.
+// singleflight. The first repeat parses (memo miss); the second takes
+// its key from the key memo and keeps the same stages.
 func TestTraceStagesCacheHit(t *testing.T) {
 	for _, k := range queryKinds {
 		t.Run(k.name, func(t *testing.T) {
 			_, ts, _ := newTestServer(t, Config{}, nil)
 			post(t, ts.URL+k.path, k.body) // warm
-			resp, _ := post(t, ts.URL+k.path, k.body)
-			if got := resp.Header.Get(CacheHeader); got != "hit" {
-				t.Fatalf("%s = %q, want hit", CacheHeader, got)
-			}
-			ti := fetchTrace(t, ts.URL, resp.Header.Get(TraceHeader))
-			stages := stageSet(ti)
-			for _, want := range []string{StageAdmit, StageParse, StageFingerprint, StageCacheLookup, StageWrite} {
-				if _, ok := stages[want]; !ok {
-					t.Errorf("cache-hit trace missing stage %q", want)
+			for _, memo := range []string{"miss", "hit"} {
+				resp, _ := post(t, ts.URL+k.path, k.body)
+				if got := resp.Header.Get(CacheHeader); got != "hit" {
+					t.Fatalf("%s = %q, want hit", CacheHeader, got)
 				}
-			}
-			if _, ok := stages[StageSingleflight]; ok {
-				t.Error("cache-hit trace has a singleflight stage; the lookup should have short-circuited")
-			}
-			if ti.Attrs["cache"] != "hit" {
-				t.Errorf("attrs[cache] = %q, want hit", ti.Attrs["cache"])
+				ti := fetchTrace(t, ts.URL, resp.Header.Get(TraceHeader))
+				stages := stageSet(ti)
+				for _, want := range []string{StageAdmit, StageParse, StageFingerprint, StageCacheLookup, StageWrite} {
+					if _, ok := stages[want]; !ok {
+						t.Errorf("memo %s: cache-hit trace missing stage %q", memo, want)
+					}
+				}
+				if _, ok := stages[StageSingleflight]; ok {
+					t.Errorf("memo %s: cache-hit trace has a singleflight stage; the lookup should have short-circuited", memo)
+				}
+				if ti.Attrs["cache"] != "hit" || ti.Attrs["memo"] != memo {
+					t.Errorf("attrs = %v, want cache=hit memo=%s", ti.Attrs, memo)
+				}
 			}
 		})
 	}
@@ -413,16 +416,20 @@ func TestStageHistogramsAndExemplars(t *testing.T) {
 	}
 }
 
-// TestCacheEndpoint: GET /v1/cache reports both layers' occupancy and
+// TestCacheEndpoint: GET /v1/cache reports every layer's occupancy and
 // hits; DELETE purges them.
 func TestCacheEndpoint(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{}, nil)
 	postEval(t, ts.URL, stackedSpec)
-	postEval(t, ts.URL, stackedSpec) // response-cache hit
+	postEval(t, ts.URL, stackedSpec) // response-cache hit: admits the body to the key memo
 	postEval(t, ts.URL, specWithID("other", 16))
 
 	var info CacheInfoResponse
 	getJSON(t, ts.URL+"/v1/cache", &info)
+	wantMemo := KeyMemoInfo{Entries: 1, Bytes: len(stackedSpec) + 64, Cap: keyMemoMaxBytes, Misses: 3}
+	if info.KeyMemo != wantMemo {
+		t.Fatalf("key memo = %+v, want %+v", info.KeyMemo, wantMemo)
+	}
 	if info.ResponseCache.Entries != 2 {
 		t.Fatalf("response cache entries = %d, want 2", info.ResponseCache.Entries)
 	}
@@ -449,11 +456,11 @@ func TestCacheEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&purged); err != nil {
 		t.Fatal(err)
 	}
-	if purged.ResponseEntriesPurged != 2 || purged.SolverEntriesPurged == 0 {
-		t.Fatalf("purge = %+v, want 2 response entries and nonzero solver entries", purged)
+	if purged.KeyMemoEntriesPurged != 1 || purged.ResponseEntriesPurged != 2 || purged.SolverEntriesPurged == 0 {
+		t.Fatalf("purge = %+v, want 1 memo entry, 2 response entries and nonzero solver entries", purged)
 	}
 	getJSON(t, ts.URL+"/v1/cache", &info)
-	if info.ResponseCache.Entries != 0 || info.SolverCache.Entries != 0 {
+	if info.KeyMemo.Entries != 0 || info.KeyMemo.Bytes != 0 || info.ResponseCache.Entries != 0 || info.SolverCache.Entries != 0 {
 		t.Fatalf("after purge: %+v, want empty caches", info)
 	}
 }

@@ -21,15 +21,15 @@ type ValidateResponse struct {
 // have sent (ErrDomain → 400 "domain"), which makes this the cheap
 // per-keystroke check: no admission slot, no deadline, no solver work.
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	sp, key, ok := evalQuery.read(w, r)
+	in, ok := evalQuery.read(w, r, nil) // no memo: the answer needs the parsed spec
 	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, ValidateResponse{
 		Valid:       true,
-		ID:          sp.ID,
-		Title:       sp.Title,
-		Fingerprint: key,
-		Cases:       len(sp.Cases),
+		ID:          in.spec.ID,
+		Title:       in.spec.Title,
+		Fingerprint: in.key,
+		Cases:       len(in.spec.Cases),
 	})
 }
