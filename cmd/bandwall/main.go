@@ -12,13 +12,18 @@
 //	bandwall gateway -replicas URL,URL,... [-addr HOST:PORT] [-attempts N] [-breaker-threshold N] [-breaker-cooldown D] [-hedge Q] [-stale-cache N]
 //	bandwall loadgen [-url URL] [-spec SPEC.json] [-c N] [-d D] [-chaos] [-json FILE]
 //	bandwall top [-url URL] [-interval D] [-n N] [-route R] [-plain]
-//	bandwall cores [-n2 N] [-budget B] [-alpha A] [-tech SPEC]
+//	bandwall cores [-n2 N] [-budget B] [-alpha A] [-tech SPEC] [-verbose]
 //	bandwall traffic [-p2 P] [-c2 C] [-alpha A] [-tech SPEC]
-//	bandwall sweep [-gens G] [-budget B] [-alpha A] [-tech SPEC]
-//	bandwall bench [-json FILE] [-accesses N]
+//	bandwall sweep [-gens G] [-budget B] [-alpha A] [-tech SPEC] [-verbose]
+//	bandwall trace gen|stats|sim [flags]
+//	bandwall report [-quick] [-jobs N] [-metrics FILE]
+//	bandwall selftest [SPEC.json...]
+//	bandwall fit [-ci] [-project=false] FILE.csv
 //
 // The shared suite flags (run, eval) are -jobs, -csv, -json, -metrics,
-// -timings, -timeout, -retries, -backoff, -checkpoint, and -resume.
+// -timings, -timeout, -retries, -backoff, -checkpoint, and -resume. The
+// profiling flags (run, eval, report) are -cpuprofile, -memprofile and
+// -trace.
 //
 // Technique SPECs look like "CC/LC=2 + DRAM=8 + 3D + SmCl=0.4"; see
 // bandwall.ParseStack for the grammar.
@@ -127,8 +132,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return cmdReport(ctx, args[1:], out)
 	case "selftest":
 		return cmdSelftest(args[1:], out)
-	case "bench":
-		return cmdBench(args[1:], out)
 	case "fit":
 		return cmdFit(args[1:], out)
 	case "help", "-h", "--help":
@@ -155,10 +158,9 @@ subcommands:
   traffic   relative traffic:        traffic -p2 12 -c2 20 -alpha 0.5 -tech ""
   sweep     generation sweep:        sweep -gens 4 -budget 1 -tech "CC/LC=2 + DRAM=8" [-verbose]
   trace     trace files:             trace gen|stats|sim (see trace -h)
-  report    run everything and emit a Markdown report
+  report    run everything and emit a Markdown report: report [-quick] [-jobs N] [-metrics FILE]
   selftest  verify every pinned paper number in seconds: selftest [SPEC.json...]
-  bench     time brute-force vs single-pass miss-curve pipelines: bench [-json FILE] [-accesses N]
-  fit       fit α to a miss-curve CSV and project core scaling
+  fit       fit α to a miss-curve CSV and project core scaling: fit [-ci] [-project=false] FILE.csv
 
 shared suite flags (run, eval):
   -jobs N  -csv DIR  -json  -metrics FILE  -timings

@@ -773,50 +773,6 @@ func TestFitErrors(t *testing.T) {
 	}
 }
 
-func TestBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two timed pipelines")
-	}
-	file := filepath.Join(t.TempDir(), "BENCH_misscurve.json")
-	out, err := runCapture(t, "bench", "-accesses", "20000", "-json", file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "speedup") || !strings.Contains(out, "mattson") {
-		t.Errorf("output missing summary lines:\n%s", out)
-	}
-	data, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec struct {
-		Name    string  `json:"name"`
-		Speedup float64 `json:"speedup"`
-		Alloc   float64 `json:"alloc_reduction"`
-		Brute   struct {
-			Ns float64 `json:"ns_per_op"`
-		} `json:"brute"`
-		Mattson struct {
-			Ns float64 `json:"ns_per_op"`
-		} `json:"mattson"`
-	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("recorded JSON: %v", err)
-	}
-	if rec.Name != "misscurve" || rec.Brute.Ns <= 0 || rec.Mattson.Ns <= 0 {
-		t.Errorf("record = %+v", rec)
-	}
-	if rec.Speedup <= 1 || rec.Alloc <= 1 {
-		t.Errorf("expected the single-pass profiler to win: speedup %.2f, alloc reduction %.2f", rec.Speedup, rec.Alloc)
-	}
-}
-
-func TestBenchBadFlag(t *testing.T) {
-	if _, err := runCapture(t, "bench", "-bogus"); err == nil {
-		t.Error("bad flag accepted")
-	}
-}
-
 // TestOptimizeSigintExitCode pins cancellation for the inverse optimizer:
 // SIGINT during a search whose solves are blocked by an injected sleep
 // must tear the worker pool down promptly and exit 130.

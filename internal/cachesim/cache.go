@@ -69,9 +69,6 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns a copy of the accumulated counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -237,14 +234,6 @@ func (c *Cache) storeBytes() int {
 		return c.cfg.SectorBytes
 	}
 	return 8 // one word
-}
-
-// fillSize is the inward transfer for one fill.
-func (c *Cache) fillSize() int {
-	if c.sectorsPer > 1 {
-		return c.cfg.SectorBytes
-	}
-	return c.cfg.LineBytes
 }
 
 // dirtyBytes is the outward transfer when evicting w dirty.

@@ -79,6 +79,7 @@ func runExtDRAMLat(ctx context.Context, o Options) (*Result, error) {
 			for _, a := range tr[warmup:] {
 				h.Access(a)
 			}
+			h.FlushObs()
 			timing := sramTiming
 			if name == "dram" {
 				timing = dramTiming

@@ -39,9 +39,6 @@ type Options struct {
 	ProfileWorkers int
 }
 
-// Defaults returns full-fidelity options.
-func Defaults() Options { return Options{} }
-
 // Result is one experiment's rendered output plus machine-readable
 // headline values.
 type Result struct {

@@ -7,6 +7,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // quick returns CI-speed options.
@@ -505,6 +507,37 @@ func TestExtDRAMLatency(t *testing.T) {
 	dramBig, _ := r.Value("dram:large (32MB)")
 	if !(sramBig < dramBig) {
 		t.Errorf("SRAM L2 should win when both thrash: %v vs %v", sramBig, dramBig)
+	}
+}
+
+// TestSimulatorsPublishObs runs ext-dramlat and fig14 against a fresh obs
+// registry: cachesim.accesses must count at least every L1 access of the
+// run, measured window included (3 footprints × 2 L2s × 250,000, and 3
+// core counts × 250,000).
+func TestSimulatorsPublishObs(t *testing.T) {
+	for _, tc := range []struct {
+		id         string
+		l1Accesses uint64
+	}{
+		{"ext-dramlat", 3 * 2 * 250_000},
+		{"fig14", 3 * 250_000},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			prev := obs.Default()
+			obs.SetDefault(reg)
+			defer obs.SetDefault(prev)
+			e, ok := ByID(tc.id)
+			if !ok {
+				t.Fatalf("experiment %s not registered", tc.id)
+			}
+			if _, err := RunOne(context.Background(), e, quick()); err != nil {
+				t.Fatal(err)
+			}
+			if got := reg.Counter("cachesim.accesses").Value(); got < tc.l1Accesses {
+				t.Errorf("cachesim.accesses = %d, want ≥ %d", got, tc.l1Accesses)
+			}
+		})
 	}
 }
 

@@ -2,14 +2,9 @@ package exp
 
 import (
 	"context"
-	"repro/internal/power"
 	"repro/internal/render"
 	"repro/internal/technique"
 )
-
-// scalingBase returns the paper's baseline configuration; kept here so the
-// exp package has one authoritative definition.
-func scalingBase() power.Config { return power.Baseline() }
 
 func table2Exp() Experiment {
 	return Experiment{

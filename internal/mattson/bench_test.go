@@ -23,21 +23,17 @@ func benchTrace(b *testing.B) []trace.Access {
 	return benchMaster
 }
 
-// BenchmarkStack times the fully-associative profiler's fenwickStack
-// against its treapStack test reference on the same access stream (the
-// cost gap the package doc cites).
+// BenchmarkStack times the fully-associative profiler's fenwickStack on
+// the quick Fig 1 access stream.
 func BenchmarkStack(b *testing.B) {
 	tr := benchTrace(b)
-	run := func(b *testing.B, s distanceStack) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, a := range tr {
-				s.Touch(a.Addr >> 6)
-			}
+	s := newFenwickStack(len(tr))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, a := range tr {
+			s.Touch(a.Addr >> 6)
 		}
 	}
-	b.Run("Fenwick", func(b *testing.B) { run(b, newFenwickStack(len(tr))) })
-	b.Run("Treap", func(b *testing.B) { run(b, newTreapStack()) })
 }
 
 // BenchmarkSetProfilerRun isolates one profiler instance per swept size,

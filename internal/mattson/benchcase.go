@@ -10,9 +10,9 @@ import (
 
 // Fig1Bench pins the benchmark configuration that compares the brute-force
 // miss-curve pipeline against the single-pass profiler: the quick Fig 1
-// sweep (five sizes, 32KB–512KB, 8-way LRU write-back). It is shared by
-// the root go-test benchmarks (BenchmarkMissCurveBrute/Mattson) and the
-// `bandwall bench` recorder so both measure the identical workload.
+// sweep (five sizes, 32KB–512KB, 8-way LRU write-back). The root go-test
+// benchmarks (BenchmarkMissCurveBrute/Mattson/Parallel) and this package's
+// benchmarks and tests share it, so they all measure the identical workload.
 type Fig1Bench struct {
 	Base     cachesim.Config
 	Sizes    []int
@@ -61,7 +61,7 @@ func (f Fig1Bench) RunBrute(stream trace.Generator) ([]cachesim.CurvePoint, erro
 }
 
 // RunMattson executes one single-pass pipeline iteration over the same
-// stream with one inline worker pinned (workers=1), so recorded serial
+// stream with one inline worker pinned (workers=1), so serial
 // numbers stay comparable across machines regardless of GOMAXPROCS.
 func (f Fig1Bench) RunMattson(stream trace.Generator) ([]cachesim.CurvePoint, error) {
 	return MissCurveFastParallel(context.Background(), stream, f.Base, f.Sizes, f.Warmup, f.Accesses, 1)
@@ -71,17 +71,4 @@ func (f Fig1Bench) RunMattson(stream trace.Generator) ([]cachesim.CurvePoint, er
 // workers (0 = GOMAXPROCS). Output is bit-identical to RunMattson.
 func (f Fig1Bench) RunMattsonParallel(stream trace.Generator, workers int) ([]cachesim.CurvePoint, error) {
 	return MissCurveFastParallel(context.Background(), stream, f.Base, f.Sizes, f.Warmup, f.Accesses, workers)
-}
-
-// ParallelWorkers reports the worker count RunMattsonParallel(stream, w)
-// actually resolves to for this configuration — what `bandwall bench`
-// records next to the parallel measurement.
-func (f Fig1Bench) ParallelWorkers(w int) int {
-	sets := (f.Sizes[0] / f.Base.LineBytes) / f.Base.Assoc
-	for _, sz := range f.Sizes[1:] {
-		if s := (sz / f.Base.LineBytes) / f.Base.Assoc; s < sets {
-			sets = s
-		}
-	}
-	return parallelWorkers(w, sets)
 }

@@ -35,12 +35,6 @@ func (h *Histogram) Record(d int) {
 	}
 }
 
-// Reset zeroes the histogram, retaining capacity.
-func (h *Histogram) Reset() {
-	clear(h.counts)
-	h.over, h.cold, h.total = 0, 0, 0
-}
-
 // Total returns the number of recorded accesses.
 func (h *Histogram) Total() uint64 { return h.total }
 

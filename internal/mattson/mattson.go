@@ -37,10 +37,7 @@
 // The fully-associative stack is a Fenwick tree over access-time slots
 // (fenwickStack): each access takes the next slot, and a re-reference's
 // distance is the number of occupied slots after its previous one. The
-// tests cross-check it against an independent treap over the same
-// timestamps, built on internal/ranklist, and bench_test.go pins the cost
-// gap: a handful of cache-friendly array updates per access against the
-// treap's pointer chasing.
+// tests cross-check it against a naive move-to-front list.
 package mattson
 
 // Cold is the distance reported for a first-touch access: no previous
@@ -83,8 +80,3 @@ func (p *Profiler) Skip(line uint64) {
 
 // Hist returns the accumulated reuse-distance histogram.
 func (p *Profiler) Hist() *Histogram { return &p.hist }
-
-// ResetHist clears the histogram while keeping stack state — the warmup
-// boundary operation when warmup accesses were Recorded rather than
-// Skipped.
-func (p *Profiler) ResetHist() { p.hist.Reset() }

@@ -42,37 +42,34 @@ func xorStream(seed, footprint uint64) func() uint64 {
 }
 
 func TestFenwickStackMatchesNaive(t *testing.T) {
-	// 10k accesses over 512 lines crosses the 4096-slot initial capacity,
-	// so slot compaction is exercised too.
-	next := xorStream(42, 512)
-	fen := newFenwickStack(0)
-	var ref naiveStack
-	for i := 0; i < 10_000; i++ {
-		line := next()
-		got, want := fen.Touch(line), ref.touch(line)
-		if got != want {
-			t.Fatalf("access %d line %d: fenwick distance %d, naive %d", i, line, got, want)
-		}
-	}
-	fen.Reset()
-	if d := fen.Touch(7); d != Cold {
-		t.Fatalf("after Reset, first touch distance = %d, want Cold", d)
-	}
-}
-
-func TestFenwickStackMatchesTreap(t *testing.T) {
-	// A 3000-line footprint exceeds half the initial slot space, forcing
-	// the compactor down its doubling path; the treap is an independent
-	// implementation to cross-check against at this scale.
-	next := xorStream(99, 3000)
-	fen := newFenwickStack(0)
-	tre := newTreapStack()
-	for i := 0; i < 50_000; i++ {
-		line := next()
-		got, want := fen.Touch(line), tre.Touch(line)
-		if got != want {
-			t.Fatalf("access %d line %d: fenwick distance %d, treap %d", i, line, got, want)
-		}
+	for _, tc := range []struct {
+		name            string
+		seed, footprint uint64
+		accesses        int
+	}{
+		// 10k accesses over 512 lines crosses the 4096-slot initial
+		// capacity, so slot compaction is exercised.
+		{"compaction", 42, 512, 10_000},
+		// A 3000-line footprint exceeds half the initial slot space,
+		// forcing the compactor down its doubling path.
+		{"doubling", 99, 3000, 50_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			next := xorStream(tc.seed, tc.footprint)
+			fen := newFenwickStack(0)
+			var ref naiveStack
+			for i := 0; i < tc.accesses; i++ {
+				line := next()
+				got, want := fen.Touch(line), ref.touch(line)
+				if got != want {
+					t.Fatalf("access %d line %d: fenwick distance %d, naive %d", i, line, got, want)
+				}
+			}
+			fen.Reset()
+			if d := fen.Touch(7); d != Cold {
+				t.Fatalf("after Reset, first touch distance = %d, want Cold", d)
+			}
+		})
 	}
 }
 
@@ -95,10 +92,6 @@ func TestHistogramSuffixSums(t *testing.T) {
 	}
 	if r := h.MissRatio(2); r != 4.0/6.0 {
 		t.Errorf("MissRatio(2) = %v, want %v", r, 4.0/6.0)
-	}
-	h.Reset()
-	if h.Total() != 0 || h.Misses(0) != 0 {
-		t.Errorf("Reset left total=%d misses=%d", h.Total(), h.Misses(0))
 	}
 }
 

@@ -148,9 +148,6 @@ func newSetProfiler(cfg cachesim.Config, ar *sweepArena) (*SetProfiler, error) {
 	return p, nil
 }
 
-// Config returns the profiled configuration.
-func (p *SetProfiler) Config() cachesim.Config { return p.cfg }
-
 // Stats returns a copy of the accumulated counters.
 func (p *SetProfiler) Stats() cachesim.Stats { return p.stats }
 

@@ -181,8 +181,15 @@ func (c *CMP) reconcile(justInserted uint64) {
 	c.pending = c.pending[:0]
 }
 
-// Run drives n accesses from the generator through the chip.
+// Run drives n accesses from the generator through the chip, then
+// publishes every cache's obs counter deltas, as cachesim.RunTrace does.
 func (c *CMP) Run(g trace.Generator, n int) error {
+	defer func() {
+		for _, l1 := range c.l1s {
+			l1.FlushObs()
+		}
+		c.l2.FlushObs()
+	}()
 	for i := 0; i < n; i++ {
 		if err := c.Access(g.Next()); err != nil {
 			return err

@@ -53,10 +53,6 @@ func (c Config) String() string {
 // with 8 cores and 8 CEAs of L2 cache (≈4MB), i.e. N1=16, S1=1 (§5.1).
 func Baseline() Config { return Config{P: 8, C: 8} }
 
-// BaselineCacheKB is the approximate L2 capacity, in KB, of the baseline's
-// 8 cache CEAs (≈4MB per §5.1). One CEA of SRAM cache ≈ 512KB.
-const BaselineCacheKB = 4096
-
 // SplitArea allocates n total CEAs between p cores and the remaining cache,
 // mirroring how the paper sweeps next-generation configurations
 // (C2 = N2 − P2). p must lie in (0, n].

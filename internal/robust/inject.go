@@ -215,13 +215,6 @@ func SetInjector(in *Injector) (restore func()) {
 // ActiveInjector returns the installed injector, or nil.
 func ActiveInjector() *Injector { return active.Load() }
 
-// MatrixEnabled reports whether the active plan requests the broadened
-// test fault matrix (BANDWALL_FAULTS=all).
-func MatrixEnabled() bool {
-	in := active.Load()
-	return in != nil && in.plan != nil && in.plan.Matrix
-}
-
 // scopeKey carries the injection scope (the running experiment id).
 type scopeKey struct{}
 

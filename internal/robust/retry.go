@@ -24,8 +24,7 @@ type RetryConfig struct {
 // DefaultMaxDelay caps retry backoff when RetryConfig.MaxDelay is unset.
 const DefaultMaxDelay = 2 * time.Second
 
-// splitmix64 is the 64-bit finalizer from Vigna's splitmix64 generator —
-// the same mixer ranklist uses for treap priorities.
+// splitmix64 is the 64-bit finalizer from Vigna's splitmix64 generator.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -131,8 +131,8 @@ type PanicError struct {
 // Error implements error.
 func (p *PanicError) Error() string { return fmt.Sprintf("panic: %v", p.Value) }
 
-// Unwrap exposes a panic value that already was an error (e.g.
-// ranklist's typed rank error), so errors.Is sees through containment.
+// Unwrap exposes a panic value that already was an error, so errors.Is
+// sees through containment.
 func (p *PanicError) Unwrap() error {
 	if err, ok := p.Value.(error); ok {
 		return err

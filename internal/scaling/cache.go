@@ -332,14 +332,6 @@ func (c *EvalCache) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// Shards returns the shard count (introspection and tests).
-func (c *EvalCache) Shards() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.shards)
-}
-
 // Len returns the number of memoized evaluations across all shards.
 func (c *EvalCache) Len() int {
 	if c == nil {

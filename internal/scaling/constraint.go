@@ -331,19 +331,6 @@ func Bandwidth(budget float64, compound bool) Constraint {
 	return NewConstraint(BandwidthWall{Budget: budget, Compound: compound})
 }
 
-// Walls returns the constraint's walls in order.
-func (c Constraint) Walls() []Wall {
-	cp := make([]Wall, len(c.walls))
-	copy(cp, c.walls)
-	return cp
-}
-
-// Empty reports whether the constraint has no walls.
-func (c Constraint) Empty() bool { return len(c.walls) == 0 }
-
-// MultiWall reports whether more than one wall is in force.
-func (c Constraint) MultiWall() bool { return len(c.walls) > 1 }
-
 // Fingerprint hashes the full constraint set — every wall's kind and
 // parameters, in order — for memoization and identity checks.
 func (c Constraint) Fingerprint() uint64 {

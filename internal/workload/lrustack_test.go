@@ -6,17 +6,14 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/ranklist"
 )
 
-// seededPair returns an lruStack holding lines 0..n-1 and a ranklist
-// reference built by n pushes, the way the treap-backed generator seeded
-// its footprint.
-func seededPair(n int) (*lruStack, *ranklist.List) {
-	ref := ranklist.New(1)
+// seededPair returns an lruStack holding lines 0..n-1 and a naiveLRU
+// reference built by n pushes, the way the generator seeds its footprint.
+func seededPair(n int) (*lruStack, *naiveLRU) {
+	ref := &naiveLRU{}
 	for i := 0; i < n; i++ {
-		ref.PushFront(uint64(i))
+		ref.pushFront(uint64(i))
 	}
 	return newLRUStack(n), ref
 }
@@ -33,12 +30,12 @@ func (s *lruStack) contents() []uint64 {
 }
 
 // sameStack fails unless s and ref hold the same lines in the same order.
-func sameStack(t *testing.T, s *lruStack, ref *ranklist.List, step string) {
+func sameStack(t *testing.T, s *lruStack, ref *naiveLRU, step string) {
 	t.Helper()
-	if s.Len() != ref.Len() {
-		t.Fatalf("%s: Len %d, reference %d", step, s.Len(), ref.Len())
+	if s.Len() != len(*ref) {
+		t.Fatalf("%s: Len %d, reference %d", step, s.Len(), len(*ref))
 	}
-	if got, want := s.contents(), ref.Slice(); !slices.Equal(got, want) {
+	if got, want := s.contents(), []uint64(*ref); !slices.Equal(got, want) {
 		t.Fatalf("%s: stack %v, reference %v", step, got, want)
 	}
 }
@@ -50,11 +47,11 @@ func panics(fn func()) (v any) {
 	return nil
 }
 
-// TestLRUStackMatchesRanklist runs random push/move sequences against the
-// treap reference, comparing every returned line and the whole stack after
+// TestLRUStackMatchesNaive runs random push/move sequences against the
+// naiveLRU reference, comparing every returned line and the whole stack after
 // every operation. Ranks favour the ends (0 and Len()-1), and the sizes
 // straddle the 64-slot word edges.
-func TestLRUStackMatchesRanklist(t *testing.T) {
+func TestLRUStackMatchesNaive(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 63, 64, 65, 127, 128, 129, 700} {
 		rng := rand.New(rand.NewSource(int64(n) + 1))
 		s, ref := seededPair(n)
@@ -62,9 +59,9 @@ func TestLRUStackMatchesRanklist(t *testing.T) {
 		next := uint64(n)
 		for op := 0; op < 3000; op++ {
 			step := fmt.Sprintf("n=%d op %d", n, op)
-			if ref.Len() == 0 || rng.Intn(4) == 0 {
+			if len(*ref) == 0 || rng.Intn(4) == 0 {
 				s.PushFront(next)
-				ref.PushFront(next)
+				ref.pushFront(next)
 				next++
 			} else {
 				var rank int
@@ -72,11 +69,11 @@ func TestLRUStackMatchesRanklist(t *testing.T) {
 				case 0:
 					rank = 0
 				case 1:
-					rank = ref.Len() - 1
+					rank = len(*ref) - 1
 				default:
-					rank = rng.Intn(ref.Len())
+					rank = rng.Intn(len(*ref))
 				}
-				if got, want := s.MoveToFront(rank), ref.MoveToFront(rank); got != want {
+				if got, want := s.MoveToFront(rank), ref.moveToFront(rank); got != want {
 					t.Fatalf("%s: MoveToFront(%d) = %d, reference %d", step, rank, got, want)
 				}
 			}
@@ -92,7 +89,7 @@ func TestLRUStackEverySlot(t *testing.T) {
 	const n = 200
 	for rank := 0; rank < n; rank++ {
 		s, ref := seededPair(n)
-		got, want := s.MoveToFront(rank), ref.MoveToFront(rank)
+		got, want := s.MoveToFront(rank), ref.moveToFront(rank)
 		if got != want || got != uint64(n-1-rank) {
 			t.Fatalf("MoveToFront(%d) = %d, reference %d, want line %d", rank, got, want, n-1-rank)
 		}
@@ -120,14 +117,14 @@ func TestLRUStackCompaction(t *testing.T) {
 			next := uint64(tc.n)
 			for i := 0; i < tc.pushes; i++ {
 				s.PushFront(next)
-				ref.PushFront(next)
+				ref.pushFront(next)
 				next++
 			}
 			compactions := 0
 			for op := 0; op < 1000; op++ {
 				before := s.next
-				rank := rng.Intn(ref.Len())
-				if got, want := s.MoveToFront(rank), ref.MoveToFront(rank); got != want {
+				rank := rng.Intn(len(*ref))
+				if got, want := s.MoveToFront(rank), ref.moveToFront(rank); got != want {
 					t.Fatalf("op %d: MoveToFront(%d) = %d, reference %d", op, rank, got, want)
 				}
 				if s.next <= before {

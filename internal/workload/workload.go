@@ -287,49 +287,3 @@ func (p *Phased) Next() trace.Access {
 		Write: p.rng.Float64() < p.wfrac,
 	}
 }
-
-// Mixed interleaves several generators with fixed weights, modeling a
-// workload mix (e.g. the paper's "commercial average").
-type Mixed struct {
-	rng     *rand.Rand
-	gens    []trace.Generator
-	cumulat []float64
-}
-
-// NewMixed interleaves gens, choosing each next source with probability
-// proportional to its weight.
-func NewMixed(gens []trace.Generator, weights []float64, seed int64) (*Mixed, error) {
-	if len(gens) == 0 || len(gens) != len(weights) {
-		return nil, fmt.Errorf("workload: need equal non-zero generators (%d) and weights (%d)", len(gens), len(weights))
-	}
-	var total float64
-	for _, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("workload: weights must be positive, got %g", w)
-		}
-		total += w
-	}
-	cum := make([]float64, len(weights))
-	run := 0.0
-	for i, w := range weights {
-		run += w / total
-		cum[i] = run
-	}
-	cum[len(cum)-1] = 1 // guard against rounding
-	return &Mixed{
-		rng:     rand.New(rand.NewSource(seed)),
-		gens:    gens,
-		cumulat: cum,
-	}, nil
-}
-
-// Next implements trace.Generator.
-func (m *Mixed) Next() trace.Access {
-	u := m.rng.Float64()
-	for i, c := range m.cumulat {
-		if u < c {
-			return m.gens[i].Next()
-		}
-	}
-	return m.gens[len(m.gens)-1].Next()
-}

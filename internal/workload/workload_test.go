@@ -259,42 +259,6 @@ func TestPhased(t *testing.T) {
 	}
 }
 
-func TestMixed(t *testing.T) {
-	s1, _ := NewStrided(4, 1, 0)
-	s2, _ := NewStrided(4, 2, 1<<20)
-	m, err := NewMixed([]trace.Generator{s1, s2}, []float64{3, 1}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	as := trace.Collect(m, 10000)
-	var from1 int
-	for _, a := range as {
-		if a.TID == 1 {
-			from1++
-		}
-	}
-	frac := float64(from1) / float64(len(as))
-	if math.Abs(frac-0.75) > 0.03 {
-		t.Errorf("weight-3 source got %.3f of accesses, want ≈0.75", frac)
-	}
-}
-
-func TestMixedValidation(t *testing.T) {
-	s1, _ := NewStrided(4, 0, 0)
-	if _, err := NewMixed(nil, nil, 1); err == nil {
-		t.Error("empty mix accepted")
-	}
-	if _, err := NewMixed([]trace.Generator{s1}, []float64{1, 2}, 1); err == nil {
-		t.Error("mismatched weights accepted")
-	}
-	if _, err := NewMixed([]trace.Generator{s1}, []float64{0}, 1); err == nil {
-		t.Error("zero weight accepted")
-	}
-	if _, err := NewMixed([]trace.Generator{s1}, []float64{-1}, 1); err == nil {
-		t.Error("negative weight accepted")
-	}
-}
-
 func TestWritesPerLineConstant(t *testing.T) {
 	// With WritesPerLine, the same line is always written or never.
 	cfg := stackCfg()

@@ -18,8 +18,7 @@ import (
 //
 // Both draw from a replay of the same pre-collected master trace, so the
 // workload generator's cost (which dwarfs either pipeline) is excluded and
-// the numbers isolate the miss-curve stage itself. `bandwall bench`
-// records the same comparison to a JSON file for tracking.
+// the numbers isolate the miss-curve stage itself.
 
 var masterTrace = sync.OnceValue(func() []trace.Access {
 	tr, err := mattson.QuickFig1Bench().MasterTrace()
