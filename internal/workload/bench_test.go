@@ -1,27 +1,51 @@
-package workload
+package workload_test
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/suite"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
-func BenchmarkStackDistanceNext(b *testing.B) {
-	g, err := NewStackDistance(StackDistanceConfig{
-		Alpha: 0.5, HotLines: 256, FootprintLines: 1 << 18,
-		WriteFraction: 0.3, WritesPerLine: true, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Next()
+// benchPowerLaw runs fn once per power-law suite.Paper workload, named by
+// its α: the generators fig01's quick run builds. The Pareto draw's cost
+// depends on α: math.Pow skips Exp and Log for the integer exponents of
+// α = 0.25 and 0.5 (−4 and −2), and the table's fallback rate varies.
+func benchPowerLaw(b *testing.B, fn func(b *testing.B, wl suite.Workload)) {
+	for _, wl := range suite.Paper {
+		if !wl.Phased {
+			b.Run(fmt.Sprintf("alpha=%.2f", wl.TargetAlpha), func(b *testing.B) { fn(b, wl) })
+		}
 	}
 }
 
+func BenchmarkStackDistanceNext(b *testing.B) {
+	benchPowerLaw(b, func(b *testing.B, wl suite.Workload) {
+		g, err := wl.Build(quickFig01Build(0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g.Next()
+		}
+	})
+}
+
+func BenchmarkNewStackDistance(b *testing.B) {
+	benchPowerLaw(b, func(b *testing.B, wl suite.Workload) {
+		for i := 0; i < b.N; i++ {
+			if _, err := wl.Build(quickFig01Build(0)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func BenchmarkZipfNext(b *testing.B) {
-	g, err := NewZipf(1<<20, 1.2, 0.3, 1, 0, 0)
+	g, err := workload.NewZipf(1<<20, 1.2, 0.3, 1, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -32,7 +56,7 @@ func BenchmarkZipfNext(b *testing.B) {
 }
 
 func BenchmarkSharedPrivateNext(b *testing.B) {
-	g, err := NewSharedPrivate(SharedPrivateConfig{
+	g, err := workload.NewSharedPrivate(workload.SharedPrivateConfig{
 		Threads: 16, SharedLines: 1 << 13, PrivateLines: 1 << 13,
 		SharedAccessFrac: 0.5, Skew: 1.1, WriteFraction: 0.2, Seed: 1,
 	})
@@ -47,7 +71,7 @@ func BenchmarkSharedPrivateNext(b *testing.B) {
 
 func BenchmarkCollect1M(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		g, err := NewStackDistance(StackDistanceConfig{
+		g, err := workload.NewStackDistance(workload.StackDistanceConfig{
 			Alpha: 0.5, HotLines: 256, FootprintLines: 1 << 16,
 			WriteFraction: 0.3, Seed: int64(i),
 		})

@@ -13,7 +13,9 @@ import (
 // and workload name. They were recorded from the treap-backed generator
 // that preceded lruStack, so they pin the stream across any change to the
 // stack's internals: a single different rank, line id, RNG draw or write
-// bit changes a digest.
+// bit changes a digest. They also predate paretoDraw's table, so they pin
+// the table draw to the plain math.Pow inversion: one depth or cold flag
+// decided differently changes a digest.
 var streamPins = map[int64]map[string]uint64{
 	0: {
 		"SPECjbb (linux)": 0xb8e68f52539da51d,

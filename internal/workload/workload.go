@@ -6,14 +6,17 @@
 // Pareto-tailed distribution with exponent α, so an LRU cache of L lines
 // sees miss ratio ≈ P(depth > L) ∝ L^-α — by construction the power law of
 // cache misses (Eq. 1) that the paper's Fig 1 calibrates against real
-// workloads. Other generators model the paper's secondary observations:
-// phased working sets (SPEC-like discrete miss curves), streaming scans,
-// and multithreaded shared/private mixes (PARSEC-like, for Fig 14).
+// workloads. It inverts the Pareto CDF from a small table built once per
+// α, and runs math.Pow only for the draws a 1e-9 guard band cannot
+// decide, so its stream is the one plain math.Pow inversion gives, bit
+// for bit (paretoDraw states the error budget). Other generators model
+// the paper's secondary observations: phased working sets (SPEC-like
+// discrete miss curves), streaming scans, and multithreaded
+// shared/private mixes (PARSEC-like, for Fig 14).
 package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/trace"
@@ -89,7 +92,8 @@ type StackDistance struct {
 	cfg   StackDistanceConfig
 	rng   *rand.Rand
 	stack *lruStack
-	next  uint64 // next fresh line id
+	next  uint64     // next fresh line id
+	draw  paretoDraw // u → depth, from a per-α table where it is exact
 }
 
 // NewStackDistance builds the generator, pre-seeding the LRU stack with
@@ -103,6 +107,7 @@ func NewStackDistance(cfg StackDistanceConfig) (*StackDistance, error) {
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		stack: newLRUStack(cfg.FootprintLines),
 		next:  uint64(cfg.FootprintLines),
+		draw:  newParetoDraw(cfg.Alpha, cfg.HotLines),
 	}, nil
 }
 
@@ -148,18 +153,13 @@ func (g *StackDistance) isWrite(line uint64) bool {
 // distribution P(D > x) = (x/x0)^-α via inverse transform. Draws beyond the
 // live stack are reported as cold: the referenced datum is "further away
 // than everything seen", i.e. new. Leaving the tail unconditioned keeps the
-// miss probability at a cache of C ≥ x0 lines exactly (C/x0)^-α.
+// miss probability at a cache of C ≥ x0 lines exactly (C/x0)^-α. The
+// inversion x0·u^(-1/α) is read from the generator's per-α table when a
+// guard band proves the table's answer equals math.Pow's, and computed
+// with math.Pow otherwise, so every depth, cold flag and RNG draw is the
+// one math.Pow alone would give (see paretoDraw).
 func (g *StackDistance) sampleDepth() (depth int, cold bool) {
-	n := g.stack.Len()
-	u := g.rng.Float64()
-	if u == 0 {
-		return 0, true
-	}
-	x := float64(g.cfg.HotLines) * math.Pow(u, -1/g.cfg.Alpha)
-	if x >= float64(n) {
-		return 0, true
-	}
-	return int(x), false
+	return g.draw.depth(g.rng.Float64(), g.stack.Len())
 }
 
 // Zipf emits accesses under the independent reference model with Zipf
