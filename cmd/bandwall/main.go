@@ -10,7 +10,7 @@
 //	bandwall optimize [-json] [-csv DIR] [-jobs N] SPEC.json...
 //	bandwall serve [-addr HOST:PORT] [-inflight N] [-timeout D] [-drain D] [-cache N] [-tracebuf N] [-debug-addr HOST:PORT] [-quiet]
 //	bandwall gateway -replicas URL,URL,... [-addr HOST:PORT] [-attempts N] [-breaker-threshold N] [-breaker-cooldown D] [-hedge Q] [-stale-cache N]
-//	bandwall loadgen [-url URL] [-spec SPEC.json] [-c N] [-d D] [-chaos] [-json FILE]
+//	bandwall loadgen [-url URL] [-spec SPEC.json] [-c N] [-d D] [-chaos]
 //	bandwall top [-url URL] [-interval D] [-n N] [-route R] [-plain]
 //	bandwall cores [-n2 N] [-budget B] [-alpha A] [-tech SPEC] [-verbose]
 //	bandwall traffic [-p2 P] [-c2 C] [-alpha A] [-tech SPEC]
@@ -98,7 +98,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return usagef("%s: %v", robust.EnvFaults, err)
 		}
-		defer robust.SetInjector(robust.NewInjector(plan, 1))()
+		defer robust.SetInjector(robust.NewInjector(plan))()
 	}
 	if len(args) == 0 {
 		return usagef("missing subcommand (run 'bandwall help' for usage)")
@@ -152,7 +152,7 @@ subcommands:
   optimize  inverse design search:   optimize [-json] [-csv DIR] [-jobs N] examples/scenarios/optimize-area-budget.json
   serve     HTTP evaluation service: serve [-addr HOST:PORT] [-inflight N] [-timeout D] [-drain D] [-cache N] [-tracebuf N] [-debug-addr HOST:PORT] [-quiet]
   gateway   fleet front tier:        gateway -replicas URL,URL,... [-addr HOST:PORT] [-attempts N] [-breaker-threshold N] [-breaker-cooldown D] [-hedge Q] [-stale-cache N]
-  loadgen   drive a running server:  loadgen [-url URL] [-spec SPEC.json] [-c N] [-d D] [-chaos] [-json FILE]
+  loadgen   drive a running server:  loadgen [-url URL] [-spec SPEC.json] [-c N] [-d D] [-chaos]
   top       live server dashboard:   top [-url URL] [-interval D] [-n N] [-route R] [-plain]
   cores     supportable cores:       cores -n2 256 -budget 1 -alpha 0.5 -tech "DRAM=8" [-verbose]
   traffic   relative traffic:        traffic -p2 12 -c2 20 -alpha 0.5 -tech ""

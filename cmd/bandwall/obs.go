@@ -94,33 +94,22 @@ func printSolverObs(out io.Writer, reg *obs.Registry) {
 	}
 }
 
-// runProgress returns a RunAllParallelProgress callback that keeps one
-// rewriting status line on stderr, or nil when stderr is not a terminal
-// (so tests, pipes, and CI logs stay clean).
-func runProgress() func(done, total int, id string) {
+// suiteProgress returns an exp.SuiteConfig.OnDone callback that keeps one
+// rewriting status line on stderr, tagged with each experiment's outcome,
+// or nil when stderr is not a terminal (so tests, pipes, and CI logs stay
+// clean).
+func suiteProgress() func(done, total int, id, status string) {
 	fi, err := os.Stderr.Stat()
 	if err != nil || fi.Mode()&os.ModeCharDevice == 0 {
 		return nil
 	}
 	var mu sync.Mutex
-	return func(done, total int, id string) {
+	return func(done, total int, id, status string) {
 		mu.Lock()
 		defer mu.Unlock()
-		fmt.Fprintf(os.Stderr, "\rbandwall: %d/%d experiments done (last: %s)\x1b[K", done, total, id)
+		fmt.Fprintf(os.Stderr, "\rbandwall: %d/%d experiments done (last: %s %s)\x1b[K", done, total, id, status)
 		if done == total {
 			fmt.Fprintln(os.Stderr)
 		}
-	}
-}
-
-// suiteProgress adapts runProgress to exp.SuiteConfig.OnDone, tagging the
-// status line with each experiment's outcome.
-func suiteProgress() func(done, total int, id, status string) {
-	base := runProgress()
-	if base == nil {
-		return nil
-	}
-	return func(done, total int, id, status string) {
-		base(done, total, id+" "+status)
 	}
 }

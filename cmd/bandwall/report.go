@@ -30,7 +30,7 @@ func cmdReport(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	defer prof.stopQuiet()
-	results, err := exp.RunAllParallelProgress(ctx, exp.Options{Quick: *quick}, *jobs, runProgress())
+	outcomes, err := exp.RunSuite(ctx, exp.Registry, exp.Options{Quick: *quick}, exp.SuiteConfig{Workers: *jobs, OnDone: suiteProgress()})
 	if err != nil {
 		return err
 	}
@@ -44,7 +44,8 @@ func cmdReport(ctx context.Context, args []string, out io.Writer) error {
 		mode = "quick mode (reduced simulation sizes)"
 	}
 	fmt.Fprintf(out, "\nRun mode: %s.\n", mode)
-	for _, r := range results {
+	for _, oc := range outcomes {
+		r := oc.Result
 		info, _ := exp.ByID(r.ID)
 		fmt.Fprintf(out, "\n## %s — %s\n\n", r.ID, r.Title)
 		if info.Paper != "" {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -10,7 +9,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"sort"
 	"time"
 
 	"repro/internal/serve"
@@ -94,50 +92,6 @@ func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 	return nil
 }
 
-// serveBenchRun is one loadgen measurement at a fixed concurrency.
-type serveBenchRun struct {
-	Conns     int                 `json:"conns"`
-	DurationS float64             `json:"duration_s"`
-	Result    serve.LoadgenResult `json:"result"`
-}
-
-// serveBenchRecord is the BENCH_serve.json shape: the serving-path
-// throughput/latency baseline later PRs measure against, one run per
-// measured concurrency. Re-recording at a concurrency already present
-// replaces that run and keeps the others.
-type serveBenchRecord struct {
-	Name string          `json:"name"`
-	Date string          `json:"date"`
-	URL  string          `json:"url"`
-	Path string          `json:"path"`
-	Runs []serveBenchRun `json:"runs"`
-}
-
-// mergeBenchRun loads path's record if it has the multi-run shape,
-// replaces or appends the run at rec's concurrency, and keeps runs
-// sorted by concurrency. A missing or legacy-shaped file starts fresh.
-func mergeBenchRun(path string, rec serveBenchRecord, run serveBenchRun) serveBenchRecord {
-	if data, err := os.ReadFile(path); err == nil {
-		var prev serveBenchRecord
-		if json.Unmarshal(data, &prev) == nil && len(prev.Runs) > 0 && prev.Path == rec.Path {
-			rec.Runs = prev.Runs
-		}
-	}
-	replaced := false
-	for i := range rec.Runs {
-		if rec.Runs[i].Conns == run.Conns {
-			rec.Runs[i] = run
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		rec.Runs = append(rec.Runs, run)
-	}
-	sort.Slice(rec.Runs, func(i, j int) bool { return rec.Runs[i].Conns < rec.Runs[j].Conns })
-	return rec
-}
-
 // cmdLoadgen drives a running bandwall serve with a concurrent
 // closed-loop client and reports throughput, latency percentiles, and
 // the server-side per-stage breakdown over the measured window.
@@ -150,7 +104,6 @@ func cmdLoadgen(ctx context.Context, args []string, out io.Writer) error {
 	dur := fs.Duration("d", 5*time.Second, "measurement duration")
 	chaos := fs.Bool("chaos", false, "chaos mode: rotate distinct-fingerprint spec variants (spreads load across a fleet ring); only shed load (429/503) and client-visible failures are reported separately")
 	chaosSpecs := fs.Int("chaos-specs", 0, "chaos-mode spec variant pool size (0: default)")
-	jsonPath := fs.String("json", "", "also record the result as JSON to `FILE` (e.g. BENCH_serve.json); merges by -c")
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
 	}
@@ -185,22 +138,6 @@ func cmdLoadgen(ctx context.Context, args []string, out io.Writer) error {
 		}
 	} else if res.Errors > 0 {
 		return fmt.Errorf("loadgen: %d of %d requests failed", res.Errors, res.Requests)
-	}
-	if *jsonPath != "" {
-		rec := mergeBenchRun(*jsonPath, serveBenchRecord{
-			Name: "serve",
-			Date: time.Now().UTC().Format(time.RFC3339),
-			URL:  *url,
-			Path: *path,
-		}, serveBenchRun{Conns: *conns, DurationS: dur.Seconds(), Result: res})
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "recorded      : %s (%d runs)\n", *jsonPath, len(rec.Runs))
 	}
 	return nil
 }

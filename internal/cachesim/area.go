@@ -20,15 +20,3 @@ func CapacityForCEAs(ceas, density float64) (int, error) {
 	}
 	return int(ceas * density * SRAMBytesPerCEA), nil
 }
-
-// CEAsForCapacity is the inverse mapping: bytes of cache (at the given
-// density) back to the die area in CEAs it occupies.
-func CEAsForCapacity(bytes int, density float64) (float64, error) {
-	if bytes < 0 {
-		return 0, fmt.Errorf("cachesim: negative capacity %d", bytes)
-	}
-	if !(density >= 1) {
-		return 0, fmt.Errorf("cachesim: density must be ≥ 1, got %g", density)
-	}
-	return float64(bytes) / (density * SRAMBytesPerCEA), nil
-}

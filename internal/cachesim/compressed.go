@@ -20,16 +20,14 @@ type SizeModel func(lineAddr uint64) int
 // well. Replacement is LRU by bytes: the least recently used lines are
 // evicted until the incoming line fits.
 type CompressedCache struct {
-	cfg        Config
-	sizeOf     SizeModel
-	sets       []compSet
-	setMask    uint64
-	setShift   uint
-	lineShift  uint
-	budget     int // bytes per set
-	stats      Stats
-	storedRaw  uint64 // accumulated uncompressed bytes of filled lines
-	storedComp uint64 // accumulated compressed bytes of filled lines
+	cfg       Config
+	sizeOf    SizeModel
+	sets      []compSet
+	setMask   uint64
+	setShift  uint
+	lineShift uint
+	budget    int // bytes per set
+	stats     Stats
 }
 
 type compEntry struct {
@@ -81,17 +79,6 @@ func (c *CompressedCache) Stats() Stats { return c.stats }
 // ResetStats clears counters, keeping contents.
 func (c *CompressedCache) ResetStats() {
 	c.stats = Stats{}
-	c.storedRaw, c.storedComp = 0, 0
-}
-
-// EffectiveRatio returns the achieved compression ratio over all fills
-// since the last reset (raw bytes / compressed bytes), or 1 if nothing has
-// been filled.
-func (c *CompressedCache) EffectiveRatio() float64 {
-	if c.storedComp == 0 {
-		return 1
-	}
-	return float64(c.storedRaw) / float64(c.storedComp)
 }
 
 // Access runs one reference through the compressed cache. A miss can evict
@@ -151,19 +138,7 @@ func (c *CompressedCache) Access(a trace.Access) Result {
 	s.used += size
 	res.FillBytes = c.cfg.LineBytes
 	c.stats.FillBytes += uint64(c.cfg.LineBytes)
-	c.storedRaw += uint64(c.cfg.LineBytes)
-	c.storedComp += uint64(size)
 	return res
-}
-
-// LinesResident returns the current number of resident lines — with good
-// compression this exceeds the physical way count times sets.
-func (c *CompressedCache) LinesResident() int {
-	total := 0
-	for i := range c.sets {
-		total += c.sets[i].lru.Len()
-	}
-	return total
 }
 
 // RunCompressedTrace replays accesses with warmup exclusion, as RunTrace.

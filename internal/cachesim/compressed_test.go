@@ -43,9 +43,6 @@ func TestCompressedHoldsMoreLines(t *testing.T) {
 	for i := uint64(0); i < 8; i++ {
 		c.Access(trace.Access{Addr: i * 64})
 	}
-	if got := c.LinesResident(); got != 8 {
-		t.Errorf("resident = %d, want 8 (double the physical ways)", got)
-	}
 	if st := c.Stats(); st.Evictions != 0 {
 		t.Errorf("evictions = %d, want 0", st.Evictions)
 	}
@@ -73,11 +70,11 @@ func TestCompressedIncompressibleMatchesPlain(t *testing.T) {
 	for i := uint64(0); i < 5; i++ {
 		c.Access(trace.Access{Addr: i * 64})
 	}
-	if got := c.LinesResident(); got != 4 {
-		t.Errorf("resident = %d, want 4", got)
+	if st := c.Stats(); st.Evictions != 1 {
+		t.Errorf("evictions = %d, want 1 (4 lines resident)", st.Evictions)
 	}
-	if c.EffectiveRatio() != 1 {
-		t.Errorf("ratio = %v, want 1", c.EffectiveRatio())
+	if res := c.Access(trace.Access{Addr: 0}); res.Hit {
+		t.Error("the LRU line survived the fifth fill")
 	}
 }
 
@@ -121,24 +118,21 @@ func TestCompressedDirtyWriteBack(t *testing.T) {
 	}
 }
 
-func TestCompressedEffectiveRatioAndReset(t *testing.T) {
+func TestCompressedResetStats(t *testing.T) {
 	cfg := Config{SizeBytes: 1 << 12, LineBytes: 64, Assoc: 4, Policy: LRU, WriteBack: true, WriteAllocate: true}
 	c, err := NewCompressed(cfg, halfSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.EffectiveRatio() != 1 {
-		t.Errorf("pre-fill ratio = %v, want 1", c.EffectiveRatio())
-	}
 	for i := uint64(0); i < 32; i++ {
 		c.Access(trace.Access{Addr: i * 64})
-	}
-	if got := c.EffectiveRatio(); got != 2 {
-		t.Errorf("ratio = %v, want 2", got)
 	}
 	c.ResetStats()
 	if st := c.Stats(); st.Accesses != 0 {
 		t.Errorf("stats survived reset: %+v", st)
+	}
+	if res := c.Access(trace.Access{Addr: 0}); !res.Hit {
+		t.Error("reset dropped the contents")
 	}
 }
 

@@ -58,11 +58,6 @@ func (h *Hierarchy) Access(a trace.Access) (l1res, l2res Result) {
 	return l1res, l2res
 }
 
-// MemoryTrafficBytes returns bytes exchanged with memory (below the L2).
-func (h *Hierarchy) MemoryTrafficBytes() uint64 {
-	return h.l2.Stats().TrafficBytes()
-}
-
 // ResetStats clears both levels' counters.
 func (h *Hierarchy) ResetStats() {
 	h.l1.ResetStats()

@@ -73,8 +73,8 @@ func TestHierarchyL2CatchesL1Evictions(t *testing.T) {
 	if l2.Misses != 8 {
 		t.Errorf("L2 misses = %d, want 8 (cold only)", l2.Misses)
 	}
-	if h.MemoryTrafficBytes() != 8*64 {
-		t.Errorf("memory traffic = %d, want %d", h.MemoryTrafficBytes(), 8*64)
+	if got := l2.TrafficBytes(); got != 8*64 {
+		t.Errorf("memory traffic = %d, want %d", got, 8*64)
 	}
 }
 
@@ -85,7 +85,7 @@ func TestHierarchyResetStats(t *testing.T) {
 	if h.L1().Stats().Accesses != 0 || h.L2().Stats().Accesses != 0 {
 		t.Error("stats survived reset")
 	}
-	if h.MemoryTrafficBytes() != 0 {
+	if h.L2().Stats().TrafficBytes() != 0 {
 		t.Error("traffic survived reset")
 	}
 }

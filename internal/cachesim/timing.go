@@ -40,12 +40,3 @@ func AMAT(l1, l2 Stats, t Timing) (float64, error) {
 	amat += m1 * (t.L2HitNS + m2*t.MemNS)
 	return amat, nil
 }
-
-// AMATSingleLevel computes AMAT for a single cache in front of memory:
-// hit + missRate·Mem.
-func AMATSingleLevel(st Stats, hitNS, memNS float64) (float64, error) {
-	if !(hitNS > 0) || !(memNS > hitNS) {
-		return 0, fmt.Errorf("cachesim: need 0 < hit (%g) < memory (%g)", hitNS, memNS)
-	}
-	return hitNS + st.MissRate()*memNS, nil
-}

@@ -56,23 +56,6 @@ func TestAMATRejectsBadTiming(t *testing.T) {
 	}
 }
 
-func TestAMATSingleLevel(t *testing.T) {
-	st := Stats{Accesses: 100, Misses: 10}
-	got, err := AMATSingleLevel(st, 10, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !numeric.AlmostEqual(got, 20, 1e-12) {
-		t.Errorf("AMAT = %v, want 20", got)
-	}
-	if _, err := AMATSingleLevel(st, 0, 100); err == nil {
-		t.Error("zero hit latency accepted")
-	}
-	if _, err := AMATSingleLevel(st, 100, 50); err == nil {
-		t.Error("memory faster than cache accepted")
-	}
-}
-
 // TestDRAMCacheLatencyTradeoff: the §6.1 caveat quantified — a slower but
 // 8x larger DRAM L2 wins on AMAT when the workload's working set exceeds
 // the SRAM L2.

@@ -156,15 +156,6 @@ func BDIDecompress(res BDIResult, lineBytes int) ([]byte, error) {
 	return out, nil
 }
 
-// BDIRatio returns len(line) / compressed size.
-func BDIRatio(line []byte) (float64, error) {
-	res, err := BDICompress(line)
-	if err != nil {
-		return 0, err
-	}
-	return float64(len(line)) / float64(res.SizeBytes), nil
-}
-
 func allZero(b []byte) bool {
 	for _, x := range b {
 		if x != 0 {

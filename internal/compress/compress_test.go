@@ -137,20 +137,20 @@ func TestFPCQuickRoundTrip(t *testing.T) {
 }
 
 func TestFPCRatioBounds(t *testing.T) {
-	zeros := make([]byte, 64)
-	r, err := FPCRatio(zeros)
-	if err != nil {
-		t.Fatal(err)
+	ratio := func(data []byte) float64 {
+		bits, err := FPCCompressedBits(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(len(data)*8) / float64(bits)
 	}
+	r := ratio(make([]byte, 64))
 	// 16 zero words = 2 runs of 8 = 12 bits vs 512: ratio ≈ 42.7.
 	if r < 40 {
 		t.Errorf("zero-line ratio = %v, want > 40", r)
 	}
 	random := GenerateLine(KindRandom, 64, rand.New(rand.NewSource(1)))
-	r, err = FPCRatio(random)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r = ratio(random)
 	// Random data costs 35 bits per 32-bit word: ratio ≈ 0.914.
 	if r > 1.0 {
 		t.Errorf("random ratio = %v, want ≤ 1 (FPC adds prefixes)", r)
@@ -255,9 +255,6 @@ func TestBDIValidation(t *testing.T) {
 	if _, err := BDICompress(make([]byte, 60)); err == nil {
 		t.Error("non-multiple-of-8 accepted")
 	}
-	if _, err := BDIRatio(make([]byte, 64)); err != nil {
-		t.Error("BDIRatio on zeros errored")
-	}
 }
 
 func TestBDIQuickRoundTrip(t *testing.T) {
@@ -313,10 +310,6 @@ func TestLinkCodecRoundTrip(t *testing.T) {
 	}
 	if c.Ratio() <= 1 {
 		t.Errorf("mixed-kind ratio = %v, want > 1", c.Ratio())
-	}
-	c.Reset()
-	if c.Ratio() != 1 {
-		t.Errorf("post-reset ratio = %v", c.Ratio())
 	}
 }
 
@@ -384,27 +377,6 @@ func TestMeasuredRatiosMatchPaperWindow(t *testing.T) {
 	}
 	if bdiComm <= 1 {
 		t.Errorf("BDI commercial ratio %.2f, want > 1", bdiComm)
-	}
-}
-
-func TestSizeModelFromMix(t *testing.T) {
-	model := SizeModelFromMix(CommercialMix(), 64, 42)
-	a, b := model(100), model(100)
-	if a != b {
-		t.Error("size model not deterministic per address")
-	}
-	if a < 1 || a > 64 {
-		t.Errorf("size %d outside [1, 64]", a)
-	}
-	// Across many addresses the average must show compression.
-	var total int
-	const n = 500
-	for i := uint64(0); i < n; i++ {
-		total += model(i)
-	}
-	avg := float64(total) / n
-	if avg >= 60 {
-		t.Errorf("average compressed size %.1f, want < 60", avg)
 	}
 }
 

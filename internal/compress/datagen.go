@@ -164,30 +164,3 @@ func MeasureRatios(m WorkloadMix, lineBytes, n int, seed int64) (fpc, bdi float6
 	}
 	return float64(rawBits) / float64(fpcBits), float64(rawBytes) / float64(bdiBytes), nil
 }
-
-// SizeModelFromMix builds a deterministic per-line-address compressed-size
-// model for the compressed cache simulator: each line address hashes to a
-// kind from the mix and then to its FPC size. Results are memoized.
-func SizeModelFromMix(m WorkloadMix, lineBytes int, seed int64) func(lineAddr uint64) int {
-	cache := make(map[uint64]int)
-	return func(lineAddr uint64) int {
-		if sz, ok := cache[lineAddr]; ok {
-			return sz
-		}
-		rng := rand.New(rand.NewSource(seed ^ int64(lineAddr*0x9e3779b97f4a7c15)))
-		line := GenerateLine(m.SampleKind(rng), lineBytes, rng)
-		bits, err := FPCCompressedBits(line)
-		if err != nil {
-			bits = lineBytes * 8
-		}
-		sz := (bits + 7) / 8
-		if sz > lineBytes {
-			sz = lineBytes
-		}
-		if sz < 1 {
-			sz = 1
-		}
-		cache[lineAddr] = sz
-		return sz
-	}
-}

@@ -139,10 +139,3 @@ func (c *DictLinkCodec) Ratio() float64 {
 	}
 	return float64(c.rawBits) / float64(c.wireBits)
 }
-
-// Reset clears accounting and both dictionaries.
-func (c *DictLinkCodec) Reset() {
-	c.rawBits, c.wireBits = 0, 0
-	c.encDict = &mtfDict{}
-	c.decDict = &mtfDict{}
-}

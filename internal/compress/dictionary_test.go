@@ -110,27 +110,6 @@ func TestDictCodecStatefulDecode(t *testing.T) {
 	}
 }
 
-func TestDictCodecReset(t *testing.T) {
-	c, _ := NewDictLinkCodec(64)
-	line := GenerateLine(KindSmallInt, 64, rand.New(rand.NewSource(8)))
-	if _, err := c.Encode(line); err != nil {
-		t.Fatal(err)
-	}
-	c.Reset()
-	if c.Ratio() != 1 {
-		t.Errorf("post-reset ratio = %v", c.Ratio())
-	}
-	// After reset the decoder accepts a fresh stream.
-	f, err := c.Encode(line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := c.Decode(f)
-	if err != nil || !bytes.Equal(back, line) {
-		t.Errorf("post-reset round trip failed: %v", err)
-	}
-}
-
 func TestDictCodecQuickRoundTrip(t *testing.T) {
 	prop := func(seed int64, n8 uint8) bool {
 		enc, _ := NewDictLinkCodec(32)

@@ -166,16 +166,3 @@ func FPCDecode(stream []byte, wordCount int) ([]byte, error) {
 	}
 	return out, nil
 }
-
-// FPCRatio returns the compression ratio (original bits / compressed bits)
-// FPC achieves on data.
-func FPCRatio(data []byte) (float64, error) {
-	bits, err := FPCCompressedBits(data)
-	if err != nil {
-		return 0, err
-	}
-	if bits == 0 {
-		return 1, nil
-	}
-	return float64(len(data)*8) / float64(bits), nil
-}

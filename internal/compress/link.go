@@ -80,6 +80,3 @@ func (c *LinkCodec) Ratio() float64 {
 	}
 	return float64(c.rawBytes) / float64(c.wireBytes)
 }
-
-// Reset clears the accounting.
-func (c *LinkCodec) Reset() { c.rawBytes, c.wireBytes = 0, 0 }

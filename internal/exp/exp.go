@@ -155,18 +155,3 @@ func RunOne(ctx context.Context, e Experiment, o Options) (r *Result, err error)
 	}
 	return e.Run(ctx, o)
 }
-
-// RunAll executes every registered experiment sequentially, stopping at
-// the first error (cancellation included) and returning the results
-// completed so far alongside it.
-func RunAll(ctx context.Context, o Options) ([]*Result, error) {
-	out := make([]*Result, 0, len(Registry))
-	for _, e := range Registry {
-		r, err := RunOne(ctx, e, o)
-		if err != nil {
-			return out, fmt.Errorf("exp %s: %w", e.ID, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

@@ -383,18 +383,27 @@ func TestQueueing(t *testing.T) {
 	}
 }
 
+// TestRunAllQuick runs the quick registry serially through RunSuite, the
+// runner behind `bandwall run` and `bandwall report`: every experiment
+// must come back, in registry order, with tables, headline values and a
+// non-empty render.
 func TestRunAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	results, err := RunAll(context.Background(), quick())
+	outcomes, err := RunSuite(context.Background(), Registry, quick(), SuiteConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(Registry) {
-		t.Errorf("got %d results", len(results))
+	if len(outcomes) != len(Registry) {
+		t.Errorf("got %d outcomes", len(outcomes))
 	}
-	for _, r := range results {
+	for i, oc := range outcomes {
+		r := oc.Result
+		if r == nil || r.ID != Registry[i].ID {
+			t.Errorf("outcome %d out of order or without a result", i)
+			continue
+		}
 		if len(r.Tables) == 0 {
 			t.Errorf("%s: no tables", r.ID)
 		}
@@ -541,24 +550,24 @@ func TestSimulatorsPublishObs(t *testing.T) {
 	}
 }
 
+// TestRunAllParallel runs the whole registry through RunSuite on four
+// workers (the CI race job runs it under -race): real experiments must
+// run side by side and come back in registry order.
 func TestRunAllParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	results, err := RunAllParallel(context.Background(), quick(), 4)
+	outcomes, err := RunSuite(context.Background(), Registry, quick(), SuiteConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(Registry) {
-		t.Fatalf("got %d results", len(results))
+	if len(outcomes) != len(Registry) {
+		t.Fatalf("got %d outcomes", len(outcomes))
 	}
-	for i, r := range results {
-		if r == nil || r.ID != Registry[i].ID {
-			t.Errorf("result %d out of order or nil", i)
+	for i, oc := range outcomes {
+		if oc.Result == nil || oc.Result.ID != Registry[i].ID {
+			t.Errorf("outcome %d out of order or without a result", i)
 		}
-	}
-	if _, err := RunAllParallel(context.Background(), quick(), 0); err == nil {
-		t.Error("zero workers accepted")
 	}
 }
 

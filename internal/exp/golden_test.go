@@ -19,7 +19,8 @@ import (
 //
 // The file is generated with Options{Quick: true}: every driver is
 // deterministic under fixed seeds, and quick mode keeps the guard fast
-// enough to run on every CI push.
+// enough to run on every CI push. The registry runs through RunSuite, the
+// runner behind `bandwall run` and `bandwall report`.
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_values.json from the current drivers")
 
@@ -34,13 +35,13 @@ func TestGoldenValues(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	results, err := RunAll(context.Background(), quick())
+	outcomes, err := RunSuite(context.Background(), Registry, quick(), SuiteConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	current := make(map[string]map[string]float64, len(results))
-	for _, r := range results {
-		current[r.ID] = r.Values
+	current := make(map[string]map[string]float64, len(outcomes))
+	for _, oc := range outcomes {
+		current[oc.Result.ID] = oc.Result.Values
 	}
 
 	if *updateGolden {

@@ -37,7 +37,7 @@ func missCurve(ctx context.Context, o Options, gen trace.Generator, base cachesi
 // trace across several configurations: eligible configs stream the slice
 // through the profiler via trace.Replay (no per-size replay of the
 // simulator), the rest go to the brute simulator directly — avoiding the
-// pointless re-materialization MissCurveFast's internal fallback would do.
+// pointless re-materialization MissCurveFastParallel's internal fallback would do.
 func missCurveTrace(ctx context.Context, o Options, tr []trace.Access, base cachesim.Config, sizes []int, warmup int) ([]cachesim.CurvePoint, error) {
 	if err := robust.Hit(ctx, "exp.trace"); err != nil {
 		return nil, err

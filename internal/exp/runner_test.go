@@ -3,8 +3,12 @@ package exp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -42,7 +46,7 @@ func TestRunSuiteAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer robust.SetInjector(robust.NewInjector(plan, 1))()
+	defer robust.SetInjector(robust.NewInjector(plan))()
 
 	runs := make([]atomic.Int64, 6)
 	exps := acceptanceExps(runs)
@@ -316,7 +320,7 @@ func TestFaultMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			restore := robust.SetInjector(robust.NewInjector(plan, 1))
+			restore := robust.SetInjector(robust.NewInjector(plan))
 			defer restore()
 			runs := make([]atomic.Int64, 6)
 			exps := acceptanceExps(runs)
@@ -335,4 +339,282 @@ func TestFaultMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// stubExperiments builds n experiments whose run durations vary so that,
+// under concurrency, completion order differs from input order.
+func stubExperiments(n int, ran *atomic.Int64) []Experiment {
+	exps := make([]Experiment, n)
+	for i := 0; i < n; i++ {
+		i := i
+		id := fmt.Sprintf("stub%02d", i)
+		exps[i] = Experiment{
+			ID:    id,
+			Title: "stub " + id,
+			Paper: "n/a",
+			Run: func(ctx context.Context, o Options) (*Result, error) {
+				// Later experiments finish sooner.
+				time.Sleep(time.Duration((n-i)%5) * time.Millisecond)
+				if ran != nil {
+					ran.Add(1)
+				}
+				return &Result{ID: id, Values: map[string]float64{"i": float64(i)}}, nil
+			},
+		}
+	}
+	return exps
+}
+
+// gatedExperiments builds n experiments that record the peak number of
+// drivers in flight at once.
+func gatedExperiments(n int, peak *atomic.Int64) []Experiment {
+	var inFlight atomic.Int64
+	exps := make([]Experiment, n)
+	for i := range exps {
+		id := fmt.Sprintf("gate%02d", i)
+		exps[i] = Experiment{ID: id, Title: id, Paper: "n/a", Run: func(context.Context, Options) (*Result, error) {
+			cur := inFlight.Add(1)
+			for {
+				p := peak.Load()
+				if cur <= p || peak.CompareAndSwap(p, cur) {
+					break
+				}
+			}
+			time.Sleep(2 * time.Millisecond)
+			inFlight.Add(-1)
+			return &Result{ID: id}, nil
+		}}
+	}
+	return exps
+}
+
+// TestRunAllParallelOrder runs a suite on 4 workers (the CI race job
+// executes this file under -race) and asserts the outcomes match input
+// order even though completion order is scrambled.
+func TestRunAllParallelOrder(t *testing.T) {
+	var ran atomic.Int64
+	exps := stubExperiments(24, &ran)
+	outcomes, err := RunSuite(context.Background(), exps, Options{Quick: true}, SuiteConfig{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outcomes) != len(exps) {
+		t.Fatalf("got %d outcomes, want %d", len(outcomes), len(exps))
+	}
+	if got := ran.Load(); got != int64(len(exps)) {
+		t.Errorf("ran %d experiments, want %d", got, len(exps))
+	}
+	for i, oc := range outcomes {
+		if oc.Result == nil {
+			t.Fatalf("outcomes[%d] has no result", i)
+		}
+		if oc.Result.ID != exps[i].ID {
+			t.Errorf("outcomes[%d] = %s, want %s (input order must be preserved)", i, oc.Result.ID, exps[i].ID)
+		}
+	}
+}
+
+// TestRunAllParallelProgress asserts OnDone fires once per experiment
+// with a completion count reaching total.
+func TestRunAllParallelProgress(t *testing.T) {
+	var mu sync.Mutex
+	var calls, maxDone int
+	onDone := func(done, total int, id, status string) {
+		mu.Lock()
+		defer mu.Unlock()
+		calls++
+		if done > maxDone {
+			maxDone = done
+		}
+		if total != 12 {
+			t.Errorf("total = %d, want 12", total)
+		}
+		if !strings.HasPrefix(id, "stub") || status != StatusOK {
+			t.Errorf("unexpected id %q, status %q", id, status)
+		}
+	}
+	if _, err := RunSuite(context.Background(), stubExperiments(12, nil), Options{Quick: true}, SuiteConfig{Workers: 4, OnDone: onDone}); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 12 || maxDone != 12 {
+		t.Errorf("callback fired %d times (max done %d), want 12/12", calls, maxDone)
+	}
+}
+
+// TestRunAllParallelErrors fails two experiments and asserts BOTH errors
+// survive (errors.Join), not just the first in input order, and that the
+// other experiments' results survive the failures.
+func TestRunAllParallelErrors(t *testing.T) {
+	errBoom := errors.New("boom")
+	errBang := errors.New("bang")
+	exps := stubExperiments(8, nil)
+	exps[2] = Experiment{ID: "bad-early", Title: "t", Paper: "p", Run: func(context.Context, Options) (*Result, error) { return nil, errBoom }}
+	exps[6] = Experiment{ID: "bad-late", Title: "t", Paper: "p", Run: func(context.Context, Options) (*Result, error) { return nil, errBang }}
+	outcomes, err := RunSuite(context.Background(), exps, Options{Quick: true}, SuiteConfig{Workers: 4})
+	if err == nil {
+		t.Fatal("want error from failing experiments")
+	}
+	for i, oc := range outcomes {
+		failed := i == 2 || i == 6
+		if failed && (oc.Result != nil || oc.Status != StatusFailed) {
+			t.Errorf("outcomes[%d] = %s with result %v, want failed without one", i, oc.Status, oc.Result)
+		}
+		if !failed && oc.Result == nil {
+			t.Errorf("outcomes[%d] has no result; completed work must survive partial failure", i)
+		}
+	}
+	if !errors.Is(err, errBoom) || !errors.Is(err, errBang) {
+		t.Errorf("joined error must wrap both failures, got: %v", err)
+	}
+	for _, want := range []string{"exp bad-early", "exp bad-late"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q missing %q", err, want)
+		}
+	}
+}
+
+// TestRunAllParallelBadWorkers: a worker count below 1 runs the suite on
+// one worker.
+func TestRunAllParallelBadWorkers(t *testing.T) {
+	for _, w := range []int{0, -1} {
+		var peak atomic.Int64
+		outcomes, err := RunSuite(context.Background(), gatedExperiments(4, &peak), Options{Quick: true}, SuiteConfig{Workers: w})
+		if err != nil || len(outcomes) != 4 {
+			t.Errorf("workers=%d: %d outcomes, %v", w, len(outcomes), err)
+		}
+		if p := peak.Load(); p != 1 {
+			t.Errorf("workers=%d: peak concurrency %d, want 1", w, p)
+		}
+	}
+}
+
+// TestRunAllParallelBoundsConcurrency asserts the worker pool's point: no
+// more experiments are in flight at once than workers.
+func TestRunAllParallelBoundsConcurrency(t *testing.T) {
+	const workers = 3
+	var peak atomic.Int64
+	if _, err := RunSuite(context.Background(), gatedExperiments(10, &peak), Options{Quick: true}, SuiteConfig{Workers: workers}); err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p > workers {
+		t.Errorf("peak concurrency %d exceeds workers %d", p, workers)
+	}
+}
+
+// TestRunAllParallelWorkerPanic panics experiments — both via the fault
+// injector and an organic panic in a driver — and asserts the pool
+// survives: every healthy experiment completes with a result, the joined
+// error wraps a *robust.PanicError per failure, and no worker goroutine
+// leaks.
+func TestRunAllParallelWorkerPanic(t *testing.T) {
+	exps := stubExperiments(10, nil)
+	exps[3] = Experiment{ID: "panicker", Title: "t", Paper: "p", Run: func(context.Context, Options) (*Result, error) {
+		panic("driver bug")
+	}}
+	plan, err := robust.ParsePlan("exp.run@stub07=panic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer robust.SetInjector(robust.NewInjector(plan))()
+
+	before := runtime.NumGoroutine()
+	outcomes, err := RunSuite(context.Background(), exps, Options{Quick: true}, SuiteConfig{Workers: 4})
+	if err == nil {
+		t.Fatal("want joined panic errors")
+	}
+	var pe *robust.PanicError
+	if !errors.As(err, &pe) {
+		t.Errorf("error does not carry a *robust.PanicError: %v", err)
+	}
+	for _, want := range []string{"exp panicker", "exp stub07", "panic"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error missing %q:\n%v", want, err)
+		}
+	}
+	var ok int
+	for i, oc := range outcomes {
+		if oc.Result != nil {
+			ok++
+		} else if i != 3 && i != 7 {
+			t.Errorf("healthy experiment %s lost its result", exps[i].ID)
+		}
+	}
+	if ok != 8 {
+		t.Errorf("%d experiments completed, want 8", ok)
+	}
+	waitForGoroutines(t, before)
+}
+
+// TestRunAllParallelCancellation cancels mid-run and asserts prompt
+// drain: started experiments finish or abort, queued ones never start,
+// the pool's goroutines all exit, and the joined error classifies as
+// Canceled.
+func TestRunAllParallelCancellation(t *testing.T) {
+	const n = 12
+	ctx, cancel := context.WithCancel(context.Background())
+	release := make(chan struct{})
+	var started atomic.Int64
+	exps := make([]Experiment, n)
+	for i := range exps {
+		id := fmt.Sprintf("cancel%02d", i)
+		exps[i] = Experiment{ID: id, Title: id, Paper: "n/a", Run: func(ctx context.Context, _ Options) (*Result, error) {
+			started.Add(1)
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, robust.Err(ctx)
+			}
+			return &Result{ID: id}, nil
+		}}
+	}
+
+	before := runtime.NumGoroutine()
+	done := make(chan struct{})
+	var outcomes []Outcome
+	var err error
+	go func() {
+		defer close(done)
+		outcomes, err = RunSuite(ctx, exps, Options{Quick: true}, SuiteConfig{Workers: 3})
+	}()
+	for started.Load() < 3 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	close(release)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("pool did not drain after cancellation")
+	}
+	if err == nil {
+		t.Fatal("want cancellation error")
+	}
+	if robust.Classify(err) != robust.Canceled {
+		t.Errorf("Classify(%v) = %v, want Canceled", err, robust.Classify(err))
+	}
+	if len(outcomes) != n {
+		t.Fatalf("got %d outcome slots, want %d", len(outcomes), n)
+	}
+	// Queued experiments must not have started after cancellation: the
+	// in-flight three may have completed (release raced the cancel), but
+	// at least the tail must be canceled.
+	if started.Load() == n {
+		t.Error("cancellation did not stop queued experiments from starting")
+	}
+	waitForGoroutines(t, before)
+}
+
+// waitForGoroutines polls until the goroutine count returns to (near) the
+// baseline, failing the test if pool workers leak past a generous grace
+// period. Background runtime goroutines make exact equality too strict.
+func waitForGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		if runtime.NumGoroutine() <= baseline+2 {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Errorf("goroutines leaked: %d now vs %d at start", runtime.NumGoroutine(), baseline)
 }

@@ -72,11 +72,3 @@ func Bootstrap(points []cachesim.CurvePoint, resamples int, level float64, seed 
 		Resamples: resamples,
 	}, nil
 }
-
-// Contains reports whether the interval covers alpha.
-func (b BootstrapResult) Contains(alpha float64) bool {
-	return alpha >= b.AlphaLo && alpha <= b.AlphaHi
-}
-
-// Width returns the interval width.
-func (b BootstrapResult) Width() float64 { return b.AlphaHi - b.AlphaLo }

@@ -33,15 +33,15 @@ func TestBootstrapCoversTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Contains(0.5) {
+	if !(res.AlphaLo <= 0.5 && 0.5 <= res.AlphaHi) {
 		t.Errorf("90%% CI [%.3f, %.3f] misses the true α 0.5", res.AlphaLo, res.AlphaHi)
 	}
 	if !(res.AlphaLo < res.Point.Alpha && res.Point.Alpha < res.AlphaHi) {
 		t.Errorf("point estimate %.3f outside its own CI [%.3f, %.3f]",
 			res.Point.Alpha, res.AlphaLo, res.AlphaHi)
 	}
-	if res.Width() <= 0 {
-		t.Errorf("degenerate width %v", res.Width())
+	if res.AlphaHi-res.AlphaLo <= 0 {
+		t.Errorf("degenerate width %v", res.AlphaHi-res.AlphaLo)
 	}
 	if res.Resamples != 500 || res.Level != 0.9 {
 		t.Errorf("metadata wrong: %+v", res)
@@ -57,8 +57,9 @@ func TestBootstrapWidthTracksNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(noisy.Width() > clean.Width()) {
-		t.Errorf("noisier curve should widen the CI: %v vs %v", noisy.Width(), clean.Width())
+	noisyWidth, cleanWidth := noisy.AlphaHi-noisy.AlphaLo, clean.AlphaHi-clean.AlphaLo
+	if !(noisyWidth > cleanWidth) {
+		t.Errorf("noisier curve should widen the CI: %v vs %v", noisyWidth, cleanWidth)
 	}
 }
 

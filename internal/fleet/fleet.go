@@ -308,25 +308,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// Handler returns the gateway's root handler (tests and embedding).
-func (g *Gateway) Handler() http.Handler { return g.mux }
-
-// Draining reports whether graceful shutdown has begun.
-func (g *Gateway) Draining() bool { return g.draining.Load() }
-
-// StaleLen returns the stale-reserve occupancy (tests).
-func (g *Gateway) StaleLen() int { return g.stale.Len() }
-
-// ReplicaHits returns proxy attempts per replica base URL (tests: the
-// domain-no-retry proof is every count staying zero).
-func (g *Gateway) ReplicaHits() map[string]uint64 {
-	out := make(map[string]uint64, len(g.replicas))
-	for _, rep := range g.replicas {
-		out[rep.base] = rep.hits.Load()
-	}
-	return out
-}
-
 type gwStatusWriter struct {
 	http.ResponseWriter
 	status int

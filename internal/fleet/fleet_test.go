@@ -27,6 +27,13 @@ func specWithID(id string, n2 float64) string {
 	return fmt.Sprintf(`{"id":%q,"axis":{"n2":[%g]},"cases":[{"label":"BASE","value_key":"cores"}]}`, id, n2)
 }
 
+// staleLen is the occupancy of the gateway's stale reserve.
+func staleLen(g *Gateway) int {
+	g.stale.mu.Lock()
+	defer g.stale.mu.Unlock()
+	return g.stale.ll.Len()
+}
+
 // installPlan parses a fault-plan spec and installs it as the process
 // injector, returning the restore function.
 func installPlan(t *testing.T, spec string) (restore func()) {
@@ -35,7 +42,7 @@ func installPlan(t *testing.T, spec string) (restore func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return robust.SetInjector(robust.NewInjector(plan, 1))
+	return robust.SetInjector(robust.NewInjector(plan))
 }
 
 // fingerprintOf computes the routing fingerprint the gateway will use
@@ -155,7 +162,7 @@ func postGateway(t *testing.T, g *Gateway, path, body string) *httptest.Response
 	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	w := httptest.NewRecorder()
-	g.Handler().ServeHTTP(w, req)
+	g.mux.ServeHTTP(w, req)
 	return w
 }
 
@@ -324,9 +331,9 @@ func TestDomainErrorNeverReachesRing(t *testing.T) {
 			if got := w.Header().Get(AttemptsHeader); got != "0" {
 				t.Errorf("attempts = %q, want 0 (domain errors must not be proxied, let alone retried)", got)
 			}
-			for base, hits := range g.ReplicaHits() {
-				if hits != 0 {
-					t.Errorf("replica %s saw %d proxy attempts for a domain-invalid spec", base, hits)
+			for _, rep := range g.replicas {
+				if hits := rep.hits.Load(); hits != 0 {
+					t.Errorf("replica %s saw %d proxy attempts for a domain-invalid spec", rep.base, hits)
 				}
 			}
 		})
@@ -353,9 +360,9 @@ func TestOversizedBodyNeverReachesRing(t *testing.T) {
 			t.Errorf("%s: error = %+v, want bad_request \"spec exceeds 1048576 bytes\"", path, ge)
 		}
 	}
-	for base, hits := range g.ReplicaHits() {
-		if hits != 0 {
-			t.Errorf("replica %s saw %d proxy attempts for oversized bodies", base, hits)
+	for _, rep := range g.replicas {
+		if hits := rep.hits.Load(); hits != 0 {
+			t.Errorf("replica %s saw %d proxy attempts for oversized bodies", rep.base, hits)
 		}
 	}
 }
@@ -392,8 +399,8 @@ func TestStaleDegradedServing(t *testing.T) {
 		t.Fatalf("warmup status %d", w.Code)
 	}
 	fresh := w.Body.String()
-	if g.StaleLen() != 1 {
-		t.Fatalf("stale reserve = %d entries, want 1", g.StaleLen())
+	if staleLen(g) != 1 {
+		t.Fatalf("stale reserve = %d entries, want 1", staleLen(g))
 	}
 
 	// Total ring failure: every replica gone.
@@ -473,7 +480,7 @@ func TestGatewayHealthzReportsBreakers(t *testing.T) {
 
 	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
 	w := httptest.NewRecorder()
-	g.Handler().ServeHTTP(w, req)
+	g.mux.ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
 		t.Fatalf("healthz status %d (one replica is still fine): %s", w.Code, w.Body)
 	}
@@ -652,8 +659,8 @@ func TestGatewayDrainFlipsReadiness(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("drained gateway returned %v, want nil", err)
 	}
-	if !g.Draining() {
-		t.Error("Draining() = false after shutdown")
+	if !g.draining.Load() {
+		t.Error("draining = false after shutdown")
 	}
 }
 
@@ -674,20 +681,20 @@ func TestCacheDeletePurgesStaleReserve(t *testing.T) {
 	if w := postGateway(t, g, "/v1/eval", body); w.Code != http.StatusOK {
 		t.Fatalf("warmup status %d", w.Code)
 	}
-	if g.StaleLen() != 1 || g.memo.Info().Entries != 1 {
-		t.Fatalf("stale reserve = %d entries, key memo = %d; want 1 each", g.StaleLen(), g.memo.Info().Entries)
+	if staleLen(g) != 1 || g.memo.Info().Entries != 1 {
+		t.Fatalf("stale reserve = %d entries, key memo = %d; want 1 each", staleLen(g), g.memo.Info().Entries)
 	}
 
 	// Operator invalidation: the fan-out must purge the reserve too and
 	// report how much it dropped.
 	req := httptest.NewRequest(http.MethodDelete, "/v1/cache", nil)
 	w := httptest.NewRecorder()
-	g.Handler().ServeHTTP(w, req)
+	g.mux.ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
 		t.Fatalf("purge status %d: %s", w.Code, w.Body)
 	}
-	if g.StaleLen() != 0 || g.memo.Info().Entries != 0 {
-		t.Fatalf("stale reserve = %d entries, key memo = %d after DELETE /v1/cache; want 0 each", g.StaleLen(), g.memo.Info().Entries)
+	if staleLen(g) != 0 || g.memo.Info().Entries != 0 {
+		t.Fatalf("stale reserve = %d entries, key memo = %d after DELETE /v1/cache; want 0 each", staleLen(g), g.memo.Info().Entries)
 	}
 	var fan CacheFanout
 	if err := json.Unmarshal(w.Body.Bytes(), &fan); err != nil {

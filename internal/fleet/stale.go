@@ -87,13 +87,3 @@ func (c *staleCache) Purge() int {
 	c.items = make(map[string]*list.Element, c.max)
 	return n
 }
-
-// Len returns the number of cached responses.
-func (c *staleCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

@@ -46,14 +46,14 @@ func BenchmarkSetProfilerRun(b *testing.B) {
 		cfg := bc.Base
 		cfg.SizeBytes = sz
 		b.Run(fmt.Sprintf("%dKB", sz>>10), func(b *testing.B) {
-			p, err := NewSetProfiler(cfg)
+			p, err := newSetProfiler(cfg, new(sweepArena))
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(int64(len(tr)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p.Run(tr)
+				p.runBatch(tr)
 			}
 		})
 	}

@@ -11,9 +11,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Eligible reports whether MissCurveFast can profile base exactly with the
-// single-pass stack machinery. The stack algorithm models true-LRU
-// replacement with whole-line write-back fills, so it covers LRU,
+// Eligible reports whether MissCurveFastParallel can profile base exactly
+// with the single-pass stack machinery. The stack algorithm models
+// true-LRU replacement with whole-line write-back fills, so it covers LRU,
 // non-sectored, write-back configurations — fully associative (Assoc 0,
 // reuse-distance histogram) or set-associative up to 64 ways (per-set
 // recency arrays; the dirty state packs into one word per set). Everything
@@ -33,38 +33,28 @@ func Eligible(base cachesim.Config) bool {
 	return base.Assoc >= 0 && base.Assoc <= 64
 }
 
-// MissCurveFast is the single-pass replacement for cachesim.MissCurve: it
-// draws n accesses (the first warmup excluded from statistics) from gen —
-// streaming, never materializing the trace — and produces the miss curve
-// for every size in one profiling pass. For Eligible configurations the
-// returned points are exact (identical Stats to the brute simulator for
-// set-associative sweeps; identical miss counts for fully-associative
-// ones, where write-back/eviction counters are left zero because they are
-// not derivable size-independently in one pass). Ineligible configurations
-// transparently fall back to materializing the stream and running
-// cachesim.MissCurve. Simulated work is published to the obs registry
-// under the usual cachesim.* counter names either way.
-func MissCurveFast(gen trace.Generator, base cachesim.Config, sizes []int, warmup, n int) ([]cachesim.CurvePoint, error) {
-	return MissCurveFastCtx(context.Background(), gen, base, sizes, warmup, n)
-}
-
-// MissCurveFastCtx is MissCurveFast with cancellation checked at chunk
-// boundaries of the streaming pass, so a canceled sweep aborts within one
-// chunk instead of draining the stream. Set-associative sweeps partition
-// their sets across up to GOMAXPROCS workers as the set count allows
-// (results are bit-identical for any worker count).
-func MissCurveFastCtx(ctx context.Context, gen trace.Generator, base cachesim.Config, sizes []int, warmup, n int) ([]cachesim.CurvePoint, error) {
-	return MissCurveFastParallel(ctx, gen, base, sizes, warmup, n, 0)
-}
-
-// MissCurveFastParallel is MissCurveFastCtx with the set-parallel worker
-// count pinned: 0 picks GOMAXPROCS, 1 forces one partition run inline on
-// the calling goroutine, higher values are rounded down to a power of two
-// and capped so each worker keeps at least minPartSets sets of the
-// smallest swept size. Output is bit-identical for every worker count —
-// the partition is by set index, and per-set LRU state never crosses a
-// partition boundary — so the knob only trades wall-clock for goroutines.
-// Fully-associative and fallback (non-Eligible) sweeps ignore it.
+// MissCurveFastParallel is the single-pass replacement for
+// cachesim.MissCurve: it draws n accesses (the first warmup excluded from
+// statistics) from gen — streaming, never materializing the trace — and
+// produces the miss curve for every size in one profiling pass. For
+// Eligible configurations the returned points are exact (identical Stats
+// to the brute simulator for set-associative sweeps; identical miss counts
+// for fully-associative ones, where write-back/eviction counters are left
+// zero because they are not derivable size-independently in one pass).
+// Ineligible configurations transparently fall back to materializing the
+// stream and running cachesim.MissCurve. Simulated work is published to
+// the obs registry under the usual cachesim.* counter names either way.
+// Cancellation is checked at chunk boundaries of the streaming pass, so a
+// canceled sweep aborts within one chunk instead of draining the stream.
+//
+// Set-associative sweeps partition their sets across workers: 0 picks
+// GOMAXPROCS, 1 forces one partition run inline on the calling goroutine,
+// higher values are rounded down to a power of two and capped so each
+// worker keeps at least minPartSets sets of the smallest swept size.
+// Output is bit-identical for every worker count — the partition is by set
+// index, and per-set LRU state never crosses a partition boundary — so the
+// knob only trades wall-clock for goroutines. Fully-associative and
+// fallback (non-Eligible) sweeps ignore it.
 func MissCurveFastParallel(ctx context.Context, gen trace.Generator, base cachesim.Config, sizes []int, warmup, n, workers int) ([]cachesim.CurvePoint, error) {
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("mattson: no sizes to sweep")

@@ -93,10 +93,3 @@ func (f *fenwickStack) compact() {
 	}
 	f.next = f.live
 }
-
-// Reset restores the empty state, retaining allocated capacity.
-func (f *fenwickStack) Reset() {
-	clear(f.tree)
-	clear(f.last)
-	f.next, f.live = 0, 0
-}

@@ -38,9 +38,6 @@ func (h *Histogram) Record(d int) {
 // Total returns the number of recorded accesses.
 func (h *Histogram) Total() uint64 { return h.total }
 
-// Cold returns the number of first-touch accesses.
-func (h *Histogram) Cold() uint64 { return h.cold }
-
 // Misses returns how many recorded accesses miss in a fully-associative
 // LRU cache of the given number of lines: cold misses plus every access
 // with stack distance ≥ lines. lines above the histogram's resolution is
@@ -57,12 +54,4 @@ func (h *Histogram) Misses(lines int) uint64 {
 		m += c
 	}
 	return m
-}
-
-// MissRatio returns Misses(lines) as a fraction of recorded accesses.
-func (h *Histogram) MissRatio(lines int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Misses(lines)) / float64(h.total)
 }

@@ -28,7 +28,7 @@
 // runs the same pack-and-kernel step inline on the calling goroutine.
 // Kernel counters become cachesim.Stats only in SetProfiler.addPart.
 //
-// MissCurveFast is the drop-in entry point: it consumes a trace.Generator
+// MissCurveFastParallel is the drop-in entry point: it consumes a trace.Generator
 // stream (no full-trace materialization), profiles every requested size
 // simultaneously, and falls back to the brute-force simulator for
 // configurations the stack algorithm does not cover (non-LRU policies,

@@ -70,7 +70,7 @@ func parallelWorkers(requested, minSets int) int {
 
 // partStats accumulates one profiler's kernel counters: a worker's
 // private view of its partition, merged into the shared Stats at feed
-// boundaries, or SetProfiler.Run's tally for one call.
+// boundaries, or a one-worker sweep's tally for one chunk.
 type partStats struct {
 	n, hits, evictions, writeBacks uint64
 }
@@ -120,15 +120,11 @@ func getArena() *sweepArena {
 
 func putArena(a *sweepArena) { arenaPool.Put(a) }
 
-// grab returns n uninitialized words. A nil arena degrades to a plain
-// allocation (the standalone NewSetProfiler path). When the current slab
-// runs out, a fresh one replaces it — earlier grabs keep referencing the
-// old slab until the sweep ends, and the pool retains only the newest,
-// largest slab for the next call.
+// grab returns n uninitialized words. When the current slab runs out, a
+// fresh one replaces it — earlier grabs keep referencing the old slab
+// until the sweep ends, and the pool retains only the newest, largest
+// slab for the next call.
 func (a *sweepArena) grab(n int) []uint64 {
-	if a == nil {
-		return make([]uint64, n)
-	}
 	if a.used+n > len(a.words) {
 		size := 2 * (a.used + n)
 		if size < len(a.words) {

@@ -62,7 +62,7 @@ func TestFusedMatchesSingle(t *testing.T) {
 		for i := range ps {
 			cfg := base
 			cfg.SizeBytes = sizes[len(sizes)-1-i] // largest first
-			p, err := NewSetProfiler(cfg)
+			p, err := newSetProfiler(cfg, new(sweepArena))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -57,7 +57,7 @@ const invInit = uint64(0x76543210)
 //
 // It produces Stats bit-identical to cachesim.Cache for every
 // configuration Eligible accepts (cross-validated in tests) at a fraction
-// of the per-access cost; MissCurveFast's sweep driver runs one instance
+// of the per-access cost; the sweep driver runs one instance
 // per swept size and advances nested 8-way quintets in one fused loop
 // (runFused5).
 //
@@ -89,18 +89,14 @@ type SetProfiler struct {
 	stats cachesim.Stats
 }
 
-// NewSetProfiler builds a profiler for cfg, which must be Eligible and
+// newSetProfiler builds a profiler for cfg, which must be Eligible and
 // set-associative (Assoc ≥ 1; use Profiler for fully-associative sweeps).
-func NewSetProfiler(cfg cachesim.Config) (*SetProfiler, error) {
-	return newSetProfiler(cfg, nil)
-}
-
-// newSetProfiler is NewSetProfiler with the ways array optionally carved
-// out of a pooled sweep arena: the curve drivers rebuild their per-set
-// arrays every call, and drawing them from the arena keeps repeated
-// sweeps (benchmarks, batch queries) near zero-alloc. Arena memory is
-// dirty; the init loop below writes every word the kernels read (the six
-// pad words per 16-word block are write-only).
+// The ways array is carved out of the sweep's pooled arena: the curve
+// drivers rebuild their per-set arrays every call, and drawing them from
+// the arena keeps repeated sweeps (benchmarks, batch queries) near
+// zero-alloc. Arena memory is dirty; the init loop below writes every
+// word the kernels read (the six pad words per 16-word block are
+// write-only).
 func newSetProfiler(cfg cachesim.Config, ar *sweepArena) (*SetProfiler, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -155,12 +151,6 @@ func (p *SetProfiler) Stats() cachesim.Stats { return p.stats }
 // warmup boundary, mirroring cachesim.Cache.ResetStats.
 func (p *SetProfiler) ResetStats() { p.stats = cachesim.Stats{} }
 
-// Access runs one reference through the model.
-func (p *SetProfiler) Access(a trace.Access) {
-	batch := [1]trace.Access{a}
-	p.Run(batch[:])
-}
-
 // packInto produces the access encoding every kernel consumes:
 // lineAddr<<1 | write, into dst, which must have room for len(batch)
 // words. It replaces the 16-byte Access struct with one word and turns
@@ -172,19 +162,6 @@ func packInto(dst []uint64, batch []trace.Access, lineShift uint) []uint64 {
 		dst[i] = (a.Addr>>(lineShift&63))<<1 | b2u(a.Write)
 	}
 	return dst
-}
-
-// Run streams a batch of accesses through the model, packing it 512
-// words at a time on the stack.
-func (p *SetProfiler) Run(batch []trace.Access) {
-	var pk [512]uint64
-	var acc partStats
-	for len(batch) > 0 {
-		n := min(len(batch), len(pk))
-		p.runChunk(packInto(pk[:0], batch[:n], p.lineShift), &acc)
-		batch = batch[n:]
-	}
-	p.addPart(acc)
 }
 
 // runChunk streams one packed chunk through the kernel for the model's

@@ -1,7 +1,7 @@
-// Package noc models the on-chip interconnect's area and latency — the
-// limit §6.1 raises against the smaller-cores technique: "with
-// increasingly smaller cores, the interconnection between cores (routers,
-// links, buses, etc.) becomes increasingly larger and more complex."
+// Package noc models the on-chip interconnect's area — the limit §6.1
+// raises against the smaller-cores technique: "with increasingly smaller
+// cores, the interconnection between cores (routers, links, buses, etc.)
+// becomes increasingly larger and more complex."
 //
 // The model is a 2D mesh: one router per core plus per-hop link area. The
 // router's area does not shrink with the core (its buffers and crossbar
@@ -9,10 +9,7 @@
 // shrink the interconnect claims a growing share of each tile.
 package noc
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Mesh describes a 2D-mesh NoC.
 type Mesh struct {
@@ -21,8 +18,6 @@ type Mesh struct {
 	RouterAreaCEA float64
 	// LinkAreaCEA is the area of the wiring per tile.
 	LinkAreaCEA float64
-	// HopLatencyNS is the per-hop router+link traversal latency.
-	HopLatencyNS float64
 }
 
 // Validate reports whether the mesh parameters are physical.
@@ -32,43 +27,18 @@ func (m Mesh) Validate() error {
 		return fmt.Errorf("noc: router area must be positive, got %g", m.RouterAreaCEA)
 	case m.LinkAreaCEA < 0:
 		return fmt.Errorf("noc: link area must be non-negative, got %g", m.LinkAreaCEA)
-	case !(m.HopLatencyNS > 0):
-		return fmt.Errorf("noc: hop latency must be positive, got %g", m.HopLatencyNS)
 	}
 	return nil
 }
 
 // Default returns a plausible mesh: router 4% of a baseline core, links
-// 1%, 1ns per hop.
+// 1%.
 func Default() Mesh {
-	return Mesh{RouterAreaCEA: 0.04, LinkAreaCEA: 0.01, HopLatencyNS: 1}
+	return Mesh{RouterAreaCEA: 0.04, LinkAreaCEA: 0.01}
 }
 
 // TileOverheadCEA returns the interconnect area added to each core tile.
 func (m Mesh) TileOverheadCEA() float64 { return m.RouterAreaCEA + m.LinkAreaCEA }
-
-// AreaCEA returns the total interconnect area for p cores.
-func (m Mesh) AreaCEA(p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	return p * m.TileOverheadCEA()
-}
-
-// AvgHops returns the average hop count between uniformly random tiles of
-// a √p × √p mesh: (2/3)·√p for large p (the standard mesh result).
-func (m Mesh) AvgHops(p float64) float64 {
-	if p <= 1 {
-		return 0
-	}
-	side := math.Sqrt(p)
-	return 2.0 / 3.0 * side
-}
-
-// AvgLatencyNS returns the average tile-to-tile traversal latency.
-func (m Mesh) AvgLatencyNS(p float64) float64 {
-	return m.AvgHops(p) * m.HopLatencyNS
-}
 
 // OverheadFraction returns the interconnect's share of a tile for a core
 // of the given area (in CEAs): the quantity that explodes as cores shrink.

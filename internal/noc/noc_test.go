@@ -13,41 +13,13 @@ func TestValidate(t *testing.T) {
 		t.Errorf("default mesh rejected: %v", err)
 	}
 	bad := []Mesh{
-		{RouterAreaCEA: 0, LinkAreaCEA: 0.01, HopLatencyNS: 1},
-		{RouterAreaCEA: 0.04, LinkAreaCEA: -1, HopLatencyNS: 1},
-		{RouterAreaCEA: 0.04, LinkAreaCEA: 0.01, HopLatencyNS: 0},
+		{RouterAreaCEA: 0, LinkAreaCEA: 0.01},
+		{RouterAreaCEA: 0.04, LinkAreaCEA: -1},
 	}
 	for i, m := range bad {
 		if err := m.Validate(); err == nil {
 			t.Errorf("case %d: invalid mesh accepted", i)
 		}
-	}
-}
-
-func TestAreaScalesWithCores(t *testing.T) {
-	m := Default()
-	if got := m.AreaCEA(0); got != 0 {
-		t.Errorf("zero cores area = %v", got)
-	}
-	if got := m.AreaCEA(100); !numeric.AlmostEqual(got, 5, 1e-12) {
-		t.Errorf("100-tile area = %v, want 5 CEAs", got)
-	}
-	if m.AreaCEA(200) != 2*m.AreaCEA(100) {
-		t.Error("area must be linear in cores")
-	}
-}
-
-func TestAvgHopsMesh(t *testing.T) {
-	m := Default()
-	if m.AvgHops(1) != 0 {
-		t.Error("single tile needs no hops")
-	}
-	// 64-tile mesh: (2/3)·8 ≈ 5.33 hops.
-	if got := m.AvgHops(64); math.Abs(got-16.0/3) > 1e-12 {
-		t.Errorf("64-tile hops = %v, want 16/3", got)
-	}
-	if m.AvgLatencyNS(64) != m.AvgHops(64)*m.HopLatencyNS {
-		t.Error("latency must be hops × hop latency")
 	}
 }
 

@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -17,7 +18,7 @@ func BenchmarkBrentCubic(b *testing.B) {
 func BenchmarkBisectCubic(b *testing.B) {
 	f := func(x float64) float64 { return x*x*x + 64*x - 2048 }
 	for i := 0; i < b.N; i++ {
-		if _, err := Bisect(f, 1e-9, 32, 1e-10); err != nil {
+		if _, err := BisectCtx(context.Background(), f, 1e-9, 32, 1e-10); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,7 +10,6 @@ import "repro/internal/obs"
 const (
 	obsBisectIters     = "numeric.bisect.iterations"
 	obsBrentIters      = "numeric.brent.iterations"
-	obsNewtonIters     = "numeric.newton.iterations"
 	obsBracketFailures = "numeric.bracket.failures"
 )
 
@@ -38,6 +37,5 @@ func observeBracketFailure() {
 func RegisterObs(reg *obs.Registry) {
 	reg.Histogram(obsBisectIters, iterBuckets)
 	reg.Histogram(obsBrentIters, iterBuckets)
-	reg.Histogram(obsNewtonIters, iterBuckets)
 	reg.Counter(obsBracketFailures)
 }

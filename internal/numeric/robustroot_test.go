@@ -44,7 +44,7 @@ func TestRobustRootDegradesToBisect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer robust.SetInjector(robust.NewInjector(plan, 1))()
+	defer robust.SetInjector(robust.NewInjector(plan))()
 	root, err := RobustRoot(context.Background(), func(x float64) float64 { return x - 0.25 }, 0, 1, 1e-12)
 	if err != nil {
 		t.Fatalf("ladder did not absorb the transient fault: %v", err)

@@ -1,15 +1,12 @@
 // Package numeric provides the small numerical toolkit the bandwidth-wall
-// model is built on: scalar root finding (bisection, Brent, Newton),
-// least-squares line fitting (including log-log fits for power laws), and
-// basic descriptive statistics.
+// model is built on: scalar root finding (bisection, Brent) and
+// least-squares line fitting (including log-log fits for power laws).
 //
 // Everything here is deterministic and allocation-free on the hot paths so
-// the scaling solver can be called inside tight parameter sweeps. Every
-// iterative method has a context-aware variant (BisectCtx, BrentCtx,
-// NewtonCtx) that checks for cancellation once per iteration; the
-// plain-named versions run uncancellable. RobustRoot layers a degradation
-// ladder on top: Brent first, then automatic bracket expansion, then
-// unconditional bisection.
+// the scaling solver can be called inside tight parameter sweeps. BisectCtx
+// and BrentCtx check for cancellation once per iteration; plain Brent runs
+// uncancellable. RobustRoot layers a degradation ladder on top: Brent
+// first, then automatic bracket expansion, then unconditional bisection.
 package numeric
 
 import (
@@ -55,14 +52,10 @@ const DefaultTol = 1e-12
 // maxIter bounds every iterative solver in this package.
 const maxIter = 200
 
-// Bisect finds a root of f in [a, b] by bisection. f(a) and f(b) must have
-// opposite signs. It converges unconditionally but only linearly; prefer
-// Brent for production use. tol <= 0 selects DefaultTol.
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	return BisectCtx(context.Background(), f, a, b, tol)
-}
-
-// BisectCtx is Bisect with cancellation checked once per iteration.
+// BisectCtx finds a root of f in [a, b] by bisection, checking for
+// cancellation once per iteration. f(a) and f(b) must have opposite signs.
+// It converges unconditionally but only linearly; prefer Brent for
+// production use. tol <= 0 selects DefaultTol.
 func BisectCtx(ctx context.Context, f func(float64) float64, a, b, tol float64) (float64, error) {
 	if tol <= 0 {
 		tol = DefaultTol
@@ -184,49 +177,6 @@ func BrentCtx(ctx context.Context, f func(float64) float64, a, b, tol float64) (
 	}
 	observeIters(obsBrentIters, maxIter)
 	return b, ErrNoConverge
-}
-
-// Newton finds a root of f starting from x0 using Newton-Raphson with the
-// supplied analytic derivative df. It fails fast if the derivative vanishes
-// or iterates diverge. tol <= 0 selects DefaultTol.
-func Newton(f, df func(float64) float64, x0, tol float64) (float64, error) {
-	return NewtonCtx(context.Background(), f, df, x0, tol)
-}
-
-// NewtonCtx is Newton with cancellation checked once per iteration.
-func NewtonCtx(ctx context.Context, f, df func(float64) float64, x0, tol float64) (float64, error) {
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	x := x0
-	for i := 0; i < maxIter; i++ {
-		if err := robust.Err(ctx); err != nil {
-			observeIters(obsNewtonIters, i)
-			return 0, err
-		}
-		fx := f(x)
-		if math.Abs(fx) < tol {
-			observeIters(obsNewtonIters, i)
-			return x, nil
-		}
-		dfx := df(x)
-		if dfx == 0 || math.IsNaN(dfx) || math.IsInf(dfx, 0) {
-			observeIters(obsNewtonIters, i)
-			return 0, fmt.Errorf("%w: derivative %g at x=%g", ErrNoConverge, dfx, x)
-		}
-		next := x - fx/dfx
-		if math.IsNaN(next) || math.IsInf(next, 0) {
-			observeIters(obsNewtonIters, i)
-			return 0, fmt.Errorf("%w: iterate diverged at x=%g", ErrNoConverge, x)
-		}
-		if math.Abs(next-x) < tol {
-			observeIters(obsNewtonIters, i+1)
-			return next, nil
-		}
-		x = next
-	}
-	observeIters(obsNewtonIters, maxIter)
-	return x, ErrNoConverge
 }
 
 // BracketUp expands [a, b] geometrically to the right until f changes sign

@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -9,7 +10,7 @@ import (
 
 func TestBisectFindsSimpleRoot(t *testing.T) {
 	f := func(x float64) float64 { return x*x - 2 }
-	root, err := Bisect(f, 0, 2, 1e-10)
+	root, err := BisectCtx(context.Background(), f, 0, 2, 1e-10)
 	if err != nil {
 		t.Fatalf("Bisect: %v", err)
 	}
@@ -20,17 +21,17 @@ func TestBisectFindsSimpleRoot(t *testing.T) {
 
 func TestBisectExactEndpoints(t *testing.T) {
 	f := func(x float64) float64 { return x - 1 }
-	if root, err := Bisect(f, 1, 2, 0); err != nil || root != 1 {
+	if root, err := BisectCtx(context.Background(), f, 1, 2, 0); err != nil || root != 1 {
 		t.Errorf("left endpoint root: got %v, %v", root, err)
 	}
-	if root, err := Bisect(f, 0, 1, 0); err != nil || root != 1 {
+	if root, err := BisectCtx(context.Background(), f, 0, 1, 0); err != nil || root != 1 {
 		t.Errorf("right endpoint root: got %v, %v", root, err)
 	}
 }
 
 func TestBisectNoBracket(t *testing.T) {
 	f := func(x float64) float64 { return x*x + 1 }
-	if _, err := Bisect(f, -1, 1, 0); !errors.Is(err, ErrNoBracket) {
+	if _, err := BisectCtx(context.Background(), f, -1, 1, 0); !errors.Is(err, ErrNoBracket) {
 		t.Errorf("want ErrNoBracket, got %v", err)
 	}
 }
@@ -96,7 +97,7 @@ func TestBrentAgainstBisect(t *testing.T) {
 	}
 	for _, tc := range cases {
 		rb, err1 := Brent(tc.f, tc.a, tc.b, 1e-12)
-		ri, err2 := Bisect(tc.f, tc.a, tc.b, 1e-12)
+		ri, err2 := BisectCtx(context.Background(), tc.f, tc.a, tc.b, 1e-12)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: errs %v %v", tc.name, err1, err2)
 		}
@@ -119,26 +120,6 @@ func TestBrentQuickProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestNewton(t *testing.T) {
-	f := func(x float64) float64 { return x*x - 9 }
-	df := func(x float64) float64 { return 2 * x }
-	root, err := Newton(f, df, 1, 1e-12)
-	if err != nil {
-		t.Fatalf("Newton: %v", err)
-	}
-	if !AlmostEqual(root, 3, 1e-9) {
-		t.Errorf("root = %v, want 3", root)
-	}
-}
-
-func TestNewtonZeroDerivative(t *testing.T) {
-	f := func(x float64) float64 { return x*x + 1 }
-	df := func(x float64) float64 { return 0 }
-	if _, err := Newton(f, df, 5, 0); err == nil {
-		t.Error("want error for zero derivative")
 	}
 }
 

@@ -3,66 +3,7 @@ package numeric
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestMean(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Errorf("Mean = %v, want 2.5", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Errorf("Mean(nil) = %v, want 0", got)
-	}
-}
-
-func TestVarianceAndStddev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !AlmostEqual(got, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := Stddev(xs); !AlmostEqual(got, 2, 1e-12) {
-		t.Errorf("Stddev = %v, want 2", got)
-	}
-	if Variance([]float64{1}) != 0 {
-		t.Error("Variance of single sample should be 0")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{5, 1, 3}); got != 3 {
-		t.Errorf("odd median = %v, want 3", got)
-	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Errorf("even median = %v, want 2.5", got)
-	}
-	if got := Median(nil); got != 0 {
-		t.Errorf("Median(nil) = %v, want 0", got)
-	}
-	// Median must not mutate its input.
-	xs := []float64{3, 1, 2}
-	Median(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("Median mutated input: %v", xs)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4, 16}); !AlmostEqual(got, 4, 1e-12) {
-		t.Errorf("GeoMean = %v, want 4", got)
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Error("GeoMean with negatives should be 0")
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean(nil) should be 0")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-5, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Error("Clamp misbehaves")
-	}
-}
 
 func TestAlmostEqual(t *testing.T) {
 	if !AlmostEqual(1e12, 1e12+1, 1e-9) {
@@ -73,45 +14,5 @@ func TestAlmostEqual(t *testing.T) {
 	}
 	if !AlmostEqual(math.Pi, math.Pi, 0) {
 		t.Error("identical values must compare equal")
-	}
-}
-
-func TestMeanQuickProperty(t *testing.T) {
-	// Property: mean lies within [min, max] of the sample.
-	prop := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e100 {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return Mean(xs) == 0
-		}
-		mn, mx := xs[0], xs[0]
-		for _, x := range xs {
-			mn = math.Min(mn, x)
-			mx = math.Max(mx, x)
-		}
-		m := Mean(xs)
-		return m >= mn-1e-6 && m <= mx+1e-6
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestVarianceNonNegativeQuick(t *testing.T) {
-	prop := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e100 {
-				xs = append(xs, x)
-			}
-		}
-		return Variance(xs) >= 0
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -31,8 +31,7 @@ import (
 // NOT usable; obtain counters from a Registry. A nil *Counter is a valid
 // no-op sink.
 type Counter struct {
-	name string
-	v    atomic.Uint64
+	v atomic.Uint64
 }
 
 // Inc adds one. No-op on a nil receiver.
@@ -59,18 +58,9 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Name returns the counter's registered name ("" on a nil receiver).
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Gauge is an atomically updated float64 level. A nil *Gauge is a valid
 // no-op sink.
 type Gauge struct {
-	name string
 	bits atomic.Uint64
 }
 
@@ -90,14 +80,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Name returns the gauge's registered name ("" on a nil receiver).
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
-}
-
 // Exemplar links one observed value to the trace that produced it, so a
 // histogram's slow buckets can point at concrete requests to inspect.
 type Exemplar struct {
@@ -111,7 +93,6 @@ type Exemplar struct {
 // additionally retains the most recent exemplar observed into it (when
 // recorded via ObserveEx), so the slowest bucket always names a culprit.
 type Histogram struct {
-	name    string
 	bounds  []float64 // sorted ascending; bucket i holds v <= bounds[i]
 	counts  []atomic.Uint64
 	exs     []atomic.Pointer[Exemplar]
@@ -159,30 +140,6 @@ func (h *Histogram) ObserveEx(v float64, label string) {
 			return
 		}
 	}
-}
-
-// Count returns the number of observations (0 on a nil receiver).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the total of all observed values (0 on a nil receiver).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
-// Name returns the histogram's registered name ("" on a nil receiver).
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
 }
 
 // Registry owns a namespace of instruments and the span log for one run.
@@ -257,7 +214,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if c := r.counters[name]; c != nil {
 		return c
 	}
-	c = &Counter{name: name}
+	c = &Counter{}
 	r.counters[name] = c
 	return c
 }
@@ -279,7 +236,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if g := r.gauges[name]; g != nil {
 		return g
 	}
-	g = &Gauge{name: name}
+	g = &Gauge{}
 	r.gauges[name] = g
 	return g
 }
@@ -305,7 +262,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		return h
 	}
 	h = &Histogram{
-		name:   name,
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]atomic.Uint64, len(bounds)+1),
 		exs:    make([]atomic.Pointer[Exemplar], len(bounds)+1),

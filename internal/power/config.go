@@ -13,17 +13,6 @@ type Config struct {
 	C float64 // CEAs of on-chip cache
 }
 
-// NewConfig validates and constructs a Config. P must be positive (a chip
-// with zero cores generates no traffic and divides by zero everywhere);
-// C may be zero (an all-cores chip) but not negative.
-func NewConfig(p, c float64) (Config, error) {
-	cfg := Config{P: p, C: c}
-	if err := cfg.Validate(); err != nil {
-		return Config{}, err
-	}
-	return cfg, nil
-}
-
 // Validate reports whether the allocation is physical.
 func (c Config) Validate() error {
 	if !(c.P > 0) || math.IsInf(c.P, 0) || math.IsNaN(c.P) {
@@ -52,13 +41,3 @@ func (c Config) String() string {
 // Baseline returns the paper's baseline CMP: a balanced Niagara2-like chip
 // with 8 cores and 8 CEAs of L2 cache (≈4MB), i.e. N1=16, S1=1 (§5.1).
 func Baseline() Config { return Config{P: 8, C: 8} }
-
-// SplitArea allocates n total CEAs between p cores and the remaining cache,
-// mirroring how the paper sweeps next-generation configurations
-// (C2 = N2 − P2). p must lie in (0, n].
-func SplitArea(n, p float64) (Config, error) {
-	if !(p > 0) || p > n {
-		return Config{}, fmt.Errorf("power: cores p=%g must be in (0, n=%g]", p, n)
-	}
-	return Config{P: p, C: n - p}, nil
-}

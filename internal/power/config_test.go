@@ -3,8 +3,6 @@ package power
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/numeric"
 )
 
 func TestBaselineMatchesPaper(t *testing.T) {
@@ -24,40 +22,18 @@ func TestBaselineMatchesPaper(t *testing.T) {
 }
 
 func TestNewConfigValidation(t *testing.T) {
-	if _, err := NewConfig(4, 12); err != nil {
+	if err := (Config{P: 4, C: 12}).Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
-	if _, err := NewConfig(4, 0); err != nil {
+	if err := (Config{P: 4}).Validate(); err != nil {
 		t.Errorf("all-cores config rejected: %v", err)
 	}
 	for _, bad := range []struct{ p, c float64 }{
 		{0, 8}, {-1, 8}, {8, -1},
 	} {
-		if _, err := NewConfig(bad.p, bad.c); err == nil {
+		if err := (Config{P: bad.p, C: bad.c}).Validate(); err == nil {
 			t.Errorf("invalid config (%v, %v) accepted", bad.p, bad.c)
 		}
-	}
-}
-
-func TestSplitArea(t *testing.T) {
-	cfg, err := SplitArea(32, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.P != 12 || cfg.C != 20 {
-		t.Errorf("SplitArea = %+v, want P=12 C=20", cfg)
-	}
-	if !numeric.AlmostEqual(cfg.S(), 20.0/12, 1e-12) {
-		t.Errorf("S = %v", cfg.S())
-	}
-	if _, err := SplitArea(32, 0); err == nil {
-		t.Error("SplitArea should reject p=0")
-	}
-	if _, err := SplitArea(32, 33); err == nil {
-		t.Error("SplitArea should reject p>n")
-	}
-	if cfg, err := SplitArea(32, 32); err != nil || cfg.C != 0 {
-		t.Errorf("SplitArea all-cores: %+v, %v", cfg, err)
 	}
 }
 

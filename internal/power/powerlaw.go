@@ -42,15 +42,6 @@ type PowerLaw struct {
 	Alpha float64 // cache-size sensitivity exponent
 }
 
-// NewPowerLaw validates and constructs a PowerLaw.
-func NewPowerLaw(m0, c0, alpha float64) (PowerLaw, error) {
-	p := PowerLaw{M0: m0, C0: c0, Alpha: alpha}
-	if err := p.Validate(); err != nil {
-		return PowerLaw{}, err
-	}
-	return p, nil
-}
-
 // Validate reports whether the law's parameters are physical.
 func (p PowerLaw) Validate() error {
 	if !(p.M0 > 0) || math.IsInf(p.M0, 0) {

@@ -27,12 +27,6 @@ func TestPowerLawValidate(t *testing.T) {
 			t.Errorf("case %d: invalid law %+v accepted", i, p)
 		}
 	}
-	if _, err := NewPowerLaw(0.1, 64, 0.5); err != nil {
-		t.Errorf("NewPowerLaw valid: %v", err)
-	}
-	if _, err := NewPowerLaw(0, 64, 0.5); err == nil {
-		t.Error("NewPowerLaw should reject M0=0")
-	}
 }
 
 func TestMissRateBaseline(t *testing.T) {

@@ -41,8 +41,7 @@ import (
 // broadened fault matrices (the CI fault-injection job sets it).
 //
 // Plans are deterministic: directives fire on hit counts, never on
-// randomness, so a seeded run reproduces exactly. The Injector's seed
-// only feeds derived deterministic noise (e.g. retry jitter in tests).
+// randomness, so a run reproduces exactly.
 
 // EnvFaults is the environment variable the CLI reads a fault plan from.
 const EnvFaults = "BANDWALL_FAULTS"
@@ -161,21 +160,11 @@ func parseDirective(raw string) (*Directive, error) {
 // injector injects nothing.
 type Injector struct {
 	plan *Plan
-	seed uint64
 }
 
-// NewInjector builds an injector over plan. seed parameterizes derived
-// deterministic noise; the plan itself is count-based and seed-free.
-func NewInjector(plan *Plan, seed uint64) *Injector {
-	return &Injector{plan: plan, seed: seed}
-}
-
-// Seed returns the injector's seed.
-func (in *Injector) Seed() uint64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
+// NewInjector builds an injector over plan.
+func NewInjector(plan *Plan) *Injector {
+	return &Injector{plan: plan}
 }
 
 // Plan returns the injector's plan (nil on a nil injector).
@@ -196,7 +185,7 @@ var setMu sync.Mutex
 // injection) and returns a function restoring the previous one — the
 // test-hook entry point:
 //
-//	defer robust.SetInjector(robust.NewInjector(plan, 1))()
+//	defer robust.SetInjector(robust.NewInjector(plan))()
 func SetInjector(in *Injector) (restore func()) {
 	setMu.Lock()
 	defer setMu.Unlock()
@@ -211,9 +200,6 @@ func SetInjector(in *Injector) (restore func()) {
 		active.Store(prev)
 	}
 }
-
-// ActiveInjector returns the installed injector, or nil.
-func ActiveInjector() *Injector { return active.Load() }
 
 // scopeKey carries the injection scope (the running experiment id).
 type scopeKey struct{}

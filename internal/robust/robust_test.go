@@ -212,7 +212,7 @@ func TestInjectorFiresOnceScoped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer SetInjector(NewInjector(plan, 1))()
+	defer SetInjector(NewInjector(plan))()
 	bg := context.Background()
 	if err := Hit(WithScope(bg, "fig01"), "pt"); err != nil {
 		t.Errorf("wrong scope fired: %v", err)
@@ -231,7 +231,7 @@ func TestInjectorFiresOnceScoped(t *testing.T) {
 
 func TestInjectorPanicAction(t *testing.T) {
 	plan, _ := ParsePlan("pt=panic")
-	defer SetInjector(NewInjector(plan, 1))()
+	defer SetInjector(NewInjector(plan))()
 	err := Safe(func() error { return Hit(context.Background(), "pt") })
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -241,7 +241,7 @@ func TestInjectorPanicAction(t *testing.T) {
 
 func TestInjectorSleepRespectsContext(t *testing.T) {
 	plan, _ := ParsePlan("pt=sleep:30s")
-	defer SetInjector(NewInjector(plan, 1))()
+	defer SetInjector(NewInjector(plan))()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(10 * time.Millisecond); cancel() }()
 	start := time.Now()
@@ -260,8 +260,8 @@ func TestInjectorDisabled(t *testing.T) {
 		t.Errorf("disabled injector fired: %v", err)
 	}
 	// An empty, non-matrix plan is equivalent to no injector.
-	defer SetInjector(NewInjector(&Plan{}, 0))()
-	if ActiveInjector() != nil {
+	defer SetInjector(NewInjector(&Plan{}))()
+	if active.Load() != nil {
 		t.Error("empty plan installed a live injector")
 	}
 }

@@ -33,8 +33,8 @@ import (
 // pool doing mixed-stack batch queries no longer serializes every lookup
 // on one RWMutex (a single reader-count cache line bouncing between
 // cores is contention even when every request is a hit). Entries with
-// equal fingerprints land in the same shard; introspection (Info, Len,
-// Purge) aggregates across shards.
+// equal fingerprints land in the same shard; introspection (Info, Purge)
+// aggregates across shards.
 
 // Fingerprint is the canonical identity of a technique stack for solver
 // memoization: its resolved parameter set. Two stacks with equal
@@ -218,20 +218,12 @@ func (c *EvalCache) key(s Solver, fp Fingerprint, n2, budget float64) cacheKey {
 	return cacheKey{fp: fp, baseP: base.P, baseC: base.C, alpha: s.Alpha(), n2: n2, budget: budget}
 }
 
-// SupportableCoresCtx is Solver.SupportableCoresCtx memoized on the
-// canonical stack fingerprint. A nil receiver degrades to the uncached
-// solver call.
-func (c *EvalCache) SupportableCoresCtx(ctx context.Context, s Solver, st technique.Stack, n2, budget float64) (float64, error) {
-	if c == nil {
-		return s.SupportableCoresCtx(ctx, st, n2, budget)
-	}
-	return c.SupportableCoresFP(ctx, s, FingerprintOf(st), st, n2, budget)
-}
-
-// SupportableCoresFP is SupportableCoresCtx with the stack's fingerprint
-// precomputed by the caller. Batch evaluators resolving the same stack at
-// many axis points fingerprint it once instead of per cell (resolving
-// Params dominates a cache hit otherwise). fp must be FingerprintOf(st).
+// SupportableCoresFP is Solver.SupportableCoresCtx memoized on the
+// canonical stack fingerprint, which the caller precomputes: batch
+// evaluators resolving the same stack at many axis points fingerprint it
+// once instead of per cell (resolving Params dominates a cache hit
+// otherwise). fp must be FingerprintOf(st). A nil receiver degrades to
+// the uncached solver call.
 func (c *EvalCache) SupportableCoresFP(ctx context.Context, s Solver, fp Fingerprint, st technique.Stack, n2, budget float64) (float64, error) {
 	if c == nil {
 		return s.SupportableCoresCtx(ctx, st, n2, budget)
@@ -313,38 +305,12 @@ func (sol Solution) copyWalls() Solution {
 	return sol
 }
 
-// MaxCoresCtx is Solver.MaxCoresCtx through the cache: the exact solution
-// is memoized once and floored with the shared CoresFromExact rule, so a
-// cores query after an exact query costs no extra solve (and vice versa).
-func (c *EvalCache) MaxCoresCtx(ctx context.Context, s Solver, st technique.Stack, n2, budget float64) (int, error) {
-	p, err := c.SupportableCoresCtx(ctx, s, st, n2, budget)
-	if err != nil {
-		return 0, err
-	}
-	return CoresFromExact(p), nil
-}
-
 // Stats returns the cache's hit and miss counts.
 func (c *EvalCache) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
 	return c.hits.Load(), c.misses.Load()
-}
-
-// Len returns the number of memoized evaluations across all shards.
-func (c *EvalCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
 }
 
 // Purge drops every memoized evaluation and returns how many were held.

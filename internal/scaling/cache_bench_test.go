@@ -29,7 +29,7 @@ func BenchmarkEvalCacheContention(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			c := NewEvalCacheShards(shards)
 			warm := func(st technique.Stack) {
-				if _, err := c.SupportableCoresCtx(context.Background(), s, st, 32, 1); err != nil {
+				if _, err := c.SupportableCoresFP(context.Background(), s, FingerprintOf(st), st, 32, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

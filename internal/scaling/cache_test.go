@@ -17,11 +17,11 @@ func TestEvalCacheHitMiss(t *testing.T) {
 	c := NewEvalCache()
 	st := technique.Combine(technique.CacheCompression{Ratio: 2})
 
-	v1, err := c.SupportableCoresCtx(context.Background(), s, st, 32, 1)
+	v1, err := c.SupportableCoresFP(context.Background(), s, FingerprintOf(st), st, 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := c.SupportableCoresCtx(context.Background(), s, st, 32, 1)
+	v2, err := c.SupportableCoresFP(context.Background(), s, FingerprintOf(st), st, 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,16 +31,16 @@ func TestEvalCacheHitMiss(t *testing.T) {
 	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
 		t.Errorf("stats = (%d hits, %d misses), want (1, 1)", hits, misses)
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
+	if c.Info(0).Entries != 1 {
+		t.Errorf("entries = %d, want 1", c.Info(0).Entries)
 	}
 
 	// A different budget is a different key.
-	if _, err := c.SupportableCoresCtx(context.Background(), s, st, 32, 1.5); err != nil {
+	if _, err := c.SupportableCoresFP(context.Background(), s, FingerprintOf(st), st, 32, 1.5); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 2 {
-		t.Errorf("Len after new budget = %d, want 2", c.Len())
+	if c.Info(0).Entries != 2 {
+		t.Errorf("entries after new budget = %d, want 2", c.Info(0).Entries)
 	}
 }
 
@@ -58,11 +58,11 @@ func TestEvalCacheFingerprintCollapsesEquivalentStacks(t *testing.T) {
 		t.Fatalf("fingerprints differ: %+v vs %+v", FingerprintOf(split), FingerprintOf(fused))
 	}
 
-	v1, err := c.SupportableCoresCtx(context.Background(), s, split, 32, 1)
+	v1, err := c.SupportableCoresFP(context.Background(), s, FingerprintOf(split), split, 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := c.SupportableCoresCtx(context.Background(), s, fused, 32, 1)
+	v2, err := c.SupportableCoresFP(context.Background(), s, FingerprintOf(fused), fused, 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestEvalCacheNilReceiver(t *testing.T) {
 	var c *EvalCache
 	s := Default()
 	st := technique.Combine()
-	v, err := c.SupportableCoresCtx(context.Background(), s, st, 32, 1)
+	v, err := c.SupportableCoresFP(context.Background(), s, FingerprintOf(st), st, 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,20 +89,20 @@ func TestEvalCacheNilReceiver(t *testing.T) {
 	if math.Float64bits(v) != math.Float64bits(want) {
 		t.Errorf("nil cache = %v, direct = %v", v, want)
 	}
-	n, err := c.MaxCoresCtx(context.Background(), s, st, 32, 1)
+	n, err := maxCores(context.Background(), c, s, st, 32, 1)
 	if err != nil || n != 11 {
 		t.Errorf("nil cache MaxCores = %d, %v; want 11", n, err)
 	}
 	if hits, misses := c.Stats(); hits != 0 || misses != 0 {
 		t.Errorf("nil cache stats = (%d, %d)", hits, misses)
 	}
-	if c.Len() != 0 {
-		t.Errorf("nil cache Len = %d", c.Len())
+	if c.Info(0).Entries != 0 {
+		t.Errorf("nil cache entries = %d", c.Info(0).Entries)
 	}
 }
 
 func TestEvalCacheMaxCoresMatchesSolver(t *testing.T) {
-	// Cached MaxCoresCtx must agree bit-for-bit with the direct solver path
+	// The cached solve, floored, must agree with the direct MaxCoresCtx
 	// across stacks, chip sizes, and budgets — including after a warm hit.
 	s := Default()
 	c := NewEvalCache()
@@ -121,7 +121,7 @@ func TestEvalCacheMaxCoresMatchesSolver(t *testing.T) {
 					t.Fatal(err)
 				}
 				for pass := 0; pass < 2; pass++ { // cold then warm
-					got, err := c.MaxCoresCtx(context.Background(), s, st, n2, budget)
+					got, err := maxCores(context.Background(), c, s, st, n2, budget)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -140,19 +140,19 @@ func TestEvalCacheSolverConstantsInKey(t *testing.T) {
 	st := technique.Combine()
 	s1 := Default()
 	s2 := MustNew(s1.Base(), 0.25)
-	v1, err := c.SupportableCoresCtx(context.Background(), s1, st, 64, 1)
+	v1, err := c.SupportableCoresFP(context.Background(), s1, FingerprintOf(st), st, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := c.SupportableCoresCtx(context.Background(), s2, st, 64, 1)
+	v2, err := c.SupportableCoresFP(context.Background(), s2, FingerprintOf(st), st, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v1 == v2 {
 		t.Errorf("different α returned identical cores %v", v1)
 	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2 (α must be part of the key)", c.Len())
+	if c.Info(0).Entries != 2 {
+		t.Errorf("entries = %d, want 2 (α must be part of the key)", c.Info(0).Entries)
 	}
 }
 
@@ -162,28 +162,28 @@ func TestEvalCacheDoesNotCacheErrors(t *testing.T) {
 	st := technique.Combine()
 
 	// Domain violation: nothing memoized.
-	if _, err := c.SupportableCoresCtx(context.Background(), s, st, 32, -1); !errors.Is(err, robust.ErrDomain) {
+	if _, err := c.SupportableCoresFP(context.Background(), s, FingerprintOf(st), st, 32, -1); !errors.Is(err, robust.ErrDomain) {
 		t.Errorf("bad budget error = %v, want robust.ErrDomain", err)
 	}
-	if c.Len() != 0 {
-		t.Errorf("error was cached: Len = %d", c.Len())
+	if c.Info(0).Entries != 0 {
+		t.Errorf("error was cached: entries = %d", c.Info(0).Entries)
 	}
 
 	// Canceled context: error now, success (a fresh miss) once the context
 	// is live again — a canceled solve must not poison the entry.
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.SupportableCoresCtx(canceled, s, st, 32, 1); robust.Classify(err) != robust.Canceled {
+	if _, err := c.SupportableCoresFP(canceled, s, FingerprintOf(st), st, 32, 1); robust.Classify(err) != robust.Canceled {
 		t.Errorf("canceled solve classified %v (err %v), want Canceled", robust.Classify(err), err)
 	}
-	if c.Len() != 0 {
-		t.Errorf("canceled solve was cached: Len = %d", c.Len())
+	if c.Info(0).Entries != 0 {
+		t.Errorf("canceled solve was cached: entries = %d", c.Info(0).Entries)
 	}
-	if _, err := c.SupportableCoresCtx(context.Background(), s, st, 32, 1); err != nil {
+	if _, err := c.SupportableCoresFP(context.Background(), s, FingerprintOf(st), st, 32, 1); err != nil {
 		t.Errorf("solve after cancellation: %v", err)
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len after recovery = %d, want 1", c.Len())
+	if c.Info(0).Entries != 1 {
+		t.Errorf("entries after recovery = %d, want 1", c.Info(0).Entries)
 	}
 }
 
@@ -209,7 +209,7 @@ func TestEvalCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				n2 := []float64{16, 32, 64, 128}[(g+i)%4]
-				got, err := c.MaxCoresCtx(context.Background(), s, st, n2, 1)
+				got, err := maxCores(context.Background(), c, s, st, n2, 1)
 				if err != nil {
 					errc <- err
 					return
@@ -226,8 +226,8 @@ func TestEvalCacheConcurrent(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if c.Len() != 4 {
-		t.Errorf("Len = %d, want 4", c.Len())
+	if c.Info(0).Entries != 4 {
+		t.Errorf("entries = %d, want 4", c.Info(0).Entries)
 	}
 	hits, misses := c.Stats()
 	if hits+misses != 16*20 {
@@ -256,4 +256,14 @@ func TestCoresFromExact(t *testing.T) {
 			t.Errorf("CoresFromExact(%v) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
+}
+
+// maxCores is Solver.MaxCoresCtx through the cache's memoized solve,
+// floored with the shared CoresFromExact rule.
+func maxCores(ctx context.Context, c *EvalCache, s Solver, st technique.Stack, n2, budget float64) (int, error) {
+	p, err := c.SupportableCoresFP(ctx, s, FingerprintOf(st), st, n2, budget)
+	if err != nil {
+		return 0, err
+	}
+	return CoresFromExact(p), nil
 }

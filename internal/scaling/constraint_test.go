@@ -25,7 +25,7 @@ func TestBandwidthWallBitIdentity(t *testing.T) {
 	}{
 		{1, false, 1}, {1.5, false, 3}, {1.3, true, 2}, {1.3, true, 4},
 	} {
-		want, err := NewEvalCache().SupportableCoresCtx(context.Background(), s, st, 64, func() float64 {
+		want, err := NewEvalCache().SupportableCoresFP(context.Background(), s, FingerprintOf(st), st, 64, func() float64 {
 			if tc.compound {
 				return math.Pow(tc.budget, float64(tc.gen))
 			}
@@ -313,7 +313,7 @@ func TestSolveConstraintFPMemo(t *testing.T) {
 	if _, err := c.SolveConstraintFP(context.Background(), s, fp, st, 64, cons, 2); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() == 0 {
+	if c.Info(0).Entries == 0 {
 		t.Error("post-purge solve cached nothing")
 	}
 

@@ -95,8 +95,13 @@ func TestSweepGenerationsCompoundingBudget(t *testing.T) {
 
 func TestSweepCandles(t *testing.T) {
 	s := Default()
-	entry, ok := technique.ByLabel("DRAM")
-	if !ok {
+	var entry technique.CatalogEntry
+	for _, e := range technique.Catalog {
+		if e.Label == "DRAM" {
+			entry = e
+		}
+	}
+	if entry.New == nil {
 		t.Fatal("DRAM missing from catalog")
 	}
 	build := func(a technique.Assumption) technique.Stack {

@@ -245,18 +245,3 @@ func (e *Engine) Evaluate(ctx context.Context, sp *Spec) (*Outcome, error) {
 	}
 	return out, nil
 }
-
-// EvaluateAll evaluates a batch of specs in order, sharing the engine's
-// cache, stopping at the first error (cancellation included) and returning
-// the outcomes completed so far alongside it.
-func (e *Engine) EvaluateAll(ctx context.Context, specs []*Spec) ([]*Outcome, error) {
-	out := make([]*Outcome, 0, len(specs))
-	for _, sp := range specs {
-		o, err := e.Evaluate(ctx, sp)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, o)
-	}
-	return out, nil
-}

@@ -235,7 +235,7 @@ func TestEvaluatePanicContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer robust.SetInjector(robust.NewInjector(plan, 1))()
+	defer robust.SetInjector(robust.NewInjector(plan))()
 	e := NewEngine()
 	_, err = e.Evaluate(context.Background(), validSpec())
 	if err == nil {
@@ -244,21 +244,6 @@ func TestEvaluatePanicContained(t *testing.T) {
 	var pe *robust.PanicError
 	if !errors.As(err, &pe) {
 		t.Errorf("err = %v, want a contained *robust.PanicError", err)
-	}
-}
-
-func TestEvaluateAllStopsOnError(t *testing.T) {
-	e := NewEngine()
-	good := validSpec()
-	bad := validSpec()
-	bad.ID = "bad"
-	bad.Cases = []Case{{Stack: []technique.Spec{{Name: "Bogus"}}}}
-	out, err := e.EvaluateAll(context.Background(), []*Spec{good, bad, validSpec()})
-	if err == nil {
-		t.Fatal("want error from bad spec")
-	}
-	if len(out) != 1 {
-		t.Errorf("got %d outcomes before failure, want 1", len(out))
 	}
 }
 

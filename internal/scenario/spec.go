@@ -553,12 +553,6 @@ func (sp Spec) MarshalJSON() ([]byte, error) {
 	return json.Marshal(specJSON(cp))
 }
 
-// MarshalIndentSpec renders a spec as canonical indented JSON (the format
-// of examples/scenarios/*.json).
-func MarshalIndentSpec(sp *Spec) ([]byte, error) {
-	return json.MarshalIndent(sp, "", "  ")
-}
-
 // GenKey builds the Values key convention shared with the figure drivers:
 // "prefix@RATIOx", e.g. "cores@16x" or "CC:pess@2x".
 func GenKey(prefix string, ratio float64) string {

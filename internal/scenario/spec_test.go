@@ -22,7 +22,7 @@ func validSpec() *Spec {
 }
 
 func TestParseSpecValid(t *testing.T) {
-	data, err := MarshalIndentSpec(validSpec())
+	data, err := json.MarshalIndent(validSpec(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 			{Label: "hot α", Alpha: 0.9, Budget: 2},
 		},
 	}
-	data, err := MarshalIndentSpec(sp)
+	data, err := json.MarshalIndent(sp, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,18 +53,13 @@ type cacheEntry struct {
 // a non-trivial LRU segment.
 const DefaultCacheShards = 16
 
-// newRespCache builds a cache holding up to size entries; size 0 means
-// DefaultCacheSize, negative disables caching (Get always misses).
-func newRespCache(size int) *respCache {
-	return newRespCacheShards(size, 0)
-}
-
-// newRespCacheShards is newRespCache with the shard count pinned:
-// 0 means DefaultCacheShards, other values round up to a power of two.
-// The shard count is additionally capped so each shard holds at least
-// one entry. newRespCacheShards(size, 1) reproduces the pre-sharding
-// single-lock global LRU — kept callable for contention benchmarks and
-// for tests that pin strict global recency order.
+// newRespCacheShards builds a cache holding up to size entries; size 0
+// means DefaultCacheSize, negative disables caching (Get always misses).
+// nshards 0 means DefaultCacheShards, other values round up to a power
+// of two. The shard count is additionally capped so each shard holds at
+// least one entry. newRespCacheShards(size, 1) reproduces the
+// pre-sharding single-lock global LRU — kept callable for contention
+// benchmarks and for tests that pin strict global recency order.
 func newRespCacheShards(size, nshards int) *respCache {
 	if size == 0 {
 		size = DefaultCacheSize
@@ -150,24 +145,6 @@ func (c *respCache) Put(key string, body []byte) {
 	sh.m[key] = sh.ll.PushFront(&cacheEntry{key: key, body: body})
 	sh.bytes += int64(len(body))
 }
-
-// Len returns the number of cached responses across all shards.
-func (c *respCache) Len() int {
-	if c.max == 0 {
-		return 0
-	}
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.ll.Len()
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Shards returns the shard count (introspection and tests).
-func (c *respCache) Shards() int { return len(c.shards) }
 
 // Purge drops every cached response and returns how many were held.
 // Lifetime hit/miss counters are preserved. Shards purge one at a time,

@@ -22,46 +22,46 @@ func TestRespCacheLRU(t *testing.T) {
 	if _, ok := c.Get("a"); !ok {
 		t.Error("a was evicted despite being recently used")
 	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
+	if c.Info(0).Entries != 2 {
+		t.Errorf("entries = %d, want 2", c.Info(0).Entries)
 	}
 }
 
 func TestRespCachePutExisting(t *testing.T) {
-	c := newRespCache(4)
+	c := newRespCacheShards(4, 0)
 	c.Put("k", []byte("old"))
 	c.Put("k", []byte("new"))
 	if v, _ := c.Get("k"); string(v) != "new" {
 		t.Errorf("Get = %q, want new", v)
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
+	if c.Info(0).Entries != 1 {
+		t.Errorf("entries = %d, want 1", c.Info(0).Entries)
 	}
 }
 
 func TestRespCacheDisabled(t *testing.T) {
-	c := newRespCache(-1)
+	c := newRespCacheShards(-1, 0)
 	c.Put("k", []byte("v"))
 	if _, ok := c.Get("k"); ok {
 		t.Error("disabled cache returned a hit")
 	}
-	if c.Len() != 0 {
-		t.Errorf("Len = %d, want 0", c.Len())
+	if c.Info(0).Entries != 0 {
+		t.Errorf("entries = %d, want 0", c.Info(0).Entries)
 	}
 }
 
 func TestRespCacheDefaultSize(t *testing.T) {
-	c := newRespCache(0)
+	c := newRespCacheShards(0, 0)
 	// Enough distinct keys to saturate every shard: once all segments are
 	// full the aggregate occupancy is exactly the configured bound.
 	for i := 0; i < 4*DefaultCacheSize; i++ {
 		c.Put(fmt.Sprintf("k%d", i), []byte("v"))
 	}
-	if c.Len() != DefaultCacheSize {
-		t.Errorf("Len = %d, want the default bound %d", c.Len(), DefaultCacheSize)
+	if c.Info(0).Entries != DefaultCacheSize {
+		t.Errorf("entries = %d, want the default bound %d", c.Info(0).Entries, DefaultCacheSize)
 	}
-	if c.Shards() != DefaultCacheShards {
-		t.Errorf("Shards = %d, want %d", c.Shards(), DefaultCacheShards)
+	if len(c.shards) != DefaultCacheShards {
+		t.Errorf("shards = %d, want %d", len(c.shards), DefaultCacheShards)
 	}
 }
 
@@ -69,8 +69,8 @@ func TestRespCacheShardClamp(t *testing.T) {
 	// A tiny capacity must shrink the shard count so every shard holds at
 	// least one entry, and the shard capacities must sum to the bound.
 	c := newRespCacheShards(3, 0)
-	if c.Shards() != 2 {
-		t.Fatalf("Shards = %d, want 2", c.Shards())
+	if len(c.shards) != 2 {
+		t.Fatalf("shards = %d, want 2", len(c.shards))
 	}
 	total := 0
 	for i := range c.shards {
@@ -85,7 +85,7 @@ func TestRespCacheShardClamp(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		c.Put(fmt.Sprintf("k%d", i), []byte("v"))
 	}
-	if c.Len() > 3 {
-		t.Errorf("Len = %d, want ≤ 3", c.Len())
+	if c.Info(0).Entries > 3 {
+		t.Errorf("entries = %d, want ≤ 3", c.Info(0).Entries)
 	}
 }

@@ -12,8 +12,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // LoadgenConfig drives one closed-loop load-generation run: Conns
@@ -46,31 +44,26 @@ type LoadgenConfig struct {
 
 // LoadgenResult summarizes one run.
 type LoadgenResult struct {
-	Requests uint64         `json:"requests"`
-	Errors   uint64         `json:"errors"` // transport errors + non-2xx responses
-	Statuses map[int]uint64 `json:"statuses"`
+	Requests uint64
+	Errors   uint64 // transport errors + non-2xx responses
+	Statuses map[int]uint64
 	// Classes splits Errors by failure class — connect (transport), 429,
 	// 503, 504, 5xx (other), 4xx (other) — so a chaos run can tell shed
 	// load (429/503, the server protecting itself) from real failures.
-	Classes map[string]uint64 `json:"error_classes,omitempty"`
-	Elapsed time.Duration     `json:"-"`
+	Classes map[string]uint64
 
-	ElapsedSeconds float64 `json:"elapsed_s"`
-	Throughput     float64 `json:"throughput_rps"`
-	P50ms          float64 `json:"p50_ms"`
-	P90ms          float64 `json:"p90_ms"`
-	P99ms          float64 `json:"p99_ms"`
-	MaxMs          float64 `json:"max_ms"`
+	ElapsedSeconds float64
+	Throughput     float64 // requests per second
+	P50ms          float64
+	P90ms          float64
+	P99ms          float64
+	MaxMs          float64
 
-	// Histogram is the full client-side latency distribution (HDR-style
-	// log-spaced buckets), so a recorded benchmark keeps the whole shape,
-	// not just three percentiles. The nil-LE bucket is the overflow.
-	Histogram []HDRBucket `json:"histogram,omitempty"`
 	// Stages is the server-side per-stage latency breakdown over the
 	// measured window (the delta of two /metrics scrapes bracketing the
 	// run), keyed by stage name. Absent when the target doesn't expose
 	// the bandwall /metrics NDJSON.
-	Stages map[string]StageStats `json:"stages,omitempty"`
+	Stages map[string]StageStats
 }
 
 // Error-class keys in LoadgenResult.Classes.
@@ -113,19 +106,13 @@ func (r LoadgenResult) Visible() uint64 {
 	return r.Errors - r.Shed()
 }
 
-// HDRBucket is one latency-distribution bucket; LEms nil means +Inf.
-type HDRBucket struct {
-	LEms  *float64 `json:"le_ms"`
-	Count uint64   `json:"count"`
-}
-
 // StageStats summarizes one pipeline stage's server-side latency over
 // the measured window (microseconds, estimated from bucket counts).
 type StageStats struct {
-	Count  uint64  `json:"count"`
-	MeanUS float64 `json:"mean_us"`
-	P50US  float64 `json:"p50_us"`
-	P99US  float64 `json:"p99_us"`
+	Count  uint64
+	MeanUS float64
+	P50US  float64
+	P99US  float64
 }
 
 // String renders the result in the CLI's aligned key:value style.
@@ -173,9 +160,8 @@ func sortedStatuses(m map[int]uint64) []int {
 }
 
 // Loadgen runs the closed-loop client until cfg.Duration elapses or ctx
-// is canceled, whichever comes first. Latencies are recorded both as
-// exact samples (for the percentile report) and into the obs histogram
-// serve.loadgen.latency_us when a registry is installed.
+// is canceled, whichever comes first. Latencies are kept as exact
+// samples for the percentile report.
 func Loadgen(ctx context.Context, cfg LoadgenConfig) (LoadgenResult, error) {
 	conns := cfg.Conns
 	if conns <= 0 {
@@ -258,7 +244,6 @@ func Loadgen(ctx context.Context, cfg LoadgenConfig) (LoadgenResult, error) {
 	// failed scrape (non-bandwall target) just omits the breakdown.
 	before, scrapeErr := ScrapeMetrics(ctx, client, cfg.URL)
 
-	hist := obs.Default().Histogram("serve.loadgen.latency_us", latencyBounds)
 	type workerStats struct {
 		latencies []time.Duration
 		statuses  map[int]uint64
@@ -299,7 +284,6 @@ func Loadgen(ctx context.Context, cfg LoadgenConfig) (LoadgenResult, error) {
 					ws.classes[classifyStatus(code)]++
 				}
 				ws.latencies = append(ws.latencies, lat)
-				hist.Observe(float64(lat.Microseconds()))
 				// Honor Retry-After on shed responses instead of hammering a
 				// saturated or draining server: the shed numbers then measure
 				// admission policy, not one client's retry storm.
@@ -321,7 +305,7 @@ func Loadgen(ctx context.Context, cfg LoadgenConfig) (LoadgenResult, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	res := LoadgenResult{Statuses: make(map[int]uint64), Classes: make(map[string]uint64), Elapsed: elapsed}
+	res := LoadgenResult{Statuses: make(map[int]uint64), Classes: make(map[string]uint64)}
 	var all []time.Duration
 	for _, ws := range stats {
 		res.Errors += ws.errors
@@ -344,7 +328,6 @@ func Loadgen(ctx context.Context, cfg LoadgenConfig) (LoadgenResult, error) {
 		res.P90ms = ms(percentile(all, 0.90))
 		res.P99ms = ms(percentile(all, 0.99))
 		res.MaxMs = ms(all[len(all)-1])
-		res.Histogram = latencyHDR(all)
 	}
 	if scrapeErr == nil {
 		if after, err := ScrapeMetrics(ctx, client, cfg.URL); err == nil {
@@ -355,25 +338,6 @@ func Loadgen(ctx context.Context, cfg LoadgenConfig) (LoadgenResult, error) {
 		return res, err
 	}
 	return res, nil
-}
-
-// latencyHDR buckets the exact samples into the log-spaced latencyBounds
-// (converted to ms) plus an overflow bucket — the recorded distribution.
-func latencyHDR(sorted []time.Duration) []HDRBucket {
-	out := make([]HDRBucket, len(latencyBounds)+1)
-	for i, us := range latencyBounds {
-		lems := us / 1e3
-		out[i].LEms = &lems
-	}
-	for _, d := range sorted {
-		us := float64(d.Microseconds())
-		i := sort.SearchFloat64s(latencyBounds, us)
-		for i < len(latencyBounds) && us > latencyBounds[i] {
-			i++
-		}
-		out[i].Count++
-	}
-	return out
 }
 
 // routeOf maps a request path onto the serve tier's route name for the

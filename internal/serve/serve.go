@@ -322,11 +322,6 @@ func (s *Server) Solves() uint64 { return s.solveCount.Load() }
 // in-flight request's solve (singleflight waiters).
 func (s *Server) SharedFlights() uint64 { return s.sharedCount.Load() }
 
-// Inflight returns the number of currently admitted requests plus those
-// waiting inside the eval singleflight — the live concurrency the
-// admission semaphore sees.
-func (s *Server) Inflight() int64 { return s.inflight.Load() }
-
 // statusWriter captures the response status and byte count for the
 // access log and metrics.
 type statusWriter struct {
@@ -468,10 +463,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
-
-// Draining reports whether graceful shutdown has begun (readiness has
-// flipped but in-flight requests may still be finishing).
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // SampleRuntime reads the Go runtime's health signals into the obs
 // gauges behind /metrics: goroutine count, live heap, cumulative and

@@ -273,7 +273,7 @@ func TestEvalSaturation(t *testing.T) {
 				}
 				errc <- err
 			}()
-			waitFor(t, "blocker admitted", func() bool { return s.Inflight() == 1 })
+			waitFor(t, "blocker admitted", func() bool { return s.inflight.Load() == 1 })
 
 			// The single admission slot is held: the next request must shed.
 			resp, data := post(t, ts.URL+k.path, k.withID("shed"))
@@ -337,7 +337,7 @@ func TestEvalSingleflight(t *testing.T) {
 			}
 			// Hold the leader until every other request is blocked on its flight,
 			// so the collapse is deterministic rather than timing-dependent.
-			waitFor(t, "waiters assembled", func() bool { return s.flight.Waiters(key) == n-1 })
+			waitFor(t, "waiters assembled", func() bool { return waiters(s.flight, key) == n-1 })
 			close(release)
 			wg.Wait()
 			for i, err := range errs {
@@ -579,7 +579,7 @@ func TestGracefulDrain(t *testing.T) {
 		resp.Body.Close()
 		resc <- result{status: resp.StatusCode}
 	}()
-	waitFor(t, "request admitted", func() bool { return s.Inflight() == 1 })
+	waitFor(t, "request admitted", func() bool { return s.inflight.Load() == 1 })
 
 	cancel()
 	select {

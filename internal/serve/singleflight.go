@@ -20,7 +20,7 @@ type call struct {
 	wg   sync.WaitGroup
 	val  []byte
 	err  error
-	dups int
+	dups int // callers waiting on this execution (tests read it)
 }
 
 func newGroup() *group { return &group{m: make(map[string]*call)} }
@@ -54,15 +54,4 @@ func (g *group) Do(key string, fn func() ([]byte, error)) (val []byte, shared bo
 	g.mu.Unlock()
 	c.wg.Done()
 	return c.val, false, c.err
-}
-
-// Waiters returns how many callers are currently blocked on key's
-// in-flight execution (0 when the key is idle). Test instrumentation.
-func (g *group) Waiters(key string) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if c, ok := g.m[key]; ok {
-		return c.dups
-	}
-	return 0
 }

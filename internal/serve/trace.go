@@ -59,16 +59,6 @@ func (r *traceRing) Push(rec *obs.TraceRecord) {
 	r.mu.Unlock()
 }
 
-// Len returns how many traces are currently retained (≤ the ring size).
-func (r *traceRing) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
-}
-
 // Snapshot copies the retained traces, most recent first.
 func (r *traceRing) Snapshot() []*obs.TraceRecord {
 	r.mu.Lock()

@@ -237,7 +237,7 @@ func TestTraceSingleflightFollower(t *testing.T) {
 	}
 	// Admission alone (Inflight() == 2) can race the follower's arrival at
 	// the flight; wait until it is blocked on the leader's call.
-	waitFor(t, "follower to join the flight", func() bool { return s.flight.Waiters(key) == 1 })
+	waitFor(t, "follower to join the flight", func() bool { return waiters(s.flight, key) == 1 })
 	close(release)
 	wg.Wait()
 	close(results)
@@ -302,7 +302,7 @@ func TestTraceRingBound(t *testing.T) {
 					io.Copy(io.Discard, resp.Body)
 					resp.Body.Close()
 				}
-				if n := s.ring.Len(); n > 8 {
+				if n := len(s.ring.Snapshot()); n > 8 {
 					t.Errorf("ring holds %d traces, bound is 8", n)
 					return
 				}
@@ -310,7 +310,7 @@ func TestTraceRingBound(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n := s.ring.Len(); n != 8 {
+	if n := len(s.ring.Snapshot()); n != 8 {
 		t.Fatalf("ring holds %d traces after 100 evals, want full at 8", n)
 	}
 	var list TraceList

@@ -86,7 +86,7 @@ func TestValidateNoAdmissionSlot(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	waitFor(t, "blocker admitted", func() bool { return s.Inflight() == 1 })
+	waitFor(t, "blocker admitted", func() bool { return s.inflight.Load() == 1 })
 
 	resp, data := postValidate(t, ts.URL, stackedSpec)
 	if resp.StatusCode != http.StatusOK {
@@ -127,8 +127,8 @@ func TestHealthzDrainReadiness(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz before drain = %d, want 200", resp.StatusCode)
 	}
-	if s.Draining() {
-		t.Fatal("Draining() true before shutdown")
+	if s.draining.Load() {
+		t.Fatal("draining set before shutdown")
 	}
 
 	// Park a request in the solver so the drain stays open, then begin
@@ -141,9 +141,9 @@ func TestHealthzDrainReadiness(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	waitFor(t, "request admitted", func() bool { return s.Inflight() == 1 })
+	waitFor(t, "request admitted", func() bool { return s.inflight.Load() == 1 })
 	cancel()
-	waitFor(t, "draining flag flipped", s.Draining)
+	waitFor(t, "draining flag flipped", s.draining.Load)
 
 	// Shutdown closes the listener at once (fresh dials are refused —
 	// already out of rotation), so probe the handler directly: existing

@@ -51,44 +51,6 @@ var Paper = []Workload{
 	{Name: "SPEC-app (phased)", Class: SPEC2006, Phased: true, WriteFraction: 0.20},
 }
 
-// ByName returns the named suite entry.
-func ByName(name string) (Workload, bool) {
-	for _, w := range Paper {
-		if w.Name == name {
-			return w, true
-		}
-	}
-	return Workload{}, false
-}
-
-// OfClass returns the suite entries of one class.
-func OfClass(c Class) []Workload {
-	var out []Workload
-	for _, w := range Paper {
-		if w.Class == c {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// AverageAlpha returns the mean target α of a class's power-law members.
-func AverageAlpha(c Class) float64 {
-	var sum float64
-	var n int
-	for _, w := range OfClass(c) {
-		if w.Phased {
-			continue
-		}
-		sum += w.TargetAlpha
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // BuildOptions tunes generator construction.
 type BuildOptions struct {
 	// FootprintLines sizes the power-law generators' initial footprint.

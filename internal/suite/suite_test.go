@@ -24,36 +24,37 @@ func TestPaperSuiteShape(t *testing.T) {
 }
 
 func TestPaperExtremes(t *testing.T) {
-	o2, ok := ByName("OLTP-2")
+	o2, ok := byName("OLTP-2")
 	if !ok || o2.TargetAlpha != 0.36 {
 		t.Errorf("OLTP-2 = %+v (paper: smallest commercial α, 0.36)", o2)
 	}
-	o4, ok := ByName("OLTP-4")
+	o4, ok := byName("OLTP-4")
 	if !ok || o4.TargetAlpha != 0.62 {
 		t.Errorf("OLTP-4 = %+v (paper: largest commercial α, 0.62)", o4)
 	}
-	spec, ok := ByName("SPEC2006 (avg)")
+	spec, ok := byName("SPEC2006 (avg)")
 	if !ok || spec.TargetAlpha != 0.25 {
 		t.Errorf("SPEC2006 avg = %+v (paper: 0.25)", spec)
-	}
-	if _, ok := ByName("nope"); ok {
-		t.Error("ByName must miss unknown workloads")
 	}
 }
 
 func TestCommercialAverageMatchesPaper(t *testing.T) {
-	avg := AverageAlpha(Commercial)
-	if math.Abs(avg-0.48) > 0.015 {
+	var sum float64
+	count := map[Class]int{}
+	for _, w := range Paper {
+		count[w.Class]++
+		if w.Class == Commercial {
+			sum += w.TargetAlpha
+		}
+	}
+	if avg := sum / float64(count[Commercial]); math.Abs(avg-0.48) > 0.015 {
 		t.Errorf("commercial average α = %v, want ≈0.48 (the paper's fit)", avg)
 	}
-	if got := len(OfClass(Commercial)); got != 7 {
+	if got := count[Commercial]; got != 7 {
 		t.Errorf("commercial workloads = %d, want 7", got)
 	}
-	if got := len(OfClass(SPEC2006)); got != 2 {
+	if got := count[SPEC2006]; got != 2 {
 		t.Errorf("SPEC2006 workloads = %d, want 2", got)
-	}
-	if AverageAlpha(Class("none")) != 0 {
-		t.Error("empty class average must be 0")
 	}
 }
 
@@ -83,7 +84,7 @@ func TestBuildDeterministicButDistinct(t *testing.T) {
 	opts := DefaultBuildOptions()
 	opts.FootprintLines = 1 << 12
 	mk := func(name string) []trace.Access {
-		w, ok := ByName(name)
+		w, ok := byName(name)
 		if !ok {
 			t.Fatal("missing workload")
 		}
@@ -117,4 +118,14 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := w.Build(BuildOptions{}); err == nil {
 		t.Error("zero options accepted")
 	}
+}
+
+// byName is the suite entry with the given name.
+func byName(name string) (Workload, bool) {
+	for _, w := range Paper {
+		if w.Name == name {
+			return w, true
+		}
+	}
+	return Workload{}, false
 }

@@ -183,16 +183,6 @@ var Catalog = []CatalogEntry{
 	},
 }
 
-// ByLabel returns the catalog entry with the given label, or false.
-func ByLabel(label string) (CatalogEntry, bool) {
-	for _, e := range Catalog {
-		if e.Label == label {
-			return e, true
-		}
-	}
-	return CatalogEntry{}, false
-}
-
 // Fig16Combos returns the 15 technique combinations of Fig 16 (besides
 // IDEAL and BASE), built under the given assumption, in the paper's x-axis
 // order. The 3D layers within combinations are SRAM unless a DRAM technique

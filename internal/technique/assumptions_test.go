@@ -53,7 +53,7 @@ func TestCatalogMatchesTable2(t *testing.T) {
 		{"CC/LC", High, High, Low},
 	}
 	for _, c := range checks {
-		e, ok := ByLabel(c.label)
+		e, ok := byLabel(c.label)
 		if !ok {
 			t.Fatalf("missing %s", c.label)
 		}
@@ -73,7 +73,7 @@ func TestCatalogMatchesTable2(t *testing.T) {
 }
 
 func TestCatalogParameterValues(t *testing.T) {
-	cc, _ := ByLabel("CC")
+	cc, _ := byLabel("CC")
 	if got := cc.New(Realistic).(CacheCompression).Ratio; got != 2.0 {
 		t.Errorf("CC realistic ratio = %v, want 2.0", got)
 	}
@@ -83,29 +83,23 @@ func TestCatalogParameterValues(t *testing.T) {
 	if got := cc.New(Optimistic).(CacheCompression).Ratio; got != 3.5 {
 		t.Errorf("CC optimistic ratio = %v, want 3.5", got)
 	}
-	dram, _ := ByLabel("DRAM")
+	dram, _ := byLabel("DRAM")
 	if got := dram.New(Realistic).(DRAMCache).Density; got != 8 {
 		t.Errorf("DRAM realistic density = %v, want 8", got)
 	}
-	smco, _ := ByLabel("SmCo")
+	smco, _ := byLabel("SmCo")
 	if got := smco.New(Realistic).(SmallerCores).AreaFraction; got != 1.0/40 {
 		t.Errorf("SmCo realistic area = %v, want 1/40", got)
 	}
-	fltr, _ := ByLabel("Fltr")
+	fltr, _ := byLabel("Fltr")
 	if got := fltr.New(Optimistic).(UnusedDataFilter).Unused; got != 0.80 {
 		t.Errorf("Fltr optimistic unused = %v, want 0.80", got)
 	}
-	threeD, _ := ByLabel("3D")
+	threeD, _ := byLabel("3D")
 	for _, a := range Assumptions {
 		if got := threeD.New(a).(ThreeDCache).LayerDensity; got != 1 {
 			t.Errorf("3D %v layer density = %v, want 1 (SRAM only)", a, got)
 		}
-	}
-}
-
-func TestByLabelMiss(t *testing.T) {
-	if _, ok := ByLabel("nope"); ok {
-		t.Error("ByLabel must miss on unknown labels")
 	}
 }
 
@@ -142,4 +136,14 @@ func TestFig16CombosShape(t *testing.T) {
 			t.Errorf("%s: invalid params: %v", st.Label(), err)
 		}
 	}
+}
+
+// byLabel is the catalog entry with the given label.
+func byLabel(label string) (CatalogEntry, bool) {
+	for _, e := range Catalog {
+		if e.Label == label {
+			return e, true
+		}
+	}
+	return CatalogEntry{}, false
 }

@@ -163,9 +163,6 @@ func (r *Replayer) Next() Access {
 	return a
 }
 
-// Len returns the length of the underlying trace.
-func (r *Replayer) Len() int { return len(r.accesses) }
-
 // Batch implements Batcher: it returns a sub-slice of the recorded trace
 // without copying, up to the loop boundary. The slice is only valid until
 // the replayer is advanced again.

@@ -204,8 +204,8 @@ func TestCodecQuickRoundTrip(t *testing.T) {
 func TestReplayerLoops(t *testing.T) {
 	as := []Access{{Addr: 64}, {Addr: 128}}
 	r := MustReplayer(as)
-	if r.Len() != 2 {
-		t.Errorf("Len = %d", r.Len())
+	if len(r.accesses) != 2 {
+		t.Errorf("len = %d", len(r.accesses))
 	}
 	want := []uint64{64, 128, 64, 128, 64}
 	for i, w := range want {
