@@ -196,7 +196,7 @@ func (g *Gateway) forward(ctx context.Context, order []*replica, method, path st
 		}
 		if attempts < maxAtt {
 			g.mRetries.Inc()
-			if serr := sleepCtx(ctx, rc.Backoff(attempts)); serr != nil {
+			if serr := robust.Sleep(ctx, rc.Backoff(attempts)); serr != nil {
 				return nil, attempts, serr
 			}
 		}
@@ -302,20 +302,4 @@ func (g *Gateway) forwardHedged(ctx context.Context, order []*replica, method, p
 		return first.res, attempts, first.err
 	}
 	return second.res, attempts, second.err
-}
-
-// sleepCtx sleeps d or until ctx is done, returning the taxonomy
-// cancellation error in the latter case.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return robust.Err(ctx)
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return robust.Err(ctx)
-	}
 }

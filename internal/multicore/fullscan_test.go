@@ -8,11 +8,10 @@ import (
 	"repro/internal/trace"
 )
 
-// fullScanCMP is the sharing tracker as it was before the pending list,
-// kept as the reference the CMP is tested against. It does not learn which
-// line an access evicted; on an evicting access, once the sharer map holds
-// at least L2.Lines()+64 entries, it rescans the whole map and harvests
-// every entry whose line the L2 no longer holds.
+// fullScanCMP is the residency oracle the CMP is tested against. It never
+// learns which line an access evicted: after every evicting access it
+// scans the whole sharer map and counts one ended lifetime for every line
+// the L2 no longer holds.
 type fullScanCMP struct {
 	cfg     Config
 	l1s     []*cachesim.Cache
@@ -55,20 +54,17 @@ func (c *fullScanCMP) Access(a trace.Access) error {
 	}
 	line := a.Line(c.cfg.L2.LineBytes)
 	if c.l2.Access(a).Evicted {
-		c.reconcile(line)
+		c.scan()
 	}
 	c.sharers[line] |= 1 << uint(core)
 	return nil
 }
 
-func (c *fullScanCMP) reconcile(justInserted uint64) {
-	if len(c.sharers) < c.cfg.L2.Lines()+64 {
-		return
-	}
+// scan counts and drops every map entry whose line has left the L2. The
+// line an evicting access brings in was not resident before it, so it
+// has no entry yet.
+func (c *fullScanCMP) scan() {
 	for line, mask := range c.sharers {
-		if line == justInserted {
-			continue
-		}
 		if !c.l2.Contains(line * uint64(c.cfg.L2.LineBytes)) {
 			c.stats.EvictedLines++
 			if bits.OnesCount64(mask) > 1 {
@@ -81,14 +77,7 @@ func (c *fullScanCMP) reconcile(justInserted uint64) {
 
 func (c *fullScanCMP) Sharing() SharingStats {
 	st := c.stats
-	for line, mask := range c.sharers {
-		if !c.l2.Contains(line * uint64(c.cfg.L2.LineBytes)) {
-			st.EvictedLines++
-			if bits.OnesCount64(mask) > 1 {
-				st.EvictedShared++
-			}
-			continue
-		}
+	for _, mask := range c.sharers {
 		st.LiveLines++
 		if bits.OnesCount64(mask) > 1 {
 			st.LiveShared++

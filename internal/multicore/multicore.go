@@ -4,14 +4,9 @@
 // evicted from the shared cache, we record whether the block is accessed by
 // more than one core or not during the block's lifetime."
 //
-// Lifetimes are harvested lazily. The L2 reports each access's victim, and
-// the CMP puts it on a pending list, at most once per line: a pending bit
-// sits next to the line's sharer mask, so the list never holds more
-// entries than the sharer map. A harvest runs only once the map has
-// outgrown the L2 by 64 entries. It walks the list, not the map: each
-// listed line that is still gone counts one ended lifetime and leaves the
-// map, and a line refilled since its eviction keeps its entry and merged
-// mask. The merge is part of the pinned Fig 14 values (EXPERIMENTS.md).
+// The L2 reports each access's victim, and the CMP counts the victim's
+// lifetime at that moment and drops its sharer mask, so a line that is
+// evicted and refilled starts a fresh lifetime with an empty mask.
 package multicore
 
 import (
@@ -41,7 +36,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("multicore: L2: %w", err)
 	}
 	// Lifetimes are tracked per whole line, and every L2-visible access
-	// must leave its line resident: the harvest relies on both.
+	// must leave its line resident: a lifetime ends only when its line is
+	// some access's victim.
 	if c.L2.SectorBytes != 0 {
 		return fmt.Errorf("multicore: L2.SectorBytes must be 0 (sharers are tracked per whole line), got %d", c.L2.SectorBytes)
 	}
@@ -75,23 +71,14 @@ func (s SharingStats) SharedFraction() float64 {
 	return 0
 }
 
-// sharer is one tracked L2 line: the cores that touched it in its current
-// lifetime, and whether it is on the pending list.
-type sharer struct {
-	mask    uint64
-	pending bool
-}
-
-// CMP is the simulated chip. Every resident L2 line has a sharers entry;
-// so does every line evicted since the last harvest, and each of those is
-// on the pending list.
+// CMP is the simulated chip. The sharers map holds exactly the resident
+// L2 lines.
 type CMP struct {
 	cfg     Config
 	l1s     []*cachesim.Cache
 	l2      *cachesim.Cache
-	sharers map[uint64]sharer // L2 line -> sharer cores, pending bit
-	pending []uint64          // lines evicted since the last harvest
-	stats   SharingStats
+	sharers map[uint64]uint64 // L2 line -> sharer core bitmask
+	stats   SharingStats      // evicted lifetimes
 }
 
 // New builds the CMP.
@@ -102,7 +89,7 @@ func New(cfg Config) (*CMP, error) {
 	cmp := &CMP{
 		cfg:     cfg,
 		l1s:     make([]*cachesim.Cache, cfg.Cores),
-		sharers: make(map[uint64]sharer, cfg.L2.Lines()),
+		sharers: make(map[uint64]uint64, cfg.L2.Lines()),
 	}
 	for i := range cmp.l1s {
 		l1, err := cachesim.New(cfg.L1)
@@ -127,58 +114,26 @@ func (c *CMP) L1(i int) *cachesim.Cache { return c.l1s[i] }
 
 // Access routes one reference: the issuing core's L1 first, then the
 // shared L2 on an L1 miss. Sharer masks are updated on every L2-visible
-// access. An eviction puts the L2's victim on the pending list and may
-// trigger a harvest, before the new line's mask is set.
+// access. An eviction ends the victim's lifetime, which is counted before
+// the new line's mask is set.
 func (c *CMP) Access(a trace.Access) error {
 	core := int(a.TID)
 	if core >= c.cfg.Cores {
 		return fmt.Errorf("multicore: access from core %d on a %d-core chip", core, c.cfg.Cores)
 	}
-	l1res := c.l1s[core].Access(a)
-	if l1res.Hit {
+	if c.l1s[core].Access(a).Hit {
 		return nil
 	}
 	line := a.Line(c.cfg.L2.LineBytes)
-	res := c.l2.Access(a)
-	if res.Evicted {
-		if s := c.sharers[res.Victim]; !s.pending {
-			s.pending = true
-			c.sharers[res.Victim] = s
-			c.pending = append(c.pending, res.Victim)
-		}
-		c.reconcile(line)
-	}
-	s := c.sharers[line]
-	s.mask |= 1 << uint(core)
-	c.sharers[line] = s
-	return nil
-}
-
-// reconcile harvests the pending lines once the sharer map holds at least
-// L2.Lines()+64 entries. A listed line that is resident again, or is the
-// line just inserted, keeps its entry and merged mask; any other ended its
-// lifetime and is counted and deleted. On an L2 that Validate accepts,
-// every map key was resident after its own access and can leave the L2
-// only as some access's victim, so the list holds every non-resident key:
-// the harvest matches a scan of the whole map at O(1) cost per eviction.
-func (c *CMP) reconcile(justInserted uint64) {
-	if len(c.sharers) < c.cfg.L2.Lines()+64 {
-		return
-	}
-	for _, line := range c.pending {
-		s := c.sharers[line]
-		if line == justInserted || c.l2.Contains(line*uint64(c.cfg.L2.LineBytes)) {
-			s.pending = false
-			c.sharers[line] = s
-			continue
-		}
+	if res := c.l2.Access(a); res.Evicted {
 		c.stats.EvictedLines++
-		if bits.OnesCount64(s.mask) > 1 {
+		if bits.OnesCount64(c.sharers[res.Victim]) > 1 {
 			c.stats.EvictedShared++
 		}
-		delete(c.sharers, line)
+		delete(c.sharers, res.Victim)
 	}
-	c.pending = c.pending[:0]
+	c.sharers[line] |= 1 << uint(core)
+	return nil
 }
 
 // Run drives n accesses from the generator through the chip, then
@@ -202,16 +157,9 @@ func (c *CMP) Run(g trace.Generator, n int) error {
 // still-resident lines.
 func (c *CMP) Sharing() SharingStats {
 	st := c.stats
-	for line, s := range c.sharers {
-		if !c.l2.Contains(line * uint64(c.cfg.L2.LineBytes)) {
-			st.EvictedLines++
-			if bits.OnesCount64(s.mask) > 1 {
-				st.EvictedShared++
-			}
-			continue
-		}
+	for _, mask := range c.sharers {
 		st.LiveLines++
-		if bits.OnesCount64(s.mask) > 1 {
+		if bits.OnesCount64(mask) > 1 {
 			st.LiveShared++
 		}
 	}

@@ -139,6 +139,35 @@ func TestSharedFractionDefinition(t *testing.T) {
 	}
 }
 
+// TestEvictRefillIsTwoLifetimes: a line that leaves the L2 and comes back
+// starts a new lifetime. Line A is core 0's, then core 1's, but no two
+// cores touch it within one lifetime, so no line counts as shared.
+func TestEvictRefillIsTwoLifetimes(t *testing.T) {
+	cmp, err := New(Config{
+		Cores: 2,
+		L1: cachesim.Config{
+			SizeBytes: 2 * 64, LineBytes: 64, Assoc: 1,
+			Policy: cachesim.LRU, WriteBack: true, WriteAllocate: true,
+		},
+		L2: cachesim.Config{
+			SizeBytes: 8 * 64, LineBytes: 64, Assoc: 1,
+			Policy: cachesim.LRU, WriteBack: true, WriteAllocate: true,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const a, b = 0, 8 * 64 // one direct-mapped L2 set
+	for _, acc := range []trace.Access{{Addr: a, TID: 0}, {Addr: b, TID: 1}, {Addr: a, TID: 1}} {
+		if err := cmp.Access(acc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := cmp.Sharing(), (SharingStats{EvictedLines: 2, LiveLines: 1}); got != want {
+		t.Errorf("Sharing() = %+v, want %+v", got, want)
+	}
+}
+
 // TestFig14Trend is the paper's Fig 14 in miniature: with a fixed shared
 // region and per-thread private working sets, the fraction of shared
 // evicted lines DECREASES as cores are added — the opposite of what CMP

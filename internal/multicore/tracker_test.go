@@ -13,11 +13,12 @@ import (
 // 0 is fully associative.
 var trackerAssocs = []int{1, 2, 4, 8, 16, 0}
 
-// checkAgainstFullScan replays tr through a CMP and the full-scan
-// reference. After every access the harvest counters and the sharer-map
-// sizes must be equal, and the pending list no longer than the map; at
-// the end the sharer masks and Sharing() must be equal too. It returns the
-// number of lifetimes harvested along the way.
+// checkAgainstFullScan replays tr through a CMP and the residency oracle.
+// After every access the lifetime counters and the sharer-map sizes must
+// be equal, every L2 eviction must have ended one counted lifetime, and
+// the map must hold one entry per resident line: Validate guarantees that
+// every L2 miss fills a line. At the end the sharer masks and Sharing()
+// must be equal too. It returns the number of lifetimes counted.
 func checkAgainstFullScan(t *testing.T, cfg Config, tr []trace.Access) uint64 {
 	t.Helper()
 	cmp, err := New(cfg)
@@ -31,23 +32,25 @@ func checkAgainstFullScan(t *testing.T, cfg Config, tr []trace.Access) uint64 {
 	for i, a := range tr {
 		err, refErr := cmp.Access(a), ref.Access(a)
 		if (err == nil) != (refErr == nil) {
-			t.Fatalf("%+v: access %d %v: error %v, full scan %v", cfg, i, a, err, refErr)
+			t.Fatalf("%+v: access %d %v: error %v, oracle %v", cfg, i, a, err, refErr)
 		}
 		if cmp.stats != ref.stats || len(cmp.sharers) != len(ref.sharers) {
-			t.Fatalf("%+v: after access %d %v: harvested %+v with %d map entries, full scan %+v with %d",
+			t.Fatalf("%+v: after access %d %v: counted %+v with %d map entries, oracle %+v with %d",
 				cfg, i, a, cmp.stats, len(cmp.sharers), ref.stats, len(ref.sharers))
 		}
-		if len(cmp.pending) > len(cmp.sharers) {
-			t.Fatalf("%+v: after access %d: pending list %d > sharer map %d", cfg, i, len(cmp.pending), len(cmp.sharers))
+		l2 := cmp.L2().Stats()
+		if cmp.stats.EvictedLines != l2.Evictions || uint64(len(cmp.sharers)) != l2.Misses-l2.Evictions {
+			t.Fatalf("%+v: after access %d %v: %d lifetimes and %d map entries, L2 %d evictions and %d misses",
+				cfg, i, a, cmp.stats.EvictedLines, len(cmp.sharers), l2.Evictions, l2.Misses)
 		}
 	}
-	for line, s := range cmp.sharers {
-		if mask, ok := ref.sharers[line]; !ok || mask != s.mask {
-			t.Fatalf("%+v: line %d: mask %#x, full scan %#x (present %v)", cfg, line, s.mask, mask, ok)
+	for line, mask := range cmp.sharers {
+		if refMask, ok := ref.sharers[line]; !ok || refMask != mask {
+			t.Fatalf("%+v: line %d: mask %#x, oracle %#x (present %v)", cfg, line, mask, refMask, ok)
 		}
 	}
 	if got, want := cmp.Sharing(), ref.Sharing(); got != want {
-		t.Fatalf("%+v: Sharing() = %+v, full scan %+v", cfg, got, want)
+		t.Fatalf("%+v: Sharing() = %+v, oracle %+v", cfg, got, want)
 	}
 	return cmp.stats.EvictedLines
 }
@@ -71,9 +74,8 @@ func randomTrackerConfig(r *rand.Rand, policy cachesim.Policy, assoc int, writeB
 }
 
 // trackerTrace draws n accesses of one shape: "spread" over 16× the L2's
-// lines, "working-set" over a set within ±64 lines of the harvest trigger
-// (L2.Lines()+64), or "conflict" on enough lines of one L2 set to reach
-// the trigger or fall short of it.
+// lines, "working-set" over 1–128 lines more than the L2 holds, or
+// "conflict" on more lines of one L2 set than it has ways.
 func trackerTrace(r *rand.Rand, cfg Config, shape string, n int) []trace.Access {
 	lines, sets := cfg.L2.Lines(), cfg.L2.Sets()
 	var pick func() uint64
@@ -81,7 +83,7 @@ func trackerTrace(r *rand.Rand, cfg Config, shape string, n int) []trace.Access 
 	case "spread":
 		pick = func() uint64 { return uint64(r.Intn(16 * lines)) }
 	case "working-set":
-		ws := lines + 64 + r.Intn(129) - 64
+		ws := lines + 1 + r.Intn(128)
 		pick = func() uint64 { return uint64(r.Intn(ws)) }
 	case "conflict":
 		set, k := uint64(r.Intn(sets)), lines/sets+1+r.Intn(lines+128)
@@ -99,34 +101,28 @@ func trackerTrace(r *rand.Rand, cfg Config, shape string, n int) []trace.Access 
 }
 
 // TestTrackerMatchesFullScan replays random CMPs, covering every L2
-// policy, associativity, write policy and trace shape, through the
-// pending-list tracker and the full-scan reference in lockstep.
+// policy, associativity, write policy and trace shape, through the CMP
+// and the residency oracle in lockstep.
 func TestTrackerMatchesFullScan(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	var runs, harvested int
 	for _, policy := range []cachesim.Policy{cachesim.LRU, cachesim.FIFO, cachesim.Random, cachesim.PLRU} {
 		for _, assoc := range trackerAssocs {
 			for _, writeBack := range []bool{true, false} {
 				for _, shape := range []string{"spread", "working-set", "conflict"} {
 					cfg := randomTrackerConfig(r, policy, assoc, writeBack)
-					if checkAgainstFullScan(t, cfg, trackerTrace(r, cfg, shape, 4000)) > 0 {
-						harvested++
+					// Every shape overflows the L2 or one of its sets.
+					if checkAgainstFullScan(t, cfg, trackerTrace(r, cfg, shape, 4000)) == 0 {
+						t.Errorf("%+v, %s trace: no lifetime ended", cfg, shape)
 					}
-					runs++
 				}
 			}
 		}
 	}
-	// Spread traces always reach the trigger; about half the working-set
-	// and conflict traces stay below it on purpose.
-	if harvested < runs/2 {
-		t.Errorf("only %d of %d runs reached a harvest", harvested, runs)
-	}
 }
 
 // FuzzTrackerVsFullScan decodes a CMP and a trace from the fuzz bytes and
-// requires the pending-list tracker to match the full-scan reference after
-// every access. Layout:
+// requires the CMP to match the residency oracle after every access.
+// Layout:
 //
 //	data[0]  cores 1–64
 //	data[1]  L2 policy (low 2 bits), write-back (bit 2), write-allocate
@@ -134,7 +130,7 @@ func TestTrackerMatchesFullScan(t *testing.T) {
 //	data[2]  L2 associativity (index into trackerAssocs) and 8–128 lines (/6, mod 5)
 //	data[3]  L1 lines 2–16 (low 2 bits), associativity 1/2/full (>>2, mod 3),
 //	         policy (>>4, mod 4)
-//	data[4]  line span L2.Lines()+64 + int8(data[4])/2, within ±64 of the trigger
+//	data[4]  line span L2.Lines()+64 + int8(data[4])/2: 0–127 lines more than the L2 holds
 //	data[5]  repeat count 1–8 (low 3 bits); bit 3: span 65536 (spread);
 //	         bit 4: every line on one L2 set (conflict)
 //	data[6:] up to 1024 accesses of three bytes: line (uint16, mod span),
@@ -185,33 +181,4 @@ func FuzzTrackerVsFullScan(f *testing.F) {
 		}
 		checkAgainstFullScan(t, cfg, tr)
 	})
-}
-
-// TestPendingListBounded replays 20 lines that share one set of an 8-way
-// L2 for 1M accesses. Every access evicts, but the sharer map stays at 20
-// entries, far below the harvest trigger, so only the pending bit keeps
-// the list from growing by one entry per access.
-func TestPendingListBounded(t *testing.T) {
-	cfg := testConfig(1)
-	cmp, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sets := uint64(cfg.L2.Sets())
-	const accesses = 1_000_000
-	for i := 0; i < accesses; i++ {
-		line := uint64(i%20) * sets
-		if err := cmp.Access(trace.Access{Addr: line * uint64(cfg.L2.LineBytes)}); err != nil {
-			t.Fatal(err)
-		}
-		if len(cmp.pending) > len(cmp.sharers) {
-			t.Fatalf("after access %d: pending list %d > sharer map %d", i, len(cmp.pending), len(cmp.sharers))
-		}
-	}
-	if ev := cmp.L2().Stats().Evictions; ev != accesses-8 {
-		t.Errorf("L2 evictions = %d, want %d: the trace must conflict on every access", ev, accesses-8)
-	}
-	if len(cmp.sharers) != 20 {
-		t.Errorf("sharer map = %d entries, want 20", len(cmp.sharers))
-	}
 }

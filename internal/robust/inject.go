@@ -253,7 +253,7 @@ func (in *Injector) hit(ctx context.Context, point string) error {
 		case "panic":
 			panic(fmt.Sprintf("robust: injected panic at %s", point))
 		case "sleep":
-			if err := sleepCtx(ctx, d.Sleep); err != nil {
+			if err := Sleep(ctx, d.Sleep); err != nil {
 				return err
 			}
 			continue // latency is not a failure; later directives may still fire
@@ -270,8 +270,9 @@ func (in *Injector) hit(ctx context.Context, point string) error {
 	return nil
 }
 
-// sleepCtx sleeps d or until ctx is done, whichever is first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
+// Sleep sleeps d or until ctx is done, whichever is first, and returns
+// the taxonomy cancellation error (Err) in the latter case.
+func Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return Err(ctx)
 	}

@@ -76,7 +76,7 @@ func Retry(ctx context.Context, rc RetryConfig, fn func(attempt int) error) (att
 		if err == nil || Classify(err) != Transient || attempt == total {
 			return attempts, err
 		}
-		if cerr := sleepCtx(ctx, rc.Backoff(attempt)); cerr != nil {
+		if cerr := Sleep(ctx, rc.Backoff(attempt)); cerr != nil {
 			return attempts, cerr
 		}
 		counterRetries().Inc()

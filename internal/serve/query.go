@@ -194,7 +194,6 @@ func handleQuery[T, R any](s *Server, q query[T, R]) http.HandlerFunc {
 		})
 		sfSpan.End()
 		if shared {
-			s.sharedCount.Add(1)
 			s.mShared.Inc()
 		}
 		tr.SetAttr("shared", fmt.Sprintf("%t", shared))

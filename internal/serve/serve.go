@@ -177,17 +177,16 @@ type Server struct {
 	draining atomic.Bool
 
 	// Instruments (nil-safe no-ops when obs is disabled).
-	mReqs       *obs.Counter
-	mResp       [6]*obs.Counter // index = status/100 (mResp[2] = 2xx …)
-	mSaturated  *obs.Counter
-	mSolves     *obs.Counter
-	mShared     *obs.Counter
-	mCacheHits  *obs.Counter
-	mCacheMiss  *obs.Counter
-	mLatency    *obs.Histogram
-	gInflight   *obs.Gauge
-	solveCount  atomic.Uint64 // underlying evaluations (the singleflight proof)
-	sharedCount atomic.Uint64 // requests served by another request's solve
+	mReqs      *obs.Counter
+	mResp      [6]*obs.Counter // index = status/100 (mResp[2] = 2xx …)
+	mSaturated *obs.Counter
+	mSolves    *obs.Counter
+	mShared    *obs.Counter
+	mCacheHits *obs.Counter
+	mCacheMiss *obs.Counter
+	mLatency   *obs.Histogram
+	gInflight  *obs.Gauge
+	solveCount atomic.Uint64 // underlying evaluations (the singleflight proof)
 
 	// leaderGate, when non-nil, is called by every query kind's
 	// singleflight leader right after the fault point, with the query's
@@ -320,7 +319,7 @@ func (s *Server) Solves() uint64 { return s.solveCount.Load() }
 
 // SharedFlights returns how many requests were served by another
 // in-flight request's solve (singleflight waiters).
-func (s *Server) SharedFlights() uint64 { return s.sharedCount.Load() }
+func (s *Server) SharedFlights() uint64 { return s.flight.shared.Load() }
 
 // statusWriter captures the response status and byte count for the
 // access log and metrics.

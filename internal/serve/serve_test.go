@@ -314,7 +314,6 @@ func TestEvalSingleflight(t *testing.T) {
 			release := make(chan struct{})
 			gate := func(ctx context.Context, _ string) { <-release }
 			s, ts, reg := newTestServer(t, Config{MaxInflight: 2 * n}, gate)
-			key := k.mustKey(t, k.body)
 
 			var wg sync.WaitGroup
 			errs := make([]error, n)
@@ -337,7 +336,7 @@ func TestEvalSingleflight(t *testing.T) {
 			}
 			// Hold the leader until every other request is blocked on its flight,
 			// so the collapse is deterministic rather than timing-dependent.
-			waitFor(t, "waiters assembled", func() bool { return waiters(s.flight, key) == n-1 })
+			waitFor(t, "waiters assembled", func() bool { return waiters(s.flight) == n-1 })
 			close(release)
 			wg.Wait()
 			for i, err := range errs {

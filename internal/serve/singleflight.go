@@ -2,6 +2,7 @@ package serve
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/robust"
 )
@@ -11,16 +12,16 @@ import (
 // no external modules — the semantics mirror golang.org/x/sync's
 // singleflight.Group, reduced to what the eval path needs.
 type group struct {
-	mu sync.Mutex
-	m  map[string]*call
+	mu     sync.Mutex
+	m      map[string]*call
+	shared atomic.Uint64 // callers that joined another caller's execution
 }
 
 // call is one in-flight (or just-completed) execution.
 type call struct {
-	wg   sync.WaitGroup
-	val  []byte
-	err  error
-	dups int // callers waiting on this execution (tests read it)
+	wg  sync.WaitGroup
+	val []byte
+	err error
 }
 
 func newGroup() *group { return &group{m: make(map[string]*call)} }
@@ -33,7 +34,7 @@ func newGroup() *group { return &group{m: make(map[string]*call)} }
 func (g *group) Do(key string, fn func() ([]byte, error)) (val []byte, shared bool, err error) {
 	g.mu.Lock()
 	if c, ok := g.m[key]; ok {
-		c.dups++
+		g.shared.Add(1)
 		g.mu.Unlock()
 		c.wg.Wait()
 		return c.val, true, c.err

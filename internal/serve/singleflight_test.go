@@ -10,16 +10,9 @@ import (
 	"repro/internal/robust"
 )
 
-// waiters is how many callers are blocked on key's in-flight execution
-// (0 when the key is idle).
-func waiters(g *group, key string) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if c, ok := g.m[key]; ok {
-		return c.dups
-	}
-	return 0
-}
+// waiters is how many callers have joined another caller's execution
+// over g's lifetime; every test that waits on it uses a fresh group.
+func waiters(g *group) uint64 { return g.shared.Load() }
 
 func TestGroupCollapses(t *testing.T) {
 	g := newGroup()
@@ -45,7 +38,7 @@ func TestGroupCollapses(t *testing.T) {
 			vals[i], shared[i] = v, sh
 		}(i)
 	}
-	waitFor(t, "waiters", func() bool { return waiters(g, "k") == n-1 })
+	waitFor(t, "waiters", func() bool { return waiters(g) == n-1 })
 	close(release)
 	wg.Wait()
 
@@ -106,7 +99,7 @@ func TestGroupErrorSharedWithWaiters(t *testing.T) {
 		_, _, err := g.Do("k", func() ([]byte, error) { return nil, nil })
 		waiterErr <- err
 	}()
-	waitFor(t, "waiter joined", func() bool { return waiters(g, "k") == 1 })
+	waitFor(t, "waiter joined", func() bool { return waiters(g) == 1 })
 	close(release)
 	if err := <-done; !errors.Is(err, boom) {
 		t.Errorf("leader err = %v, want boom", err)

@@ -231,13 +231,9 @@ func TestTraceSingleflightFollower(t *testing.T) {
 		}()
 	}
 	<-started // leader is inside the gate
-	key, err := EvalKey([]byte(stackedSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Admission alone (Inflight() == 2) can race the follower's arrival at
 	// the flight; wait until it is blocked on the leader's call.
-	waitFor(t, "follower to join the flight", func() bool { return waiters(s.flight, key) == 1 })
+	waitFor(t, "follower to join the flight", func() bool { return waiters(s.flight) == 1 })
 	close(release)
 	wg.Wait()
 	close(results)
