@@ -21,14 +21,26 @@ func benchPowerLaw(b *testing.B, fn func(b *testing.B, wl suite.Workload)) {
 	}
 }
 
+// fig01Accesses is how many accesses fig01's quick run draws from each
+// generator (internal/exp/fig01.go).
+const fig01Accesses = 300_000
+
+// BenchmarkStackDistanceNext times the draws fig01's quick run makes: a
+// fresh generator every fig01Accesses accesses, built with the timer
+// stopped. One generator driven for all of b.N would grow its stack with
+// every cold miss, far past what fig01 sees.
 func BenchmarkStackDistanceNext(b *testing.B) {
 	benchPowerLaw(b, func(b *testing.B, wl suite.Workload) {
-		g, err := wl.Build(quickFig01Build(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
+		var g trace.Generator
 		for i := 0; i < b.N; i++ {
+			if i%fig01Accesses == 0 {
+				b.StopTimer()
+				var err error
+				if g, err = wl.Build(quickFig01Build(0)); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
 			g.Next()
 		}
 	})
@@ -55,17 +67,23 @@ func BenchmarkZipfNext(b *testing.B) {
 	}
 }
 
+// BenchmarkSharedPrivateNext draws fig14's workload at each of its core
+// counts, configured as internal/exp's fig14WorkloadConfig at seed 0.
 func BenchmarkSharedPrivateNext(b *testing.B) {
-	g, err := workload.NewSharedPrivate(workload.SharedPrivateConfig{
-		Threads: 16, SharedLines: 1 << 13, PrivateLines: 1 << 13,
-		SharedAccessFrac: 0.5, Skew: 1.1, WriteFraction: 0.2, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Next()
+	for _, threads := range []int{4, 8, 16} {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			g, err := workload.NewSharedPrivate(workload.SharedPrivateConfig{
+				Threads: threads, SharedLines: 1 << 13, PrivateLines: 1 << 13,
+				SharedAccessFrac: 0.7, Skew: 1.01, WriteFraction: 0.2, Seed: 99,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Next()
+			}
+		})
 	}
 }
 

@@ -7,9 +7,15 @@ import (
 )
 
 // maxLines bounds the lines an lruStack holds. Line ids are stored as
-// uint32 and the Fenwick tree counts live slots in uint32, so a stack
-// names at most math.MaxUint32 lines: ids 0 through math.MaxUint32-1.
+// uint32, so a stack names at most math.MaxUint32 lines: ids 0 through
+// math.MaxUint32-1.
 const maxLines = math.MaxUint32
+
+// Sizes of the stack's two count levels, as shifts of a slot index.
+const (
+	blockShift = 9  // a block is 8 occupancy words, 512 slots
+	superShift = 15 // a super-block is 64 blocks, 32,768 slots
+)
 
 // lruStack is an LRU stack of dense line ids: rank 0 is the most recently
 // touched line, rank Len()-1 the least. It is the order-statistics
@@ -18,19 +24,25 @@ const maxLines = math.MaxUint32
 //
 // Every touch takes the next free time slot, so live slots sorted by slot
 // are the stack from bottom to top. One occupancy word marks which of 64
-// slots are live, and a Fenwick tree over per-word live counts sits above
-// the words: rank d is the (Len()-d)-th live slot, found with one tree
-// descent plus a popcount select inside one word. When the slots run out,
-// the live ones compact to the front in recency order with a linear-time
-// rebuild; the slot space doubles only when more than half of it is live,
-// so compaction is amortized O(1) per touch. A slot costs about 4.2 bytes:
-// a uint32 line id, one occupancy bit and 1/64 of a tree counter.
+// slots are live; above the words sit two flat levels of live counts, one
+// per block of 8 words and one per super-block of 64 blocks, each small
+// enough for a uint16. Rank d is the (d+1)-th live slot counting down from
+// the top slot, found by scanning from the top: super-block counts, then
+// block counts, then word popcounts, then a select inside one word. At
+// fig01's α values the median draw lands 0.8K–4K lines from the top, so
+// the scan is short, and a touch adjusts one count per level. When the
+// slots run out, the live ones compact to the front in recency order with
+// a linear-time rebuild; the slot space doubles only when more than half
+// of it is live, so compaction is amortized O(1) per touch. A slot costs
+// about 4.1 bytes: a uint32 line id, one occupancy bit and a sliver of the
+// counts.
 type lruStack struct {
-	ids  []uint32 // line id at each slot; meaningful where occ is set
-	occ  []uint64 // bit s%64 of occ[s/64] is set iff slot s is live
-	tree []uint32 // Fenwick tree over the words' popcounts, word w at index w+1
-	next int      // next free slot; the top of the stack is at next-1
-	live int      // live slots, the stack's length
+	ids   []uint32 // line id at each slot; meaningful where occ is set
+	occ   []uint64 // bit s%64 of occ[s/64] is set iff slot s is live
+	block []uint16 // live slots in each block: slots [b<<blockShift, (b+1)<<blockShift)
+	super []uint16 // live slots in each super-block, likewise by superShift
+	next  int      // next free slot; the top of the stack is at next-1
+	live  int      // live slots, the stack's length
 }
 
 // newLRUStack returns a stack holding lines 0..n-1 as if pushed in that
@@ -76,12 +88,11 @@ func (s *lruStack) MoveToFront(rank int) uint64 {
 	if s.next == len(s.ids) {
 		s.compact()
 	}
-	slot := s.find(s.live - rank)
+	slot := s.find(rank)
 	id := s.ids[slot]
 	s.occ[slot>>6] &^= 1 << (slot & 63)
-	for i := slot>>6 + 1; i < len(s.tree); i += i & -i {
-		s.tree[i]--
-	}
+	s.block[slot>>blockShift]--
+	s.super[slot>>superShift]--
 	s.place(id)
 	return uint64(id)
 }
@@ -92,24 +103,35 @@ func (s *lruStack) place(id uint32) {
 	s.next++
 	s.ids[slot] = id
 	s.occ[slot>>6] |= 1 << (slot & 63)
-	for i := slot>>6 + 1; i < len(s.tree); i += i & -i {
-		s.tree[i]++
-	}
+	s.block[slot>>blockShift]++
+	s.super[slot>>superShift]++
 }
 
-// find returns the k-th live slot (1-based) counting from slot 0. The
-// descent starts below the root: len(occ) is a power of two, so the root
-// covers every word and is never stepped past.
-func (s *lruStack) find(k int) int {
-	tree := s.tree
-	pos, rem := 0, uint32(k)
-	for step := len(s.occ) >> 1; step > 0; step >>= 1 {
-		if c := tree[pos+step]; c < rem {
-			pos += step
-			rem -= c
-		}
+// find returns the slot of the line at rank, which is in [0, Len()). It
+// skips whole super-blocks, then whole blocks, then whole words downward
+// from the top slot, and selects inside the word it stops in. Every slot
+// at or above next is free, so each level starts at the lower of the unit
+// holding next-1 and the last unit inside the one chosen above it.
+func (s *lruStack) find(rank int) int {
+	const blocksPerSuper, wordsPerBlock = 1 << (superShift - blockShift), 1 << (blockShift - 6)
+	top := s.next - 1
+	sb := top >> superShift
+	for rank >= int(s.super[sb]) {
+		rank -= int(s.super[sb])
+		sb--
 	}
-	return pos<<6 + selectBit(s.occ[pos], int(rem-1))
+	b := min(top>>blockShift, sb*blocksPerSuper+blocksPerSuper-1)
+	for rank >= int(s.block[b]) {
+		rank -= int(s.block[b])
+		b--
+	}
+	for w := min(top>>6, b*wordsPerBlock+wordsPerBlock-1); ; w-- {
+		c := bits.OnesCount64(s.occ[w])
+		if rank < c {
+			return w<<6 + selectBit(s.occ[w], c-1-rank)
+		}
+		rank -= c
+	}
 }
 
 // selectBit returns the index of the r-th (0-based) set bit of w, with
@@ -161,30 +183,20 @@ func (s *lruStack) compact() {
 func (s *lruStack) resize(n int) {
 	s.ids = make([]uint32, n)
 	s.occ = make([]uint64, n/64)
-	s.tree = make([]uint32, n/64+1)
+	s.block = make([]uint16, (n+1<<blockShift-1)>>blockShift)
+	s.super = make([]uint16, (n+1<<superShift-1)>>superShift)
 }
 
-// rebuild marks slots 0..live-1 live and everything above free, and builds
-// the Fenwick tree over them in linear time.
+// rebuild marks slots 0..live-1 live and everything above free, and sets
+// every count to match, in one pass over the words.
 func (s *lruStack) rebuild(live int) {
-	full := live >> 6
+	clear(s.block)
+	clear(s.super)
 	for w := range s.occ {
-		switch {
-		case w < full:
-			s.occ[w] = math.MaxUint64
-		case w == full:
-			s.occ[w] = 1<<(live&63) - 1
-		default:
-			s.occ[w] = 0
-		}
-	}
-	for i := 1; i < len(s.tree); i++ {
-		s.tree[i] = uint32(bits.OnesCount64(s.occ[i-1]))
-	}
-	for i := 1; i < len(s.tree); i++ {
-		if p := i + i&-i; p < len(s.tree) {
-			s.tree[p] += s.tree[i]
-		}
+		n := min(max(live-w<<6, 0), 64)
+		s.occ[w] = 1<<n - 1 // at n = 64 the 1 shifts out, leaving all ones
+		s.block[w>>(blockShift-6)] += uint16(n)
+		s.super[w>>(superShift-6)] += uint16(n)
 	}
 	s.next, s.live = live, live
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
@@ -94,6 +95,100 @@ func TestLRUStackEverySlot(t *testing.T) {
 			t.Fatalf("MoveToFront(%d) = %d, reference %d, want line %d", rank, got, want, n-1-rank)
 		}
 		sameStack(t, s, ref, fmt.Sprintf("rank %d", rank))
+	}
+}
+
+// rankOf returns the rank of the line in live slot: the live slots above
+// it, counted from the occupancy words alone.
+func (s *lruStack) rankOf(slot int) int {
+	r := bits.OnesCount64(s.occ[slot>>6] >> (slot & 63) >> 1)
+	for _, w := range s.occ[slot>>6+1:] {
+		r += bits.OnesCount64(w)
+	}
+	return r
+}
+
+// liveAround returns the highest live slot below edge and the lowest live
+// slot at or above it, or -1 for a side with none.
+func (s *lruStack) liveAround(edge int) (below, above int) {
+	live := func(slot int) bool { return s.occ[slot>>6]&(1<<(slot&63)) != 0 }
+	for below = edge - 1; below >= 0 && !live(below); below-- {
+	}
+	for above = edge; above < s.next && !live(above); above++ {
+	}
+	if above == s.next {
+		above = -1
+	}
+	return below, above
+}
+
+// sameCounts fails unless every block and super-block count equals the
+// live slots the occupancy words give it.
+func sameCounts(t *testing.T, s *lruStack, step string) {
+	t.Helper()
+	block := make([]uint16, len(s.block))
+	super := make([]uint16, len(s.super))
+	for w, word := range s.occ {
+		block[w>>(blockShift-6)] += uint16(bits.OnesCount64(word))
+		super[w>>(superShift-6)] += uint16(bits.OnesCount64(word))
+	}
+	if !slices.Equal(block, s.block) || !slices.Equal(super, s.super) {
+		t.Fatalf("%s: block or super-block counts disagree with the occupancy words", step)
+	}
+}
+
+// TestLRUStackAcrossSuperBlocks runs the naiveLRU differential on a stack
+// of 65,024 lines, whose 2^17-slot space spans four super-blocks. One move
+// in 32 takes the line just below or just above a block edge, half of them
+// super-block edges, so the scan stops on both sides of each kind of edge;
+// the rest take shallow ranks, as fig01's draws do, which keeps the naive
+// reference cheap. With a push every 200 operations, the first
+// compaction finds 65,354 lines live, at most half the slots, and keeps
+// the slot space; the second finds 65,682 and doubles it.
+func TestLRUStackAcrossSuperBlocks(t *testing.T) {
+	const n = 2<<superShift - 1<<blockShift
+	s, ref := seededPair(n)
+	slots := len(s.ids)
+	if len(s.super) < 3 {
+		t.Fatalf("%d lines span %d super-blocks, want at least 3", n, len(s.super))
+	}
+	rng := rand.New(rand.NewSource(5))
+	next := uint64(n)
+	var grown []int // slot space after each compaction
+	for op := 0; len(grown) < 2; op++ {
+		step := fmt.Sprintf("op %d", op)
+		before := s.next
+		if op%200 == 199 {
+			s.PushFront(next)
+			ref.pushFront(next)
+			next++
+		} else {
+			rank := rng.Intn(min(len(*ref), 4096))
+			if rng.Intn(32) == 0 {
+				unit := 1 << blockShift
+				if rng.Intn(2) == 0 {
+					unit = 1 << superShift
+				}
+				edge := unit * (1 + rng.Intn((s.next-1)/unit))
+				below, above := s.liveAround(edge)
+				if above >= 0 && (below < 0 || rng.Intn(2) == 0) {
+					rank = s.rankOf(above)
+				} else if below >= 0 {
+					rank = s.rankOf(below)
+				}
+			}
+			if got, want := s.MoveToFront(rank), ref.moveToFront(rank); got != want {
+				t.Fatalf("%s: MoveToFront(%d) = %d, reference %d", step, rank, got, want)
+			}
+		}
+		if s.next <= before {
+			grown = append(grown, len(s.ids))
+			sameCounts(t, s, step)
+			sameStack(t, s, ref, step)
+		}
+	}
+	if want := []int{slots, 2 * slots}; !slices.Equal(grown, want) {
+		t.Errorf("slot space after each compaction %v, want %v", grown, want)
 	}
 }
 
@@ -199,15 +294,20 @@ func (n *naiveLRU) moveToFront(rank int) uint64 {
 }
 
 // FuzzLRUStack decodes an operation sequence from the input and checks it
-// against naiveLRU. Byte 0 picks the seeded size (0-129, across two word
-// edges); then each byte below 0x40 pushes a new line, and any other byte
-// moves a rank built from its low bits and the following byte.
+// against naiveLRU. Byte 0 picks the seeded size: itself below 130 (0-129
+// lines, across two word edges), and itself + 320 from 130 up (450-575
+// lines, across the first block edge at slot 512). Then each byte below
+// 0x40 pushes a new line, and any other byte moves a rank built from its
+// low bits and the following byte.
 func FuzzLRUStack(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		n := int(data[0]) % 130
+		n := int(data[0])
+		if n >= 130 {
+			n += 320
+		}
 		s := newLRUStack(n)
 		ref := make(naiveLRU, n)
 		for i := range ref {
@@ -237,5 +337,6 @@ func FuzzLRUStack(f *testing.F) {
 		if got := s.contents(); !slices.Equal(got, ref) {
 			t.Fatalf("stack %v, naive %v", got, []uint64(ref))
 		}
+		sameCounts(t, s, "end")
 	})
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/trace"
@@ -18,7 +19,7 @@ type SharedPrivateConfig struct {
 	SharedLines      uint64  // size of the shared region, in lines
 	PrivateLines     uint64  // per-thread private working set, in lines
 	SharedAccessFrac float64 // probability an access targets shared data
-	Skew             float64 // Zipf skew within each region (> 1)
+	Skew             float64 // Zipf skew within each region (finite, > 1)
 	WriteFraction    float64
 	Seed             int64
 }
@@ -30,12 +31,12 @@ func (c SharedPrivateConfig) Validate() error {
 		return fmt.Errorf("workload: threads must be in [1,128], got %d", c.Threads)
 	case c.SharedLines == 0 || c.PrivateLines == 0:
 		return fmt.Errorf("workload: shared and private regions must be non-empty")
-	case c.SharedAccessFrac < 0 || c.SharedAccessFrac > 1:
-		return fmt.Errorf("workload: shared access fraction must be in [0,1], got %g", c.SharedAccessFrac)
-	case !(c.Skew > 1):
-		return fmt.Errorf("workload: Zipf skew must be > 1, got %g", c.Skew)
-	case c.WriteFraction < 0 || c.WriteFraction > 1:
-		return fmt.Errorf("workload: write fraction must be in [0,1], got %g", c.WriteFraction)
+	case !(c.SharedAccessFrac >= 0 && c.SharedAccessFrac <= 1): // NaN fails too
+		return fmt.Errorf("workload: SharedAccessFrac must be in [0,1], got %g", c.SharedAccessFrac)
+	case !(c.Skew > 1) || math.IsInf(c.Skew, 1):
+		return fmt.Errorf("workload: Skew must be finite and > 1, got %g", c.Skew)
+	case !(c.WriteFraction >= 0 && c.WriteFraction <= 1):
+		return fmt.Errorf("workload: WriteFraction must be in [0,1], got %g", c.WriteFraction)
 	}
 	return nil
 }
@@ -50,8 +51,8 @@ func (c SharedPrivateConfig) Validate() error {
 type SharedPrivate struct {
 	cfg     SharedPrivateConfig
 	rng     *rand.Rand
-	shared  *rand.Zipf
-	private []*rand.Zipf
+	shared  *zipfDraw
+	private *zipfDraw // every thread's, offset into its own region
 	nextTID int
 }
 
@@ -60,15 +61,11 @@ func NewSharedPrivate(cfg SharedPrivateConfig) (*SharedPrivate, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	g := &SharedPrivate{cfg: cfg, rng: rng}
-	g.shared = rand.NewZipf(rng, cfg.Skew, 1, cfg.SharedLines-1)
-	g.private = make([]*rand.Zipf, cfg.Threads)
-	for t := 0; t < cfg.Threads; t++ {
-		g.private[t] = rand.NewZipf(rng, cfg.Skew, 1, cfg.PrivateLines-1)
-	}
-	if g.shared == nil {
-		return nil, fmt.Errorf("workload: invalid Zipf parameters for shared region")
+	g := &SharedPrivate{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	g.shared = newZipfDraw(cfg.Skew, cfg.SharedLines-1)
+	g.private = g.shared
+	if cfg.PrivateLines != cfg.SharedLines {
+		g.private = newZipfDraw(cfg.Skew, cfg.PrivateLines-1)
 	}
 	return g, nil
 }
@@ -87,9 +84,9 @@ func (g *SharedPrivate) Next() trace.Access {
 	}
 	var line uint64
 	if g.rng.Float64() < g.cfg.SharedAccessFrac {
-		line = g.shared.Uint64()
+		line = g.shared.next(g.rng)
 	} else {
-		line = g.cfg.SharedLines + uint64(t)*g.cfg.PrivateLines + g.private[t].Uint64()
+		line = g.cfg.SharedLines + uint64(t)*g.cfg.PrivateLines + g.private.next(g.rng)
 	}
 	return trace.Access{
 		Addr:  line * LineBytes,

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -24,24 +25,31 @@ func TestSharedPrivateValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
-	mutations := []func(*SharedPrivateConfig){
-		func(c *SharedPrivateConfig) { c.Threads = 0 },
-		func(c *SharedPrivateConfig) { c.Threads = 129 },
-		func(c *SharedPrivateConfig) { c.SharedLines = 0 },
-		func(c *SharedPrivateConfig) { c.PrivateLines = 0 },
-		func(c *SharedPrivateConfig) { c.SharedAccessFrac = -0.1 },
-		func(c *SharedPrivateConfig) { c.SharedAccessFrac = 1.1 },
-		func(c *SharedPrivateConfig) { c.Skew = 1.0 },
-		func(c *SharedPrivateConfig) { c.WriteFraction = 2 },
-	}
-	for i, mut := range mutations {
+	for _, tc := range []struct {
+		name  string
+		mut   func(*SharedPrivateConfig)
+		field string // what the error must name
+	}{
+		{"no threads", func(c *SharedPrivateConfig) { c.Threads = 0 }, "threads"},
+		{"129 threads", func(c *SharedPrivateConfig) { c.Threads = 129 }, "threads"},
+		{"no shared lines", func(c *SharedPrivateConfig) { c.SharedLines = 0 }, "regions"},
+		{"no private lines", func(c *SharedPrivateConfig) { c.PrivateLines = 0 }, "regions"},
+		{"shared fraction below 0", func(c *SharedPrivateConfig) { c.SharedAccessFrac = -0.1 }, "SharedAccessFrac"},
+		{"shared fraction above 1", func(c *SharedPrivateConfig) { c.SharedAccessFrac = 1.1 }, "SharedAccessFrac"},
+		{"shared fraction NaN", func(c *SharedPrivateConfig) { c.SharedAccessFrac = math.NaN() }, "SharedAccessFrac"},
+		{"skew 1", func(c *SharedPrivateConfig) { c.Skew = 1.0 }, "Skew"},
+		{"skew +Inf", func(c *SharedPrivateConfig) { c.Skew = math.Inf(1) }, "Skew"},
+		{"skew NaN", func(c *SharedPrivateConfig) { c.Skew = math.NaN() }, "Skew"},
+		{"write fraction 2", func(c *SharedPrivateConfig) { c.WriteFraction = 2 }, "WriteFraction"},
+		{"write fraction NaN", func(c *SharedPrivateConfig) { c.WriteFraction = math.NaN() }, "WriteFraction"},
+	} {
 		c := sharedCfg()
-		mut(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("mutation %d accepted", i)
+		tc.mut(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %v, want one naming %s", tc.name, err, tc.field)
 		}
 		if _, err := NewSharedPrivate(c); err == nil {
-			t.Errorf("mutation %d constructed", i)
+			t.Errorf("%s: constructed", tc.name)
 		}
 	}
 }

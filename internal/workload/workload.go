@@ -9,14 +9,21 @@
 // workloads. It inverts the Pareto CDF from a small table built once per
 // α, and runs math.Pow only for the draws a 1e-9 guard band cannot
 // decide, so its stream is the one plain math.Pow inversion gives, bit
-// for bit (paretoDraw states the error budget). Other generators model
-// the paper's secondary observations: phased working sets (SPEC-like
-// discrete miss curves), streaming scans, and multithreaded
-// shared/private mixes (PARSEC-like, for Fig 14).
+// for bit (paretoDraw states the error budget). Its LRU stack finds each
+// drawn rank by scanning down from the top slot through two flat levels
+// of live counts (lruStack). Other generators model the paper's
+// secondary observations: phased working sets (SPEC-like discrete miss
+// curves), streaming scans, and multithreaded shared/private mixes
+// (PARSEC-like, for Fig 14). The Zipf and shared/private generators read
+// each rank from a table built once per skew and region size, and run
+// math/rand's Zipf arithmetic only for the draws a 1e-9 guard band cannot
+// decide, so their streams are rand.Zipf's, draw for draw (zipfDraw
+// states the error budget).
 package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/trace"
@@ -77,10 +84,10 @@ func (c StackDistanceConfig) Validate() error {
 	if uint64(c.FootprintLines) > maxLines {
 		return fmt.Errorf("workload: FootprintLines (%d) exceeds the %d-line id range", c.FootprintLines, uint64(maxLines))
 	}
-	if c.ColdProb < 0 || c.ColdProb >= 1 {
+	if !(c.ColdProb >= 0 && c.ColdProb < 1) { // NaN fails too
 		return fmt.Errorf("workload: ColdProb must be in [0, 1), got %g", c.ColdProb)
 	}
-	if c.WriteFraction < 0 || c.WriteFraction > 1 {
+	if !(c.WriteFraction >= 0 && c.WriteFraction <= 1) {
 		return fmt.Errorf("workload: WriteFraction must be in [0, 1], got %g", c.WriteFraction)
 	}
 	return nil
@@ -168,35 +175,33 @@ func (g *StackDistance) sampleDepth() (depth int, cold bool) {
 // curves, providing a second, structurally different route to Fig 1.
 type Zipf struct {
 	rng   *rand.Rand
-	zipf  *rand.Zipf
+	zipf  *zipfDraw
 	wfrac float64
 	tid   uint8
 	base  uint64
 }
 
-// NewZipf builds a Zipf generator over `lines` distinct lines with skew
-// s > 1 (rand.Zipf's constraint). wfrac is the store fraction.
+// NewZipf builds a Zipf generator over `lines` distinct lines with a
+// finite skew s > 1, where line k has popularity ∝ (k + 1)^-s. Its
+// stream is math/rand's Zipf (v = 1) on the same seed, draw for draw
+// (zipfDraw states how). wfrac is the store fraction.
 func NewZipf(lines uint64, s float64, wfrac float64, seed int64, tid uint8, region uint64) (*Zipf, error) {
 	if lines == 0 {
 		return nil, fmt.Errorf("workload: Zipf needs at least one line")
 	}
-	if !(s > 1) {
-		return nil, fmt.Errorf("workload: Zipf skew must be > 1, got %g", s)
+	if !(s > 1) || math.IsInf(s, 1) { // NaN fails too; rand.Zipf never returns at +Inf
+		return nil, fmt.Errorf("workload: Zipf skew must be finite and > 1, got %g", s)
 	}
-	if wfrac < 0 || wfrac > 1 {
+	if !(wfrac >= 0 && wfrac <= 1) {
 		return nil, fmt.Errorf("workload: write fraction must be in [0,1], got %g", wfrac)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	z := rand.NewZipf(rng, s, 1, lines-1)
-	if z == nil {
-		return nil, fmt.Errorf("workload: invalid Zipf parameters (s=%g, lines=%d)", s, lines)
-	}
-	return &Zipf{rng: rng, zipf: z, wfrac: wfrac, tid: tid, base: region}, nil
+	return &Zipf{rng: rng, zipf: newZipfDraw(s, lines-1), wfrac: wfrac, tid: tid, base: region}, nil
 }
 
 // Next implements trace.Generator.
 func (z *Zipf) Next() trace.Access {
-	line := z.zipf.Uint64()
+	line := z.zipf.next(z.rng)
 	return trace.Access{
 		Addr:  z.base + line*LineBytes,
 		TID:   z.tid,
@@ -254,7 +259,7 @@ func NewPhased(setLines uint64, dwell int, wfrac float64, seed int64, tid uint8,
 	if setLines == 0 || dwell <= 0 {
 		return nil, fmt.Errorf("workload: Phased needs positive set size and dwell")
 	}
-	if wfrac < 0 || wfrac > 1 {
+	if !(wfrac >= 0 && wfrac <= 1) { // NaN fails too
 		return nil, fmt.Errorf("workload: write fraction must be in [0,1], got %g", wfrac)
 	}
 	return &Phased{

@@ -23,21 +23,27 @@ func TestStackDistanceConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
-	mutations := []func(*StackDistanceConfig){
-		func(c *StackDistanceConfig) { c.Alpha = 0 },
-		func(c *StackDistanceConfig) { c.Alpha = 2 },
-		func(c *StackDistanceConfig) { c.HotLines = 0 },
-		func(c *StackDistanceConfig) { c.FootprintLines = c.HotLines },
-		func(c *StackDistanceConfig) { c.ColdProb = -0.1 },
-		func(c *StackDistanceConfig) { c.ColdProb = 1 },
-		func(c *StackDistanceConfig) { c.WriteFraction = 1.1 },
-		func(c *StackDistanceConfig) { c.WriteFraction = -0.1 },
-	}
-	for i, mut := range mutations {
+	for _, tc := range []struct {
+		name  string
+		mut   func(*StackDistanceConfig)
+		field string // what the error must name
+	}{
+		{"alpha 0", func(c *StackDistanceConfig) { c.Alpha = 0 }, "alpha"},
+		{"alpha 2", func(c *StackDistanceConfig) { c.Alpha = 2 }, "alpha"},
+		{"alpha NaN", func(c *StackDistanceConfig) { c.Alpha = math.NaN() }, "alpha"},
+		{"no hot lines", func(c *StackDistanceConfig) { c.HotLines = 0 }, "HotLines"},
+		{"footprint at the hot set", func(c *StackDistanceConfig) { c.FootprintLines = c.HotLines }, "FootprintLines"},
+		{"cold probability below 0", func(c *StackDistanceConfig) { c.ColdProb = -0.1 }, "ColdProb"},
+		{"cold probability 1", func(c *StackDistanceConfig) { c.ColdProb = 1 }, "ColdProb"},
+		{"cold probability NaN", func(c *StackDistanceConfig) { c.ColdProb = math.NaN() }, "ColdProb"},
+		{"write fraction above 1", func(c *StackDistanceConfig) { c.WriteFraction = 1.1 }, "WriteFraction"},
+		{"write fraction below 0", func(c *StackDistanceConfig) { c.WriteFraction = -0.1 }, "WriteFraction"},
+		{"write fraction NaN", func(c *StackDistanceConfig) { c.WriteFraction = math.NaN() }, "WriteFraction"},
+	} {
 		c := stackCfg()
-		mut(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("mutation %d accepted: %+v", i, c)
+		tc.mut(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %v, want one naming %s", tc.name, err, tc.field)
 		}
 	}
 	c := stackCfg()
@@ -201,14 +207,22 @@ func TestZipf(t *testing.T) {
 }
 
 func TestZipfValidation(t *testing.T) {
-	if _, err := NewZipf(0, 1.3, 0, 1, 0, 0); err == nil {
-		t.Error("zero lines accepted")
-	}
-	if _, err := NewZipf(100, 1.0, 0, 1, 0, 0); err == nil {
-		t.Error("skew 1.0 accepted (rand.Zipf needs > 1)")
-	}
-	if _, err := NewZipf(100, 1.5, 2, 1, 0, 0); err == nil {
-		t.Error("write fraction 2 accepted")
+	for _, tc := range []struct {
+		name         string
+		lines        uint64
+		skew, wfrac  float64
+		errSubstring string
+	}{
+		{"zero lines", 0, 1.3, 0, "line"},
+		{"skew 1", 100, 1.0, 0, "skew"},
+		{"skew +Inf", 100, math.Inf(1), 0, "skew"},
+		{"skew NaN", 100, math.NaN(), 0, "skew"},
+		{"write fraction 2", 100, 1.5, 2, "write fraction"},
+		{"write fraction NaN", 100, 1.5, math.NaN(), "write fraction"},
+	} {
+		if _, err := NewZipf(tc.lines, tc.skew, tc.wfrac, 1, 0, 0); err == nil || !strings.Contains(err.Error(), tc.errSubstring) {
+			t.Errorf("%s: error %v, want one naming the %s", tc.name, err, tc.errSubstring)
+		}
 	}
 }
 
@@ -254,8 +268,10 @@ func TestPhased(t *testing.T) {
 	if _, err := NewPhased(16, 0, 0, 1, 0, 0); err == nil {
 		t.Error("zero dwell accepted")
 	}
-	if _, err := NewPhased(16, 64, 1.5, 1, 0, 0); err == nil {
-		t.Error("bad write fraction accepted")
+	for _, wfrac := range []float64{1.5, math.NaN()} {
+		if _, err := NewPhased(16, 64, wfrac, 1, 0, 0); err == nil || !strings.Contains(err.Error(), "write fraction") {
+			t.Errorf("write fraction %v: error %v, want one naming the write fraction", wfrac, err)
+		}
 	}
 }
 
