@@ -76,8 +76,8 @@ type SuiteConfig struct {
 }
 
 // InputHash fingerprints everything that determines an experiment's
-// output: its id and the run options. Changing -quick, -seed, or -brute
-// between runs therefore re-executes everything on resume.
+// output: its id and the options Quick, Seed and Brute; changing any
+// re-executes everything on resume. Only Quick is a CLI flag (-quick).
 func InputHash(id string, o Options) string {
 	return robust.HashStrings(id, fmt.Sprintf("quick=%t seed=%d brute=%t", o.Quick, o.Seed, o.Brute))
 }

@@ -102,7 +102,7 @@ func faCurve(ctx context.Context, gen trace.Generator, cfgs []cachesim.Config, w
 			maxLines = l
 		}
 	}
-	p := NewProfiler(maxLines, n)
+	p := NewProfiler(maxLines)
 	for i := 0; i < warmup; i++ {
 		if i%chunkAccesses == 0 {
 			if err := robust.Err(ctx); err != nil {

@@ -10,14 +10,15 @@ import (
 
 // fuzzAssocs are the associativities FuzzMattsonVsBrute picks from: the
 // fused 8-way quintet, the packed kernel's other widths (including
-// non-powers of two), and the recency-ordered layout above 8 ways.
-var fuzzAssocs = []int{1, 2, 3, 4, 6, 8, 12, 16, 64}
+// non-powers of two), the recency-ordered layout above 8 ways, and 0,
+// fully associative, which the reuse-distance Profiler serves.
+var fuzzAssocs = []int{1, 2, 3, 4, 6, 8, 12, 16, 64, 0}
 
 // FuzzMattsonVsBrute decodes a sweep and a trace from the fuzz bytes and
-// requires the set-associative sweep at workers 1, 2 and 4 to match the
-// brute simulator exactly. Layout:
+// requires the sweep at workers 1, 2 and 4 to match the brute simulator
+// exactly. Layout:
 //
-//	data[0]  associativity (index into fuzzAssocs)
+//	data[0]  associativity (index into fuzzAssocs; 9 is fully associative)
 //	data[1]  line size 32/64/128 (mod 3) and 2–5 nested sizes
 //	data[2]  smallest set count 16/32/64 (mod 3) and the line spread
 //	data[3]  repeat count 1–8 (low 3 bits) and warmup in 32nds
@@ -25,7 +26,12 @@ var fuzzAssocs = []int{1, 2, 3, 4, 6, 8, 12, 16, 64}
 //
 // The alphabet is 128 lines, and a spread at or above log2 of a size's
 // set count folds every line into one of its sets, so hot single-set
-// traces (one partition doing all the work) come up often.
+// traces (one partition doing all the work) come up often. A fully
+// associative sweep has no sets: its sizes hold the smallest set count's
+// 16/32/64 lines, doubling, so at most 1,024 lines, and it must match the
+// brute simulator's accesses, hits, misses and fill bytes, leaving
+// evictions and write-backs zero (the reuse-distance histogram cannot
+// derive them).
 func FuzzMattsonVsBrute(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
@@ -44,7 +50,11 @@ func FuzzMattsonVsBrute(f *testing.F) {
 		}
 		sizes := make([]int, nsizes)
 		for k := range sizes {
-			sizes[k] = assoc * lineBytes * minSets << k
+			lines := minSets << k
+			if assoc > 0 {
+				lines *= assoc
+			}
+			sizes[k] = lines * lineBytes
 		}
 		if w := parallelWorkers(4, minSets); w < 2 {
 			t.Fatalf("smallest size has %d sets: workers resolve to %d, want ≥ 2", minSets, w)
@@ -72,11 +82,15 @@ func FuzzMattsonVsBrute(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := range brute {
-					if fast[i] != brute[i] {
+				for i, want := range brute {
+					if assoc == 0 {
+						st := want.Stats
+						want.Stats = cachesim.Stats{Accesses: st.Accesses, Hits: st.Hits, Misses: st.Misses, FillBytes: st.FillBytes}
+					}
+					if fast[i] != want {
 						_, batched := gen.(trace.Batcher)
 						t.Fatalf("assoc %d line %d workers %d batched %v size %d: brute %+v, fast %+v",
-							assoc, lineBytes, workers, batched, brute[i].SizeBytes, brute[i].Stats, fast[i].Stats)
+							assoc, lineBytes, workers, batched, want.SizeBytes, want.Stats, fast[i].Stats)
 					}
 				}
 			}

@@ -10,8 +10,8 @@
 //   - Fully associative: a cache of N lines always holds the N most
 //     recently used lines, so an access hits iff its stack distance (the
 //     number of distinct lines touched since its previous reference) is
-//     < N. One O(n log n) pass produces a reuse-distance histogram from
-//     which every size's miss count is a suffix sum (Profiler).
+//     < N. One pass produces a reuse-distance histogram from which every
+//     size's miss count is a suffix sum (Profiler).
 //   - Set associative: bit-selection indexing shards the stream by set,
 //     and within a set the same inclusion argument applies per set count.
 //     SetProfiler replays the stream through one lean recency array per
@@ -34,11 +34,13 @@
 // configurations the stack algorithm does not cover (non-LRU policies,
 // sectored fills, write-through caches).
 //
-// The fully-associative stack is a Fenwick tree over access-time slots
-// (fenwickStack): each access takes the next slot, and a re-reference's
-// distance is the number of occupied slots after its previous one. The
-// tests cross-check it against a naive move-to-front list.
+// The fully-associative stack is internal/workload's LRUStack, the one
+// the Fig 1 generator draws its reuse depths from: a re-reference's
+// distance is the rank of its line's slot, the live slots above it
+// (LRUStack.Lift). The tests cross-check it against a naive list.
 package mattson
+
+import "repro/internal/workload"
 
 // Cold is the distance reported for a first-touch access: no previous
 // reference exists, so the access misses in every finite cache.
@@ -47,27 +49,32 @@ const Cold = -1
 // Profiler computes exact fully-associative LRU miss ratios at every cache
 // size simultaneously from one pass over an access stream. Feed it line
 // addresses with Record; read the distance histogram with Hist. The zero
-// value is not usable — construct with NewProfiler.
+// value is not usable — construct with NewProfiler. Each distinct line
+// gets a dense id, its first-touch order, on a stack that starts at 64
+// slots and doubles through its own compaction.
 type Profiler struct {
-	stack *fenwickStack
+	stack *workload.LRUStack
+	id    map[uint64]uint32 // line → dense id, written once per distinct line
+	slot  []uint32          // id → the stack slot holding it
+	next  int               // len(stack.IDs()) after the last touch
 	hist  Histogram
 }
 
 // NewProfiler returns a Profiler whose histogram resolves distances up to
 // maxLines exactly (distances ≥ maxLines are pooled — they miss at every
 // size of interest). maxLines is typically the largest swept cache size in
-// lines. sizeHint, if positive, pre-sizes the internal structures for a
-// stream of that many accesses, avoiding growth stalls mid-pass.
-func NewProfiler(maxLines, sizeHint int) *Profiler {
+// lines.
+func NewProfiler(maxLines int) *Profiler {
 	return &Profiler{
-		stack: newFenwickStack(sizeHint),
+		stack: workload.NewLRUStack(0),
+		id:    make(map[uint64]uint32),
 		hist:  NewHistogram(maxLines),
 	}
 }
 
 // Record profiles one access to the given cache-line address.
 func (p *Profiler) Record(line uint64) {
-	p.hist.Record(p.stack.Touch(line))
+	p.hist.Record(p.touch(line))
 }
 
 // Skip advances the stack state for one access without recording it in the
@@ -75,8 +82,34 @@ func (p *Profiler) Record(line uint64) {
 // but are excluded from the reported statistics, exactly like the
 // simulator's post-warmup ResetStats.
 func (p *Profiler) Skip(line uint64) {
-	p.stack.Touch(line)
+	p.touch(line)
 }
 
 // Hist returns the accumulated reuse-distance histogram.
 func (p *Profiler) Hist() *Histogram { return &p.hist }
+
+// touch moves line to the top of the stack and returns its stack
+// distance, or Cold on its first touch. PushFront panics rather than wrap
+// a new line's id past the stack's uint32 range.
+func (p *Profiler) touch(line uint64) int {
+	id, seen := p.id[line]
+	d := Cold
+	if seen {
+		d = p.stack.Lift(int(p.slot[id]))
+	} else {
+		n := uint64(len(p.slot))
+		p.stack.PushFront(n)
+		id = uint32(n)
+		p.id[line] = id
+		p.slot = append(p.slot, 0)
+	}
+	ids := p.stack.IDs()
+	if len(ids) != p.next+1 { // a compaction moved slots (one with all live moves none)
+		for s, id := range ids {
+			p.slot[id] = uint32(s)
+		}
+	}
+	p.slot[id] = uint32(len(ids) - 1)
+	p.next = len(ids)
+	return d
+}

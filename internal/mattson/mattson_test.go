@@ -41,29 +41,43 @@ func xorStream(seed, footprint uint64) func() uint64 {
 	}
 }
 
-func TestFenwickStackMatchesNaive(t *testing.T) {
+// TestProfilerMatchesNaive checks every access's distance against the
+// naive move-to-front list, and that the profiler's stack both compacted
+// and doubled its slot space on the way.
+func TestProfilerMatchesNaive(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
 		seed, footprint uint64
 		accesses        int
 	}{
-		// 10k accesses over 512 lines crosses the 4096-slot initial
-		// capacity, so slot compaction is exercised.
+		// 10k accesses over 512 lines compact the stack 21 times, most of
+		// them inside the 1,024-slot space it settles at.
 		{"compaction", 42, 512, 10_000},
-		// A 3000-line footprint exceeds half the initial slot space,
-		// forcing the compactor down its doubling path.
+		// A 3000-line footprint takes the stack from 64 slots to 8,192
+		// through its compactor's doubling path.
 		{"doubling", 99, 3000, 50_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			next := xorStream(tc.seed, tc.footprint)
-			fen := newFenwickStack(0)
+			p := NewProfiler(0)
 			var ref naiveStack
+			// IDs is a prefix of the stack's slot array: its capacity is
+			// the slot space, and a touch that does not lengthen it by one
+			// compacted.
+			compactions, slots := 0, cap(p.stack.IDs())
 			for i := 0; i < tc.accesses; i++ {
 				line := next()
-				got, want := fen.Touch(line), ref.touch(line)
+				before := len(p.stack.IDs())
+				got, want := p.touch(line), ref.touch(line)
 				if got != want {
-					t.Fatalf("access %d line %d: fenwick distance %d, naive %d", i, line, got, want)
+					t.Fatalf("access %d line %d: profiler distance %d, naive %d", i, line, got, want)
 				}
+				if len(p.stack.IDs()) != before+1 {
+					compactions++
+				}
+			}
+			if compactions < 2 || cap(p.stack.IDs()) <= slots {
+				t.Errorf("%d compactions, slot space %d → %d: want compactions and a doubling", compactions, slots, cap(p.stack.IDs()))
 			}
 		})
 	}

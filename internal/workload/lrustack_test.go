@@ -9,18 +9,18 @@ import (
 	"testing"
 )
 
-// seededPair returns an lruStack holding lines 0..n-1 and a naiveLRU
+// seededPair returns an LRUStack holding lines 0..n-1 and a naiveLRU
 // reference built by n pushes, the way the generator seeds its footprint.
-func seededPair(n int) (*lruStack, *naiveLRU) {
+func seededPair(n int) (*LRUStack, *naiveLRU) {
 	ref := &naiveLRU{}
 	for i := 0; i < n; i++ {
 		ref.pushFront(uint64(i))
 	}
-	return newLRUStack(n), ref
+	return NewLRUStack(n), ref
 }
 
 // contents lists the stack in rank order, top first, from the raw slots.
-func (s *lruStack) contents() []uint64 {
+func (s *LRUStack) contents() []uint64 {
 	out := make([]uint64, 0, s.live)
 	for slot := s.next - 1; slot >= 0; slot-- {
 		if s.occ[slot>>6]&(1<<(slot&63)) != 0 {
@@ -31,7 +31,7 @@ func (s *lruStack) contents() []uint64 {
 }
 
 // sameStack fails unless s and ref hold the same lines in the same order.
-func sameStack(t *testing.T, s *lruStack, ref *naiveLRU, step string) {
+func sameStack(t *testing.T, s *LRUStack, ref *naiveLRU, step string) {
 	t.Helper()
 	if s.Len() != len(*ref) {
 		t.Fatalf("%s: Len %d, reference %d", step, s.Len(), len(*ref))
@@ -50,8 +50,10 @@ func panics(fn func()) (v any) {
 
 // TestLRUStackMatchesNaive runs random push/move sequences against the
 // naiveLRU reference, comparing every returned line and the whole stack after
-// every operation. Ranks favour the ends (0 and Len()-1), and the sizes
-// straddle the 64-slot word edges.
+// every operation. Half the moves go through MoveToFront, the generator's
+// query, and half through Lift on the slot find gives, the profiler's,
+// whose returned rank must be the one aimed at. Ranks favour the ends (0
+// and Len()-1), and the sizes straddle the 64-slot word edges.
 func TestLRUStackMatchesNaive(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 63, 64, 65, 127, 128, 129, 700} {
 		rng := rand.New(rand.NewSource(int64(n) + 1))
@@ -74,7 +76,12 @@ func TestLRUStackMatchesNaive(t *testing.T) {
 				default:
 					rank = rng.Intn(len(*ref))
 				}
-				if got, want := s.MoveToFront(rank), ref.moveToFront(rank); got != want {
+				if rng.Intn(2) == 0 {
+					if got := s.Lift(s.find(rank)); got != rank {
+						t.Fatalf("%s: Lift of rank %d's slot returned rank %d", step, rank, got)
+					}
+					ref.moveToFront(rank)
+				} else if got, want := s.MoveToFront(rank), ref.moveToFront(rank); got != want {
 					t.Fatalf("%s: MoveToFront(%d) = %d, reference %d", step, rank, got, want)
 				}
 			}
@@ -100,7 +107,7 @@ func TestLRUStackEverySlot(t *testing.T) {
 
 // rankOf returns the rank of the line in live slot: the live slots above
 // it, counted from the occupancy words alone.
-func (s *lruStack) rankOf(slot int) int {
+func (s *LRUStack) rankOf(slot int) int {
 	r := bits.OnesCount64(s.occ[slot>>6] >> (slot & 63) >> 1)
 	for _, w := range s.occ[slot>>6+1:] {
 		r += bits.OnesCount64(w)
@@ -110,7 +117,7 @@ func (s *lruStack) rankOf(slot int) int {
 
 // liveAround returns the highest live slot below edge and the lowest live
 // slot at or above it, or -1 for a side with none.
-func (s *lruStack) liveAround(edge int) (below, above int) {
+func (s *LRUStack) liveAround(edge int) (below, above int) {
 	live := func(slot int) bool { return s.occ[slot>>6]&(1<<(slot&63)) != 0 }
 	for below = edge - 1; below >= 0 && !live(below); below-- {
 	}
@@ -122,9 +129,23 @@ func (s *lruStack) liveAround(edge int) (below, above int) {
 	return below, above
 }
 
+// sameRanks fails unless rank gives every live slot the rank rankOf
+// counts from the occupancy words.
+func sameRanks(t *testing.T, s *LRUStack, step string) {
+	t.Helper()
+	for slot := 0; slot < s.next; slot++ {
+		if s.occ[slot>>6]&(1<<(slot&63)) == 0 {
+			continue
+		}
+		if got, want := s.rank(slot), s.rankOf(slot); got != want {
+			t.Fatalf("%s: rank(%d) = %d, rankOf %d", step, slot, got, want)
+		}
+	}
+}
+
 // sameCounts fails unless every block and super-block count equals the
 // live slots the occupancy words give it.
-func sameCounts(t *testing.T, s *lruStack, step string) {
+func sameCounts(t *testing.T, s *LRUStack, step string) {
 	t.Helper()
 	block := make([]uint16, len(s.block))
 	super := make([]uint16, len(s.super))
@@ -142,9 +163,11 @@ func sameCounts(t *testing.T, s *lruStack, step string) {
 // in 32 takes the line just below or just above a block edge, half of them
 // super-block edges, so the scan stops on both sides of each kind of edge;
 // the rest take shallow ranks, as fig01's draws do, which keeps the naive
-// reference cheap. With a push every 200 operations, the first
-// compaction finds 65,354 lines live, at most half the slots, and keeps
-// the slot space; the second finds 65,682 and doubles it.
+// reference cheap. The edge moves check rank on the slot they aim at, and
+// each compaction checks rank on every live slot. With a push every 200
+// operations, the first compaction finds 65,354 lines live, at most half
+// the slots, and keeps the slot space; the second finds 65,682 and
+// doubles it.
 func TestLRUStackAcrossSuperBlocks(t *testing.T) {
 	const n = 2<<superShift - 1<<blockShift
 	s, ref := seededPair(n)
@@ -171,10 +194,15 @@ func TestLRUStackAcrossSuperBlocks(t *testing.T) {
 				}
 				edge := unit * (1 + rng.Intn((s.next-1)/unit))
 				below, above := s.liveAround(edge)
+				slot := below
 				if above >= 0 && (below < 0 || rng.Intn(2) == 0) {
-					rank = s.rankOf(above)
-				} else if below >= 0 {
-					rank = s.rankOf(below)
+					slot = above
+				}
+				if slot >= 0 {
+					rank = s.rankOf(slot)
+					if got := s.rank(slot); got != rank {
+						t.Fatalf("%s: rank(%d) = %d, rankOf %d", step, slot, got, rank)
+					}
 				}
 			}
 			if got, want := s.MoveToFront(rank), ref.moveToFront(rank); got != want {
@@ -185,6 +213,7 @@ func TestLRUStackAcrossSuperBlocks(t *testing.T) {
 			grown = append(grown, len(s.ids))
 			sameCounts(t, s, step)
 			sameStack(t, s, ref, step)
+			sameRanks(t, s, step)
 		}
 	}
 	if want := []int{slots, 2 * slots}; !slices.Equal(grown, want) {
@@ -236,15 +265,20 @@ func TestLRUStackCompaction(t *testing.T) {
 }
 
 func TestLRUStackPanics(t *testing.T) {
-	s := newLRUStack(10)
+	s := NewLRUStack(10)
+	moved := NewLRUStack(10)
+	moved.MoveToFront(0) // line 9 leaves slot 9 for slot 10
 	for name, tc := range map[string]struct {
 		fn   func()
 		want string
 	}{
-		"rank -1":       {func() { s.MoveToFront(-1) }, "rank -1 out of range [0, 10)"},
-		"rank Len()":    {func() { s.MoveToFront(10) }, "rank 10 out of range [0, 10)"},
-		"empty rank 0":  {func() { newLRUStack(0).MoveToFront(0) }, "rank 0 out of range [0, 0)"},
-		"id past range": {func() { s.PushFront(maxLines) }, "past the 4294967295-line id range"},
+		"rank -1":        {func() { s.MoveToFront(-1) }, "rank -1 out of range [0, 10)"},
+		"rank Len()":     {func() { s.MoveToFront(10) }, "rank 10 out of range [0, 10)"},
+		"empty rank 0":   {func() { NewLRUStack(0).MoveToFront(0) }, "rank 0 out of range [0, 0)"},
+		"id past range":  {func() { s.PushFront(maxLines) }, "past the 4294967295-line id range"},
+		"lift slot -1":   {func() { s.Lift(-1) }, "slot -1 is not live"},
+		"lift slot next": {func() { s.Lift(10) }, "slot 10 is not live"},
+		"lift dead slot": {func() { moved.Lift(9) }, "slot 9 is not live"},
 	} {
 		v := panics(tc.fn)
 		if msg, _ := v.(string); !strings.Contains(msg, tc.want) {
@@ -308,7 +342,7 @@ func FuzzLRUStack(f *testing.F) {
 		if n >= 130 {
 			n += 320
 		}
-		s := newLRUStack(n)
+		s := NewLRUStack(n)
 		ref := make(naiveLRU, n)
 		for i := range ref {
 			ref[i] = uint64(n - 1 - i)
@@ -338,5 +372,6 @@ func FuzzLRUStack(f *testing.F) {
 			t.Fatalf("stack %v, naive %v", got, []uint64(ref))
 		}
 		sameCounts(t, s, "end")
+		sameRanks(t, s, "end")
 	})
 }

@@ -67,31 +67,40 @@ func TestSharedPrivateRoundRobin(t *testing.T) {
 	}
 }
 
+// TestSharedPrivateRegions checks that a private access lands in the
+// issuing thread's own region and that the shared fraction holds, on
+// sharedCfg and on two threads' 11-line regions at a skew of 1 + 2^-52,
+// where rand.Zipf overshoots its region on about half its draws.
 func TestSharedPrivateRegions(t *testing.T) {
-	cfg := sharedCfg()
-	g, err := NewSharedPrivate(cfg)
-	if err != nil {
-		t.Fatal(err)
+	nearOne := SharedPrivateConfig{
+		Threads: 2, SharedLines: 11, PrivateLines: 11,
+		SharedAccessFrac: 0.5, Skew: 1 + 0x1p-52, Seed: 4,
 	}
-	sharedSeen, privateSeen := 0, 0
-	for i := 0; i < 100000; i++ {
-		a := g.Next()
-		if g.IsSharedAddr(a.Addr) {
-			sharedSeen++
-			continue
+	for _, cfg := range []SharedPrivateConfig{sharedCfg(), nearOne} {
+		g, err := NewSharedPrivate(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		privateSeen++
-		// A private access must land in the issuing thread's own region.
-		line := a.Line(LineBytes)
-		rel := line - cfg.SharedLines
-		owner := rel / cfg.PrivateLines
-		if owner != uint64(a.TID) {
-			t.Fatalf("thread %d touched thread %d's private region", a.TID, owner)
+		sharedSeen, privateSeen := 0, 0
+		for i := 0; i < 100000; i++ {
+			a := g.Next()
+			if g.IsSharedAddr(a.Addr) {
+				sharedSeen++
+				continue
+			}
+			privateSeen++
+			// A private access must land in the issuing thread's own region.
+			line := a.Line(LineBytes)
+			rel := line - cfg.SharedLines
+			owner := rel / cfg.PrivateLines
+			if owner != uint64(a.TID) {
+				t.Fatalf("skew %g: thread %d touched thread %d's private region", cfg.Skew, a.TID, owner)
+			}
 		}
-	}
-	frac := float64(sharedSeen) / float64(sharedSeen+privateSeen)
-	if math.Abs(frac-cfg.SharedAccessFrac) > 0.01 {
-		t.Errorf("shared access fraction = %.3f, want ≈%.2f", frac, cfg.SharedAccessFrac)
+		frac := float64(sharedSeen) / float64(sharedSeen+privateSeen)
+		if math.Abs(frac-cfg.SharedAccessFrac) > 0.01 {
+			t.Errorf("skew %g: shared access fraction = %.3f, want ≈%.2f", cfg.Skew, frac, cfg.SharedAccessFrac)
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // streamPins are FNV-64a digests of the first pinAccesses accesses of every
 // power-law suite.Paper generator under fig01's quick build, keyed by seed
 // and workload name. They were recorded from the treap-backed generator
-// that preceded lruStack, so they pin the stream across any change to the
+// that preceded LRUStack, so they pin the stream across any change to the
 // stack's internals: a single different rank, line id, RNG draw or write
 // bit changes a digest. They also predate paretoDraw's table, so they pin
 // the table draw to the plain math.Pow inversion: one depth or cold flag

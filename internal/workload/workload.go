@@ -11,14 +11,15 @@
 // decide, so its stream is the one plain math.Pow inversion gives, bit
 // for bit (paretoDraw states the error budget). Its LRU stack finds each
 // drawn rank by scanning down from the top slot through two flat levels
-// of live counts (lruStack). Other generators model the paper's
-// secondary observations: phased working sets (SPEC-like discrete miss
-// curves), streaming scans, and multithreaded shared/private mixes
-// (PARSEC-like, for Fig 14). The Zipf and shared/private generators read
-// each rank from a table built once per skew and region size, and run
-// math/rand's Zipf arithmetic only for the draws a 1e-9 guard band cannot
-// decide, so their streams are rand.Zipf's, draw for draw (zipfDraw
-// states the error budget).
+// of live counts (LRUStack, which internal/mattson's profiler shares).
+// Other generators model the paper's secondary observations: phased
+// working sets (SPEC-like discrete miss curves), streaming scans, and
+// multithreaded shared/private mixes (PARSEC-like, for Fig 14). The Zipf
+// and shared/private generators read each rank from a table built once
+// per skew and region size, and run math/rand's Zipf arithmetic only for
+// the draws a 1e-9 guard band cannot decide, so their streams are
+// rand.Zipf's clamped to the region, draw for draw (zipfDraw states the
+// error budget).
 package workload
 
 import (
@@ -98,7 +99,7 @@ func (c StackDistanceConfig) Validate() error {
 type StackDistance struct {
 	cfg   StackDistanceConfig
 	rng   *rand.Rand
-	stack *lruStack
+	stack *LRUStack
 	next  uint64     // next fresh line id
 	draw  paretoDraw // u → depth, from a per-α table where it is exact
 }
@@ -112,7 +113,7 @@ func NewStackDistance(cfg StackDistanceConfig) (*StackDistance, error) {
 	return &StackDistance{
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		stack: newLRUStack(cfg.FootprintLines),
+		stack: NewLRUStack(cfg.FootprintLines),
 		next:  uint64(cfg.FootprintLines),
 		draw:  newParetoDraw(cfg.Alpha, cfg.HotLines),
 	}, nil
@@ -183,8 +184,9 @@ type Zipf struct {
 
 // NewZipf builds a Zipf generator over `lines` distinct lines with a
 // finite skew s > 1, where line k has popularity ∝ (k + 1)^-s. Its
-// stream is math/rand's Zipf (v = 1) on the same seed, draw for draw
-// (zipfDraw states how). wfrac is the store fraction.
+// stream is math/rand's Zipf (v = 1) on the same seed, clamped to the
+// last line, draw for draw (zipfDraw states how). wfrac is the store
+// fraction.
 func NewZipf(lines uint64, s float64, wfrac float64, seed int64, tid uint8, region uint64) (*Zipf, error) {
 	if lines == 0 {
 		return nil, fmt.Errorf("workload: Zipf needs at least one line")

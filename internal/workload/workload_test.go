@@ -174,35 +174,43 @@ func TestStackDistanceMissLaw(t *testing.T) {
 	}
 }
 
+// TestZipf checks the write fraction, the TID, the hot line and that every
+// line stays in the region, at a steep skew and at one so near 1 that
+// rand.Zipf returns values past imax thousands of times in 100,000 draws.
 func TestZipf(t *testing.T) {
-	g, err := NewZipf(1<<16, 1.3, 0.25, 11, 2, 1<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	as := trace.Collect(g, 20000)
-	st := trace.Measure(as)
-	if math.Abs(st.WriteFraction()-0.25) > 0.02 {
-		t.Errorf("write fraction = %v", st.WriteFraction())
-	}
-	if st.MinAddr < 1<<30 {
-		t.Errorf("address below region: %#x", st.MinAddr)
-	}
-	if as[0].TID != 2 {
-		t.Errorf("TID = %d", as[0].TID)
-	}
-	// Skewed popularity: the most popular line should dominate.
-	counts := map[uint64]int{}
-	for _, a := range as {
-		counts[a.Line(LineBytes)]++
-	}
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
+	for _, tc := range []struct {
+		lines uint64
+		skew  float64
+	}{{1 << 16, 1.3}, {11, 1 + 0x1p-51}} {
+		g, err := NewZipf(tc.lines, tc.skew, 0.25, 11, 2, 1<<30)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if max < len(as)/100 {
-		t.Errorf("no hot line found (max count %d of %d)", max, len(as))
+		as := trace.Collect(g, 100_000)
+		st := trace.Measure(as)
+		if math.Abs(st.WriteFraction()-0.25) > 0.02 {
+			t.Errorf("skew %g: write fraction = %v", tc.skew, st.WriteFraction())
+		}
+		if st.MinAddr < 1<<30 || st.MaxAddr >= 1<<30+tc.lines*LineBytes {
+			t.Errorf("skew %g: addresses [%#x, %#x] leave the %d-line region", tc.skew, st.MinAddr, st.MaxAddr, tc.lines)
+		}
+		if as[0].TID != 2 {
+			t.Errorf("skew %g: TID = %d", tc.skew, as[0].TID)
+		}
+		// Skewed popularity: the most popular line should dominate.
+		counts := map[uint64]int{}
+		for _, a := range as {
+			counts[a.Line(LineBytes)]++
+		}
+		max := 0
+		for _, c := range counts {
+			if c > max {
+				max = c
+			}
+		}
+		if max < len(as)/100 {
+			t.Errorf("skew %g: no hot line found (max count %d of %d)", tc.skew, max, len(as))
+		}
 	}
 }
 

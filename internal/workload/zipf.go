@@ -15,7 +15,9 @@ const (
 
 // zipfDraw draws k ∈ [0, imax] with P(k) ∝ (k + 1)^-q: the values
 // math/rand's Zipf returns for rand.NewZipf(rng, q, 1, imax), draw for
-// draw, with the same rng.Float64 calls. Unlike rand.Zipf it holds no
+// draw, with the same rng.Float64 calls, but clamped to imax: at q =
+// 1.0001, rand.Zipf returns imax + 1 for every r ≤ 580,611·2^-63 with
+// imax = 2^20 − 1, and r ≤ 873,680·2^-63 with imax = 8,191. It holds no
 // Rand, so one zipfDraw serves every region of its size.
 //
 // rand.Zipf is Hörmann and Derflinger's rejection-inversion. Each uniform
@@ -31,7 +33,7 @@ const (
 // begins below r, and returns k only when r lies strictly inside k's
 // interval. Every other r runs rand.Zipf's own loop body: r in a guard
 // band, r whose x falls in the sliver [k − ½, k − s) that the second test
-// decides, and r near 0, where k can pass imax and be rejected.
+// decides, and r near 0, where the first test accepts a k past imax.
 //
 // Exactness budget. Both the reference's x at a given r and the x at
 // which a stored bound was computed differ from the exact function of r
@@ -54,6 +56,7 @@ type zipfDraw struct {
 	// rand.Zipf's constants, computed by its own expressions.
 	q, oneminusQ, oneminusQinv float64
 	hxm, hx0minusHxm, s        float64
+	imax                       uint64
 
 	band  []zipfBand // band[k]: the r-interval that decides k; nil without a table
 	start []uint16   // start[i]: the first k decide tries for r in [i, i+1)/zipfBuckets
@@ -66,7 +69,7 @@ type zipfBand struct{ lo, hi float64 }
 // table if the exactness budget and the size cap allow one. The caller
 // keeps q finite and above 1.
 func newZipfDraw(q float64, imax uint64) *zipfDraw {
-	z := &zipfDraw{q: q, oneminusQ: 1 - q}
+	z := &zipfDraw{q: q, oneminusQ: 1 - q, imax: imax}
 	z.oneminusQinv = 1 / z.oneminusQ
 	z.hxm = z.h(float64(imax) + 0.5)
 	z.hx0minusHxm = z.h(0.5) - math.Exp(math.Log(zipfV)*(-z.q)) - z.hxm
@@ -135,13 +138,14 @@ func (z *zipfDraw) decide(r float64) (uint64, bool) {
 	return z.exact(r)
 }
 
-// exact is one pass of rand.Zipf's loop on uniform r, in its arithmetic.
+// exact is one pass of rand.Zipf's loop on uniform r, in its arithmetic,
+// with an accepted value past imax clamped to imax.
 func (z *zipfDraw) exact(r float64) (k uint64, ok bool) {
 	ur := z.hxm + r*z.hx0minusHxm
 	x := z.hinv(ur)
 	kf := math.Floor(x + 0.5)
 	if kf-x <= z.s || ur >= z.h(kf+0.5)-math.Exp(-math.Log(kf+zipfV)*z.q) {
-		return uint64(kf), true
+		return min(uint64(kf), z.imax), true
 	}
 	return 0, false
 }

@@ -32,13 +32,13 @@ func (s *scriptSource) Seed(seed int64) { s.state, s.calls = uint64(seed), 0 }
 
 // scriptedDraw runs one whole draw from each of rand.Zipf and z, each on a
 // scriptSource whose first Int63 is first and whose stream after it is
-// seeded by rest, and fails unless both return the same value after the
-// same number of Int63 calls. Every r that rand.Float64 can return is
-// float64(i)/2^63 for some Int63 value i.
+// seeded by rest, and fails unless z returns min(rand.Zipf's value, imax)
+// after the same number of Int63 calls. Every r that rand.Float64 can
+// return is float64(i)/2^63 for some Int63 value i.
 func scriptedDraw(t *testing.T, z *zipfDraw, q float64, imax uint64, first int64, rest uint64) {
 	t.Helper()
 	ref, ours := &scriptSource{first: first, state: rest}, &scriptSource{first: first, state: rest}
-	want := rand.NewZipf(rand.New(ref), q, 1, imax).Uint64()
+	want := min(rand.NewZipf(rand.New(ref), q, 1, imax).Uint64(), imax)
 	got := z.next(rand.New(ours))
 	if got != want || ours.calls != ref.calls {
 		r := float64(first) / (1 << 63)
@@ -73,12 +73,13 @@ var zipfCases = []struct {
 	{1 + 1e-7, 100, false},
 }
 
-// TestZipfDrawMatchesStdlib pins zipfDraw to rand.Zipf: whole seeded
-// streams draw for draw, and single draws whose first uniform r is chosen
-// at r = 0, r = 1 − 2^-53 and both Nextafter neighbours of every table
-// bound. Where such an r is not float64(i)/2^63 for an integer i, no
-// Float64 call returns it, and the table's decision is checked against
-// the loop body that rand.Zipf runs, exact, instead.
+// TestZipfDrawMatchesStdlib pins zipfDraw to rand.Zipf clamped to imax:
+// whole seeded streams draw for draw, and single draws whose first
+// uniform r is chosen at r = 0, r = 1 − 2^-53 and both Nextafter
+// neighbours of every table bound. Where such an r is not
+// float64(i)/2^63 for an integer i, no Float64 call returns it, and the
+// table's decision is checked against the loop body that rand.Zipf runs,
+// exact, instead.
 func TestZipfDrawMatchesStdlib(t *testing.T) {
 	draws := 200_000
 	if testing.Short() {
@@ -94,7 +95,7 @@ func TestZipfDrawMatchesStdlib(t *testing.T) {
 				refRng, rng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 				ref := rand.NewZipf(refRng, tc.q, 1, tc.imax)
 				for i := 0; i < draws; i++ {
-					if got, want := z.next(rng), ref.Uint64(); got != want {
+					if got, want := z.next(rng), min(ref.Uint64(), tc.imax); got != want {
 						t.Fatalf("seed %d draw %d: %d, rand.Zipf %d", seed, i, got, want)
 					}
 				}
@@ -128,6 +129,31 @@ func TestZipfDrawMatchesStdlib(t *testing.T) {
 	}
 }
 
+// TestZipfDrawClampsPastImax pins the draws where rand.Zipf leaves its
+// region: at ext-drambw's skew 1.0001 over 2^20 lines and at the same skew
+// over 8,192 lines, a first uniform r at or near 0 makes rand.Zipf return
+// imax + 1, and zipfDraw must return imax.
+func TestZipfDrawClampsPastImax(t *testing.T) {
+	for _, tc := range []struct {
+		imax  uint64
+		first int64
+	}{
+		{1<<20 - 1, 0},
+		{1<<20 - 1, 580_611},
+		{8191, 0},
+		{8191, 873_680},
+	} {
+		src := &scriptSource{first: tc.first, state: 7}
+		if v := rand.NewZipf(rand.New(src), 1.0001, 1, tc.imax).Uint64(); v != tc.imax+1 {
+			t.Fatalf("imax %d first Int63 %d: rand.Zipf returns %d, want the overshoot %d", tc.imax, tc.first, v, tc.imax+1)
+		}
+		z := newZipfDraw(1.0001, tc.imax)
+		if got := z.next(rand.New(&scriptSource{first: tc.first, state: 7})); got != tc.imax {
+			t.Errorf("imax %d first Int63 %d: zipfDraw returns %d, want %d", tc.imax, tc.first, got, tc.imax)
+		}
+	}
+}
+
 // TestZipfDrawTableShare measures, at fig14's region, the share of
 // uniform draws the table decides and the bucket steps a draw walks,
 // against the figures the zipfDraw doc gives.
@@ -154,11 +180,11 @@ func TestZipfDrawTableShare(t *testing.T) {
 	}
 }
 
-// FuzzZipfDraw checks one whole draw against rand.Zipf from the same
-// scripted source. The fuzzer picks the skew, the region, the first Int63
-// (near a table bound: band pick/2 mod the table's length, its lo or hi
-// by pick's low bit, moved by delta steps of 2^-63; or pick·2^31 + delta
-// without a table) and the stream after it.
+// FuzzZipfDraw checks one whole draw against rand.Zipf, clamped to imax,
+// from the same scripted source. The fuzzer picks the skew, the region,
+// the first Int63 (near a table bound: band pick/2 mod the table's
+// length, its lo or hi by pick's low bit, moved by delta steps of 2^-63;
+// or pick·2^31 + delta without a table) and the stream after it.
 func FuzzZipfDraw(f *testing.F) {
 	f.Fuzz(func(t *testing.T, q float64, imax uint16, pick uint32, delta int16, rest uint64) {
 		if !(q > 1) || math.IsInf(q, 1) {
