@@ -109,9 +109,11 @@ type Result struct {
 	Hit       bool
 	Evicted   bool
 	WroteBack bool
-	// Victim is the line address (Addr / LineBytes) of the line this
-	// access displaced; it is meaningful only when Evicted is set.
-	Victim uint64
+	// Slot is set·assoc + way of the line Cache.Access left resident, the
+	// slot the victim left when Evicted; a fully associative cache is one
+	// set. A write-through no-allocate store miss leaves no line and
+	// reports 0.
+	Slot int
 	// FillBytes and WriteBackBytes are the off-side traffic this access
 	// generated (fills inward, write backs outward).
 	FillBytes      int
@@ -158,7 +160,7 @@ func (c *Cache) Access(a trace.Access) Result {
 			c.stats.Misses++
 			w.sectors |= sectorBit
 			c.touch(setIdx, i)
-			res := Result{FillBytes: c.cfg.SectorBytes}
+			res := Result{FillBytes: c.cfg.SectorBytes, Slot: int(setIdx)*c.assoc + i}
 			c.stats.FillBytes += uint64(res.FillBytes)
 			c.applyWrite(w, a, sectorBit, &res)
 			return res
@@ -166,8 +168,7 @@ func (c *Cache) Access(a trace.Access) Result {
 		// Hit.
 		c.stats.Hits++
 		c.touch(setIdx, i)
-		var res Result
-		res.Hit = true
+		res := Result{Hit: true, Slot: int(setIdx)*c.assoc + i}
 		c.applyWrite(w, a, sectorBit, &res)
 		return res
 	}
@@ -182,10 +183,9 @@ func (c *Cache) Access(a trace.Access) Result {
 	}
 	victim := c.pickVictim(setIdx)
 	w := &set[victim]
-	var res Result
+	res := Result{Slot: int(setIdx)*c.assoc + victim}
 	if w.valid {
 		res.Evicted = true
-		res.Victim = w.tag<<c.setShift | setIdx
 		c.stats.Evictions++
 		if w.dirty {
 			res.WroteBack = true

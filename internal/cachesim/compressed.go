@@ -82,7 +82,7 @@ func (c *CompressedCache) ResetStats() {
 }
 
 // Access runs one reference through the compressed cache. A miss can evict
-// several lines to make room; Result.Victim then names the last of them.
+// several lines to make room.
 func (c *CompressedCache) Access(a trace.Access) Result {
 	c.stats.Accesses++
 	lineAddr := a.Addr >> c.lineShift
@@ -122,7 +122,6 @@ func (c *CompressedCache) Access(a trace.Access) Result {
 		s.lru.Remove(back)
 		s.used -= victim.size
 		res.Evicted = true
-		res.Victim = victim.tag<<c.setShift | setIdx
 		c.stats.Evictions++
 		if victim.dirty {
 			res.WroteBack = true

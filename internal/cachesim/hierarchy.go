@@ -47,9 +47,9 @@ func (h *Hierarchy) Access(a trace.Access) (l1res, l2res Result) {
 		// The evicted dirty line lands in the L2, modeled as a store to the
 		// incoming address: the victim maps to the same L1 set and (for a
 		// larger L2) a related L2 set, so traffic accounting is
-		// statistically equivalent. l1res.Victim names the real line, but
-		// dramlat's pinned values rest on this same-set store; writing the
-		// victim back by its own address would be a model change.
+		// statistically equivalent. dramlat's pinned values rest on this
+		// same-set store; writing the victim back by its own address would
+		// be a model change.
 		h.l2.Access(trace.Access{Addr: a.Addr, TID: a.TID, Write: true})
 	}
 	if !l1res.Hit {

@@ -31,11 +31,11 @@ type Options struct {
 	// cross-validation baseline.
 	Brute bool
 	// ProfileWorkers pins the mattson profiler's set-parallel worker
-	// count: 0 lets the profiler pick (GOMAXPROCS, with a serial fallback
-	// for small set counts), 1 forces the serial kernel. Results are
-	// bit-identical for every value — the partition is by cache set, and
-	// per-set LRU state never crosses a partition — so the knob only
-	// matters for wall-clock and for pinning one path in tests.
+	// count: 0 lets the profiler pick (GOMAXPROCS, one worker for small
+	// set counts), 1 runs one worker inline on the calling goroutine.
+	// Results are bit-identical for every value — the partition is by
+	// cache set, and per-set LRU state never crosses a partition — so the
+	// knob only matters for wall-clock and for pinning one path in tests.
 	ProfileWorkers int
 }
 

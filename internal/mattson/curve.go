@@ -47,14 +47,15 @@ func Eligible(base cachesim.Config) bool {
 // Cancellation is checked at chunk boundaries of the streaming pass, so a
 // canceled sweep aborts within one chunk instead of draining the stream.
 //
-// Set-associative sweeps partition their sets across workers: 0 picks
+// Set-associative sweeps partition their sets across workers, and the
+// calling goroutine draws and packs the accesses for them: 0 picks
 // GOMAXPROCS, 1 forces one partition run inline on the calling goroutine,
-// higher values are rounded down to a power of two and capped so each
-// worker keeps at least minPartSets sets of the smallest swept size.
-// Output is bit-identical for every worker count — the partition is by set
-// index, and per-set LRU state never crosses a partition boundary — so the
-// knob only trades wall-clock for goroutines. Fully-associative and
-// fallback (non-Eligible) sweeps ignore it.
+// and counts are rounded down to a power of two and capped so each worker
+// keeps at least minPartSets sets of the smallest swept size. Output is
+// bit-identical for every worker count — the partition is by set index,
+// and per-set LRU state never crosses a partition boundary — so the knob
+// only trades wall-clock for goroutines. Fully-associative and fallback
+// (non-Eligible) sweeps ignore it.
 func MissCurveFastParallel(ctx context.Context, gen trace.Generator, base cachesim.Config, sizes []int, warmup, n, workers int) ([]cachesim.CurvePoint, error) {
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("mattson: no sizes to sweep")
@@ -136,27 +137,28 @@ func faCurve(ctx context.Context, gen trace.Generator, cfgs []cachesim.Config, w
 }
 
 // setCurve profiles set-associative sizes through the sweep driver in
-// parallel.go, which partitions the sets across parallelWorkers workers
-// (a lone worker runs inline on the calling goroutine). Profilers are
-// ordered largest-first and, for 8-way sweeps, grouped into quintets
-// driven by the fused kernel (runFused5), which turns set-refinement
-// inclusion — a miss in a group's largest cache implies a miss in its
-// four smaller ones — into an in-register skip of the followers' lookups.
-// Leftover sizes run their single-profiler kernels.
+// parallel.go, which partitions the sets across parallelWorkers workers.
+// Profilers are ordered largest-first and, for 8-way sweeps, grouped into
+// quintets driven by the fused kernel (runFused5), which turns
+// set-refinement inclusion — a miss in a group's largest cache implies a
+// miss in its four smaller ones — into an in-register skip of the
+// followers' lookups. Leftover sizes run their single-profiler kernels.
 //
-// Batcher generators (trace replays) hand chunks out as zero-copy
-// sub-slices that stay valid only until the generator advances, so that
-// path waits out the in-flight chunk before advancing. Other generators
-// are collected into access buffers: two with several workers, so
-// collecting chunk k+1 overlaps the workers' pass over chunk k, and one
-// when the lone worker runs inline and there is nothing to overlap.
-// Worker counters merge into the profilers only at the warmup boundary
-// and the end of the feed, so the hot path takes no locks. The per-set
-// arrays and scratch come from a pooled arena, so repeated sweeps stay
-// near zero-alloc.
+// The calling goroutine draws each access and packs it once for the
+// worker that owns its sets. Worker counters merge into the profilers only
+// at the warmup boundary and the end of the feed, so the hot path takes no
+// locks, and the per-set arrays and packed buffers come from a pooled
+// arena, so repeated sweeps stay near zero-alloc.
 func setCurve(ctx context.Context, gen trace.Generator, cfgs []cachesim.Config, warmup, n, workers int) ([]cachesim.CurvePoint, error) {
 	ar := getArena()
 	defer putArena(ar)
+	minSets := cfgs[0].Sets()
+	for _, cfg := range cfgs[1:] {
+		minSets = min(minSets, cfg.Sets())
+	}
+	// Grabbed first, the packed buffers size the arena slab, and the
+	// per-set arrays of a quick-sized sweep fit in the rest of it.
+	run := newParallelRun(workers, minSets, ar)
 	profs := make([]*SetProfiler, len(cfgs))
 	for i, cfg := range cfgs {
 		p, err := newSetProfiler(cfg, ar)
@@ -191,63 +193,16 @@ func setCurve(ctx context.Context, gen trace.Generator, cfgs []cachesim.Config, 
 	for ; i < len(order); i++ {
 		single = append(single, order[i])
 	}
-	minSets := int(profs[0].setMask) + 1
-	for _, p := range profs[1:] {
-		if m := int(p.setMask) + 1; m < minSets {
-			minSets = m
-		}
-	}
-	w := parallelWorkers(workers, minSets)
-	run := startWorkers(w, minSets, ar, fused, single, profs)
+	run.start(fused, single, profs)
 	defer run.stop()
-	batcher, _ := gen.(trace.Batcher)
-	var abufs [2][]trace.Access
-	if batcher == nil {
-		all := ar.grabAccess(min(w, 2) * parallelChunk)
-		abufs[0], abufs[1] = all[:parallelChunk], all[len(all)-parallelChunk:]
-	}
-	cur := 0
-	feed := func(count int) error {
-		pending := false
-		for count > 0 {
-			if err := robust.Err(ctx); err != nil {
-				if pending {
-					run.wait()
-				}
-				return err
-			}
-			m := min(count, parallelChunk)
-			var batch []trace.Access
-			if batcher != nil {
-				if pending {
-					run.wait()
-					pending = false
-				}
-				batch = batcher.Batch(m)
-			} else {
-				batch = trace.CollectInto(gen, abufs[cur][:m])
-				if pending {
-					run.wait()
-				}
-			}
-			run.broadcast(batch)
-			pending = true
-			cur ^= 1
-			count -= len(batch)
-		}
-		if pending {
-			run.wait()
-		}
-		return nil
-	}
-	if err := feed(warmup); err != nil {
+	if err := run.feed(ctx, gen, warmup); err != nil {
 		return nil, err
 	}
 	run.merge(profs)
 	for _, p := range profs {
 		p.ResetStats()
 	}
-	if err := feed(n - warmup); err != nil {
+	if err := run.feed(ctx, gen, n-warmup); err != nil {
 		return nil, err
 	}
 	run.merge(profs)

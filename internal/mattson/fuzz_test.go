@@ -15,8 +15,8 @@ import (
 var fuzzAssocs = []int{1, 2, 3, 4, 6, 8, 12, 16, 64, 0}
 
 // FuzzMattsonVsBrute decodes a sweep and a trace from the fuzz bytes and
-// requires the sweep at workers 1, 2 and 4 to match the brute simulator
-// exactly. Layout:
+// requires the sweep at workers 0 (the default for the host's
+// GOMAXPROCS), 1, 2 and 4 to match the brute simulator exactly. Layout:
 //
 //	data[0]  associativity (index into fuzzAssocs; 9 is fully associative)
 //	data[1]  line size 32/64/128 (mod 3) and 2–5 nested sizes
@@ -56,7 +56,7 @@ func FuzzMattsonVsBrute(f *testing.F) {
 			}
 			sizes[k] = lines * lineBytes
 		}
-		if w := parallelWorkers(4, minSets); w < 2 {
+		if w, _ := parallelWorkers(4, minSets); w < 2 {
 			t.Fatalf("smallest size has %d sets: workers resolve to %d, want ≥ 2", minSets, w)
 		}
 		tr := make([]trace.Access, 0, reps*len(syms))
@@ -74,9 +74,9 @@ func FuzzMattsonVsBrute(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 4} {
-			// The wrapped replayer hides Batch, so the sweep collects the
-			// stream into its own access buffers instead.
+		for _, workers := range []int{0, 1, 2, 4} {
+			// The wrapped replayer hides Batch, so the sweep draws the
+			// stream through Next instead, as it draws a generator.
 			for _, gen := range []trace.Generator{trace.MustReplayer(tr), struct{ trace.Generator }{trace.MustReplayer(tr)}} {
 				fast, err := MissCurveFastParallel(context.Background(), gen, base, sizes, warmup, len(tr), workers)
 				if err != nil {

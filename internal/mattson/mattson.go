@@ -24,9 +24,10 @@
 // advances each quintet of nested 8-way sizes in a single loop, and the
 // remaining sizes run their single-profiler kernels (runPackedCounters up
 // to 8 ways, runShift above). One driver: setCurve partitions the sets
-// across workers (parallel.go), and a sweep that resolves to one worker
-// runs the same pack-and-kernel step inline on the calling goroutine.
-// Kernel counters become cachesim.Stats only in SetProfiler.addPart.
+// across workers (parallel.go); the calling goroutine packs each access
+// once into the sub-buffer of the worker that owns its sets, and the
+// workers only run kernels. Kernel counters become cachesim.Stats only in
+// SetProfiler.addPart.
 //
 // MissCurveFastParallel is the drop-in entry point: it consumes a trace.Generator
 // stream (no full-trace materialization), profiles every requested size

@@ -333,13 +333,16 @@ func TestMissCurveFastWarmupClamp(t *testing.T) {
 }
 
 // runBatch streams a batch through p, packing it 512 words at a time
-// through the kernel step a one-worker sweep runs.
+// as the sweep's producer does and running the kernel a worker runs.
 func (p *SetProfiler) runBatch(batch []trace.Access) {
 	var pk [512]uint64
 	var acc partStats
 	for len(batch) > 0 {
 		n := min(len(batch), len(pk))
-		p.runChunk(packInto(pk[:0], batch[:n], p.lineShift), &acc)
+		for i, a := range batch[:n] {
+			pk[i] = (a.Addr>>p.lineShift)<<1 | b2u(a.Write)
+		}
+		p.runChunk(pk[:n], &acc)
 		batch = batch[n:]
 	}
 	p.addPart(acc)

@@ -1,10 +1,12 @@
 package mattson
 
 import (
+	"context"
 	"math/bits"
 	"runtime"
 	"sync"
 
+	"repro/internal/robust"
 	"repro/internal/trace"
 )
 
@@ -21,56 +23,54 @@ import (
 // the original stream order. The sweep is exact — bit-identical Stats for
 // any worker count — not an approximation.
 //
-// Each worker's step packs and filters in one fused loop: it converts
-// each access of the shared raw batch to the packed word the kernels
-// consume (lineAddr<<1 | write, as packInto builds it) and keeps it with
-// a branchless append only when the partition test passes (the "is mine"
-// test is data-dependent and would mispredict ~(W-1)/W of the time as a
-// branch). It then runs the fused five-size kernel and the
-// single-profiler kernels over the compacted sub-stream, accumulating
-// counters into worker-local partStats, which merge into the profilers
-// only at feed boundaries, on the calling goroutine. With several
-// workers, the calling goroutine broadcasts each batch to one goroutine
-// per worker. With one, every access is the worker's own, so the step
-// packs without the test and runs inline on the calling goroutine: no
-// goroutine, channel or barrier.
+// The driver is a two-stage pipeline. The calling goroutine produces: it
+// draws each access, packs it once into the word every kernel consumes
+// (lineAddr<<1 | write) and appends it to the sub-buffer of the worker
+// whose range its set falls in. The workers consume: each runs the fused
+// five-size kernel and the single-profiler kernels over its own
+// sub-buffer, accumulating counters into worker-local partStats, which
+// merge into the profilers only at feed boundaries, on the calling
+// goroutine. The sub-buffers are double-buffered and one chunk is in
+// flight at a time, so the producer draws chunk k+1 while the workers run
+// chunk k. Each buffer set is parallelChunk words whatever the worker
+// count, split evenly into the workers' sub-buffers; a chunk ends early
+// when one of them fills. A sweep run inline has one worker, one buffer
+// and no goroutine, channel or barrier.
 
 // minPartSets is the per-worker floor: each worker must own at least this
-// many sets of the smallest profiler, or partitions get too narrow for
-// the filter cost to amortize and the sweep runs as one partition.
+// many sets of the smallest profiler, or partitions get too narrow to be
+// worth a goroutine and the sweep runs as one partition.
 const minPartSets = 8
 
-// parallelChunk is the driver's batch size — large enough to amortize
-// the per-chunk barrier, well under fusedMaxChunk so the packed 20-bit
-// counter fields cannot overflow.
+// parallelChunk is the driver's batch size and the words in one buffer
+// set — large enough to amortize the per-chunk barrier, well under
+// fusedMaxChunk so the packed 20-bit counter fields cannot overflow.
 const parallelChunk = 32768
 
 // parallelWorkers resolves the worker count for a sweep whose smallest
-// profiler has minSets sets: requested (0 = GOMAXPROCS) rounded down to a
-// power of two — partitions must divide the power-of-two set space
-// evenly — and capped so every worker keeps at least minPartSets sets.
-// The result is ≥ 1; 1 means one partition, run inline.
-func parallelWorkers(requested, minSets int) int {
-	if requested == 1 || minSets <= 0 {
-		return 1
-	}
+// profiler has minSets sets, and whether the sweep runs inline on the
+// calling goroutine. requested 0 picks GOMAXPROCS. The count is rounded
+// down to a power of two — partitions must divide the power-of-two set
+// space evenly — and capped so every worker keeps at least minPartSets
+// sets and a word of each buffer set; it is ≥ 1. Only an explicit 1, or
+// GOMAXPROCS 1, runs inline: any other lone worker gets its own
+// goroutine, so the producer's draws overlap its kernels.
+func parallelWorkers(requested, minSets int) (count int, inline bool) {
+	procs := runtime.GOMAXPROCS(0)
+	inline = requested == 1 || procs == 1
 	if requested <= 0 {
-		requested = runtime.GOMAXPROCS(0)
+		requested = procs
 	}
-	cap := minSets / minPartSets
-	if requested > cap {
-		requested = cap
-	}
+	requested = min(requested, minSets/minPartSets, parallelChunk)
 	if requested < 2 {
-		return 1
+		return 1, inline
 	}
-	// Round down to a power of two.
-	return 1 << (bits.Len(uint(requested)) - 1)
+	return 1 << (bits.Len(uint(requested)) - 1), false
 }
 
 // partStats accumulates one profiler's kernel counters: a worker's
 // private view of its partition, merged into the shared Stats at feed
-// boundaries, or a one-worker sweep's tally for one chunk.
+// boundaries.
 type partStats struct {
 	n, hits, evictions, writeBacks uint64
 }
@@ -99,15 +99,13 @@ func (p *SetProfiler) addPart(a partStats) {
 }
 
 // sweepArena is a pooled slab allocator for one sweep's transient arrays:
-// per-set ways blocks, per-worker packed scratch, and the
-// access-collection buffers. Sweeps allocate the same shapes every call,
-// so recycling the slabs keeps repeated sweeps (benchmark iterations,
-// batch queries) near zero-alloc in steady state.
+// per-set ways blocks and the packed sub-buffers. Sweeps allocate the
+// same shapes every call, so recycling the slabs keeps repeated sweeps
+// (benchmark iterations, batch queries) near zero-alloc in steady state.
 // Grabbed memory is dirty; callers initialize every word they later read.
 type sweepArena struct {
-	words  []uint64
-	used   int
-	access []trace.Access
+	words []uint64
+	used  int
 }
 
 var arenaPool = sync.Pool{New: func() any { return &sweepArena{} }}
@@ -126,25 +124,12 @@ func putArena(a *sweepArena) { arenaPool.Put(a) }
 // slab for the next call.
 func (a *sweepArena) grab(n int) []uint64 {
 	if a.used+n > len(a.words) {
-		size := 2 * (a.used + n)
-		if size < len(a.words) {
-			size = len(a.words)
-		}
-		a.words = make([]uint64, size)
+		a.words = make([]uint64, max(2*(a.used+n), len(a.words)))
 		a.used = 0
 	}
 	s := a.words[a.used : a.used+n : a.used+n]
 	a.used += n
 	return s
-}
-
-// grabAccess returns an n-element access buffer, reusing the pooled one
-// when it is large enough.
-func (a *sweepArena) grabAccess(n int) []trace.Access {
-	if cap(a.access) < n {
-		a.access = make([]trace.Access, n)
-	}
-	return a.access[:n]
 }
 
 // fusedGroup is one quintet of strictly nested 8-way profilers driven by
@@ -155,46 +140,20 @@ type fusedGroup struct {
 	idx [5]int
 }
 
-// curveWorker owns one contiguous range of the smallest profiler's set
-// index space: the accesses with (lineAddr & pm) >> pshift == pid.
+// curveWorker runs the kernels over one partition's packed sub-stream.
 type curveWorker struct {
-	pm        uint64 // S_min - 1
-	pshift    uint   // log2(S_min / workers)
-	pid       uint64 // this worker's partition index
-	lineShift uint   // shared line geometry (all profilers agree)
-	buf       []uint64
-	accs      []partStats // one per profiler, indexed like profs
-	fused     []fusedGroup
-	singles   []int
-	profs     []*SetProfiler
-	in        chan []trace.Access // nil for a worker run inline
+	accs    []partStats // one per profiler, indexed like profs
+	fused   []fusedGroup
+	singles []int
+	profs   []*SetProfiler
+	in      chan []uint64 // nil for a worker run inline
 }
 
-// step packs one raw access batch, filtering it down to the worker's
-// partition in the same pass, and runs the kernels over the compacted
-// sub-stream. The ways arrays are shared across workers but each set's
-// block is written by exactly one worker (the partition invariant), so no
-// synchronization beyond the per-chunk barrier is needed.
-func (w *curveWorker) step(batch []trace.Access) {
-	var sub []uint64
-	if w.pm>>(w.pshift&63) == 0 {
-		// pm>>pshift is the highest partition index, so this is a lone
-		// worker: every access is its own, and the plain pack runs about
-		// twice as fast as the filter with its data-dependent store index.
-		sub = packInto(w.buf, batch, w.lineShift)
-	} else {
-		pm, pshift, pid := w.pm, w.pshift&63, w.pid
-		lineShift := w.lineShift & 63
-		buf := w.buf[:len(batch)]
-		j := 0
-		for i := 0; i < len(batch); i++ {
-			a := batch[i]
-			x := (a.Addr>>lineShift)<<1 | b2u(a.Write)
-			buf[j] = x
-			j += int(b2u(((x>>1)&pm)>>pshift == pid))
-		}
-		sub = buf[:j]
-	}
+// step runs the kernels over one packed sub-stream. The ways arrays are
+// shared across workers but each set's block is written by exactly one
+// worker (the partition invariant), so no synchronization beyond the
+// per-chunk barrier is needed.
+func (w *curveWorker) step(sub []uint64) {
 	for _, g := range w.fused {
 		c := runFused5(sub, g.p[0], g.p[1], g.p[2], g.p[3], g.p[4])
 		for k := 0; k < 5; k++ {
@@ -206,63 +165,148 @@ func (w *curveWorker) step(batch []trace.Access) {
 	}
 }
 
-// parallelRun drives one sweep's workers.
+// parallelRun drives one sweep's workers. It owns two buffer sets (one
+// when inline) of one sub-buffer per worker, and the producer's write
+// position in each sub-buffer of the set it fills.
 type parallelRun struct {
-	workers []*curveWorker
-	wg      sync.WaitGroup
+	workers   []*curveWorker
+	bufs      [2][]uint64
+	room      int    // words per sub-buffer: parallelChunk / workers
+	cur       int    // the buffer set the producer fills
+	pos       []int  // per worker: the next free word of its sub-buffer
+	pm        uint64 // S_min - 1
+	pshift    uint   // log2(S_min / workers)
+	lineShift uint   // shared line geometry (all profilers agree)
+	inline    bool
+	wg        sync.WaitGroup
 }
 
-// startWorkers builds w workers over the sweep's profilers and, when
-// there are several, launches one goroutine each. minSets is the
-// smallest profiler's set count; scratch comes from ar.
-func startWorkers(w int, minSets int, ar *sweepArena, fused []fusedGroup, singles []int, profs []*SetProfiler) *parallelRun {
-	pr := &parallelRun{workers: make([]*curveWorker, w)}
-	pshift := uint(bits.TrailingZeros(uint(minSets / w)))
+// newParallelRun sets up the sweep's parallelWorkers(workers, minSets)
+// workers, taking their buffers from ar; start launches them.
+func newParallelRun(workers, minSets int, ar *sweepArena) *parallelRun {
+	w, inline := parallelWorkers(workers, minSets)
+	all := ar.grab(parallelChunk * (2 - int(b2u(inline))))
+	return &parallelRun{
+		workers: make([]*curveWorker, w),
+		bufs:    [2][]uint64{all[:parallelChunk], all[len(all)-parallelChunk:]},
+		room:    parallelChunk / w,
+		pos:     make([]int, w),
+		pm:      uint64(minSets - 1),
+		pshift:  uint(bits.TrailingZeros(uint(minSets / w))),
+		inline:  inline,
+	}
+}
+
+// start builds the workers over the sweep's profilers and, unless the run
+// is inline (w is then 1), launches one goroutine each.
+func (pr *parallelRun) start(fused []fusedGroup, singles []int, profs []*SetProfiler) {
+	pr.lineShift = profs[0].lineShift
 	for i := range pr.workers {
-		cw := &curveWorker{
-			pm:        uint64(minSets - 1),
-			pshift:    pshift,
-			pid:       uint64(i),
-			lineShift: profs[0].lineShift,
-			buf:       ar.grab(parallelChunk),
-			accs:      make([]partStats, len(profs)),
-			fused:     fused,
-			singles:   singles,
-			profs:     profs,
-		}
+		pr.pos[i] = i * pr.room
+		cw := &curveWorker{accs: make([]partStats, len(profs)), fused: fused, singles: singles, profs: profs}
 		pr.workers[i] = cw
-		if w > 1 {
-			cw.in = make(chan []trace.Access, 1)
+		if !pr.inline {
+			cw.in = make(chan []uint64, 1)
 			go func() {
-				for batch := range cw.in {
-					cw.step(batch)
+				for sub := range cw.in {
+					cw.step(sub)
 					pr.wg.Done()
 				}
 			}()
 		}
 	}
-	return pr
 }
 
-// broadcast hands one raw access batch to every worker and returns once
-// all of them are scheduled to pick it up; wait() blocks until they
-// finish. A lone worker runs the batch before broadcast returns.
-func (pr *parallelRun) broadcast(batch []trace.Access) {
-	if len(pr.workers) == 1 {
-		pr.workers[0].step(batch)
-		return
+// feed streams count accesses from gen through the workers, a chunk of at
+// most parallelChunk accesses at a time, and checks ctx between chunks.
+// It returns once the workers have finished every chunk it handed out.
+func (pr *parallelRun) feed(ctx context.Context, gen trace.Generator, count int) error {
+	batcher, _ := gen.(trace.Batcher)
+	for count > 0 {
+		if err := robust.Err(ctx); err != nil {
+			pr.wg.Wait()
+			return err
+		}
+		count -= pr.fill(gen, batcher, min(count, parallelChunk))
+		pr.dispatch()
 	}
-	pr.wg.Add(len(pr.workers))
-	for _, w := range pr.workers {
-		w.in <- batch
+	pr.wg.Wait()
+	return nil
+}
+
+// fill draws up to m accesses, from batcher's slices or, when batcher is
+// nil, gen.Next(), packs each once and appends it to the sub-buffer of the
+// worker that owns its sets; it returns how many it drew. It draws in runs
+// no longer than the least free room of any sub-buffer, so no run can
+// overflow one, and ends the chunk once one is full.
+func (pr *parallelRun) fill(gen trace.Generator, batcher trace.Batcher, m int) int {
+	buf, pos := pr.bufs[pr.cur], pr.pos
+	pm, pshift, lineShift := pr.pm, pr.pshift&63, pr.lineShift&63
+	drawn := 0
+	for {
+		k := m - drawn
+		for p, at := range pos {
+			k = min(k, (p+1)*pr.room-at)
+		}
+		if k == 0 {
+			return drawn
+		}
+		var batch []trace.Access
+		if batcher != nil {
+			batch = batcher.Batch(k)
+			k = len(batch)
+		}
+		next := func(i int) uint64 {
+			var a trace.Access
+			if batch != nil {
+				a = batch[i]
+			} else {
+				a = gen.Next()
+			}
+			return (a.Addr>>lineShift)<<1 | b2u(a.Write)
+		}
+		if len(pos) == 1 {
+			// A lone worker owns every set.
+			for i, run := 0, buf[pos[0]:pos[0]+k]; i < k; i++ {
+				run[i] = next(i)
+			}
+			pos[0] += k
+		} else {
+			for i := 0; i < k; i++ {
+				x := next(i)
+				p := ((x >> 1) & pm) >> pshift
+				buf[pos[p]] = x
+				pos[p]++
+			}
+		}
+		drawn += k
 	}
 }
 
-func (pr *parallelRun) wait() { pr.wg.Wait() }
+// dispatch hands the filled buffer set to the workers. Inline, the lone
+// worker runs it before dispatch returns. Otherwise dispatch first waits
+// out the chunk in flight, whose buffer set the producer fills next.
+func (pr *parallelRun) dispatch() {
+	buf := pr.bufs[pr.cur]
+	if !pr.inline {
+		pr.wg.Wait()
+		pr.wg.Add(len(pr.workers))
+	}
+	for i, w := range pr.workers {
+		sub := buf[i*pr.room : pr.pos[i]]
+		pr.pos[i] = i * pr.room
+		if pr.inline {
+			w.step(sub)
+		} else {
+			w.in <- sub
+		}
+	}
+	pr.cur ^= 1
+}
 
 // merge folds every worker's accumulators into the profilers and zeroes
 // them — the feed-boundary synchronization point (warmup reset, final
-// stats). Callers must have wait()ed first.
+// stats). Callers must have finished a feed first.
 func (pr *parallelRun) merge(profs []*SetProfiler) {
 	for _, w := range pr.workers {
 		for i, acc := range w.accs {
@@ -274,8 +318,8 @@ func (pr *parallelRun) merge(profs []*SetProfiler) {
 	}
 }
 
-// stop shuts the worker goroutines down. Safe after any number of
-// broadcasts as long as wait() has been called since the last one.
+// stop shuts the worker goroutines down. Safe once the last feed has
+// returned.
 func (pr *parallelRun) stop() {
 	for _, w := range pr.workers {
 		if w.in != nil {

@@ -2,43 +2,58 @@ package mattson
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/cachesim"
+	"repro/internal/robust"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// TestParallelWorkers pins the worker-resolution rules: power-of-two
-// rounding, the per-worker set floor, and the serial fallbacks.
+// TestParallelWorkers pins the worker-resolution rule, count and inline
+// flag: power-of-two rounding and the per-worker set floor for explicit
+// counts, which GOMAXPROCS does not change, and the default (requested 0
+// or below) at GOMAXPROCS 1–8. Only an explicit 1, or GOMAXPROCS 1, runs
+// inline; any other lone worker gets its own goroutine.
 func TestParallelWorkers(t *testing.T) {
-	cases := []struct {
-		requested, minSets, want int
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		procs, requested, minSets, want int
+		inline                          bool
 	}{
-		{1, 1024, 1},         // explicit serial
-		{2, 1024, 2},         //
-		{3, 1024, 2},         // rounds down to a power of two
-		{8, 1024, 8},         //
-		{8, 32, 4},           // capped by minSets/minPartSets
-		{8, 16, 2},           //
-		{8, 8, 1},            // below the threshold: serial
-		{8, 0, 1},            //
-		{16, 1 << 20, 16},    //
-		{1000, 1 << 20, 512}, // power-of-two rounding at scale
-		{-1, 1 << 20, 0},     // auto: GOMAXPROCS (checked below)
-	}
-	for _, tc := range cases {
-		got := parallelWorkers(tc.requested, tc.minSets)
-		if tc.want == 0 {
-			if got < 1 {
-				t.Errorf("parallelWorkers(%d, %d) = %d, want ≥ 1", tc.requested, tc.minSets, got)
-			}
-			continue
-		}
-		if got != tc.want {
-			t.Errorf("parallelWorkers(%d, %d) = %d, want %d", tc.requested, tc.minSets, got, tc.want)
+		{2, 1, 1024, 1, true},                 // explicit serial
+		{2, 2, 1024, 2, false},                //
+		{2, 3, 1024, 2, false},                // rounds down to a power of two
+		{2, 8, 1024, 8, false},                //
+		{2, 8, 32, 4, false},                  // capped by minSets/minPartSets
+		{2, 8, 16, 2, false},                  //
+		{2, 8, 8, 1, false},                   // below the threshold: one worker
+		{2, 8, 0, 1, false},                   //
+		{2, 16, 1 << 20, 16, false},           //
+		{2, 1000, 1 << 20, 512, false},        // power-of-two rounding at scale
+		{2, 1 << 20, 1 << 30, 1 << 15, false}, // a word of buffer each
+		{1, 4, 1024, 4, false},                // explicit counts ignore GOMAXPROCS
+		{1, 8, 8, 1, true},                    // a lone worker at GOMAXPROCS 1
+		{8, 1, 1024, 1, true},                 //
+		{1, 0, 1024, 1, true},                 // the default: GOMAXPROCS
+		{2, 0, 1024, 2, false},                //
+		{3, 0, 1024, 2, false},                //
+		{4, 0, 1024, 4, false},                //
+		{5, 0, 1024, 4, false},                //
+		{8, 0, 1024, 8, false},                //
+		{8, -1, 1024, 8, false},               //
+		{8, 0, 16, 2, false},                  // capped by minSets/minPartSets
+		{4, 0, 8, 1, false},                   //
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		if got, inline := parallelWorkers(tc.requested, tc.minSets); got != tc.want || inline != tc.inline {
+			t.Errorf("GOMAXPROCS %d: parallelWorkers(%d, %d) = %d, %v; want %d, %v",
+				tc.procs, tc.requested, tc.minSets, got, inline, tc.want, tc.inline)
 		}
 	}
 }
@@ -119,9 +134,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 4, 8} {
-		// The wrapped replayer hides Batch, so the sweep collects the
-		// stream into its own access buffers (double-buffered above one
-		// worker) across many chunks.
+		// The wrapped replayer hides Batch, so the sweep draws the stream
+		// through Next, as it draws a workload generator.
 		for _, gen := range []trace.Generator{trace.MustReplayer(master), struct{ trace.Generator }{trace.MustReplayer(master)}} {
 			_, batched := gen.(trace.Batcher)
 			if w == 1 && batched {
@@ -199,4 +213,169 @@ func TestParallelMatchesSerialRandomConfigs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// pipelineStreams are the sweeps TestParallelPipelineMatchesSerial and
+// TestParallelCancelMidFeed run: the fig01 quick configuration, whose
+// 8-way sizes run the fused kernel, a 16-way sweep on the recency-ordered
+// kernel, and a fused sweep whose smallest size has 8 sets, too few to
+// split, so every worker count resolves to one.
+func pipelineStreams(t *testing.T, accesses int) []struct {
+	name   string
+	base   cachesim.Config
+	sizes  []int
+	master []trace.Access
+} {
+	t.Helper()
+	bc := QuickFig1Bench()
+	fig01, err := bc.MasterTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := bc.Base
+	wide.Assoc = 16
+	return []struct {
+		name   string
+		base   cachesim.Config
+		sizes  []int
+		master []trace.Access
+	}{
+		{"fig01-quick", bc.Base, bc.Sizes, fig01[:accesses]},
+		{"16-way", wide, cachesim.PowerOfTwoSizes(64*1024, 1024*1024), trace.Collect(testGen(t, 16), accesses)},
+		{"8-set", bc.Base, cachesim.PowerOfTwoSizes(4*1024, 64*1024), fig01[:accesses]},
+	}
+}
+
+// TestParallelPipelineMatchesSerial pins the pipeline at GOMAXPROCS 1–4:
+// the default worker count (0) and explicit 1, 2 and 4, fed by a replay
+// (Batch slices) and by the same replay behind Next only, must give every
+// size the Stats of one inline worker fed through Next. The replayed loop
+// is shorter than the sweep, so the replay wraps and one Batch slice ends
+// in mid-chunk. Above GOMAXPROCS 1 the 8-set sweep's lone worker runs on
+// its own goroutine, so under -race the detector sees the producer and a
+// lone consumer share the buffers.
+func TestParallelPipelineMatchesSerial(t *testing.T) {
+	accesses, warmup := 120_000, 20_000
+	if testing.Short() {
+		accesses, warmup = 70_000, 10_000
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, st := range pipelineStreams(t, accesses) {
+		loop := st.master[:accesses*3/4]
+		serial, err := MissCurveFastParallel(context.Background(), struct{ trace.Generator }{trace.MustReplayer(loop)}, st.base, st.sizes, warmup, accesses, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for procs := 1; procs <= 4; procs++ {
+			runtime.GOMAXPROCS(procs)
+			for _, w := range []int{0, 1, 2, 4} {
+				for _, gen := range []trace.Generator{trace.MustReplayer(loop), struct{ trace.Generator }{trace.MustReplayer(loop)}} {
+					_, batched := gen.(trace.Batcher)
+					got, err := MissCurveFastParallel(context.Background(), gen, st.base, st.sizes, warmup, accesses, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range serial {
+						if got[i] != serial[i] {
+							t.Errorf("%s GOMAXPROCS %d workers %d batched %v size %d: %+v, one inline worker %+v",
+								st.name, procs, w, batched, serial[i].SizeBytes, got[i].Stats, serial[i].Stats)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// cancelAfter replays a trace and cancels the sweep's context from inside
+// the stream once at accesses have been drawn, recording how many
+// goroutines were live at that moment.
+type cancelAfter struct {
+	*trace.Replayer
+	drawn, at int
+	cancel    context.CancelFunc
+	live      int
+}
+
+func (c *cancelAfter) count(k int) {
+	c.drawn += k
+	if c.drawn >= c.at && c.cancel != nil {
+		c.live = runtime.NumGoroutine()
+		c.cancel()
+		c.cancel = nil
+	}
+}
+
+func (c *cancelAfter) Next() trace.Access {
+	c.count(1)
+	return c.Replayer.Next()
+}
+
+func (c *cancelAfter) Batch(max int) []trace.Access {
+	b := c.Replayer.Batch(max)
+	c.count(len(b))
+	return b
+}
+
+// TestParallelCancelMidFeed cancels a sweep in the middle of its measured
+// feed. The sweep must return the robust cancellation error after drawing
+// at most one more chunk, must have run the expected number of worker
+// goroutines (none inline), and must leave none behind.
+func TestParallelCancelMidFeed(t *testing.T) {
+	const accesses, warmup, at = 200_000, 40_000, 100_000
+	streams := pipelineStreams(t, accesses)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		stream, procs, workers int
+		batched                bool
+		goroutines             int
+	}{
+		{0, 1, 0, false, 0},
+		{0, 2, 1, false, 0},
+		{0, 2, 0, false, 2},
+		{0, 2, 0, true, 2},
+		{0, 4, 4, false, 4},
+		{2, 2, 0, false, 1}, // a lone worker off the calling goroutine
+	} {
+		st := streams[tc.stream]
+		runtime.GOMAXPROCS(tc.procs)
+		ctx, cancel := context.WithCancel(context.Background())
+		c := &cancelAfter{Replayer: trace.MustReplayer(st.master), at: at, cancel: cancel}
+		var gen trace.Generator = struct{ trace.Generator }{c}
+		if tc.batched {
+			gen = c
+		}
+		start := settledGoroutines()
+		_, err := MissCurveFastParallel(ctx, gen, st.base, st.sizes, warmup, accesses, tc.workers)
+		cancel()
+		name := fmt.Sprintf("%s GOMAXPROCS %d workers %d batched %v", st.name, tc.procs, tc.workers, tc.batched)
+		if !errors.Is(err, robust.ErrCanceled) || !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err %v, want robust.ErrCanceled wrapping context.Canceled", name, err)
+		}
+		if c.drawn > at+parallelChunk {
+			t.Errorf("%s: drew %d accesses after cancelling at %d", name, c.drawn, at)
+		}
+		if got := c.live - start; got != tc.goroutines {
+			t.Errorf("%s: %d worker goroutines during the feed, want %d", name, got, tc.goroutines)
+		}
+		if n := settledGoroutines(); n != start {
+			t.Errorf("%s: %d goroutines after the sweep returned, %d before it", name, n, start)
+		}
+	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine once it has held still
+// for 10 ms (at most 5 s), so that goroutines a sweep has told to exit
+// have had time to.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"repro/internal/cachesim"
-	"repro/internal/trace"
 )
 
 // Each way is one uint64: the tag in the low 63 bits with the dirty flag
@@ -150,19 +149,6 @@ func (p *SetProfiler) Stats() cachesim.Stats { return p.stats }
 // ResetStats zeroes the counters without disturbing cache contents — the
 // warmup boundary, mirroring cachesim.Cache.ResetStats.
 func (p *SetProfiler) ResetStats() { p.stats = cachesim.Stats{} }
-
-// packInto produces the access encoding every kernel consumes:
-// lineAddr<<1 | write, into dst, which must have room for len(batch)
-// words. It replaces the 16-byte Access struct with one word and turns
-// the dirty flag into a single shift (w<<63); partitioned sweep workers
-// build the same words inside their partition filter.
-func packInto(dst []uint64, batch []trace.Access, lineShift uint) []uint64 {
-	dst = dst[:len(batch)]
-	for i, a := range batch {
-		dst[i] = (a.Addr>>(lineShift&63))<<1 | b2u(a.Write)
-	}
-	return dst
-}
 
 // runChunk streams one packed chunk through the kernel for the model's
 // associativity and folds the chunk's counters into acc.

@@ -8,15 +8,18 @@ import (
 	"repro/internal/trace"
 )
 
-// fullScanCMP is the residency oracle the CMP is tested against. It never
-// learns which line an access evicted: after every evicting access it
-// scans the whole sharer map and counts one ended lifetime for every line
-// the L2 no longer holds.
+// fullScanCMP is the residency oracle the CMP is tested against. It keeps
+// its sharer masks per line, in a map, and never learns which line an
+// access evicted: after every evicting access it scans the whole map and
+// counts one ended lifetime for every line the L2 no longer holds. It
+// records which line each access left in which L2 slot only so that the
+// tests can match the CMP's per-slot masks to its per-line ones.
 type fullScanCMP struct {
 	cfg     Config
 	l1s     []*cachesim.Cache
 	l2      *cachesim.Cache
 	sharers map[uint64]uint64 // L2 line -> sharer core bitmask
+	lineOf  []uint64          // L2 slot -> the line last put there
 	stats   SharingStats
 }
 
@@ -28,6 +31,7 @@ func newFullScan(cfg Config) (*fullScanCMP, error) {
 		cfg:     cfg,
 		l1s:     make([]*cachesim.Cache, cfg.Cores),
 		sharers: make(map[uint64]uint64, cfg.L2.Lines()),
+		lineOf:  make([]uint64, cfg.L2.Lines()),
 	}
 	for i := range c.l1s {
 		l1, err := cachesim.New(cfg.L1)
@@ -53,10 +57,12 @@ func (c *fullScanCMP) Access(a trace.Access) error {
 		return nil
 	}
 	line := a.Line(c.cfg.L2.LineBytes)
-	if c.l2.Access(a).Evicted {
+	res := c.l2.Access(a)
+	if res.Evicted {
 		c.scan()
 	}
 	c.sharers[line] |= 1 << uint(core)
+	c.lineOf[res.Slot] = line
 	return nil
 }
 

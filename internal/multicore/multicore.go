@@ -4,9 +4,11 @@
 // evicted from the shared cache, we record whether the block is accessed by
 // more than one core or not during the block's lifetime."
 //
-// The L2 reports each access's victim, and the CMP counts the victim's
-// lifetime at that moment and drops its sharer mask, so a line that is
-// evicted and refilled starts a fresh lifetime with an empty mask.
+// Sharer masks are kept per L2 slot (set·assoc + way), which the L2
+// reports for every access. An eviction counts the victim's lifetime from
+// the mask of the slot it leaves, and the fill that takes the slot starts
+// the new line's lifetime with an empty mask, so a line that is evicted
+// and refilled is two lifetimes.
 package multicore
 
 import (
@@ -71,14 +73,17 @@ func (s SharingStats) SharedFraction() float64 {
 	return 0
 }
 
-// CMP is the simulated chip. The sharers map holds exactly the resident
-// L2 lines.
+// CMP is the simulated chip.
 type CMP struct {
-	cfg     Config
-	l1s     []*cachesim.Cache
-	l2      *cachesim.Cache
-	sharers map[uint64]uint64 // L2 line -> sharer core bitmask
-	stats   SharingStats      // evicted lifetimes
+	cfg Config
+	l1s []*cachesim.Cache
+	l2  *cachesim.Cache
+	// sharers[slot] is the sharer core bitmask of the line resident in
+	// that L2 slot (cachesim.Result.Slot), 0 while the slot is empty.
+	// Config.Validate rejects sectored L2s and write-through no-allocate
+	// L2s, the only ones where an access's line would not sit in Slot.
+	sharers []uint64
+	stats   SharingStats // evicted lifetimes
 }
 
 // New builds the CMP.
@@ -89,7 +94,7 @@ func New(cfg Config) (*CMP, error) {
 	cmp := &CMP{
 		cfg:     cfg,
 		l1s:     make([]*cachesim.Cache, cfg.Cores),
-		sharers: make(map[uint64]uint64, cfg.L2.Lines()),
+		sharers: make([]uint64, cfg.L2.Lines()),
 	}
 	for i := range cmp.l1s {
 		l1, err := cachesim.New(cfg.L1)
@@ -114,8 +119,8 @@ func (c *CMP) L1(i int) *cachesim.Cache { return c.l1s[i] }
 
 // Access routes one reference: the issuing core's L1 first, then the
 // shared L2 on an L1 miss. Sharer masks are updated on every L2-visible
-// access. An eviction ends the victim's lifetime, which is counted before
-// the new line's mask is set.
+// access. An eviction ends the victim's lifetime, which is counted from
+// its slot's mask before the fill resets the mask for the new line.
 func (c *CMP) Access(a trace.Access) error {
 	core := int(a.TID)
 	if core >= c.cfg.Cores {
@@ -124,15 +129,18 @@ func (c *CMP) Access(a trace.Access) error {
 	if c.l1s[core].Access(a).Hit {
 		return nil
 	}
-	line := a.Line(c.cfg.L2.LineBytes)
-	if res := c.l2.Access(a); res.Evicted {
+	res := c.l2.Access(a)
+	mask := &c.sharers[res.Slot]
+	if res.Evicted {
 		c.stats.EvictedLines++
-		if bits.OnesCount64(c.sharers[res.Victim]) > 1 {
+		if bits.OnesCount64(*mask) > 1 {
 			c.stats.EvictedShared++
 		}
-		delete(c.sharers, res.Victim)
 	}
-	c.sharers[line] |= 1 << uint(core)
+	if !res.Hit {
+		*mask = 0
+	}
+	*mask |= 1 << uint(core)
 	return nil
 }
 
@@ -158,7 +166,10 @@ func (c *CMP) Run(g trace.Generator, n int) error {
 func (c *CMP) Sharing() SharingStats {
 	st := c.stats
 	for _, mask := range c.sharers {
-		st.LiveLines++
+		// Every resident line has at least its first toucher's bit.
+		if mask != 0 {
+			st.LiveLines++
+		}
 		if bits.OnesCount64(mask) > 1 {
 			st.LiveShared++
 		}

@@ -14,11 +14,13 @@ import (
 var trackerAssocs = []int{1, 2, 4, 8, 16, 0}
 
 // checkAgainstFullScan replays tr through a CMP and the residency oracle.
-// After every access the lifetime counters and the sharer-map sizes must
-// be equal, every L2 eviction must have ended one counted lifetime, and
-// the map must hold one entry per resident line: Validate guarantees that
-// every L2 miss fills a line. At the end the sharer masks and Sharing()
-// must be equal too. It returns the number of lifetimes counted.
+// After every access the lifetime counters must be equal, every resident
+// line's mask must equal the oracle's mask for the line its slot holds,
+// the CMP must have as many non-empty slots as the oracle has lines,
+// every L2 eviction must have ended one counted lifetime, and the L2 must
+// hold one line per fill that no eviction undid: Validate guarantees that
+// every L2 miss fills a line. At the end Sharing() must be equal too. It
+// returns the number of lifetimes counted.
 func checkAgainstFullScan(t *testing.T, cfg Config, tr []trace.Access) uint64 {
 	t.Helper()
 	cmp, err := New(cfg)
@@ -34,19 +36,26 @@ func checkAgainstFullScan(t *testing.T, cfg Config, tr []trace.Access) uint64 {
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("%+v: access %d %v: error %v, oracle %v", cfg, i, a, err, refErr)
 		}
-		if cmp.stats != ref.stats || len(cmp.sharers) != len(ref.sharers) {
-			t.Fatalf("%+v: after access %d %v: counted %+v with %d map entries, oracle %+v with %d",
-				cfg, i, a, cmp.stats, len(cmp.sharers), ref.stats, len(ref.sharers))
+		live := 0
+		for slot, mask := range cmp.sharers {
+			if mask == 0 {
+				continue
+			}
+			live++
+			line := ref.lineOf[slot]
+			if refMask, ok := ref.sharers[line]; !ok || refMask != mask {
+				t.Fatalf("%+v: after access %d %v: slot %d (line %d): mask %#x, oracle %#x (present %v)",
+					cfg, i, a, slot, line, mask, refMask, ok)
+			}
+		}
+		if cmp.stats != ref.stats || live != len(ref.sharers) {
+			t.Fatalf("%+v: after access %d %v: counted %+v with %d resident masks, oracle %+v with %d",
+				cfg, i, a, cmp.stats, live, ref.stats, len(ref.sharers))
 		}
 		l2 := cmp.L2().Stats()
-		if cmp.stats.EvictedLines != l2.Evictions || uint64(len(cmp.sharers)) != l2.Misses-l2.Evictions {
-			t.Fatalf("%+v: after access %d %v: %d lifetimes and %d map entries, L2 %d evictions and %d misses",
-				cfg, i, a, cmp.stats.EvictedLines, len(cmp.sharers), l2.Evictions, l2.Misses)
-		}
-	}
-	for line, mask := range cmp.sharers {
-		if refMask, ok := ref.sharers[line]; !ok || refMask != mask {
-			t.Fatalf("%+v: line %d: mask %#x, oracle %#x (present %v)", cfg, line, mask, refMask, ok)
+		if cmp.stats.EvictedLines != l2.Evictions || uint64(live) != l2.Misses-l2.Evictions {
+			t.Fatalf("%+v: after access %d %v: %d lifetimes and %d resident masks, L2 %d evictions and %d misses",
+				cfg, i, a, cmp.stats.EvictedLines, live, l2.Evictions, l2.Misses)
 		}
 	}
 	if got, want := cmp.Sharing(), ref.Sharing(); got != want {

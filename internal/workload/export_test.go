@@ -8,3 +8,7 @@ func ParetoDraw(alpha float64, hot int) (depth func(u float64, n int) (int, bool
 	p := newParetoDraw(alpha, hot)
 	return p.depth, p.table
 }
+
+// WriteCut exposes writeCut to the external tests, which check it against
+// the float comparison it replaces for every suite.Paper write fraction.
+var WriteCut = writeCut

@@ -19,7 +19,7 @@ type SharedPrivateConfig struct {
 	SharedLines      uint64  // size of the shared region, in lines
 	PrivateLines     uint64  // per-thread private working set, in lines
 	SharedAccessFrac float64 // probability an access targets shared data
-	Skew             float64 // Zipf skew within each region (finite, > 1)
+	Skew             float64 // Zipf skew within each region (finite, ≥ 1 + 1e-9)
 	WriteFraction    float64
 	Seed             int64
 }
@@ -33,8 +33,8 @@ func (c SharedPrivateConfig) Validate() error {
 		return fmt.Errorf("workload: shared and private regions must be non-empty")
 	case !(c.SharedAccessFrac >= 0 && c.SharedAccessFrac <= 1): // NaN fails too
 		return fmt.Errorf("workload: SharedAccessFrac must be in [0,1], got %g", c.SharedAccessFrac)
-	case !(c.Skew > 1) || math.IsInf(c.Skew, 1):
-		return fmt.Errorf("workload: Skew must be finite and > 1, got %g", c.Skew)
+	case !(c.Skew >= minZipfSkew) || math.IsInf(c.Skew, 1):
+		return fmt.Errorf("workload: Skew must be finite and at least 1 + 1e-9, got %g", c.Skew)
 	case !(c.WriteFraction >= 0 && c.WriteFraction <= 1):
 		return fmt.Errorf("workload: WriteFraction must be in [0,1], got %g", c.WriteFraction)
 	}

@@ -38,6 +38,8 @@ func TestSharedPrivateValidate(t *testing.T) {
 		{"shared fraction above 1", func(c *SharedPrivateConfig) { c.SharedAccessFrac = 1.1 }, "SharedAccessFrac"},
 		{"shared fraction NaN", func(c *SharedPrivateConfig) { c.SharedAccessFrac = math.NaN() }, "SharedAccessFrac"},
 		{"skew 1", func(c *SharedPrivateConfig) { c.Skew = 1.0 }, "Skew"},
+		{"skew 1 + 2^-52", func(c *SharedPrivateConfig) { c.Skew = 1 + 0x1p-52 }, "Skew"},
+		{"skew just below the floor", func(c *SharedPrivateConfig) { c.Skew = math.Nextafter(minZipfSkew, 0) }, "Skew"},
 		{"skew +Inf", func(c *SharedPrivateConfig) { c.Skew = math.Inf(1) }, "Skew"},
 		{"skew NaN", func(c *SharedPrivateConfig) { c.Skew = math.NaN() }, "Skew"},
 		{"write fraction 2", func(c *SharedPrivateConfig) { c.WriteFraction = 2 }, "WriteFraction"},
@@ -69,12 +71,12 @@ func TestSharedPrivateRoundRobin(t *testing.T) {
 
 // TestSharedPrivateRegions checks that a private access lands in the
 // issuing thread's own region and that the shared fraction holds, on
-// sharedCfg and on two threads' 11-line regions at a skew of 1 + 2^-52,
-// where rand.Zipf overshoots its region on about half its draws.
+// sharedCfg and on two threads' 11-line regions at the smallest accepted
+// skew.
 func TestSharedPrivateRegions(t *testing.T) {
 	nearOne := SharedPrivateConfig{
 		Threads: 2, SharedLines: 11, PrivateLines: 11,
-		SharedAccessFrac: 0.5, Skew: 1 + 0x1p-52, Seed: 4,
+		SharedAccessFrac: 0.5, Skew: minZipfSkew, Seed: 4,
 	}
 	for _, cfg := range []SharedPrivateConfig{sharedCfg(), nearOne} {
 		g, err := NewSharedPrivate(cfg)

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"repro/internal/trace"
 )
@@ -97,11 +98,12 @@ func (c StackDistanceConfig) Validate() error {
 // StackDistance emits accesses whose LRU stack distances follow a Pareto
 // distribution P(D > x) = (x/x0)^-α, yielding power-law miss curves.
 type StackDistance struct {
-	cfg   StackDistanceConfig
-	rng   *rand.Rand
-	stack *LRUStack
-	next  uint64     // next fresh line id
-	draw  paretoDraw // u → depth, from a per-α table where it is exact
+	cfg      StackDistanceConfig
+	rng      *rand.Rand
+	stack    *LRUStack
+	next     uint64     // next fresh line id
+	draw     paretoDraw // u → depth, from a per-α table where it is exact
+	writeCut uint64     // WritesPerLine: lines whose hash mod 10^6 is below it write
 }
 
 // NewStackDistance builds the generator, pre-seeding the LRU stack with
@@ -111,12 +113,20 @@ func NewStackDistance(cfg StackDistanceConfig) (*StackDistance, error) {
 		return nil, err
 	}
 	return &StackDistance{
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		stack: NewLRUStack(cfg.FootprintLines),
-		next:  uint64(cfg.FootprintLines),
-		draw:  newParetoDraw(cfg.Alpha, cfg.HotLines),
+		cfg:      cfg,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		stack:    NewLRUStack(cfg.FootprintLines),
+		next:     uint64(cfg.FootprintLines),
+		draw:     newParetoDraw(cfg.Alpha, cfg.HotLines),
+		writeCut: writeCut(cfg.WriteFraction),
 	}, nil
+}
+
+// writeCut returns the K for which h < K, over residues h in [0, 10^6),
+// decides float64(h)/10^6 < frac: dividing by a positive constant is
+// monotone, so the residues that pass form the prefix [0, K).
+func writeCut(frac float64) uint64 {
+	return uint64(sort.Search(1_000_000, func(h int) bool { return !(float64(h)/1_000_000 < frac) }))
 }
 
 // Footprint returns the number of lines on the LRU stack: the
@@ -149,12 +159,13 @@ func (g *StackDistance) isWrite(line uint64) bool {
 	if !g.cfg.WritesPerLine {
 		return g.rng.Float64() < g.cfg.WriteFraction
 	}
-	// Deterministic per-line coin: hash the line id into [0,1).
+	// Deterministic per-line coin: hash the line id into [0, 10^6) and
+	// compare with the cut that float64(h)/10^6 < WriteFraction makes.
 	h := line
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
-	return float64(h%1_000_000)/1_000_000 < g.cfg.WriteFraction
+	return h%1_000_000 < g.writeCut
 }
 
 // sampleDepth draws a 0-based stack rank from the Pareto reuse-distance
@@ -183,7 +194,7 @@ type Zipf struct {
 }
 
 // NewZipf builds a Zipf generator over `lines` distinct lines with a
-// finite skew s > 1, where line k has popularity ∝ (k + 1)^-s. Its
+// finite skew s ≥ minZipfSkew, where line k has popularity ∝ (k + 1)^-s. Its
 // stream is math/rand's Zipf (v = 1) on the same seed, clamped to the
 // last line, draw for draw (zipfDraw states how). wfrac is the store
 // fraction.
@@ -191,8 +202,8 @@ func NewZipf(lines uint64, s float64, wfrac float64, seed int64, tid uint8, regi
 	if lines == 0 {
 		return nil, fmt.Errorf("workload: Zipf needs at least one line")
 	}
-	if !(s > 1) || math.IsInf(s, 1) { // NaN fails too; rand.Zipf never returns at +Inf
-		return nil, fmt.Errorf("workload: Zipf skew must be finite and > 1, got %g", s)
+	if !(s >= minZipfSkew) || math.IsInf(s, 1) { // NaN fails too; rand.Zipf never returns at +Inf
+		return nil, fmt.Errorf("workload: Zipf skew must be finite and at least 1 + 1e-9, got %g", s)
 	}
 	if !(wfrac >= 0 && wfrac <= 1) {
 		return nil, fmt.Errorf("workload: write fraction must be in [0,1], got %g", wfrac)

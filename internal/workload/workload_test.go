@@ -175,13 +175,13 @@ func TestStackDistanceMissLaw(t *testing.T) {
 }
 
 // TestZipf checks the write fraction, the TID, the hot line and that every
-// line stays in the region, at a steep skew and at one so near 1 that
-// rand.Zipf returns values past imax thousands of times in 100,000 draws.
+// line stays in the region, at a steep skew and at the smallest skew
+// accepted.
 func TestZipf(t *testing.T) {
 	for _, tc := range []struct {
 		lines uint64
 		skew  float64
-	}{{1 << 16, 1.3}, {11, 1 + 0x1p-51}} {
+	}{{1 << 16, 1.3}, {11, minZipfSkew}} {
 		g, err := NewZipf(tc.lines, tc.skew, 0.25, 11, 2, 1<<30)
 		if err != nil {
 			t.Fatal(err)
@@ -223,6 +223,9 @@ func TestZipfValidation(t *testing.T) {
 	}{
 		{"zero lines", 0, 1.3, 0, "line"},
 		{"skew 1", 100, 1.0, 0, "skew"},
+		{"skew 1 + 2^-52", 11, 1 + 0x1p-52, 0, "skew"},
+		{"skew 1 + 2^-51", 11, 1 + 0x1p-51, 0, "skew"},
+		{"skew just below the floor", 11, math.Nextafter(minZipfSkew, 0), 0, "skew"},
 		{"skew +Inf", 100, math.Inf(1), 0, "skew"},
 		{"skew NaN", 100, math.NaN(), 0, "skew"},
 		{"write fraction 2", 100, 1.5, 2, "write fraction"},
@@ -231,6 +234,28 @@ func TestZipfValidation(t *testing.T) {
 		if _, err := NewZipf(tc.lines, tc.skew, tc.wfrac, 1, 0, 0); err == nil || !strings.Contains(err.Error(), tc.errSubstring) {
 			t.Errorf("%s: error %v, want one naming the %s", tc.name, err, tc.errSubstring)
 		}
+	}
+}
+
+// TestZipfSkewFloor checks that at the smallest accepted skew the draws
+// are still Zipf: over 11 lines, line 0 takes about a third of 200,000
+// draws and line 10 about 3 %. At 1 + 2^-52, which the floor rejects,
+// each took about 10 %.
+func TestZipfSkewFloor(t *testing.T) {
+	const draws = 200_000
+	g, err := NewZipf(11, minZipfSkew, 0, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counts [11]int
+	for i := 0; i < draws; i++ {
+		counts[g.Next().Line(LineBytes)]++
+	}
+	if f := float64(counts[0]) / draws; f < 0.31 || f > 0.35 {
+		t.Errorf("line 0 took %.3f of the draws, want ≈ 1/3", f)
+	}
+	if f := float64(counts[10]) / draws; f < 0.02 || f > 0.04 {
+		t.Errorf("line 10 took %.3f of the draws, want ≈ 0.03", f)
 	}
 }
 
