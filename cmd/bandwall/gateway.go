@@ -42,9 +42,8 @@ func cmdGateway(ctx context.Context, args []string, out io.Writer) error {
 		return usagef("gateway: -replicas is required (comma-separated serve base URLs)")
 	}
 
-	reg, restore := enableObs()
+	_, restore := enableObs()
 	defer restore()
-	reg.SetSpanCap(registrySpanCap)
 
 	cfg := fleet.Config{
 		Replicas:         strings.Split(*replicas, ","),

@@ -302,7 +302,9 @@ func TestEvalTextReport(t *testing.T) {
 }
 
 // TestEvalSuiteFlags verifies eval rides the same suite runner as run:
-// -metrics writes the NDJSON dump and -checkpoint/-resume skip clean specs.
+// -metrics writes the NDJSON dump, whose one span line is the spec's
+// experiment span (the engine records no registry span of its own), and
+// -checkpoint/-resume skip clean specs.
 func TestEvalSuiteFlags(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "m.ndjson")
@@ -314,8 +316,30 @@ func TestEvalSuiteFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "scenario.eval") {
-		t.Errorf("metrics dump missing scenario.eval span:\n%.400s", data)
+	var spans []map[string]any
+	for _, ln := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(ln), &m); err != nil {
+			t.Fatalf("metrics line %q: %v", ln, err)
+		}
+		if m["kind"] == "span" {
+			spans = append(spans, m)
+		}
+	}
+	if len(spans) != 1 {
+		t.Fatalf("metrics dump has %d span lines, want 1: %v", len(spans), spans)
+	}
+	sp := spans[0]
+	if sp["name"] != "exp.custom-envelope" {
+		t.Errorf("span name = %v, want exp.custom-envelope", sp["name"])
+	}
+	if wall, _ := sp["wall_ns"].(float64); wall <= 0 {
+		t.Errorf("span wall_ns = %v, want > 0", sp["wall_ns"])
+	}
+	for _, k := range []string{"alloc_bytes", "mallocs"} {
+		if _, ok := sp[k].(float64); !ok {
+			t.Errorf("span %s = %v, want a number", k, sp[k])
+		}
 	}
 	out, err := runCapture(t, "eval", "-checkpoint", ckpt, "-resume", exampleSpecs[1])
 	if err != nil {

@@ -45,15 +45,10 @@ func writeMetricsFile(path string, reg *obs.Registry) error {
 	return f.Close()
 }
 
-// timingTable renders the registry's experiment spans, slowest first.
+// timingTable renders the registry's experiment spans (exp.RunOne is the
+// only code that records registry spans), slowest first.
 func timingTable(reg *obs.Registry) *render.Table {
-	snap := reg.Snapshot()
-	spans := snap.Spans[:0:0]
-	for _, sp := range snap.Spans {
-		if strings.HasPrefix(sp.Name, "exp.") {
-			spans = append(spans, sp)
-		}
-	}
+	spans := reg.Snapshot().Spans
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Wall > spans[j].Wall })
 	tb := &render.Table{
 		Title:   "Per-experiment timings (wall-clock; allocations are process-wide over the span)",

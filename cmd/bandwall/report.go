@@ -67,7 +67,8 @@ func cmdReport(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "\n## Timings\n\n")
 	fmt.Fprintln(out, "Wall-clock per experiment, slowest first (allocations are")
-	fmt.Fprintln(out, "process-wide deltas over each span, approximate under parallelism).")
+	fmt.Fprintln(out, "process-wide runtime/metrics deltas over each span, approximate under")
+	fmt.Fprintln(out, "parallelism and quantized: small objects count when a span cache refills).")
 	fmt.Fprintln(out)
 	tt := timingTable(reg)
 	tt.Title = ""

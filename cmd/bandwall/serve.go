@@ -15,9 +15,10 @@ import (
 )
 
 // registrySpanCap bounds the obs registry's completed-span buffer in the
-// long-lived server: the engine records spans per evaluation, and an
-// unbounded buffer would grow for the life of the process. The ring
-// keeps the most recent ones for the NDJSON /metrics dump.
+// long-lived server: each POST /v1/experiments/{id}/run records its
+// experiment's span, and an unbounded buffer would grow for the life of
+// the process. The ring keeps the most recent ones for the NDJSON
+// /metrics dump.
 const registrySpanCap = 1024
 
 // cmdServe runs the HTTP evaluation service until the process context

@@ -89,7 +89,7 @@ func BenchmarkSetProfilerRun(b *testing.B) {
 		cfg := bc.Base
 		cfg.SizeBytes = sz
 		b.Run(fmt.Sprintf("%dKB", sz>>10), func(b *testing.B) {
-			p, err := newSetProfiler(cfg, new(sweepArena))
+			p, err := newSetProfiler(cfg, make([]uint64, setWords(cfg)))
 			if err != nil {
 				b.Fatal(err)
 			}

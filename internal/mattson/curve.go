@@ -147,24 +147,32 @@ func faCurve(ctx context.Context, gen trace.Generator, cfgs []cachesim.Config, w
 // The calling goroutine draws each access and packs it once for the
 // worker that owns its sets. Worker counters merge into the profilers only
 // at the warmup boundary and the end of the feed, so the hot path takes no
-// locks, and the per-set arrays and packed buffers come from a pooled
-// arena, so repeated sweeps stay near zero-alloc.
+// locks, and the per-set arrays and packed buffers come from one pooled
+// slab, sized for all of them up front, so repeated sweeps stay near
+// zero-alloc.
 func setCurve(ctx context.Context, gen trace.Generator, cfgs []cachesim.Config, warmup, n, workers int) ([]cachesim.CurvePoint, error) {
-	ar := getArena()
-	defer putArena(ar)
 	minSets := cfgs[0].Sets()
 	for _, cfg := range cfgs[1:] {
 		minSets = min(minSets, cfg.Sets())
 	}
-	// Grabbed first, the packed buffers size the arena slab, and the
-	// per-set arrays of a quick-sized sweep fit in the rest of it.
-	run := newParallelRun(workers, minSets, ar)
+	w, inline := parallelWorkers(workers, minSets)
+	bufWords := parallelChunk * (2 - int(b2u(inline)))
+	words := bufWords
+	for _, cfg := range cfgs {
+		words += setWords(cfg)
+	}
+	slab := getSlab(words)
+	defer slabPool.Put(slab)
+	run := newParallelRun(w, inline, minSets, (*slab)[:bufWords])
+	free := (*slab)[bufWords:]
 	profs := make([]*SetProfiler, len(cfgs))
 	for i, cfg := range cfgs {
-		p, err := newSetProfiler(cfg, ar)
+		n := setWords(cfg)
+		p, err := newSetProfiler(cfg, free[:n:n])
 		if err != nil {
 			return nil, err
 		}
+		free = free[n:]
 		profs[i] = p
 	}
 	// Largest-first order. Validate forces power-of-two set counts, so any

@@ -159,7 +159,7 @@ func TestSetProfilerMatchesCacheExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := newSetProfiler(cfg, new(sweepArena))
+		p, err := newSetProfiler(cfg, make([]uint64, setWords(cfg)))
 		if err != nil {
 			t.Fatal(err)
 		}

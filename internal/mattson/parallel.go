@@ -98,37 +98,20 @@ func (p *SetProfiler) addPart(a partStats) {
 	p.stats.WriteBackBytes += a.writeBacks * p.lineBytes
 }
 
-// sweepArena is a pooled slab allocator for one sweep's transient arrays:
-// per-set ways blocks and the packed sub-buffers. Sweeps allocate the
-// same shapes every call, so recycling the slabs keeps repeated sweeps
-// (benchmark iterations, batch queries) near zero-alloc in steady state.
-// Grabbed memory is dirty; callers initialize every word they later read.
-type sweepArena struct {
-	words []uint64
-	used  int
-}
+// slabPool recycles the one slab each set-associative sweep carves its
+// packed buffers and per-set arrays from. Sweeps allocate the same shapes
+// every call, so recycling keeps repeated sweeps (benchmark iterations,
+// batch queries) near zero-alloc in steady state. Slab memory is dirty;
+// every word a sweep reads is initialized first.
+var slabPool = sync.Pool{New: func() any { return new([]uint64) }}
 
-var arenaPool = sync.Pool{New: func() any { return &sweepArena{} }}
-
-func getArena() *sweepArena {
-	a := arenaPool.Get().(*sweepArena)
-	a.used = 0
-	return a
-}
-
-func putArena(a *sweepArena) { arenaPool.Put(a) }
-
-// grab returns n uninitialized words. When the current slab runs out, a
-// fresh one replaces it — earlier grabs keep referencing the old slab
-// until the sweep ends, and the pool retains only the newest, largest
-// slab for the next call.
-func (a *sweepArena) grab(n int) []uint64 {
-	if a.used+n > len(a.words) {
-		a.words = make([]uint64, max(2*(a.used+n), len(a.words)))
-		a.used = 0
+// getSlab returns a pooled slab of at least n words, allocating exactly n
+// when the pooled one is smaller. Return it to slabPool.
+func getSlab(n int) *[]uint64 {
+	s := slabPool.Get().(*[]uint64)
+	if len(*s) < n {
+		*s = make([]uint64, n)
 	}
-	s := a.words[a.used : a.used+n : a.used+n]
-	a.used += n
 	return s
 }
 
@@ -181,11 +164,11 @@ type parallelRun struct {
 	wg        sync.WaitGroup
 }
 
-// newParallelRun sets up the sweep's parallelWorkers(workers, minSets)
-// workers, taking their buffers from ar; start launches them.
-func newParallelRun(workers, minSets int, ar *sweepArena) *parallelRun {
-	w, inline := parallelWorkers(workers, minSets)
-	all := ar.grab(parallelChunk * (2 - int(b2u(inline))))
+// newParallelRun sets up a sweep's w workers (parallelWorkers' count and
+// inline flag for its smallest profiler's minSets sets) over all, their
+// two buffer sets of parallelChunk words, or one when inline; start
+// launches them.
+func newParallelRun(w int, inline bool, minSets int, all []uint64) *parallelRun {
 	return &parallelRun{
 		workers: make([]*curveWorker, w),
 		bufs:    [2][]uint64{all[:parallelChunk], all[len(all)-parallelChunk:]},

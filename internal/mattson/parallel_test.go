@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -58,6 +59,39 @@ func TestParallelWorkers(t *testing.T) {
 	}
 }
 
+// TestSweepReservesOneSlab pins the slab sizing: with the pool empty, a
+// sweep allocates one slab of exactly its packed buffers plus every
+// profiler's per-set array (16 words a set behind a stagger pad of
+// (log2 sets mod 8)·16 words), even when the per-set arrays outgrow what
+// the buffers leave of a slab sized for the buffers alone.
+func TestSweepReservesOneSlab(t *testing.T) {
+	base := cachesim.Config{
+		LineBytes: 64, Assoc: 8, Policy: cachesim.LRU,
+		WriteBack: true, WriteAllocate: true,
+	}
+	sizes := cachesim.PowerOfTwoSizes(64<<10, 2<<20)
+	need := parallelChunk // one buffer set: workers 1 runs inline
+	for _, sz := range sizes {
+		sets := sz / 64 / 8
+		need += sets*16 + bits.TrailingZeros(uint(sets))%8*16
+	}
+	gen, err := workload.NewStrided(1<<16, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC() // two cycles empty the slab pool
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := MissCurveFastParallel(context.Background(), gen, base, sizes, 0, 4096, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(need*8+64<<10); got > limit {
+		t.Errorf("sweep allocated %d bytes, want at most %d: its %d-word slab plus 64 KiB", got, limit, need)
+	}
+}
+
 // TestFusedMatchesSingle pins the fused five-size kernel against five
 // separate runPackedCounters passes over the same chunk: equal counters,
 // and equal tag and recency words in every set. Word 0 of each 16-word
@@ -77,7 +111,7 @@ func TestFusedMatchesSingle(t *testing.T) {
 		for i := range ps {
 			cfg := base
 			cfg.SizeBytes = sizes[len(sizes)-1-i] // largest first
-			p, err := newSetProfiler(cfg, new(sweepArena))
+			p, err := newSetProfiler(cfg, make([]uint64, setWords(cfg)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -90,13 +90,13 @@ type SetProfiler struct {
 
 // newSetProfiler builds a profiler for cfg, which must be Eligible and
 // set-associative (Assoc ≥ 1; use Profiler for fully-associative sweeps).
-// The ways array is carved out of the sweep's pooled arena: the curve
-// drivers rebuild their per-set arrays every call, and drawing them from
-// the arena keeps repeated sweeps (benchmarks, batch queries) near
-// zero-alloc. Arena memory is dirty; the init loop below writes every
-// word the kernels read (the six pad words per 16-word block are
-// write-only).
-func newSetProfiler(cfg cachesim.Config, ar *sweepArena) (*SetProfiler, error) {
+// Its ways array is buf, setWords(cfg) words the caller carves from its
+// sweep's pooled slab: the curve driver rebuilds its per-set arrays every
+// call, and recycling the slab keeps repeated sweeps (benchmarks, batch
+// queries) near zero-alloc. Slab memory is dirty; the init loop below
+// writes every word the kernels read (the six pad words per 16-word block
+// are write-only).
+func newSetProfiler(cfg cachesim.Config, buf []uint64) (*SetProfiler, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -111,18 +111,10 @@ func newSetProfiler(cfg cachesim.Config, ar *sweepArena) (*SetProfiler, error) {
 		setShift:  uint(bits.TrailingZeros(uint(sets))),
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		lineBytes: uint64(cfg.LineBytes),
+		ways:      buf,
 	}
 	if cfg.Assoc <= 8 {
-		// Stagger each size's arrays by a sub-page offset derived from
-		// its set count. Nested sweeps index their arrays with set
-		// numbers that agree modulo the smaller set count, so without
-		// the stagger the power-of-two (page-aligned) allocations put
-		// one slot's stores and the next slot's loads at matching
-		// page offsets — false store-to-load dependencies (4K aliasing)
-		// on nearly every fused iteration.
-		pad := int(p.setShift&7) * 16
-		buf := ar.grab(sets*16 + pad)
-		p.ways = buf[pad : pad+sets*16]
+		p.ways = buf[len(buf)-sets*16:] // past the stagger pad
 		for s := 0; s < sets; s++ {
 			b := p.ways[s*16 : s*16+16]
 			b[0] = ^uint64(0)
@@ -135,12 +127,27 @@ func newSetProfiler(cfg cachesim.Config, ar *sweepArena) (*SetProfiler, error) {
 		p.vAdd = uint32(9-cfg.Assoc) * 0x11111111 & low
 		p.aAdd = 0x11111111 & low
 	} else {
-		p.ways = ar.grab(sets * cfg.Assoc)
 		for i := range p.ways {
 			p.ways[i] = invalidTag
 		}
 	}
 	return p, nil
+}
+
+// setWords is the words newSetProfiler takes for cfg's per-set array: a
+// 16-word block per set up to 8 ways, behind a pad that staggers each
+// size's array by a sub-page offset derived from its set count, and one
+// word per way above 8. Nested sweeps index their arrays with set numbers
+// that agree modulo the smaller set count, so without the stagger the
+// power-of-two (page-aligned) arrays put one slot's stores and the next
+// slot's loads at matching page offsets — false store-to-load
+// dependencies (4K aliasing) on nearly every fused iteration.
+func setWords(cfg cachesim.Config) int {
+	sets := cfg.Sets()
+	if cfg.Assoc <= 8 {
+		return sets*16 + bits.TrailingZeros(uint(sets))&7*16
+	}
+	return sets * cfg.Assoc
 }
 
 // Stats returns a copy of the accumulated counters.

@@ -1,8 +1,11 @@
 // Package obs is the repository's lightweight, dependency-free
 // observability layer: a metrics registry of atomic counters, gauges, and
-// fixed-bucket histograms, plus run-scoped spans that capture wall-clock
-// and allocation deltas. The CLI snapshots a registry after a run to print
-// timing tables and to emit a machine-readable NDJSON dump.
+// fixed-bucket histograms, plus two kinds of span. Run-scoped spans, one
+// per experiment (exp.RunOne opens them), go into the registry's span log;
+// request-scoped trace spans (trace.go) form one tree per request. Both
+// take wall-clock from time.Now and allocation deltas from runtime/metrics,
+// so neither stops the world. The CLI snapshots a registry after a run to
+// print timing tables and to emit a machine-readable NDJSON dump.
 //
 // Instrumentation is zero-cost when disabled: every instrument method has
 // a nil receiver fast path, and a nil *Registry hands out nil instruments,
@@ -101,21 +104,7 @@ type Histogram struct {
 }
 
 // Observe records v into its bucket. No-op on a nil receiver.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
+func (h *Histogram) Observe(v float64) { h.ObserveEx(v, "") }
 
 // ObserveEx is Observe plus an exemplar: the bucket v lands in remembers
 // label as a recent witness. Exemplar stores are decimated — the first

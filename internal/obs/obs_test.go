@@ -2,8 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -175,6 +177,42 @@ func TestSpanRecords(t *testing.T) {
 	}
 	if rec.Mallocs == 0 {
 		t.Error("mallocs = 0, want > 0")
+	}
+}
+
+// TestSpansDoNotStopTheWorld pins that neither span kind pauses the
+// program: n run-span pairs and n trace-span pairs on an alloc-sampled
+// trace must add fewer than n non-GC stop-the-world pauses. One
+// runtime.ReadMemStats call adds exactly one.
+func TestSpansDoNotStopTheWorld(t *testing.T) {
+	pauses := func() uint64 {
+		s := []metrics.Sample{{Name: "/sched/pauses/total/other:seconds"}}
+		metrics.Read(s)
+		if s[0].Value.Kind() != metrics.KindFloat64Histogram {
+			t.Fatalf("%s unsupported by this runtime", s[0].Name)
+		}
+		var n uint64
+		for _, c := range s[0].Value.Float64Histogram().Counts {
+			n += c
+		}
+		return n
+	}
+	const n = 100
+	r := NewRegistry()
+	tr := NewTrace(NewTraceID(), "t", 0)
+	tr.allocDetail = true
+	ctx := WithTrace(context.Background(), tr)
+	before := pauses()
+	for i := 0; i < n; i++ {
+		r.StartSpan("run").End()
+		_, sp := StartTraceSpan(ctx, "stage")
+		sp.End()
+	}
+	if got := pauses() - before; got >= n {
+		t.Errorf("%d span pairs of each kind stopped the world %d times, want < %d", n, got, n)
+	}
+	if spans := len(r.Snapshot().Spans); spans != n {
+		t.Errorf("registry recorded %d spans, want %d", spans, n)
 	}
 }
 

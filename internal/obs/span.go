@@ -1,22 +1,25 @@
 package obs
 
 import (
-	"runtime"
+	"runtime/metrics"
 	"time"
 )
 
 // SpanRecord is one completed span: a named region of a run with its
 // wall-clock duration and the process-wide allocation activity that
-// happened while it was open. Allocation figures come from
-// runtime.ReadMemStats deltas, so under concurrency they include other
-// goroutines' allocations — treat them as attribution hints, not exact
-// per-span costs.
+// happened while it was open. Allocation figures are deltas of the
+// runtime/metrics counters readHeapAllocs reads, so under concurrency
+// they include other goroutines' allocations, and they are quantized:
+// the runtime counts a small allocation only when its P's span cache
+// refills, so a span that allocates a few KB can read 0 and its
+// neighbour the whole refill. Treat them as attribution hints, exact
+// only in aggregate and for large (>32 KB) objects.
 type SpanRecord struct {
 	Name       string
 	Start      time.Time
 	Wall       time.Duration
-	AllocBytes uint64 // delta of MemStats.TotalAlloc over the span
-	Mallocs    uint64 // delta of MemStats.Mallocs over the span
+	AllocBytes uint64 // delta of /gc/heap/allocs:bytes over the span
+	Mallocs    uint64 // delta of heap plus tiny allocated objects over the span
 }
 
 // Span is an open timing region. Obtain one from Registry.StartSpan or
@@ -24,10 +27,10 @@ type SpanRecord struct {
 // no-op, so callers never need to branch on whether collection is
 // enabled.
 type Span struct {
-	reg   *Registry
-	name  string
-	start time.Time
-	m0    runtime.MemStats
+	reg             *Registry
+	name            string
+	start           time.Time
+	bytes0, allocs0 uint64
 }
 
 // StartSpan opens a span named name against the process-default registry.
@@ -41,8 +44,10 @@ func (r *Registry) StartSpan(name string) *Span {
 	if r == nil {
 		return nil
 	}
-	sp := &Span{reg: r, name: name, start: time.Now()}
-	runtime.ReadMemStats(&sp.m0)
+	sp := &Span{reg: r, name: name}
+	var s [3]metrics.Sample
+	sp.bytes0, sp.allocs0 = readHeapAllocs(s[:])
+	sp.start = time.Now()
 	return sp
 }
 
@@ -51,14 +56,15 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
+	wall := time.Since(s.start)
+	var m [3]metrics.Sample
+	bytes1, allocs1 := readHeapAllocs(m[:])
 	rec := SpanRecord{
 		Name:       s.name,
 		Start:      s.start,
-		Wall:       time.Since(s.start),
-		AllocBytes: m1.TotalAlloc - s.m0.TotalAlloc,
-		Mallocs:    m1.Mallocs - s.m0.Mallocs,
+		Wall:       wall,
+		AllocBytes: bytes1 - s.bytes0,
+		Mallocs:    allocs1 - s.allocs0,
 	}
 	s.reg.spanMu.Lock()
 	if s.reg.spanCap > 0 && len(s.reg.spans) >= s.reg.spanCap {
@@ -71,4 +77,24 @@ func (s *Span) End() {
 		s.reg.spans = append(s.reg.spans, rec)
 	}
 	s.reg.spanMu.Unlock()
+}
+
+// heapAllocMetrics are the counters behind every allocation figure: bytes,
+// then two object counts whose sum is MemStats.Mallocs's own definition.
+var heapAllocMetrics = [3]string{"/gc/heap/allocs:bytes", "/gc/heap/allocs:objects", "/gc/heap/tiny/allocs:objects"}
+
+// readHeapAllocs reads the first len(s) of heapAllocMetrics into s (1 for
+// bytes alone, 3 for bytes and objects) and returns the cumulative bytes
+// and allocated objects. Unlike runtime.ReadMemStats it does not stop the
+// world. s escapes to metrics.Read, so each call heap-allocates the
+// caller's sample array (48 bytes a sample).
+func readHeapAllocs(s []metrics.Sample) (bytes, allocs uint64) {
+	for i := range s {
+		s[i].Name = heapAllocMetrics[i]
+	}
+	metrics.Read(s)
+	for _, x := range s[1:] {
+		allocs += x.Value.Uint64()
+	}
+	return s[0].Value.Uint64(), allocs
 }

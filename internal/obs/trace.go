@@ -16,17 +16,17 @@ import (
 // the process-wide heap-allocation delta while it was open. Unlike the
 // run-scoped Registry spans (which accumulate for a whole CLI run), a
 // Trace is cheap enough to be always-on in a server hot path: span
-// start/end cost two time.Now calls and one short mutex'd append, with
-// the first few spans carved from an arena inside the Trace itself
-// (no per-span heap allocation). Per-span allocation deltas are
-// SAMPLED — one trace in allocSampleEvery carries them — because each
-// delta costs a runtime/metrics read per span end (no stop-the-world,
-// unlike runtime.ReadMemStats, but a few hundred ns; the start value
+// start/end cost two time.Now calls and one short mutex'd append, and the
+// first few spans are carved from an arena inside the Trace itself.
+// Per-span allocation deltas are SAMPLED — one trace in allocSampleEvery
+// carries them — because each costs a runtime/metrics read per span end
+// (a few hundred ns and one 48-byte heap allocation; the start value
 // reuses the trace's most recent sample, so allocation between spans is
-// attributed to the next span — exact for the sequential stage spans a
-// request pipeline records). The trace-level allocation total is always
-// exact. The span list is capped so a pathological request cannot
-// balloon memory.
+// attributed to the next span and sequential stage spans tile the trace).
+// The trace total, read on every trace, is quantized like every span's
+// (see SpanRecord): a span that allocated 480 B read 0 in 186 of 200
+// trials (mean 569 B). The span list is capped so a pathological request
+// cannot balloon memory.
 //
 // Propagation is by context:
 //
@@ -83,17 +83,12 @@ func NewTraceID() string {
 	return string(b[:])
 }
 
-// heapAllocBytes reads the cumulative heap allocation counter via
-// runtime/metrics — a cheap read with no stop-the-world, unlike
-// runtime.ReadMemStats.
+// heapAllocBytes reads the cumulative heap-allocation bytes counter, the
+// one sample a trace's hot path needs.
 func heapAllocBytes() uint64 {
 	var s [1]metrics.Sample
-	s[0].Name = "/gc/heap/allocs:bytes"
-	metrics.Read(s[:])
-	if s[0].Value.Kind() == metrics.KindUint64 {
-		return s[0].Value.Uint64()
-	}
-	return 0
+	b, _ := readHeapAllocs(s[:])
+	return b
 }
 
 // TraceSpanRecord is one completed span within a trace. Parent 0 is the

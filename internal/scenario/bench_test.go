@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/technique"
 )
 
@@ -27,7 +28,8 @@ func benchSpec() *Spec {
 // BenchmarkScenarioEval compares a cold cache (rebuilt every evaluation)
 // against a warm one (shared across evaluations) on the repeated-stack
 // sweep. The memoized cache must make the warm path ≥2× faster — after
-// the first evaluation every cell is a hit.
+// the first evaluation every cell is a hit. The warm-parallel pair shows
+// what an installed metrics registry costs that path.
 func BenchmarkScenarioEval(b *testing.B) {
 	sp := benchSpec()
 	b.Run("cold", func(b *testing.B) {
@@ -50,6 +52,38 @@ func BenchmarkScenarioEval(b *testing.B) {
 			}
 		}
 	})
+	// The serve tier's miss path: one warm engine shared by every P, with
+	// no default registry and with one installed (span log capped) the
+	// way `bandwall serve` installs it. The two should cost the same.
+	for _, withReg := range []bool{false, true} {
+		name := "warm-parallel/no-registry"
+		if withReg {
+			name = "warm-parallel/registry"
+		}
+		b.Run(name, func(b *testing.B) {
+			prev := obs.Default()
+			defer obs.SetDefault(prev)
+			var reg *obs.Registry
+			if withReg {
+				reg = obs.NewRegistry()
+				reg.SetSpanCap(1024)
+			}
+			obs.SetDefault(reg)
+			e := NewEngine()
+			if _, err := e.Evaluate(context.Background(), sp); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					if _, err := e.Evaluate(context.Background(), sp); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
+	}
 }
 
 // TestWarmCacheSkipsSolves is the non-flaky core of the benchmark claim:

@@ -83,8 +83,6 @@ func NewEngine() *Engine {
 // attempted even when some fail, so one degenerate case cannot hide the
 // others' results; any failure makes Evaluate return the joined error.
 func (e *Engine) Evaluate(ctx context.Context, sp *Spec) (*Outcome, error) {
-	span := obs.StartSpan("scenario.eval")
-	defer span.End()
 	// Request-scoped tracing: when the context carries an obs.Trace (the
 	// serve tier installs one per request), the whole evaluation becomes a
 	// stage span, and the workers' ctx parents each real solve under it.

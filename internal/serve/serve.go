@@ -95,10 +95,6 @@ type Config struct {
 	// GET /v1/trace. Tracing is always on; the ring only bounds retention.
 	// ≤0 means DefaultTraceBuffer.
 	TraceBuffer int
-	// RuntimeSampleInterval paces the background runtime-gauge collector
-	// (goroutines, heap, GC) started by Serve. ≤0 means
-	// DefaultRuntimeSampleInterval.
-	RuntimeSampleInterval time.Duration
 	// AccessLog receives one slog key=value line per request (method,
 	// path, status, bytes, duration, trace ID, key-memo and cache
 	// dispositions, singleflight-shared flag). Nil disables access
@@ -108,13 +104,16 @@ type Config struct {
 
 // Serving defaults.
 const (
-	DefaultMaxInflight           = 64
-	DefaultEvalTimeout           = 15 * time.Second
-	DefaultDrainTimeout          = 10 * time.Second
-	DefaultCacheSize             = 1024
-	DefaultTraceBuffer           = 256
-	DefaultRuntimeSampleInterval = time.Second
+	DefaultMaxInflight  = 64
+	DefaultEvalTimeout  = 15 * time.Second
+	DefaultDrainTimeout = 10 * time.Second
+	DefaultCacheSize    = 1024
+	DefaultTraceBuffer  = 256
 )
+
+// runtimeSampleInterval paces the background runtime-gauge collector
+// (goroutines, heap, GC) started by Serve.
+const runtimeSampleInterval = time.Second
 
 func (c Config) maxInflight() int {
 	if c.MaxInflight <= 0 {
@@ -142,13 +141,6 @@ func (c Config) traceBuffer() int {
 		return DefaultTraceBuffer
 	}
 	return c.TraceBuffer
-}
-
-func (c Config) runtimeSampleInterval() time.Duration {
-	if c.RuntimeSampleInterval <= 0 {
-		return DefaultRuntimeSampleInterval
-	}
-	return c.RuntimeSampleInterval
 }
 
 // Server is the HTTP evaluation service. Create one with NewServer; it
@@ -349,9 +341,9 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // always-on request tracing, and structured access logging. route is
 // the stable short name ("eval", "metrics", …) used for trace filtering
 // and the per-route stage histograms — Go 1.22's mux doesn't expose the
-// matched pattern, so it is passed explicitly. It deliberately avoids
-// registry spans (too heavy per request); obs.Trace spans read
-// runtime/metrics, a few hundred ns per edge.
+// matched pattern, so it is passed explicitly. A request's spans go into
+// its obs.Trace (the ring behind /v1/trace), never the registry's span
+// log, which keeps the experiment spans /v1/run records.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -467,6 +459,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // gauges behind /metrics: goroutine count, live heap, cumulative and
 // most-recent GC pause, GC cycle count. Serve runs it on a ticker; it
 // is exported so embedders without a Serve loop can sample on demand.
+// It keeps runtime.ReadMemStats, which stops the world, because
+// runtime/metrics holds GC pauses only as a bucketed histogram, with no
+// exact total and no last pause; the coarse tick bounds the cost.
 func (s *Server) SampleRuntime() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -483,7 +478,7 @@ func (s *Server) SampleRuntime() {
 // briefly stops the world, so it runs on a fixed coarse tick, never
 // per request.
 func (s *Server) collectRuntime(ctx context.Context) {
-	t := time.NewTicker(s.cfg.runtimeSampleInterval())
+	t := time.NewTicker(runtimeSampleInterval)
 	defer t.Stop()
 	for {
 		select {

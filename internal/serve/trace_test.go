@@ -77,6 +77,37 @@ func TestTraceHeaderAndRetrieval(t *testing.T) {
 	}
 }
 
+// TestTraceHoldsQuerySpans: a query miss records its engine span in the
+// request's /v1/trace tree and adds nothing to the registry's span log,
+// which holds only the experiment spans /v1/experiments/{id}/run records.
+func TestTraceHoldsQuerySpans(t *testing.T) {
+	engine := map[string]string{"eval": "scenario.eval", "optimize": "optimize.search"}
+	for _, k := range queryKinds {
+		t.Run(k.name, func(t *testing.T) {
+			_, ts, reg := newTestServer(t, Config{}, nil)
+			resp, data := post(t, ts.URL+k.path, k.body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, data)
+			}
+			if got := resp.Header.Get(CacheHeader); got != "miss" {
+				t.Fatalf("%s = %q, want miss", CacheHeader, got)
+			}
+			n := 0
+			for _, sp := range fetchTrace(t, ts.URL, resp.Header.Get(TraceHeader)).Spans {
+				if sp.Name == engine[k.name] {
+					n++
+				}
+			}
+			if n != 1 {
+				t.Errorf("trace has %d %s spans, want 1", n, engine[k.name])
+			}
+			if spans := reg.Snapshot().Spans; len(spans) != 0 {
+				t.Errorf("registry span log = %+v, want empty", spans)
+			}
+		})
+	}
+}
+
 // TestTraceStagesColdEval: a cold query's trace records the whole
 // pipeline — admit, parse, fingerprint, cache.lookup, singleflight with
 // the solver nested under it, write — for every kind, and the top-level
