@@ -64,8 +64,7 @@ func cmdOptimize(ctx context.Context, args []string, out io.Writer) error {
 			for _, tb := range res.Tables() {
 				fmt.Fprintln(out, tb.String())
 			}
-			fmt.Fprintf(out, "evaluated %d stacks × %d splits (%d solver hits, %d misses)\n\n",
-				res.Stacks, res.Candidates/res.Stacks, res.CacheHits, res.CacheMisses)
+			fmt.Fprintf(out, "evaluated %d stacks × %d splits\n\n", res.Stacks, res.Candidates/res.Stacks)
 		}
 	}
 	if *csvDir != "" {

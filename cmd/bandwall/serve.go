@@ -31,7 +31,6 @@ func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 	timeout := fs.Duration("timeout", serve.DefaultEvalTimeout, "per-request solver deadline")
 	drain := fs.Duration("drain", serve.DefaultDrainTimeout, "graceful-shutdown drain budget")
 	cacheSize := fs.Int("cache", serve.DefaultCacheSize, "response cache entries (negative disables)")
-	cacheShards := fs.Int("cache-shards", serve.DefaultCacheShards, "response cache lock shards (power of two; 1 = single global LRU)")
 	traceBuf := fs.Int("tracebuf", serve.DefaultTraceBuffer, "completed request traces retained for GET /v1/trace")
 	debugAddr := fs.String("debug-addr", "", "also serve net/http/pprof on this `host:port` (empty: disabled)")
 	quiet := fs.Bool("quiet", false, "suppress per-request access logging")
@@ -74,7 +73,6 @@ func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 		EvalTimeout:  *timeout,
 		DrainTimeout: *drain,
 		CacheSize:    *cacheSize,
-		CacheShards:  *cacheShards,
 		TraceBuffer:  *traceBuf,
 	}
 	if !*quiet {

@@ -28,8 +28,8 @@
 //     an exhausted budget is a taxonomy 504.
 //   - Graceful degradation: on total ring failure the gateway serves
 //     the last known good response for the fingerprint from a bounded
-//     stale cache, marked X-Bandwall-Degraded: stale — else 503 with
-//     Retry-After.
+//     stale reserve (a serve.RespCache), marked X-Bandwall-Degraded:
+//     stale — else 503 with Retry-After.
 //
 // Eval and optimize share one gateway handler. It routes on serve's own
 // key function for the query kind (serve.EvalKey, serve.OptimizeKey), so
@@ -187,9 +187,6 @@ func (c Config) healthTimeout() time.Duration {
 }
 
 func (c Config) staleCacheSize() int {
-	if c.StaleCacheSize < 0 {
-		return 0
-	}
 	if c.StaleCacheSize == 0 {
 		return DefaultStaleCacheSize
 	}
@@ -223,8 +220,8 @@ type Gateway struct {
 	replicas []*replica
 	client   *http.Client
 	mux      *http.ServeMux
-	memo     *serve.KeyMemo // exact repeated body → routing fingerprint
-	stale    *staleCache
+	memo     *serve.KeyMemo   // exact repeated body → routing fingerprint
+	stale    *serve.RespCache // routing key → last-known-good answer
 	reg      *obs.Registry
 
 	draining  atomic.Bool
@@ -252,7 +249,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg:   cfg,
 		memo:  serve.NewKeyMemo(),
-		stale: newStaleCache(cfg.staleCacheSize()),
+		stale: serve.NewRespCache(cfg.staleCacheSize()),
 		reg:   reg,
 		client: &http.Client{
 			Transport: &http.Transport{
@@ -373,7 +370,7 @@ func (g *Gateway) finish(w http.ResponseWriter, res *proxyResult, attempts int, 
 	w.Header().Set(AttemptsHeader, strconv.Itoa(attempts))
 	if ferr == nil && res != nil && res.status < http.StatusInternalServerError {
 		if res.status == http.StatusOK && staleKey != "" {
-			g.stale.Put(staleKey, res.body, res.header.Get("Content-Type"))
+			g.stale.Put(staleKey, res.body)
 		}
 		g.relay(w, res)
 		return
@@ -396,16 +393,15 @@ func (g *Gateway) finish(w http.ResponseWriter, res *proxyResult, attempts int, 
 		}
 	}
 	if staleKey != "" {
-		if ent, ok := g.stale.Get(staleKey); ok {
+		if body, ok := g.stale.Get(staleKey); ok {
+			// Every 200 a replica answers on a keyed route is
+			// application/json (serve's writeCached and writeJSON), so the
+			// reserve keeps bodies alone.
 			g.mDegraded.Inc()
 			w.Header().Set(DegradedHeader, "stale")
-			ct := ent.contentType
-			if ct == "" {
-				ct = "application/json"
-			}
-			w.Header().Set("Content-Type", ct)
+			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(ent.body)
+			_, _ = w.Write(body)
 			return
 		}
 	}

@@ -28,11 +28,7 @@ func specWithID(id string, n2 float64) string {
 }
 
 // staleLen is the occupancy of the gateway's stale reserve.
-func staleLen(g *Gateway) int {
-	g.stale.mu.Lock()
-	defer g.stale.mu.Unlock()
-	return g.stale.ll.Len()
-}
+func staleLen(g *Gateway) int { return g.stale.Info(0).Entries }
 
 // installPlan parses a fault-plan spec and installs it as the process
 // injector, returning the restore function.
@@ -414,6 +410,9 @@ func TestStaleDegradedServing(t *testing.T) {
 	if got := w.Header().Get(DegradedHeader); got != "stale" {
 		t.Errorf("%s = %q, want %q", DegradedHeader, got, "stale")
 	}
+	if got := w.Header().Get("Content-Type"); got != "application/json" {
+		t.Errorf("degraded Content-Type = %q, want application/json", got)
+	}
 	if w.Body.String() != fresh {
 		t.Error("degraded body differs from the cached fresh response")
 	}
@@ -430,6 +429,30 @@ func TestStaleDegradedServing(t *testing.T) {
 	_ = json.Unmarshal(w.Body.Bytes(), &ge)
 	if ge.Kind != kindUnavailable {
 		t.Errorf("kind = %q, want %q", ge.Kind, kindUnavailable)
+	}
+}
+
+// TestStaleReserveDisabled pins StaleCacheSize < 0: the gateway keeps no
+// reserve, so a total ring failure answers 503 even for a spec it has
+// answered before, and never marks a response degraded.
+func TestStaleReserveDisabled(t *testing.T) {
+	g, stubs := newTestGateway(t, 2, func(c *Config) { c.StaleCacheSize = -1 })
+	body := specWithID("stale-off", 16)
+	if w := postGateway(t, g, "/v1/eval", body); w.Code != http.StatusOK {
+		t.Fatalf("warmup status %d", w.Code)
+	}
+	if n := staleLen(g); n != 0 {
+		t.Fatalf("disabled stale reserve holds %d entries", n)
+	}
+	for _, s := range stubs {
+		s.ts.Close()
+	}
+	w := postGateway(t, g, "/v1/eval", body)
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status %d with the reserve disabled, want 503: %s", w.Code, w.Body)
+	}
+	if got := w.Header().Get(DegradedHeader); got != "" {
+		t.Errorf("%s = %q on a 503, want none", DegradedHeader, got)
 	}
 }
 

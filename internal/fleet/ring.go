@@ -64,7 +64,6 @@ func rendezvousOrder(reps []*replica, key string) []*replica {
 // on nearby ports — are correlated: in a three-replica ring, one replica
 // owned none of 30 keys about 50 times as often as uniform hashing
 // predicts. The finalizer's full avalanche removes the correlation.
-// Lock-shard selection compares no scores and keeps raw HashString.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -10,8 +10,9 @@ import (
 
 // fuzzAssocs are the associativities FuzzMattsonVsBrute picks from: the
 // fused 8-way quintet, the packed kernel's other widths (including
-// non-powers of two), the recency-ordered layout above 8 ways, and 0,
-// fully associative, which the reuse-distance Profiler serves.
+// non-powers of two), the recency-ordered layout at one way and above 8
+// ways, and 0, fully associative, which the reuse-distance Profiler
+// serves.
 var fuzzAssocs = []int{1, 2, 3, 4, 6, 8, 12, 16, 64, 0}
 
 // FuzzMattsonVsBrute decodes a sweep and a trace from the fuzz bytes and

@@ -61,34 +61,42 @@ func TestParallelWorkers(t *testing.T) {
 
 // TestSweepReservesOneSlab pins the slab sizing: with the pool empty, a
 // sweep allocates one slab of exactly its packed buffers plus every
-// profiler's per-set array (16 words a set behind a stagger pad of
-// (log2 sets mod 8)·16 words), even when the per-set arrays outgrow what
-// the buffers leave of a slab sized for the buffers alone.
+// profiler's per-set array, even when the per-set arrays outgrow what
+// the buffers leave of a slab sized for the buffers alone. An 8-way
+// array is 16 words a set behind a stagger pad of (log2 sets mod 8)·16
+// words; a direct-mapped one is one word a set.
 func TestSweepReservesOneSlab(t *testing.T) {
-	base := cachesim.Config{
-		LineBytes: 64, Assoc: 8, Policy: cachesim.LRU,
-		WriteBack: true, WriteAllocate: true,
-	}
-	sizes := cachesim.PowerOfTwoSizes(64<<10, 2<<20)
-	need := parallelChunk // one buffer set: workers 1 runs inline
-	for _, sz := range sizes {
-		sets := sz / 64 / 8
-		need += sets*16 + bits.TrailingZeros(uint(sets))%8*16
-	}
-	gen, err := workload.NewStrided(1<<16, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.GC()
-	runtime.GC() // two cycles empty the slab pool
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	if _, err := MissCurveFastParallel(context.Background(), gen, base, sizes, 0, 4096, 1); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&m1)
-	if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(need*8+64<<10); got > limit {
-		t.Errorf("sweep allocated %d bytes, want at most %d: its %d-word slab plus 64 KiB", got, limit, need)
+	for _, tc := range []struct {
+		assoc   int
+		setWord func(sets int) int
+	}{
+		{8, func(sets int) int { return sets*16 + bits.TrailingZeros(uint(sets))%8*16 }},
+		{1, func(sets int) int { return sets }},
+	} {
+		base := cachesim.Config{
+			LineBytes: 64, Assoc: tc.assoc, Policy: cachesim.LRU,
+			WriteBack: true, WriteAllocate: true,
+		}
+		sizes := cachesim.PowerOfTwoSizes(64<<10, 2<<20)
+		need := parallelChunk // one buffer set: workers 1 runs inline
+		for _, sz := range sizes {
+			need += tc.setWord(sz / 64 / tc.assoc)
+		}
+		gen, err := workload.NewStrided(1<<16, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC() // two cycles empty the slab pool
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := MissCurveFastParallel(context.Background(), gen, base, sizes, 0, 4096, 1); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(need*8+64<<10); got > limit {
+			t.Errorf("%d-way sweep allocated %d bytes, want at most %d: its %d-word slab plus 64 KiB", tc.assoc, got, limit, need)
+		}
 	}
 }
 

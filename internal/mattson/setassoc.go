@@ -60,10 +60,12 @@ const invInit = uint64(0x76543210)
 // per swept size and advances nested 8-way quintets in one fused loop
 // (runFused5).
 //
-// The fingerprint/permutation representation covers Assoc ≤ 8 (one nibble
-// and one byte per way). Wider set-associative configurations keep the
-// tags recency-ordered instead and fall back to the fused scan-and-shift
-// loop, where a hit at depth i has already rotated depths [0, i).
+// The fingerprint/permutation representation covers 2–8 ways (one nibble
+// and one byte per way). Wider set-associative configurations, and
+// direct-mapped ones, where the whole lookup is one tag compare, keep one
+// recency-ordered tag word per way instead and run the fused
+// scan-and-shift loop, where a hit at depth i has already rotated depths
+// [0, i).
 type SetProfiler struct {
 	cfg       cachesim.Config
 	assoc     int
@@ -71,11 +73,11 @@ type SetProfiler struct {
 	setShift  uint
 	lineShift uint
 	lineBytes uint64
-	// Assoc ≤ 8 representation: sets×16 blocks of
+	// Block representation (blockLayout): sets×16 blocks of
 	// {fingerprint, recency, tag0..tag7, pad×6} (the stride is fixed at
 	// 16 so in-block indexes can never escape their set; unused ways stay
 	// at the invalid sentinel).
-	// Assoc > 8 representation: sets×assoc tags, MRU-first.
+	// Otherwise: sets×assoc tags, MRU-first.
 	ways []uint64
 	// vAdd flags the victim on a miss: (9-assoc) replicated over the low
 	// assoc nibbles, so adding it to the recency vector pushes exactly
@@ -113,7 +115,7 @@ func newSetProfiler(cfg cachesim.Config, buf []uint64) (*SetProfiler, error) {
 		lineBytes: uint64(cfg.LineBytes),
 		ways:      buf,
 	}
-	if cfg.Assoc <= 8 {
+	if blockLayout(cfg.Assoc) {
 		p.ways = buf[len(buf)-sets*16:] // past the stagger pad
 		for s := 0; s < sets; s++ {
 			b := p.ways[s*16 : s*16+16]
@@ -134,17 +136,24 @@ func newSetProfiler(cfg cachesim.Config, buf []uint64) (*SetProfiler, error) {
 	return p, nil
 }
 
-// setWords is the words newSetProfiler takes for cfg's per-set array: a
-// 16-word block per set up to 8 ways, behind a pad that staggers each
-// size's array by a sub-page offset derived from its set count, and one
-// word per way above 8. Nested sweeps index their arrays with set numbers
-// that agree modulo the smaller set count, so without the stagger the
-// power-of-two (page-aligned) arrays put one slot's stores and the next
-// slot's loads at matching page offsets — false store-to-load
-// dependencies (4K aliasing) on nearly every fused iteration.
+// blockLayout reports whether a profiler of assoc ways keeps the 16-word
+// fingerprint/recency block per set and runs runPackedCounters. Every
+// other associativity keeps one tag word per way and runs runShift,
+// which at one way is a compare and a store.
+func blockLayout(assoc int) bool { return assoc >= 2 && assoc <= 8 }
+
+// setWords is the words newSetProfiler takes for cfg's per-set array: in
+// the block layout, a 16-word block per set behind a pad that staggers
+// each size's array by a sub-page offset derived from its set count;
+// otherwise one word per way. Nested sweeps index their arrays with set
+// numbers that agree modulo the smaller set count, so without the
+// stagger the power-of-two (page-aligned) arrays put one slot's stores
+// and the next slot's loads at matching page offsets — false
+// store-to-load dependencies (4K aliasing) on nearly every fused
+// iteration.
 func setWords(cfg cachesim.Config) int {
 	sets := cfg.Sets()
-	if cfg.Assoc <= 8 {
+	if blockLayout(cfg.Assoc) {
 		return sets*16 + bits.TrailingZeros(uint(sets))&7*16
 	}
 	return sets * cfg.Assoc
@@ -161,10 +170,10 @@ func (p *SetProfiler) ResetStats() { p.stats = cachesim.Stats{} }
 // associativity and folds the chunk's counters into acc.
 func (p *SetProfiler) runChunk(packed []uint64, acc *partStats) {
 	var hits, evictions, writeBacks uint64
-	if p.assoc > 8 {
-		hits, evictions, writeBacks = p.runShift(packed)
-	} else {
+	if blockLayout(p.assoc) {
 		hits, evictions, writeBacks = p.runPackedCounters(packed)
+	} else {
+		hits, evictions, writeBacks = p.runShift(packed)
 	}
 	acc.n += uint64(len(packed))
 	acc.hits += hits
@@ -199,7 +208,8 @@ func permRare(st []uint64, zm, base, tag, mask uint64) (uint64, uint64, uint64, 
 	return 0, 0, 0, false
 }
 
-// runPackedCounters is the single-profiler hot loop for Assoc ≤ 8. Per access:
+// runPackedCounters is the single-profiler hot loop for the block layout
+// (2–8 ways). Per access:
 // one fingerprint word answers "which way, if any, can hold this tag"
 // (exact zero-byte SWAR; candidates are verified against the real tag, so
 // signature collisions cost a retry, never correctness). A hit reads its
@@ -269,8 +279,9 @@ func (p *SetProfiler) runPackedCounters(packed []uint64) (hits, evictions, write
 	return hits, evictions, writeBacks
 }
 
-// runShift is the fallback loop for associativities above 8, where the
-// per-way nibbles and signature bytes no longer fit their single words.
+// runShift is the loop for associativities above 8, where the per-way
+// nibbles and signature bytes no longer fit their single words, and for
+// direct-mapped caches, which need neither.
 // The tags are kept recency-ordered and the scan is fused with the
 // recency shift: every way the scan passes slides down one depth as it
 // goes, so a hit at depth i has already done its rotation and a full scan

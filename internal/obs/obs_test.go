@@ -216,6 +216,18 @@ func TestSpansDoNotStopTheWorld(t *testing.T) {
 	}
 }
 
+// TestHeapAllocReadsDoNotAllocate pins that the runtime/metrics reads
+// behind every allocation figure allocate nothing: the trace hot path's
+// one-sample read and the run span's three-sample one.
+func TestHeapAllocReadsDoNotAllocate(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { heapAllocBytes() }); n != 0 {
+		t.Errorf("heapAllocBytes allocates %v times a read, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { readHeapAllocs(3) }); n != 0 {
+		t.Errorf("readHeapAllocs(3) allocates %v times a read, want 0", n)
+	}
+}
+
 func TestSnapshotSorted(t *testing.T) {
 	r := NewRegistry()
 	for _, n := range []string{"z", "a", "m"} {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"runtime/metrics"
+	"sync"
 	"time"
 )
 
@@ -45,8 +46,7 @@ func (r *Registry) StartSpan(name string) *Span {
 		return nil
 	}
 	sp := &Span{reg: r, name: name}
-	var s [3]metrics.Sample
-	sp.bytes0, sp.allocs0 = readHeapAllocs(s[:])
+	sp.bytes0, sp.allocs0 = readHeapAllocs(3)
 	sp.start = time.Now()
 	return sp
 }
@@ -57,8 +57,7 @@ func (s *Span) End() {
 		return
 	}
 	wall := time.Since(s.start)
-	var m [3]metrics.Sample
-	bytes1, allocs1 := readHeapAllocs(m[:])
+	bytes1, allocs1 := readHeapAllocs(3)
 	rec := SpanRecord{
 		Name:       s.name,
 		Start:      s.start,
@@ -83,18 +82,28 @@ func (s *Span) End() {
 // then two object counts whose sum is MemStats.Mallocs's own definition.
 var heapAllocMetrics = [3]string{"/gc/heap/allocs:bytes", "/gc/heap/allocs:objects", "/gc/heap/tiny/allocs:objects"}
 
-// readHeapAllocs reads the first len(s) of heapAllocMetrics into s (1 for
-// bytes alone, 3 for bytes and objects) and returns the cumulative bytes
-// and allocated objects. Unlike runtime.ReadMemStats it does not stop the
-// world. s escapes to metrics.Read, so each call heap-allocates the
-// caller's sample array (48 bytes a sample).
-func readHeapAllocs(s []metrics.Sample) (bytes, allocs uint64) {
+// samplePool recycles the sample arrays readHeapAllocs passes to
+// metrics.Read. The slice escapes there, so an array on the caller's
+// stack would cost one heap allocation per read.
+var samplePool = sync.Pool{New: func() any {
+	s := new([3]metrics.Sample)
 	for i := range s {
 		s[i].Name = heapAllocMetrics[i]
 	}
-	metrics.Read(s)
-	for _, x := range s[1:] {
+	return s
+}}
+
+// readHeapAllocs reads the first n of heapAllocMetrics (1 for bytes
+// alone, 3 for bytes and objects) and returns the cumulative bytes and
+// allocated objects. Unlike runtime.ReadMemStats it does not stop the
+// world, and it allocates nothing once samplePool is warm.
+func readHeapAllocs(n int) (bytes, allocs uint64) {
+	s := samplePool.Get().(*[3]metrics.Sample)
+	metrics.Read(s[:n])
+	for _, x := range s[1:n] {
 		allocs += x.Value.Uint64()
 	}
-	return s[0].Value.Uint64(), allocs
+	bytes = s[0].Value.Uint64()
+	samplePool.Put(s)
+	return bytes, allocs
 }

@@ -75,9 +75,6 @@ type Result struct {
 	// Stacks counts eligible stacks; Candidates the (stack, split) pairs.
 	Stacks     int `json:"stacks"`
 	Candidates int `json:"candidates"`
-	// CacheHits/CacheMisses report the search's solver-cache traffic.
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
 }
 
 // Optimizer runs searches through a memoized solver cache with a bounded
@@ -205,7 +202,6 @@ func (o *Optimizer) Search(ctx context.Context, osp *scenario.OptimizeSpec) (*Re
 	if cache == nil {
 		cache = scaling.NewEvalCache()
 	}
-	startHits, startMisses := cache.Stats()
 	evaluated := obs.Default().Counter("optimize.candidates")
 
 	points := make([]DesignPoint, len(stacks)*len(splits))
@@ -312,7 +308,5 @@ func (o *Optimizer) Search(ctx context.Context, osp *scenario.OptimizeSpec) (*Re
 		Candidates: len(points),
 	}
 	res.Best = res.Frontier[len(res.Frontier)-1]
-	hits, misses := cache.Stats()
-	res.CacheHits, res.CacheMisses = hits-startHits, misses-startMisses
 	return res, nil
 }

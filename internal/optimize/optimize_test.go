@@ -195,13 +195,14 @@ func TestSearchCancellation(t *testing.T) {
 // shared solver cache.
 func TestCacheReuse(t *testing.T) {
 	o := New()
-	first := mustSearch(t, o, testSpec)
-	if first.CacheMisses == 0 {
+	mustSearch(t, o, testSpec)
+	_, misses := o.Cache.Stats()
+	if misses == 0 {
 		t.Fatalf("first search should miss the cold cache")
 	}
-	second := mustSearch(t, o, testSpec)
-	if second.CacheMisses != 0 {
-		t.Fatalf("second search missed %d times, want 0", second.CacheMisses)
+	mustSearch(t, o, testSpec)
+	if _, after := o.Cache.Stats(); after != misses {
+		t.Fatalf("second search missed %d times, want 0", after-misses)
 	}
 }
 

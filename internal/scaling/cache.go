@@ -3,8 +3,6 @@ package scaling
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,14 +25,6 @@ import (
 // Alongside the fingerprint the key carries everything else that
 // determines the root: the baseline allocation, α, the chip area, and the
 // traffic budget.
-//
-// The map is sharded by the low bits of the fingerprint's hash: each
-// shard owns its own lock and map segment, so the serve tier's worker
-// pool doing mixed-stack batch queries no longer serializes every lookup
-// on one RWMutex (a single reader-count cache line bouncing between
-// cores is contention even when every request is a hit). Entries with
-// equal fingerprints land in the same shard; introspection (Info, Purge)
-// aggregates across shards.
 
 // Fingerprint is the canonical identity of a technique stack for solver
 // memoization: its resolved parameter set. Two stacks with equal
@@ -49,62 +39,22 @@ func FingerprintOf(st technique.Stack) Fingerprint {
 	return Fingerprint{Params: st.Params()}
 }
 
-// FNV-1a parameters shared by every fingerprint-keyed shard layout in
-// the repo: the solver cache below, the serve tier's response LRU, and
-// the fleet gateway's replica ring all key off the same function, so
-// "which shard/replica owns this fingerprint" has one answer at every
-// level of the system.
+// FNV-1a parameters shared by the repo's fingerprint hashes: HashString
+// below and the constraint-set fingerprints in constraint.go.
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
 )
 
-// HashString is FNV-1a over s with the high bits folded down — the
-// string-keyed twin of Fingerprint.hash. It is the routing function for
-// anything keyed by a canonical spec fingerprint: deterministic across
-// processes, so a replica ring and a lock-shard array computed from the
-// same fingerprint agree forever.
+// HashString is FNV-1a over s with the high bits folded down. It is
+// deterministic across processes, so every fleet gateway that ranks
+// replicas for one canonical spec fingerprint ranks them the same way.
 func HashString(s string) uint64 {
 	h := uint64(fnvOffset)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= fnvPrime
 	}
-	return h ^ h>>32
-}
-
-// hash folds the fingerprint's resolved parameters through FNV-1a over
-// their bit patterns. Deterministic across processes (the shard layout is
-// reproducible) and cheap enough to vanish next to a map probe.
-func (fp Fingerprint) hash() uint64 {
-	const (
-		offset = fnvOffset
-		prime  = fnvPrime
-	)
-	p := fp.Params
-	h := uint64(offset)
-	mix := func(v uint64) {
-		h ^= v
-		h *= prime
-	}
-	mix(math.Float64bits(p.DieDensity))
-	if p.ExtraDie {
-		mix(1)
-	} else {
-		mix(2)
-	}
-	mix(math.Float64bits(p.ExtraDieDensity))
-	mix(math.Float64bits(p.CacheMult))
-	mix(math.Float64bits(p.TrafficDiv))
-	mix(math.Float64bits(p.CoreArea))
-	mix(math.Float64bits(p.SharedFrac))
-	mix(math.Float64bits(p.PrivateSharedFrac))
-	mix(math.Float64bits(p.ThermalResist))
-	mix(math.Float64bits(p.CachePowerMult))
-	mix(math.Float64bits(p.CacheEnergyMult))
-	mix(math.Float64bits(p.LinkEnergyMult))
-	// Fold the high bits down so "low bits of the hash" sees the whole
-	// word even with a small shard count.
 	return h ^ h>>32
 }
 
@@ -125,14 +75,6 @@ type evalEntry struct {
 	hits atomic.Uint64
 }
 
-// evalShard is one lock + map segment. Padded to a cache line so
-// neighboring shards' lock words don't false-share.
-type evalShard struct {
-	mu sync.RWMutex
-	m  map[cacheKey]*evalEntry
-	_  [64 - unsafe.Sizeof(sync.RWMutex{})%64]byte
-}
-
 // solKey is one memoized constraint solution: the wall-level cacheKey
 // minus the budget (each wall resolves its own), plus the fingerprint of
 // the full constraint set and the generation index (compounding and
@@ -147,26 +89,18 @@ type solKey struct {
 	gen   int
 }
 
-// solShard is one lock + map segment of the constraint-solution memo.
-type solShard struct {
-	mu sync.RWMutex
-	m  map[solKey]Solution
-	_  [64 - unsafe.Sizeof(sync.RWMutex{})%64]byte
-}
-
-// DefaultEvalCacheShards is the shard count NewEvalCache uses: enough
-// that a few dozen engine workers rarely collide, small enough that
-// aggregation stays trivial.
-const DefaultEvalCacheShards = 16
-
 // EvalCache memoizes successful SupportableCores evaluations. It is safe
 // for concurrent use by the engine's worker pool. Errors are never cached:
 // domain violations fail fast before any root finding, and injected or
-// transient faults must not poison later retries.
+// transient faults must not poison later retries. Wall solves and
+// constraint solutions live in two maps, each behind its own RWMutex, so
+// a hit costs one read lock.
 type EvalCache struct {
-	shards []evalShard
-	sols   []solShard
-	mask   uint64
+	mu    sync.RWMutex
+	evals map[cacheKey]*evalEntry
+
+	solMu sync.RWMutex
+	sols  map[solKey]Solution
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -175,41 +109,15 @@ type EvalCache struct {
 	obsMisses *obs.Counter
 }
 
-// NewEvalCache returns an empty cache with DefaultEvalCacheShards shards,
-// wired to the process obs registry (scaling.cache.hits /
-// scaling.cache.misses count across all solves and all shards).
+// NewEvalCache returns an empty cache wired to the process obs registry
+// (scaling.cache.hits / scaling.cache.misses count across all solves).
 func NewEvalCache() *EvalCache {
-	return NewEvalCacheShards(0)
-}
-
-// NewEvalCacheShards is NewEvalCache with the shard count pinned: 0 means
-// DefaultEvalCacheShards, other values round up to a power of two.
-// NewEvalCacheShards(1) reproduces the pre-sharding single-lock layout —
-// kept callable for contention benchmarks.
-func NewEvalCacheShards(n int) *EvalCache {
-	if n <= 0 {
-		n = DefaultEvalCacheShards
-	}
-	if n&(n-1) != 0 {
-		n = 1 << bits.Len(uint(n))
-	}
-	c := &EvalCache{
-		shards:    make([]evalShard, n),
-		sols:      make([]solShard, n),
-		mask:      uint64(n - 1),
+	return &EvalCache{
+		evals:     make(map[cacheKey]*evalEntry),
+		sols:      make(map[solKey]Solution),
 		obsHits:   obs.Default().Counter("scaling.cache.hits"),
 		obsMisses: obs.Default().Counter("scaling.cache.misses"),
 	}
-	for i := range c.shards {
-		c.shards[i].m = make(map[cacheKey]*evalEntry)
-		c.sols[i].m = make(map[solKey]Solution)
-	}
-	return c
-}
-
-// shard picks the segment for one fingerprint: the low bits of its hash.
-func (c *EvalCache) shard(fp Fingerprint) *evalShard {
-	return &c.shards[fp.hash()&c.mask]
 }
 
 // key builds the full memoization key for a solve on s.
@@ -229,10 +137,9 @@ func (c *EvalCache) SupportableCoresFP(ctx context.Context, s Solver, fp Fingerp
 		return s.SupportableCoresCtx(ctx, st, n2, budget)
 	}
 	k := c.key(s, fp, n2, budget)
-	sh := c.shard(fp)
-	sh.mu.RLock()
-	e, ok := sh.m[k]
-	sh.mu.RUnlock()
+	c.mu.RLock()
+	e, ok := c.evals[k]
+	c.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)
 		c.obsHits.Inc()
@@ -249,13 +156,13 @@ func (c *EvalCache) SupportableCoresFP(ctx context.Context, s Solver, fp Fingerp
 	if err != nil {
 		return 0, err
 	}
-	sh.mu.Lock()
-	if prev, ok := sh.m[k]; ok {
+	c.mu.Lock()
+	if prev, ok := c.evals[k]; ok {
 		v = prev.val // concurrent solvers: keep the first answer (they agree)
 	} else {
-		sh.m[k] = &evalEntry{val: v}
+		c.evals[k] = &evalEntry{val: v}
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	return v, nil
 }
 
@@ -273,10 +180,9 @@ func (c *EvalCache) SolveConstraintFP(ctx context.Context, s Solver, fp Fingerpr
 	}
 	base := s.Base()
 	k := solKey{fp: fp, baseP: base.P, baseC: base.C, alpha: s.Alpha(), n2: n2, cons: cons.Fingerprint(), gen: gen}
-	sh := &c.sols[fp.hash()&c.mask]
-	sh.mu.RLock()
-	sol, ok := sh.m[k]
-	sh.mu.RUnlock()
+	c.solMu.RLock()
+	sol, ok := c.sols[k]
+	c.solMu.RUnlock()
 	if ok {
 		c.hits.Add(1)
 		c.obsHits.Inc()
@@ -286,13 +192,13 @@ func (c *EvalCache) SolveConstraintFP(ctx context.Context, s Solver, fp Fingerpr
 	if err != nil {
 		return Solution{}, err
 	}
-	sh.mu.Lock()
-	if prev, ok := sh.m[k]; ok {
+	c.solMu.Lock()
+	if prev, ok := c.sols[k]; ok {
 		sol = prev // concurrent solvers: keep the first answer (they agree)
 	} else {
-		sh.m[k] = sol
+		c.sols[k] = sol
 	}
-	sh.mu.Unlock()
+	c.solMu.Unlock()
 	return sol.copyWalls(), nil
 }
 
@@ -315,25 +221,19 @@ func (c *EvalCache) Stats() (hits, misses uint64) {
 
 // Purge drops every memoized evaluation and returns how many were held.
 // Hit/miss counters are preserved — they describe lifetime traffic, not
-// current contents. Shards purge one at a time; a purge concurrent with
-// eval load empties every segment without ever blocking them all at once.
+// current contents.
 func (c *EvalCache) Purge() int {
 	if c == nil {
 		return 0
 	}
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.m = make(map[cacheKey]*evalEntry)
-		sh.mu.Unlock()
-		ss := &c.sols[i]
-		ss.mu.Lock()
-		n += len(ss.m)
-		ss.m = make(map[solKey]Solution)
-		ss.mu.Unlock()
-	}
+	c.mu.Lock()
+	n := len(c.evals)
+	c.evals = make(map[cacheKey]*evalEntry)
+	c.mu.Unlock()
+	c.solMu.Lock()
+	n += len(c.sols)
+	c.sols = make(map[solKey]Solution)
+	c.solMu.Unlock()
 	return n
 }
 
@@ -349,7 +249,6 @@ type StackInfo struct {
 // Info summarizes the cache for introspection endpoints.
 type Info struct {
 	Entries     int         `json:"entries"`
-	Shards      int         `json:"shards"`
 	Hits        uint64      `json:"hits"`
 	Misses      uint64      `json:"misses"`
 	ApproxBytes uint64      `json:"approx_bytes"`
@@ -358,17 +257,14 @@ type Info struct {
 
 // Info reports occupancy, lifetime traffic, an approximate byte
 // footprint, and the topN hottest stack fingerprints (Yavits-style
-// measured-occupancy numbers for cache sizing), aggregated across every
-// shard. topN ≤ 0 omits the ranking. Shards are visited one at a time, so
-// the view is per-shard consistent but not a global atomic snapshot —
-// fine for the monitoring endpoint it feeds.
+// measured-occupancy numbers for cache sizing). topN ≤ 0 omits the
+// ranking.
 func (c *EvalCache) Info(topN int) Info {
 	if c == nil {
 		return Info{}
 	}
 	const entryBytes = uint64(unsafe.Sizeof(cacheKey{})+unsafe.Sizeof(evalEntry{})) + 8 // key + entry + pointer
 	info := Info{
-		Shards: len(c.shards),
 		Hits:   c.hits.Load(),
 		Misses: c.misses.Load(),
 	}
@@ -376,23 +272,20 @@ func (c *EvalCache) Info(topN int) Info {
 	if topN > 0 {
 		agg = make(map[technique.Params]*StackInfo)
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		info.Entries += len(sh.m)
-		if topN > 0 {
-			for k, e := range sh.m {
-				si := agg[k.fp.Params]
-				if si == nil {
-					si = &StackInfo{Stack: fmt.Sprintf("%+v", k.fp.Params)}
-					agg[k.fp.Params] = si
-				}
-				si.Entries++
-				si.Hits += e.hits.Load()
+	c.mu.RLock()
+	info.Entries = len(c.evals)
+	if topN > 0 {
+		for k, e := range c.evals {
+			si := agg[k.fp.Params]
+			if si == nil {
+				si = &StackInfo{Stack: fmt.Sprintf("%+v", k.fp.Params)}
+				agg[k.fp.Params] = si
 			}
+			si.Entries++
+			si.Hits += e.hits.Load()
 		}
-		sh.mu.RUnlock()
 	}
+	c.mu.RUnlock()
 	info.ApproxBytes = uint64(info.Entries) * entryBytes
 	if topN > 0 {
 		top := make([]StackInfo, 0, len(agg))

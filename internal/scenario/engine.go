@@ -49,8 +49,6 @@ type Outcome struct {
 	// Values are the headline numbers harvested from cases with a ValueKey,
 	// under the figure drivers' key conventions.
 	Values map[string]float64
-	// CacheHits/CacheMisses report the evaluation's solver-cache traffic.
-	CacheHits, CacheMisses uint64
 }
 
 // PointsFor returns the axis row of one case.
@@ -146,7 +144,6 @@ func (e *Engine) Evaluate(ctx context.Context, sp *Spec) (*Outcome, error) {
 	if cache == nil {
 		cache = scaling.NewEvalCache()
 	}
-	startHits, startMisses := cache.Stats()
 
 	points := make([]Point, len(sp.Cases)*len(gens))
 	errs := make([]error, len(points))
@@ -226,8 +223,6 @@ func (e *Engine) Evaluate(ctx context.Context, sp *Spec) (*Outcome, error) {
 	}
 
 	out := &Outcome{Spec: sp, Gens: gens, Points: points, Values: map[string]float64{}}
-	hits, misses := cache.Stats()
-	out.CacheHits, out.CacheMisses = hits-startHits, misses-startMisses
 	for ci, c := range sp.Cases {
 		if c.ValueKey == "" {
 			continue

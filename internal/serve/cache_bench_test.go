@@ -11,42 +11,37 @@ import (
 )
 
 // BenchmarkRespCacheContention measures the response LRU under parallel
-// mixed Get/Put load, sharded versus the pre-sharding single-lock layout
-// (shards=1). Unlike the read-mostly solver cache, every LRU hit is a
-// write (MoveToFront), so a global mutex serializes even a 100%-hit
-// workload — the case sharding exists for. Run with -cpu 1,2,4,8 to
-// sweep the contention curve.
+// mixed Get/Put load on its one mutex. Unlike the read-mostly solver
+// cache, every LRU hit is a write (MoveToFront), so the lock serializes
+// even a 100%-hit workload. Run with -cpu 1,2,4,8 to sweep the
+// contention curve.
 func BenchmarkRespCacheContention(b *testing.B) {
 	body := make([]byte, 512)
 	keys := make([]string, 256)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("%064x", i*2654435761)
 	}
-	for _, shards := range []int{1, DefaultCacheShards} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			c := newRespCacheShards(1024, shards)
-			for _, k := range keys {
+	c := NewRespCache(1024)
+	for _, k := range keys {
+		c.Put(k, body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			var k string
+			if i%10 < 9 { // 90% hot, 10% cold tail
+				k = keys[i%8]
+			} else {
+				k = keys[i%len(keys)]
+			}
+			if _, ok := c.Get(k); !ok {
 				c.Put(k, body)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					var k string
-					if i%10 < 9 { // 90% hot, 10% cold tail
-						k = keys[i%8]
-					} else {
-						k = keys[i%len(keys)]
-					}
-					if _, ok := c.Get(k); !ok {
-						c.Put(k, body)
-					}
-					i++
-				}
-			})
-		})
-	}
+			i++
+		}
+	})
 }
 
 // BenchmarkQueryHitPath times one warmed request of each query kind

@@ -6,9 +6,7 @@ import (
 )
 
 func TestRespCacheLRU(t *testing.T) {
-	// One shard pins the strict global recency order this test asserts;
-	// the sharded default only guarantees LRU order within a shard.
-	c := newRespCacheShards(2, 1)
+	c := NewRespCache(2)
 	c.Put("a", []byte("A"))
 	c.Put("b", []byte("B"))
 	if v, ok := c.Get("a"); !ok || string(v) != "A" {
@@ -28,7 +26,7 @@ func TestRespCacheLRU(t *testing.T) {
 }
 
 func TestRespCachePutExisting(t *testing.T) {
-	c := newRespCacheShards(4, 0)
+	c := NewRespCache(4)
 	c.Put("k", []byte("old"))
 	c.Put("k", []byte("new"))
 	if v, _ := c.Get("k"); string(v) != "new" {
@@ -40,7 +38,7 @@ func TestRespCachePutExisting(t *testing.T) {
 }
 
 func TestRespCacheDisabled(t *testing.T) {
-	c := newRespCacheShards(-1, 0)
+	c := NewRespCache(-1)
 	c.Put("k", []byte("v"))
 	if _, ok := c.Get("k"); ok {
 		t.Error("disabled cache returned a hit")
@@ -51,41 +49,11 @@ func TestRespCacheDisabled(t *testing.T) {
 }
 
 func TestRespCacheDefaultSize(t *testing.T) {
-	c := newRespCacheShards(0, 0)
-	// Enough distinct keys to saturate every shard: once all segments are
-	// full the aggregate occupancy is exactly the configured bound.
+	c := NewRespCache(0)
 	for i := 0; i < 4*DefaultCacheSize; i++ {
 		c.Put(fmt.Sprintf("k%d", i), []byte("v"))
 	}
 	if c.Info(0).Entries != DefaultCacheSize {
 		t.Errorf("entries = %d, want the default bound %d", c.Info(0).Entries, DefaultCacheSize)
-	}
-	if len(c.shards) != DefaultCacheShards {
-		t.Errorf("shards = %d, want %d", len(c.shards), DefaultCacheShards)
-	}
-}
-
-func TestRespCacheShardClamp(t *testing.T) {
-	// A tiny capacity must shrink the shard count so every shard holds at
-	// least one entry, and the shard capacities must sum to the bound.
-	c := newRespCacheShards(3, 0)
-	if len(c.shards) != 2 {
-		t.Fatalf("shards = %d, want 2", len(c.shards))
-	}
-	total := 0
-	for i := range c.shards {
-		if c.shards[i].max < 1 {
-			t.Errorf("shard %d max = %d, want ≥ 1", i, c.shards[i].max)
-		}
-		total += c.shards[i].max
-	}
-	if total != 3 {
-		t.Errorf("shard capacities sum to %d, want 3", total)
-	}
-	for i := 0; i < 64; i++ {
-		c.Put(fmt.Sprintf("k%d", i), []byte("v"))
-	}
-	if c.Info(0).Entries > 3 {
-		t.Errorf("entries = %d, want ≤ 3", c.Info(0).Entries)
 	}
 }

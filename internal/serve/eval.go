@@ -21,9 +21,6 @@ type EvalResponse struct {
 	// Report is the rendered text report — the same tables `bandwall
 	// eval` prints.
 	Report string `json:"report"`
-	// Cache reports the solver-cache traffic of the underlying
-	// evaluation (cached responses replay the original solve's stats).
-	Cache CacheStats `json:"cache"`
 }
 
 // EvalPoint is one solved (case, axis) cell.
@@ -38,12 +35,6 @@ type EvalPoint struct {
 	// count ("bandwidth" alone for legacy single-envelope specs).
 	BindingWall string                 `json:"binding_wall,omitempty"`
 	Walls       []scaling.WallHeadroom `json:"walls,omitempty"`
-}
-
-// CacheStats is the solver-cache traffic of one evaluation.
-type CacheStats struct {
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
 }
 
 // evalQuery declares POST /v1/eval: a scenario.Spec evaluated by the
@@ -83,7 +74,6 @@ func renderOutcome(o *scenario.Outcome) ([]byte, error) {
 		Title:  o.Spec.Title,
 		Values: o.Values,
 		Points: make([]EvalPoint, 0, len(o.Points)),
-		Cache:  CacheStats{Hits: o.CacheHits, Misses: o.CacheMisses},
 	}
 	labels := make([]string, len(o.Spec.Cases))
 	for i, c := range o.Spec.Cases {

@@ -29,9 +29,6 @@ type OptimizeResponse struct {
 	// Report is the rendered text report — the same tables `bandwall
 	// optimize` prints.
 	Report string `json:"report"`
-	// Cache reports the search's solver-cache traffic (cached responses
-	// replay the original search's stats).
-	Cache CacheStats `json:"cache"`
 }
 
 // optimizeQuery declares POST /v1/optimize: an inverse design-space
@@ -76,6 +73,5 @@ func renderOptimizeResult(res *optimize.Result) ([]byte, error) {
 		Stacks:     res.Stacks,
 		Candidates: res.Candidates,
 		Report:     report.String(),
-		Cache:      CacheStats{Hits: res.CacheHits, Misses: res.CacheMisses},
 	})
 }

@@ -86,11 +86,6 @@ type Config struct {
 	// CacheSize bounds the rendered-response LRU cache (entries). 0 means
 	// DefaultCacheSize; negative disables response caching.
 	CacheSize int
-	// CacheShards pins the response cache's shard count (rounded up to a
-	// power of two, capped so every shard holds at least one entry).
-	// 0 means DefaultCacheShards; 1 degrades to the single-lock global
-	// LRU.
-	CacheShards int
 	// TraceBuffer sizes the ring of completed request traces behind
 	// GET /v1/trace. Tracing is always on; the ring only bounds retention.
 	// ≤0 means DefaultTraceBuffer.
@@ -153,7 +148,7 @@ type Server struct {
 	sem    chan struct{}                        // admission slots for the heavy endpoints
 	flight *group                               // collapses concurrent identical queries
 	memo   *KeyMemo                             // exact repeated body → fingerprint
-	cache  *respCache                           // fingerprint → rendered response
+	cache  *RespCache                           // fingerprint → rendered response
 	ring   *traceRing                           // recent completed request traces
 	reg    *obs.Registry                        // resolved once at construction (may be nil)
 	stageH map[string]map[string]*obs.Histogram // route → stage → histogram, read-only after NewServer
@@ -252,7 +247,7 @@ func NewServer(cfg Config) *Server {
 		sem:        make(chan struct{}, cfg.maxInflight()),
 		flight:     newGroup(),
 		memo:       NewKeyMemo(),
-		cache:      newRespCacheShards(cfg.CacheSize, cfg.CacheShards),
+		cache:      NewRespCache(cfg.CacheSize),
 		ring:       newTraceRing(cfg.traceBuffer()),
 		reg:        reg,
 		mReqs:      reg.Counter(MetricRequests),
