@@ -4,8 +4,6 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/scaling"
 )
 
 // replica is the gateway's view of one bandwall serve process: its base
@@ -38,7 +36,7 @@ func newReplica(base string, threshold int, cooldown time.Duration) *replica {
 
 // order returns the replicas in rendezvous (highest-random-weight)
 // preference order for key: each replica scores
-// splitmix64(HashString(base + "|" + key)) and higher scores are
+// splitmix64(hashString(base + "|" + key)) and higher scores are
 // preferred. The head of the slice owns the key — every gateway process
 // computes the same owner for the same addresses, with no coordination
 // state — and the tail is the deterministic failover sequence, so a
@@ -48,7 +46,7 @@ func newReplica(base string, threshold int, cooldown time.Duration) *replica {
 func rendezvousOrder(reps []*replica, key string) []*replica {
 	out := make([]*replica, len(reps))
 	copy(out, reps)
-	score := func(r *replica) uint64 { return splitmix64(scaling.HashString(r.base + "|" + key)) }
+	score := func(r *replica) uint64 { return splitmix64(hashString(r.base + "|" + key)) }
 	sort.SliceStable(out, func(i, j int) bool {
 		si, sj := score(out[i]), score(out[j])
 		if si != sj {
@@ -57,6 +55,18 @@ func rendezvousOrder(reps []*replica, key string) []*replica {
 		return out[i].base < out[j].base // total order even on hash ties
 	})
 	return out
+}
+
+// hashString is FNV-1a over s with the high bits folded down. It is
+// deterministic across processes, so every gateway that ranks replicas
+// for one canonical spec fingerprint ranks them the same way.
+func hashString(s string) uint64 {
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211 // FNV-1a prime
+	}
+	return h ^ h>>32
 }
 
 // splitmix64 is the finalizer from Vigna's splitmix64 generator. Raw

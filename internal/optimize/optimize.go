@@ -4,20 +4,18 @@
 // cores? It enumerates the catalog's power set under compatibility rules
 // (exclusion groups: at most one entry per group, e.g. one DRAM variant),
 // crosses each eligible stack with a swept cache-per-core split, evaluates
-// every stack through the memoized multi-wall solver — one
-// SolveConstraintFP call per stack, shared across all of its split points
-// — and reports the single best design plus the objective-vs-cost Pareto
-// frontier with per-point binding-wall attribution.
+// every stack through the multi-wall solver — one Constraint.SolveFP call
+// per stack, whose wall root finds come from the shared solver memo and
+// whose answer all of the stack's split points share — and reports the
+// single best design plus the objective-vs-cost Pareto frontier with
+// per-point binding-wall attribution.
 package optimize
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/robust"
@@ -175,9 +173,10 @@ func groupsOverlap(a, b []string) bool {
 }
 
 // Search evaluates the full (stack × split) grid and returns the best
-// design and Pareto frontier. Stacks are evaluated concurrently by a
-// bounded worker pool with per-chunk cancellation checks and contained
-// panics; candidate ordering in the result is independent of scheduling.
+// design and Pareto frontier. Stacks are evaluated concurrently by
+// robust.Each (chunks of stacks, a cancellation check per chunk) with
+// contained panics; candidate ordering in the result is independent of
+// scheduling.
 func (o *Optimizer) Search(ctx context.Context, osp *scenario.OptimizeSpec) (*Result, error) {
 	ctx, tspan := obs.StartTraceSpan(ctx, "optimize.search")
 	defer tspan.End()
@@ -205,20 +204,12 @@ func (o *Optimizer) Search(ctx context.Context, osp *scenario.OptimizeSpec) (*Re
 	evaluated := obs.Default().Counter("optimize.candidates")
 
 	points := make([]DesignPoint, len(stacks)*len(splits))
-	errs := make([]error, len(stacks))
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(stacks) {
-		workers = len(stacks)
-	}
 
 	// solveStack contains panics (fault injection reaches the solver
 	// through the scaling.solve hook), mirroring the scenario engine.
 	solveStack := func(fp scaling.Fingerprint, st technique.Stack) (sol scaling.Solution, err error) {
 		defer robust.Recover(&err)
-		return cache.SolveConstraintFP(ctx, solver, fp, st, osp.N2, cons, 1)
+		return cons.SolveFP(ctx, cache, solver, fp, st, osp.N2, 1)
 	}
 
 	// Each stack needs exactly one wall solve; its split points reuse it.
@@ -263,38 +254,7 @@ func (o *Optimizer) Search(ctx context.Context, osp *scenario.OptimizeSpec) (*Re
 		return nil
 	}
 
-	chunk := len(stacks) / (workers * 4)
-	if chunk < 1 {
-		chunk = 1
-	}
-	starts := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for start := range starts {
-				if err := robust.Err(ctx); err != nil {
-					errs[start] = err
-					continue
-				}
-				end := start + chunk
-				if end > len(stacks) {
-					end = len(stacks)
-				}
-				for si := start; si < end; si++ {
-					errs[si] = evalStack(si)
-				}
-			}
-		}()
-	}
-	for start := 0; start < len(stacks); start += chunk {
-		starts <- start
-	}
-	close(starts)
-	wg.Wait()
-
-	if err := errors.Join(errs...); err != nil {
+	if err := robust.Each(ctx, len(stacks), o.Workers, evalStack); err != nil {
 		return nil, err
 	}
 

@@ -1,6 +1,7 @@
 // Package robust is the fault-tolerance layer of the experiment
 // pipeline: a small error taxonomy shared by the library packages, panic
-// containment helpers, retry with capped exponential backoff, an NDJSON
+// containment helpers, a singleflight (Flight) and a cancellation-checked
+// batch pool (Each), retry with capped exponential backoff, an NDJSON
 // checkpoint log for resumable suite runs, and a deterministic fault
 // injector (armed via the BANDWALL_FAULTS environment variable or test
 // hooks) that proves the recovery paths actually fire.
@@ -25,7 +26,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
+	"sync"
+	"sync/atomic"
 )
 
 // Taxonomy sentinels. Library errors wrap these so the runner can
@@ -119,6 +123,49 @@ func Err(ctx context.Context) error {
 		return fmt.Errorf("%w: %w", ErrCanceled, err)
 	}
 	return nil
+}
+
+// Each runs fn(i) for every i in [0, n) on a bounded pool and joins the
+// errors in index order. workers ≤ 0 means GOMAXPROCS; the pool never
+// exceeds n goroutines, and n = 0 starts none. Indices are handed out in
+// chunks of max(n/(4·workers), 1): batch items that resolve from a memo in
+// well under a microsecond would otherwise spend more on the hand-off than
+// on the work. A chunk that starts after ctx is done runs nothing and
+// reports Err(ctx) once, at its first index. Each does not recover
+// panics; fn contains its own.
+func Each(ctx context.Context, n, workers int, fn func(i int) error) error {
+	if n <= 0 {
+		return nil
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	chunk := max(n/(4*workers), 1)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				start := int(next.Add(int64(chunk))) - chunk
+				if start >= n {
+					return
+				}
+				if err := Err(ctx); err != nil {
+					errs[start] = err
+					continue
+				}
+				for i := start; i < min(start+chunk, n); i++ {
+					errs[i] = fn(i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // PanicError is a contained panic: the recovered value plus the stack at

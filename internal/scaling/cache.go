@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"repro/internal/obs"
+	"repro/internal/robust"
 	"repro/internal/technique"
 )
 
@@ -16,7 +17,10 @@ import (
 // queries. Repeated sweeps evaluate the same (stack, chip, budget) triple
 // over and over — Fig 15's candles alone solve the BASE configuration four
 // times, and a user batch of what-if specs repeats stacks constantly — so
-// the engine funnels every solve through an EvalCache.
+// every root-finding wall solve (bandwidth, and energy via its effective
+// traffic budget) goes through an EvalCache. Constraint solutions are
+// rebuilt from these entries per call: the closed-form thermal solve and
+// the walls' usages cost less than a sound key on the whole constraint.
 //
 // The key is the canonical stack fingerprint: the stack's RESOLVED
 // technique.Params. Resolution is order-independent and collapses any
@@ -39,25 +43,6 @@ func FingerprintOf(st technique.Stack) Fingerprint {
 	return Fingerprint{Params: st.Params()}
 }
 
-// FNV-1a parameters shared by the repo's fingerprint hashes: HashString
-// below and the constraint-set fingerprints in constraint.go.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// HashString is FNV-1a over s with the high bits folded down. It is
-// deterministic across processes, so every fleet gateway that ranks
-// replicas for one canonical spec fingerprint ranks them the same way.
-func HashString(s string) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h ^ h>>32
-}
-
 // cacheKey is one memoized solver evaluation.
 type cacheKey struct {
 	fp     Fingerprint
@@ -75,32 +60,16 @@ type evalEntry struct {
 	hits atomic.Uint64
 }
 
-// solKey is one memoized constraint solution: the wall-level cacheKey
-// minus the budget (each wall resolves its own), plus the fingerprint of
-// the full constraint set and the generation index (compounding and
-// growth factors make solutions generation-dependent).
-type solKey struct {
-	fp    Fingerprint
-	baseP float64
-	baseC float64
-	alpha float64
-	n2    float64
-	cons  uint64
-	gen   int
-}
-
 // EvalCache memoizes successful SupportableCores evaluations. It is safe
-// for concurrent use by the engine's worker pool. Errors are never cached:
-// domain violations fail fast before any root finding, and injected or
-// transient faults must not poison later retries. Wall solves and
-// constraint solutions live in two maps, each behind its own RWMutex, so
-// a hit costs one read lock.
+// for concurrent use by the engine's and optimizer's worker pools: one map
+// behind one RWMutex, so a hit costs one read lock, and one flight per
+// missing key, so concurrent misses on a key solve it once. Errors are
+// never cached: domain violations fail fast before any root finding, and
+// injected or transient faults must not poison later retries.
 type EvalCache struct {
-	mu    sync.RWMutex
-	evals map[cacheKey]*evalEntry
-
-	solMu sync.RWMutex
-	sols  map[solKey]Solution
+	mu     sync.RWMutex
+	evals  map[cacheKey]*evalEntry
+	flight robust.Flight[cacheKey, *evalEntry]
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -114,7 +83,6 @@ type EvalCache struct {
 func NewEvalCache() *EvalCache {
 	return &EvalCache{
 		evals:     make(map[cacheKey]*evalEntry),
-		sols:      make(map[solKey]Solution),
 		obsHits:   obs.Default().Counter("scaling.cache.hits"),
 		obsMisses: obs.Default().Counter("scaling.cache.misses"),
 	}
@@ -126,89 +94,69 @@ func (c *EvalCache) key(s Solver, fp Fingerprint, n2, budget float64) cacheKey {
 	return cacheKey{fp: fp, baseP: base.P, baseC: base.C, alpha: s.Alpha(), n2: n2, budget: budget}
 }
 
+// lookup returns k's entry, or nil when k has not been solved.
+func (c *EvalCache) lookup(k cacheKey) *evalEntry {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.evals[k]
+}
+
+// hit counts one answer served from e.
+func (c *EvalCache) hit(e *evalEntry) float64 {
+	c.hits.Add(1)
+	c.obsHits.Inc()
+	e.hits.Add(1)
+	return e.val
+}
+
 // SupportableCoresFP is Solver.SupportableCoresCtx memoized on the
 // canonical stack fingerprint, which the caller precomputes: batch
 // evaluators resolving the same stack at many axis points fingerprint it
 // once instead of per cell (resolving Params dominates a cache hit
 // otherwise). fp must be FingerprintOf(st). A nil receiver degrades to
 // the uncached solver call.
+//
+// Each call counts one event. The caller that runs the solve counts the
+// key's one miss; every other caller counts a hit on the entry — flight
+// followers, and a leader whose second look finds the entry a previous
+// flight stored. Followers of a failed solve share its error and count
+// nothing.
 func (c *EvalCache) SupportableCoresFP(ctx context.Context, s Solver, fp Fingerprint, st technique.Stack, n2, budget float64) (float64, error) {
 	if c == nil {
 		return s.SupportableCoresCtx(ctx, st, n2, budget)
 	}
 	k := c.key(s, fp, n2, budget)
-	c.mu.RLock()
-	e, ok := c.evals[k]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		c.obsHits.Inc()
-		e.hits.Add(1)
-		return e.val, nil
+	if e := c.lookup(k); e != nil {
+		return c.hit(e), nil
 	}
-	c.misses.Add(1)
-	c.obsMisses.Inc()
-	// An actual solve is the stage worth attributing in a request trace;
-	// cache hits return in well under a microsecond and stay unrecorded.
-	sctx, tsp := obs.StartTraceSpan(ctx, "scaling.solve")
-	v, err := s.SupportableCoresCtx(sctx, st, n2, budget)
-	tsp.End()
+	solved := false
+	e, _, err := c.flight.Do(k, func() (*evalEntry, error) {
+		if e := c.lookup(k); e != nil {
+			return e, nil
+		}
+		solved = true
+		c.misses.Add(1)
+		c.obsMisses.Inc()
+		// Only a real solve gets a trace span; hits take well under a µs.
+		sctx, tsp := obs.StartTraceSpan(ctx, "scaling.solve")
+		v, err := s.SupportableCoresCtx(sctx, st, n2, budget)
+		tsp.End()
+		if err != nil {
+			return nil, err
+		}
+		e := &evalEntry{val: v}
+		c.mu.Lock()
+		c.evals[k] = e
+		c.mu.Unlock()
+		return e, nil
+	})
 	if err != nil {
 		return 0, err
 	}
-	c.mu.Lock()
-	if prev, ok := c.evals[k]; ok {
-		v = prev.val // concurrent solvers: keep the first answer (they agree)
-	} else {
-		c.evals[k] = &evalEntry{val: v}
+	if solved {
+		return e.val, nil
 	}
-	c.mu.Unlock()
-	return v, nil
-}
-
-// SolveConstraintFP is Constraint.SolveFP memoized on (stack fingerprint,
-// baseline, α, chip, constraint fingerprint, generation). The memo sits
-// above the per-wall solver cache: a solution hit skips every wall, a miss
-// delegates to the walls (whose own traffic solves still share wall-level
-// entries — an energy wall and a bandwidth wall at the same effective
-// budget memoize once). Counters record exactly one event per call at the
-// outermost level that answered, so legacy single-wall evaluations keep
-// their historical hit/miss accounting. Errors are never cached.
-func (c *EvalCache) SolveConstraintFP(ctx context.Context, s Solver, fp Fingerprint, st technique.Stack, n2 float64, cons Constraint, gen int) (Solution, error) {
-	if c == nil {
-		return cons.SolveFP(ctx, nil, s, fp, st, n2, gen)
-	}
-	base := s.Base()
-	k := solKey{fp: fp, baseP: base.P, baseC: base.C, alpha: s.Alpha(), n2: n2, cons: cons.Fingerprint(), gen: gen}
-	c.solMu.RLock()
-	sol, ok := c.sols[k]
-	c.solMu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		c.obsHits.Inc()
-		return sol.copyWalls(), nil
-	}
-	sol, err := cons.SolveFP(ctx, c, s, fp, st, n2, gen)
-	if err != nil {
-		return Solution{}, err
-	}
-	c.solMu.Lock()
-	if prev, ok := c.sols[k]; ok {
-		sol = prev // concurrent solvers: keep the first answer (they agree)
-	} else {
-		c.sols[k] = sol
-	}
-	c.solMu.Unlock()
-	return sol.copyWalls(), nil
-}
-
-// copyWalls returns the solution with a private headroom slice, so cached
-// solutions cannot be mutated through a caller's copy.
-func (sol Solution) copyWalls() Solution {
-	cp := make([]WallHeadroom, len(sol.Walls))
-	copy(cp, sol.Walls)
-	sol.Walls = cp
-	return sol
+	return c.hit(e), nil
 }
 
 // Stats returns the cache's hit and miss counts.
@@ -230,10 +178,6 @@ func (c *EvalCache) Purge() int {
 	n := len(c.evals)
 	c.evals = make(map[cacheKey]*evalEntry)
 	c.mu.Unlock()
-	c.solMu.Lock()
-	n += len(c.sols)
-	c.sols = make(map[solKey]Solution)
-	c.solMu.Unlock()
 	return n
 }
 

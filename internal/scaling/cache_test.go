@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/power"
 	"repro/internal/robust"
 	"repro/internal/technique"
 )
@@ -233,8 +235,137 @@ func TestEvalCacheConcurrent(t *testing.T) {
 	if hits+misses != 16*20 {
 		t.Errorf("hits+misses = %d, want %d", hits+misses, 16*20)
 	}
-	if misses < 4 || misses > 16*20 {
-		t.Errorf("implausible miss count %d", misses)
+	if misses != 4 {
+		t.Errorf("misses = %d, want 4: each key is solved once", misses)
+	}
+}
+
+// TestEvalCacheSolvesColdKeyOnce: eight concurrent misses on one cold key
+// run one solve. The injected 20 ms sleep holds the solve open while the
+// other seven arrive; each of them counts a hit on the one entry, whether
+// it joined the flight or found the stored answer.
+func TestEvalCacheSolvesColdKeyOnce(t *testing.T) {
+	plan, err := robust.ParsePlan("scaling.solve=sleep:20ms x*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer robust.SetInjector(robust.NewInjector(plan))()
+
+	s := Default()
+	c := NewEvalCache()
+	st := technique.Combine(technique.CacheCompression{Ratio: 2})
+	fp := FingerprintOf(st)
+	const n = 8
+	vals := make([]float64, n)
+	errs := make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			vals[i], errs[i] = c.SupportableCoresFP(context.Background(), s, fp, st, 32, 1)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range vals {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if math.Float64bits(vals[i]) != math.Float64bits(vals[0]) {
+			t.Errorf("caller %d got %v, caller 0 %v", i, vals[i], vals[0])
+		}
+	}
+	if hits, misses := c.Stats(); hits != n-1 || misses != 1 {
+		t.Errorf("stats = (%d hits, %d misses), want (%d, 1)", hits, misses, n-1)
+	}
+	info := c.Info(1)
+	if info.Entries != 1 || len(info.Top) != 1 || info.Top[0].Hits != n-1 {
+		t.Errorf("info = %+v, want one entry with %d hits", info, n-1)
+	}
+}
+
+// TestEvalCacheKeyCarriesEveryInput: the memo key must change when any
+// input of the root changes — each leaf field of the solver's traffic
+// model (baseline allocation and α) and of the resolved technique.Params,
+// the chip area and the budget. The walk is reflective, so a field added
+// to power.Config, power.TrafficModel or technique.Params that the key
+// forgets fails here instead of serving another input's answer.
+func TestEvalCacheKeyCarriesEveryInput(t *testing.T) {
+	var c *EvalCache
+	model := Default().Model()
+	pm := technique.Neutral()
+	const n2, budget = 64.0, 1.0
+	base := c.key(Solver{model: model}, Fingerprint{Params: pm}, n2, budget)
+	if c.key(Solver{model: model}, Fingerprint{Params: pm}, n2, budget) != base {
+		t.Fatal("key is not a function of its inputs")
+	}
+
+	for _, in := range []struct {
+		name string
+		v    any
+		key  func(v any) cacheKey
+	}{
+		{"power.TrafficModel", model, func(v any) cacheKey {
+			return c.key(Solver{model: v.(power.TrafficModel)}, Fingerprint{Params: pm}, n2, budget)
+		}},
+		{"technique.Params", pm, func(v any) cacheKey {
+			return c.key(Solver{model: model}, Fingerprint{Params: v.(technique.Params)}, n2, budget)
+		}},
+	} {
+		leaves := 0
+		forEachLeaf(t, reflect.TypeOf(in.v), nil, func(path []int, name string) {
+			leaves++
+			cp := reflect.New(reflect.TypeOf(in.v)).Elem()
+			cp.Set(reflect.ValueOf(in.v))
+			perturb(t, in.name+name, cp.FieldByIndex(path))
+			if in.key(cp.Interface()) == base {
+				t.Errorf("perturbing %s%s leaves the memo key unchanged", in.name, name)
+			}
+		})
+		if leaves == 0 {
+			t.Errorf("%s: no leaf fields walked", in.name)
+		}
+	}
+	if c.key(Solver{model: model}, Fingerprint{Params: pm}, 2*n2, budget) == base {
+		t.Error("changing n2 leaves the memo key unchanged")
+	}
+	if c.key(Solver{model: model}, Fingerprint{Params: pm}, n2, 2*budget) == base {
+		t.Error("changing the budget leaves the memo key unchanged")
+	}
+}
+
+// forEachLeaf calls visit with the index path and dotted name of every
+// non-struct field under struct type typ.
+func forEachLeaf(t *testing.T, typ reflect.Type, path []int, visit func(path []int, name string)) {
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		p := append(append([]int(nil), path...), i)
+		if !f.IsExported() {
+			t.Errorf("%s.%s is unexported: the key test cannot perturb it", typ, f.Name)
+			continue
+		}
+		if f.Type.Kind() == reflect.Struct {
+			forEachLeaf(t, f.Type, p, func(sub []int, name string) { visit(sub, "."+f.Name+name) })
+			continue
+		}
+		visit(p, "."+f.Name)
+	}
+}
+
+// perturb moves one leaf field to a different value of its kind.
+func perturb(t *testing.T, name string, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Float64:
+		v.SetFloat(v.Float()*1.5 + 0.25)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	default:
+		t.Fatalf("%s: no perturbation for kind %s", name, v.Kind())
 	}
 }
 

@@ -59,25 +59,6 @@ type Wall interface {
 	// SolveCores returns the exact max core count under this wall alone.
 	// fp must be FingerprintOf(st); c may be nil (uncached).
 	SolveCores(ctx context.Context, c *EvalCache, s Solver, fp Fingerprint, st technique.Stack, n2 float64, gen int) (float64, error)
-	// Fingerprint hashes the wall's parameters for constraint identity.
-	Fingerprint() uint64
-}
-
-// mixWall folds a tagged sequence of words through FNV-1a.
-func mixWall(words ...uint64) uint64 {
-	h := uint64(fnvOffset)
-	for _, w := range words {
-		h ^= w
-		h *= fnvPrime
-	}
-	return h ^ h>>32
-}
-
-func boolBit(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 2
 }
 
 // growthAt resolves a per-generation usage-growth factor: 0 means none.
@@ -91,8 +72,9 @@ func growthAt(growth float64, gen int) float64 {
 // BandwidthWall is the paper's traffic envelope as a Wall: usage is M2/M1
 // (Eq. 5 with technique adjustments) and the limit is the budget B, or
 // B^gen with Compound set (§5.1's per-generation envelope growth). Its
-// solve path is byte-for-byte the legacy memoized solver call, so
-// bandwidth-only constraints reproduce the single-envelope engine exactly.
+// solve is the memoized traffic solver's entry for (stack, chip, budget),
+// so bandwidth-only constraints reproduce the single-envelope engine
+// exactly, and a repeated cell reads the root from the memo.
 type BandwidthWall struct {
 	Budget   float64 // B: allowed traffic relative to the baseline's
 	Compound bool
@@ -117,11 +99,6 @@ func (BandwidthWall) Usage(s Solver, pm technique.Params, n2, p float64, gen int
 // SolveCores implements Wall via the memoized traffic solver.
 func (w BandwidthWall) SolveCores(ctx context.Context, c *EvalCache, s Solver, fp Fingerprint, st technique.Stack, n2 float64, gen int) (float64, error) {
 	return c.SupportableCoresFP(ctx, s, fp, st, n2, w.LimitAt(gen))
-}
-
-// Fingerprint implements Wall.
-func (w BandwidthWall) Fingerprint() uint64 {
-	return mixWall(1, math.Float64bits(w.Budget), boolBit(w.Compound))
 }
 
 // ThermalWall caps relative power density (junction temperature proxy),
@@ -228,12 +205,6 @@ func (w ThermalWall) SolveCores(ctx context.Context, c *EvalCache, s Solver, fp 
 	return p, nil
 }
 
-// Fingerprint implements Wall.
-func (w ThermalWall) Fingerprint() uint64 {
-	return mixWall(2, math.Float64bits(w.Limit), boolBit(w.Compound),
-		math.Float64bits(w.Growth), math.Float64bits(w.CachePower))
-}
-
 // EnergyWall caps relative memory-system energy per unit of work: a
 // per-access/per-bit account (Shahid et al.). Baseline energy splits into
 // an AccessShare fraction w spent on cache accesses and 1−w on off-chip
@@ -304,12 +275,6 @@ func (w EnergyWall) SolveCores(ctx context.Context, c *EvalCache, s Solver, fp F
 	return p, nil
 }
 
-// Fingerprint implements Wall.
-func (w EnergyWall) Fingerprint() uint64 {
-	return mixWall(3, math.Float64bits(w.Limit), boolBit(w.Compound),
-		math.Float64bits(w.Growth), math.Float64bits(w.AccessShare))
-}
-
 // Constraint is an ordered set of walls solved by tightest-binding
 // intersection. The zero value has no walls and cannot be solved; build
 // one with NewConstraint.
@@ -329,19 +294,6 @@ func NewConstraint(ws ...Wall) Constraint {
 // budget envelope.
 func Bandwidth(budget float64, compound bool) Constraint {
 	return NewConstraint(BandwidthWall{Budget: budget, Compound: compound})
-}
-
-// Fingerprint hashes the full constraint set — every wall's kind and
-// parameters, in order — for memoization and identity checks.
-func (c Constraint) Fingerprint() uint64 {
-	h := uint64(fnvOffset)
-	for _, w := range c.walls {
-		h ^= HashString(w.Kind())
-		h *= fnvPrime
-		h ^= w.Fingerprint()
-		h *= fnvPrime
-	}
-	return h ^ h>>32
 }
 
 // WallHeadroom is one wall's report card at the solved operating point.
@@ -368,7 +320,10 @@ type Solution struct {
 
 // SolveFP solves the constraint at one (stack, chip, generation) cell: the
 // max core count satisfying every wall, attributed to the tightest wall.
-// fp must be FingerprintOf(st); c may be nil (uncached inner solves).
+// fp must be FingerprintOf(st); cache may be nil (uncached inner solves).
+// Only the walls' root finds are memoized (one cache event per bandwidth
+// or energy wall); the intersection and the headroom report are rebuilt
+// on every call, so each caller owns its Walls slice.
 func (c Constraint) SolveFP(ctx context.Context, cache *EvalCache, s Solver, fp Fingerprint, st technique.Stack, n2 float64, gen int) (Solution, error) {
 	if len(c.walls) == 0 {
 		return Solution{}, fmt.Errorf("scaling: constraint has no walls: %w", robust.ErrDomain)

@@ -231,54 +231,29 @@ func TestConstraintTighteningMonotone(t *testing.T) {
 	}
 }
 
-// TestConstraintFingerprintDistinct: kinds, parameters, wall count, and
-// order must all separate constraint fingerprints; equal sets must collide.
-func TestConstraintFingerprintDistinct(t *testing.T) {
-	cs := []Constraint{
-		Bandwidth(1, false),
-		Bandwidth(1, true),
-		Bandwidth(1.5, false),
-		NewConstraint(ThermalWall{Limit: 1}),
-		NewConstraint(EnergyWall{Limit: 1}),
-		NewConstraint(ThermalWall{Limit: 1, Growth: 1.4}),
-		NewConstraint(ThermalWall{Limit: 1, CachePower: 0.2}),
-		NewConstraint(EnergyWall{Limit: 1, AccessShare: 0.5}),
-		NewConstraint(BandwidthWall{Budget: 1}, ThermalWall{Limit: 3}),
-		NewConstraint(ThermalWall{Limit: 3}, BandwidthWall{Budget: 1}),
-	}
-	seen := map[uint64]int{}
-	for i, c := range cs {
-		h := c.Fingerprint()
-		if j, dup := seen[h]; dup {
-			t.Errorf("constraints %d and %d collide on %#x", j, i, h)
-		}
-		seen[h] = i
-	}
-	a := NewConstraint(BandwidthWall{Budget: 2}, EnergyWall{Limit: 3})
-	b := NewConstraint(BandwidthWall{Budget: 2}, EnergyWall{Limit: 3})
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Error("equal constraints fingerprint differently")
-	}
-}
-
-// TestSolveConstraintFPMemo: repeated multi-wall solves hit the
-// solution-level memo (one event per solve), different constraints miss,
-// and Purge drops the stored solutions.
-func TestSolveConstraintFPMemo(t *testing.T) {
+// TestConstraintSolveFPMemo: a repeated multi-wall solve reads its
+// bandwidth root from the wall memo (one event per memoized wall; the
+// closed-form thermal wall counts none), hands each caller its own
+// headroom slice, shares wall entries across constraints, and starts over
+// after Purge.
+func TestConstraintSolveFPMemo(t *testing.T) {
 	s := Default()
 	c := NewEvalCache()
 	st := technique.Combine(technique.DRAMCache{Density: 8})
 	fp := FingerprintOf(st)
 	cons := NewConstraint(BandwidthWall{Budget: 1}, ThermalWall{Limit: 3.4, Growth: 1.4})
+	solve := func(c *EvalCache, cons Constraint) (Solution, error) {
+		return cons.SolveFP(context.Background(), c, s, fp, st, 64, 2)
+	}
 
-	sol1, err := c.SolveConstraintFP(context.Background(), s, fp, st, 64, cons, 2)
+	sol1, err := solve(c, cons)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := c.Stats(); hits != 0 || misses != 1 {
 		t.Fatalf("after first solve: stats = (%d, %d), want (0, 1)", hits, misses)
 	}
-	sol2, err := c.SolveConstraintFP(context.Background(), s, fp, st, 64, cons, 2)
+	sol2, err := solve(c, cons)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,38 +263,45 @@ func TestSolveConstraintFPMemo(t *testing.T) {
 	if math.Float64bits(sol1.Exact) != math.Float64bits(sol2.Exact) || sol2.Binding != sol1.Binding {
 		t.Errorf("memoized solution drifted: %+v vs %+v", sol1, sol2)
 	}
-	// The memo hands out private headroom slices: a caller scribbling on
-	// one must not corrupt the cached solution.
+	for i := range sol1.Walls {
+		if sol1.Walls[i] != sol2.Walls[i] {
+			t.Errorf("wall %d drifted: %+v vs %+v", i, sol1.Walls[i], sol2.Walls[i])
+		}
+	}
+	// Each caller owns its headroom slice: scribbling on one must not
+	// reach another caller's solution.
 	sol2.Walls[0].Kind = "scribbled"
-	sol3, _ := c.SolveConstraintFP(context.Background(), s, fp, st, 64, cons, 2)
-	if sol3.Walls[0].Kind != KindBandwidth {
-		t.Error("cached solution shares its walls slice with callers")
+	sol3, _ := solve(c, cons)
+	if sol1.Walls[0].Kind != KindBandwidth || sol3.Walls[0].Kind != KindBandwidth {
+		t.Error("solutions share their walls slice")
 	}
 
-	// A different constraint misses the solution memo — but its inner
-	// bandwidth solve (budget 1 again) hits the shared traffic memo, so
-	// hits advance by exactly one while misses stay put.
+	// A different constraint's inner bandwidth solve (budget 1 again) hits
+	// the wall memo, so hits advance by exactly one while misses stay put.
 	preHits, preMisses := c.Stats()
-	if _, err := c.SolveConstraintFP(context.Background(), s, fp, st, 64, Bandwidth(1, false), 2); err != nil {
+	if _, err := solve(c, Bandwidth(1, false)); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := c.Stats(); hits != preHits+1 || misses != preMisses {
 		t.Errorf("different constraint: stats moved (%d, %d) -> (%d, %d), want inner-hit only", preHits, preMisses, hits, misses)
 	}
 
-	if n := c.Purge(); n == 0 {
-		t.Error("Purge dropped nothing")
+	if n := c.Purge(); n != 1 {
+		t.Errorf("Purge dropped %d entries, want the one wall solve", n)
 	}
-	if _, err := c.SolveConstraintFP(context.Background(), s, fp, st, 64, cons, 2); err != nil {
+	if c.Info(0).Entries != 0 {
+		t.Errorf("entries after Purge = %d, want 0", c.Info(0).Entries)
+	}
+	_, preMisses = c.Stats()
+	if _, err := solve(c, cons); err != nil {
 		t.Fatal(err)
 	}
-	if c.Info(0).Entries == 0 {
-		t.Error("post-purge solve cached nothing")
+	if _, misses := c.Stats(); misses != preMisses+1 || c.Info(0).Entries != 1 {
+		t.Errorf("post-purge solve: %d misses, %d entries; want one fresh miss, cached", misses-preMisses, c.Info(0).Entries)
 	}
 
-	// Nil receiver: uncached but correct.
-	var nc *EvalCache
-	sol4, err := nc.SolveConstraintFP(context.Background(), s, fp, st, 64, cons, 2)
+	// Nil cache: uncached but correct.
+	sol4, err := solve(nil, cons)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +309,8 @@ func TestSolveConstraintFPMemo(t *testing.T) {
 		t.Errorf("nil-cache solve %v != cached solve %v", sol4.Exact, sol1.Exact)
 	}
 
-	// An empty constraint is a domain error, never cached.
-	if _, err := c.SolveConstraintFP(context.Background(), s, fp, st, 64, Constraint{}, 2); !errors.Is(err, robust.ErrDomain) {
+	// An empty constraint is a domain error.
+	if _, err := solve(c, Constraint{}); !errors.Is(err, robust.ErrDomain) {
 		t.Errorf("empty constraint: err = %v, want ErrDomain", err)
 	}
 }

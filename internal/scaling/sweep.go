@@ -75,13 +75,9 @@ func (s Solver) SweepGenerationsCtx(ctx context.Context, st technique.Stack, gen
 		if err != nil {
 			return nil, fmt.Errorf("scaling: generation %s: %w", g, err)
 		}
-		cores, err := s.MaxCoresCtx(ctx, st, g.N, budget)
-		if err != nil {
-			return nil, err
-		}
 		out = append(out, GenPoint{
 			Gen:          g,
-			Cores:        cores,
+			Cores:        CoresFromExact(exact),
 			ExactCores:   exact,
 			AreaFraction: CoreAreaFraction(st, g.N, exact),
 			Proportional: s.ProportionalCores(g.N),

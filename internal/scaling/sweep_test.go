@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/robust"
 	"repro/internal/technique"
 )
@@ -281,5 +282,32 @@ func TestSharingRequirementGrowsWithScaling(t *testing.T) {
 			t.Errorf("break-even f_sh not increasing: %v after %v", fsh, prev)
 		}
 		prev = fsh
+	}
+}
+
+// TestSweepSolvesEachGenerationOnce: a sweep runs one root solve per
+// generation. Every solve passes the scaling.solve fault point once, so a
+// no-op sleep fault counts the solves.
+func TestSweepSolvesEachGenerationOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	prev := obs.Default()
+	obs.SetDefault(reg)
+	defer obs.SetDefault(prev)
+	plan, err := robust.ParsePlan("scaling.solve=sleep:0s x*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer robust.SetInjector(robust.NewInjector(plan))()
+
+	s := Default()
+	pts, err := s.SweepGenerations(technique.Combine(technique.DRAMCache{Density: 8}), Generations(s.Base().N(), 4), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 4 {
+		t.Fatalf("%d points, want 4", len(pts))
+	}
+	if got := reg.Counter(robust.MetricFaultsInjected).Value(); got != 4 {
+		t.Errorf("%d solves for a 4-generation sweep, want one per generation", got)
 	}
 }

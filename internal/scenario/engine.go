@@ -2,10 +2,7 @@ package scenario
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/robust"
@@ -75,11 +72,13 @@ func NewEngine() *Engine {
 }
 
 // Evaluate solves every (case, axis) cell of the spec. Cells are evaluated
-// concurrently by a fixed worker pool (the exp suite-runner pattern: an
-// index channel drained by Workers goroutines, context cancellation
-// checked per cell, failures joined in cell order). All cells are
-// attempted even when some fail, so one degenerate case cannot hide the
-// others' results; any failure makes Evaluate return the joined error.
+// concurrently by robust.Each: Workers goroutines take the cells in
+// chunks, check ctx before each chunk, and join failures in cell order.
+// While ctx is live every cell is attempted even when some fail, so one
+// degenerate case cannot hide the others' results; any failure, or a
+// chunk skipped because ctx was done, makes Evaluate return the joined
+// error. Each cell asks the constraint for its solution; only the walls'
+// root finds come from the cache.
 func (e *Engine) Evaluate(ctx context.Context, sp *Spec) (*Outcome, error) {
 	// Request-scoped tracing: when the context carries an obs.Trace (the
 	// serve tier installs one per request), the whole evaluation becomes a
@@ -146,14 +145,6 @@ func (e *Engine) Evaluate(ctx context.Context, sp *Spec) (*Outcome, error) {
 	}
 
 	points := make([]Point, len(sp.Cases)*len(gens))
-	errs := make([]error, len(points))
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
 	evaluated := obs.Default().Counter("scenario.points")
 
 	// solveCell contains panics (fault injection reaches the solver through
@@ -161,64 +152,36 @@ func (e *Engine) Evaluate(ctx context.Context, sp *Spec) (*Outcome, error) {
 	// instead of escaping the worker goroutine and killing the process.
 	solveCell := func(env caseEnv, n2 float64, gen int) (sol scaling.Solution, err error) {
 		defer robust.Recover(&err)
-		return cache.SolveConstraintFP(ctx, env.solver, env.fp, env.stack, n2, env.cons, gen)
+		return env.cons.SolveFP(ctx, cache, env.solver, env.fp, env.stack, n2, gen)
 	}
 
-	// Cells are handed out in chunks (several cells per channel receive)
-	// rather than one at a time: warm evaluations resolve almost every cell
-	// from the cache in well under a microsecond, so per-cell channel
-	// traffic would dominate the batch.
-	chunk := len(points) / (workers * 4)
-	if chunk < 1 {
-		chunk = 1
-	}
-	starts := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for start := range starts {
-				end := start + chunk
-				if end > len(points) {
-					end = len(points)
-				}
-				for i := start; i < end; i++ {
-					ci, ai := i/len(gens), i%len(gens)
-					env, g := envs[ci], gens[ai]
-					sol, err := solveCell(env, g.N, g.Index)
-					if err != nil {
-						errs[i] = fmt.Errorf("scenario %s: case %q @ %s: %w", sp.ID, sp.Cases[ci].label(), g, err)
-						continue
-					}
-					evaluated.Inc()
-					budget := 0.0
-					for _, wh := range sol.Walls {
-						if wh.Kind == scaling.KindBandwidth {
-							budget = wh.Limit
-						}
-					}
-					points[i] = Point{
-						Case: ci, Axis: ai, Gen: g,
-						Alpha: env.alpha, Budget: budget,
-						Exact: sol.Exact, Cores: scaling.CoresFromExact(sol.Exact),
-						// CoreAreaFraction from the precomputed Params.
-						AreaFraction: env.fp.Params.CoreArea * sol.Exact / g.N,
-						Proportional: env.solver.ProportionalCores(g.N),
-						Binding:      sol.Binding,
-						Walls:        sol.Walls,
-					}
-				}
+	err := robust.Each(ctx, len(points), e.Workers, func(i int) error {
+		ci, ai := i/len(gens), i%len(gens)
+		env, g := envs[ci], gens[ai]
+		sol, err := solveCell(env, g.N, g.Index)
+		if err != nil {
+			return fmt.Errorf("scenario %s: case %q @ %s: %w", sp.ID, sp.Cases[ci].label(), g, err)
+		}
+		evaluated.Inc()
+		budget := 0.0
+		for _, wh := range sol.Walls {
+			if wh.Kind == scaling.KindBandwidth {
+				budget = wh.Limit
 			}
-		}()
-	}
-	for start := 0; start < len(points); start += chunk {
-		starts <- start
-	}
-	close(starts)
-	wg.Wait()
-
-	if err := errors.Join(errs...); err != nil {
+		}
+		points[i] = Point{
+			Case: ci, Axis: ai, Gen: g,
+			Alpha: env.alpha, Budget: budget,
+			Exact: sol.Exact, Cores: scaling.CoresFromExact(sol.Exact),
+			// CoreAreaFraction from the precomputed Params.
+			AreaFraction: env.fp.Params.CoreArea * sol.Exact / g.N,
+			Proportional: env.solver.ProportionalCores(g.N),
+			Binding:      sol.Binding,
+			Walls:        sol.Walls,
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 

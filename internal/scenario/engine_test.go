@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/robust"
@@ -214,6 +215,35 @@ func TestEvaluateCanceledContext(t *testing.T) {
 	}
 	if robust.Classify(err) != robust.Canceled {
 		t.Errorf("classified %v (err %v), want Canceled", robust.Classify(err), err)
+	}
+}
+
+// canceledAfter is a live context whose Err turns Canceled after its
+// first call: it passes Evaluate's entry check and nothing after it.
+type canceledAfter struct {
+	context.Context
+	calls atomic.Int32
+}
+
+func (c *canceledAfter) Err() error {
+	if c.calls.Add(1) > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestEvaluateCanceledWhileWarm: a warm engine resolves every cell from
+// the memo without reaching a solver's cancellation check, so the pool
+// itself must see the context end.
+func TestEvaluateCanceledWhileWarm(t *testing.T) {
+	e := NewEngine()
+	sp := validSpec()
+	if _, err := e.Evaluate(context.Background(), sp); err != nil {
+		t.Fatal(err)
+	}
+	_, err := e.Evaluate(&canceledAfter{Context: context.Background()}, sp)
+	if err == nil || robust.Classify(err) != robust.Canceled {
+		t.Fatalf("warm evaluation after cancellation: err = %v, want a Canceled error", err)
 	}
 }
 

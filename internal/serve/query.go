@@ -155,14 +155,14 @@ func handleQuery[T, R any](s *Server, q query[T, R]) http.HandlerFunc {
 
 		// The singleflight stage covers leader work (solve and render, whose
 		// own spans nest under it via sfctx) and follower waiting alike. A
-		// leader error is stamped with this trace's ID before the group fans
+		// leader error is stamped with this trace's ID before the flight fans
 		// it out, so followers' error bodies name the trace that did the
 		// failing work.
 		sfctx, sfSpan := obs.StartTraceSpan(ctx, StageSingleflight)
 		resp, shared, err := s.flight.Do(key, func() ([]byte, error) {
 			// Chaos hook: a seeded BANDWALL_FAULTS plan can make this replica
-			// error, hang (sleep), or panic here. Panics are contained by the
-			// singleflight group's robust.Safe wrapper into a 500 "panic" body —
+			// error, hang (sleep), or panic here. Panics are contained by
+			// robust.Flight's robust.Safe wrapper into a 500 "panic" body —
 			// the failure mode the fleet gateway's failover must absorb.
 			if err := robust.Hit(sfctx, fault); err != nil {
 				return nil, robust.WithTraceID(err, tr.ID())

@@ -146,7 +146,7 @@ type Server struct {
 	opt    *optimize.Optimizer // shares the engine's solver cache
 
 	sem    chan struct{}                        // admission slots for the heavy endpoints
-	flight *group                               // collapses concurrent identical queries
+	flight robust.Flight[string, []byte]        // collapses concurrent identical queries
 	memo   *KeyMemo                             // exact repeated body → fingerprint
 	cache  *RespCache                           // fingerprint → rendered response
 	ring   *traceRing                           // recent completed request traces
@@ -245,7 +245,6 @@ func NewServer(cfg Config) *Server {
 		cfg:        cfg,
 		engine:     scenario.NewEngine(),
 		sem:        make(chan struct{}, cfg.maxInflight()),
-		flight:     newGroup(),
 		memo:       NewKeyMemo(),
 		cache:      NewRespCache(cfg.CacheSize),
 		ring:       newTraceRing(cfg.traceBuffer()),
@@ -306,7 +305,7 @@ func (s *Server) Solves() uint64 { return s.solveCount.Load() }
 
 // SharedFlights returns how many requests were served by another
 // in-flight request's solve (singleflight waiters).
-func (s *Server) SharedFlights() uint64 { return s.flight.shared.Load() }
+func (s *Server) SharedFlights() uint64 { return s.flight.Shared() }
 
 // statusWriter captures the response status and byte count for the
 // access log and metrics.

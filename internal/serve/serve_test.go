@@ -336,7 +336,7 @@ func TestEvalSingleflight(t *testing.T) {
 			}
 			// Hold the leader until every other request is blocked on its flight,
 			// so the collapse is deterministic rather than timing-dependent.
-			waitFor(t, "waiters assembled", func() bool { return waiters(s.flight) == n-1 })
+			waitFor(t, "waiters assembled", func() bool { return waiters(s) == n-1 })
 			close(release)
 			wg.Wait()
 			for i, err := range errs {
@@ -626,6 +626,10 @@ func TestClassify(t *testing.T) {
 		t.Errorf("GET /v1/eval: status %d, want 405", resp2.StatusCode)
 	}
 }
+
+// waiters is how many requests have joined another request's flight
+// over s's lifetime; every test that waits on it uses a fresh server.
+func waiters(s *Server) uint64 { return s.flight.Shared() }
 
 // waitFor polls cond for up to 5s, failing the test on timeout.
 func waitFor(t *testing.T, what string, cond func() bool) {

@@ -264,7 +264,7 @@ func TestTraceSingleflightFollower(t *testing.T) {
 	<-started // leader is inside the gate
 	// Admission alone (Inflight() == 2) can race the follower's arrival at
 	// the flight; wait until it is blocked on the leader's call.
-	waitFor(t, "follower to join the flight", func() bool { return waiters(s.flight) == 1 })
+	waitFor(t, "follower to join the flight", func() bool { return waiters(s) == 1 })
 	close(release)
 	wg.Wait()
 	close(results)
