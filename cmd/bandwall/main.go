@@ -50,6 +50,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/render"
 	"repro/internal/robust"
+	"repro/internal/scaling"
 	"repro/internal/scenario"
 )
 
@@ -443,14 +444,11 @@ func cmdCores(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cores, err := s.MaxCores(st, *n2, *budget)
-	if err != nil {
-		return err
-	}
 	exact, err := s.SupportableCores(st, *n2, *budget)
 	if err != nil {
 		return err
 	}
+	cores := scaling.CoresFromExact(exact) // MaxCores's reading, without a second solve
 	fmt.Fprintf(out, "configuration : %s (α=%g)\n", st.Label(), s.Alpha())
 	fmt.Fprintf(out, "chip          : %g CEAs, traffic budget %gx baseline\n", *n2, *budget)
 	fmt.Fprintf(out, "cores         : %d (exact %.3f)\n", cores, exact)

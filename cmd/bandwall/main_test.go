@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -727,6 +728,21 @@ func TestCoresVerbose(t *testing.T) {
 	}
 	if strings.Contains(out, "solver obs") {
 		t.Errorf("solver stats leaked without -verbose:\n%s", out)
+	}
+}
+
+// TestCoresSolvesOnce: cores reads its whole and exact counts off one
+// root solve.
+func TestCoresSolvesOnce(t *testing.T) {
+	out, err := runCapture(t, "cores", "-n2", "256", "-tech", "DRAM=8", "-verbose")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "cores         : 47 (exact 47.442)") {
+		t.Errorf("cores output changed:\n%s", out)
+	}
+	if !regexp.MustCompile(`numeric\.brent\.iterations +1 calls,`).MatchString(out) {
+		t.Errorf("want one Brent solve:\n%s", out)
 	}
 }
 

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"regexp"
@@ -12,6 +14,10 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/fleet"
+	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // TestUsageMentionsServe pins the unified usage text: both serving
@@ -195,5 +201,52 @@ func TestServeLifecycle(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "drained and stopped") {
 		t.Errorf("missing drain confirmation on stdout:\n%s", stdout.String())
+	}
+}
+
+// TestTopAgainstGateway renders one dashboard frame against an
+// in-process gateway that shares its registry with its replica: the
+// gateway's own requests, eval stages and traces.
+func TestTopAgainstGateway(t *testing.T) {
+	prev := obs.Default()
+	obs.SetDefault(obs.NewRegistry())
+	t.Cleanup(func() { obs.SetDefault(prev) })
+	rep := httptest.NewServer(serve.NewServer(serve.Config{}).Handler())
+	defer rep.Close()
+	g, err := fleet.NewGateway(fleet.Config{Replicas: []string{rep.URL}, HedgeQuantile: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+	spec, err := os.ReadFile(exampleSpecs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(gw.URL+"/v1/eval", "application/json", bytes.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("gateway eval status %d", resp.StatusCode)
+	}
+
+	out, err := runCapture(t, "top", "-url", gw.URL, "-n", "1", "-plain")
+	if err != nil {
+		t.Fatalf("top against the gateway failed: %v\n%s", err, out)
+	}
+	for _, want := range []string{"(fleet tier)", "stage latency (eval", "slowest recent traces"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("top frame missing %q:\n%s", want, out)
+		}
+	}
+	for _, re := range []string{`requests [1-9]`, `(?m)^  forward +1 `, `(?m)^  [0-9a-f]{16} +eval +200 `} {
+		if !regexp.MustCompile(re).MatchString(out) {
+			t.Errorf("top frame does not match %s:\n%s", re, out)
+		}
+	}
+	if strings.Contains(out, "cache.lookup") {
+		t.Errorf("top frame mixes in the replica's stages:\n%s", out)
 	}
 }

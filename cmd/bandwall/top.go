@@ -13,11 +13,12 @@ import (
 	"repro/internal/serve"
 )
 
-// cmdTop polls a running bandwall serve and renders a live terminal
-// dashboard: throughput and cache behavior from /metrics deltas, the
-// per-stage latency breakdown of one route, runtime health gauges, and
-// the slowest recent traces from /v1/trace — the operator's one-screen
-// answer to "what is the server doing right now".
+// cmdTop polls a running bandwall serve or gateway and renders a live
+// terminal dashboard: throughput and cache behavior from /metrics
+// deltas, the per-stage latency breakdown of one route on the target's
+// tier, runtime health gauges, and the slowest recent traces from
+// /v1/trace — the operator's one-screen answer to "what is the server
+// doing right now".
 func cmdTop(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("top", flag.ContinueOnError)
 	url := fs.String("url", "http://127.0.0.1:8080", "server base URL")
@@ -85,12 +86,12 @@ func fetchTopTraces(ctx context.Context, client *http.Client, base string, n int
 
 // renderTopFrame writes one dashboard frame.
 func renderTopFrame(out io.Writer, url, route string, snap, prev serve.MetricsSnapshot, window time.Duration, haveDelta bool, traces []serve.TraceInfo, terr error) {
-	fmt.Fprintf(out, "bandwall top — %s — %s\n\n", url, time.Now().Format(time.TimeOnly))
+	fmt.Fprintf(out, "bandwall top — %s (%s tier) — %s\n\n", url, snap.Tier, time.Now().Format(time.TimeOnly))
 
-	reqs := snap.Counter(serve.MetricRequests)
+	reqs := snap.Requests()
 	line := fmt.Sprintf("requests %d", reqs)
 	if haveDelta && window > 0 {
-		dr := float64(reqs-prev.Counter(serve.MetricRequests)) / window.Seconds()
+		dr := float64(reqs-prev.Requests()) / window.Seconds()
 		line += fmt.Sprintf("  (%.0f req/s)", dr)
 	}
 	fmt.Fprintf(out, "%s  inflight %.0f  saturated %d\n", line,

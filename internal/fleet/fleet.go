@@ -31,13 +31,20 @@
 //     stale reserve (a serve.RespCache), marked X-Bandwall-Degraded:
 //     stale — else 503 with Retry-After.
 //
-// Eval and optimize share one gateway handler. It routes on serve's own
-// key function for the query kind (serve.EvalKey, serve.OptimizeKey), so
-// the gateway and the replica derive a body's fingerprint the same way
-// by construction, and it reads bodies, lowers ?timeout= and drains with
-// serve's code too. A serve.KeyMemo in front of the key function routes a
-// repeated body without parsing it, once its owning replica has answered
-// it from its response cache.
+// The gateway runs on serve's Front, the HTTP plumbing a replica runs
+// on: it counts, traces, logs and writes errors with serve's code, names
+// its series fleet.*, and answers GET /metrics, GET /v1/trace,
+// GET /v1/catalog, GET /v1/experiments and POST /v1/validate itself,
+// byte-identical to a replica. Its X-Bandwall-Trace names its own trace,
+// whose top-level stages are parse, fingerprint, forward and write; the
+// replica's trace ID is the trace's replica_trace attribute.
+//
+// Eval and optimize share one gateway handler. It keys the body with
+// serve.ReadKey, the replica's own first half, so the gateway and the
+// replica derive a body's fingerprint the same way by construction. A
+// serve.KeyMemo in front of the key function routes a repeated body
+// without parsing it, once its owning replica has answered it from its
+// response cache.
 //
 // The gateway is itself drain-aware (SIGTERM flips /healthz to 503
 // "draining" while in-flight requests finish) and chaos-ready: the
@@ -51,14 +58,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
-	"net"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -86,7 +90,6 @@ const (
 	DefaultBreakerThreshold = 3
 	DefaultBreakerCooldown  = 2 * time.Second
 	DefaultHealthInterval   = 500 * time.Millisecond
-	DefaultHealthTimeout    = time.Second
 	DefaultHedgeQuantile    = 0.9
 	DefaultStaleCacheSize   = 256
 	DefaultDrainTimeout     = 10 * time.Second
@@ -96,8 +99,7 @@ const (
 // defaults per the constants above.
 type Config struct {
 	// Replicas are the serve-tier base URLs ("http://host:port"). Order
-	// does not matter for routing (rendezvous hashing is order-free), but
-	// it is the tie-break order for round-robin routes.
+	// does not matter for routing: rendezvous hashing is order-free.
 	Replicas []string
 	// Timeout is the default end-to-end deadline budget per proxied
 	// request; a request may lower (never raise) it with ?timeout=D.
@@ -114,10 +116,8 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker waits before admitting
 	// a half-open probe.
 	BreakerCooldown time.Duration
-	// HealthInterval paces the active health sweep; HealthTimeout bounds
-	// each probe.
+	// HealthInterval paces the active health sweep.
 	HealthInterval time.Duration
-	HealthTimeout  time.Duration
 	// HedgeQuantile is the per-replica latency quantile after which an
 	// eval request is hedged to the next replica. 0 means
 	// DefaultHedgeQuantile; negative disables hedging.
@@ -179,13 +179,6 @@ func (c Config) healthInterval() time.Duration {
 	return c.HealthInterval
 }
 
-func (c Config) healthTimeout() time.Duration {
-	if c.HealthTimeout <= 0 {
-		return DefaultHealthTimeout
-	}
-	return c.HealthTimeout
-}
-
 func (c Config) staleCacheSize() int {
 	if c.StaleCacheSize == 0 {
 		return DefaultStaleCacheSize
@@ -200,9 +193,14 @@ func (c Config) drainTimeout() time.Duration {
 	return c.DrainTimeout
 }
 
-// Metric names published by this package.
+// healthTimeout bounds each active health probe; the cache fan-out gets
+// four of them.
+const healthTimeout = time.Second
+
+// Metric names published by this package, beside the front's
+// fleet.requests, fleet.responses.{2..5}xx, fleet.latency_us and
+// fleet.stage_us.{route}.{stage}.
 const (
-	MetricRequests     = "fleet.requests"
 	MetricFailovers    = "fleet.failovers"
 	MetricRetries      = "fleet.retries"
 	MetricHedges       = "fleet.hedges"
@@ -214,21 +212,19 @@ const (
 	MetricMemoMisses   = "fleet.key_memo.misses"
 )
 
+// gatewayStages are the stages whose histograms the gateway pre-resolves
+// for every route.
+var gatewayStages = []string{serve.StageTotal, serve.StageParse, serve.StageFingerprint, serve.StageForward, serve.StageWrite}
+
 // Gateway is the fleet front tier. Create one with NewGateway.
 type Gateway struct {
+	*serve.Front
 	cfg      Config
 	replicas []*replica
 	client   *http.Client
-	mux      *http.ServeMux
 	memo     *serve.KeyMemo   // exact repeated body → routing fingerprint
 	stale    *serve.RespCache // routing key → last-known-good answer
-	reg      *obs.Registry
 
-	draining  atomic.Bool
-	rr        atomic.Uint64 // round-robin cursor for unkeyed routes
-	accessLog *slog.Logger
-
-	mReqs        *obs.Counter
 	mFailover    *obs.Counter
 	mRetries     *obs.Counter
 	mHedges      *obs.Counter
@@ -250,7 +246,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		cfg:   cfg,
 		memo:  serve.NewKeyMemo(),
 		stale: serve.NewRespCache(cfg.staleCacheSize()),
-		reg:   reg,
 		client: &http.Client{
 			Transport: &http.Transport{
 				MaxIdleConns:        128,
@@ -258,7 +253,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 				IdleConnTimeout:     90 * time.Second,
 			},
 		},
-		mReqs:        reg.Counter(MetricRequests),
 		mFailover:    reg.Counter(MetricFailovers),
 		mRetries:     reg.Counter(MetricRetries),
 		mHedges:      reg.Counter(MetricHedges),
@@ -289,115 +283,84 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	if len(g.replicas) == 0 {
 		return nil, fmt.Errorf("fleet: no replicas configured")
 	}
-	if cfg.AccessLog != nil {
-		g.accessLog = slog.New(slog.NewTextHandler(cfg.AccessLog, nil))
-	}
-	g.mux = http.NewServeMux()
-	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
-	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
-	g.mux.HandleFunc("POST /v1/eval", g.instrument("eval", g.handleQuery("/v1/eval", serve.EvalKey)))
-	g.mux.HandleFunc("POST /v1/optimize", g.instrument("optimize", g.handleQuery("/v1/optimize", serve.OptimizeKey)))
-	g.mux.HandleFunc("POST /v1/validate", g.instrument("validate", g.handleValidate))
-	g.mux.HandleFunc("GET /v1/experiments", g.instrument("experiments", g.handleExperiments))
-	g.mux.HandleFunc("POST /v1/experiments/{id}/run", g.instrument("run", g.handleExperimentRun))
-	g.mux.HandleFunc("GET /v1/cache", g.instrument("cache", g.handleCacheGet))
-	g.mux.HandleFunc("DELETE /v1/cache", g.instrument("cache", g.handleCacheDelete))
+	g.Front = serve.NewFront("fleet", gatewayStages, serve.DefaultTraceBuffer, cfg.drainTimeout(), cfg.AccessLog, g.checkHealth)
+	g.Handle("GET /healthz", "", g.handleHealthz)
+	g.Handle("POST /v1/eval", "eval", g.handleQuery("eval"))
+	g.Handle("POST /v1/optimize", "optimize", g.handleQuery("optimize"))
+	g.Handle("POST /v1/experiments/{id}/run", "run", g.handleExperimentRun)
+	g.Handle("GET /v1/cache", "cache", g.handleCacheGet)
+	g.Handle("DELETE /v1/cache", "cache", g.handleCacheDelete)
 	return g, nil
 }
 
-type gwStatusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *gwStatusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *gwStatusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-// instrument counts requests and emits the access log line.
-func (g *Gateway) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		g.mReqs.Inc()
-		start := time.Now()
-		sw := &gwStatusWriter{ResponseWriter: w}
-		h(sw, r)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		if g.accessLog != nil {
-			g.accessLog.LogAttrs(r.Context(), slog.LevelInfo, "proxy",
-				slog.String("route", route),
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.Int("status", sw.status),
-				slog.Duration("dur", time.Since(start)),
-				slog.String("replica", w.Header().Get(ReplicaHeader)),
-				slog.String("attempts", w.Header().Get(AttemptsHeader)),
-			)
-		}
-	}
-}
-
 // relay copies a buffered upstream response to the client, stamping the
-// replica that produced it.
-func (g *Gateway) relay(w http.ResponseWriter, res *proxyResult) {
-	for _, h := range []string{"Content-Type", serve.TraceHeader, serve.CacheHeader, "Retry-After"} {
+// replica that produced it. X-Bandwall-Trace keeps the gateway's own
+// trace; the replica's becomes the replica_trace attribute.
+func (g *Gateway) relay(w http.ResponseWriter, tr *obs.Trace, res *proxyResult) {
+	for _, h := range []string{"Content-Type", serve.CacheHeader, "Retry-After"} {
 		if v := res.header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
+	tr.SetAttr("replica", res.rep.base)
+	tr.SetAttr("replica_trace", res.header.Get(serve.TraceHeader))
 	w.Header().Set(ReplicaHeader, res.rep.base)
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
 }
 
-// finish applies the shared failure ladder after a forward chain: a
-// definitive sub-5xx answer relays as-is; budget expiry is a taxonomy
-// 504; injected permanent faults keep their taxonomy mapping; total
-// failure falls back to the stale reserve for staleKey (if any), then
-// to the last upstream 5xx, then to 503 + Retry-After.
-func (g *Gateway) finish(w http.ResponseWriter, res *proxyResult, attempts int, ferr error, staleKey string) {
-	w.Header().Set(AttemptsHeader, strconv.Itoa(attempts))
+// proxy POSTs body to path along order with fwd (forward, or
+// forwardHedged) as the request's forward stage, under its deadline
+// budget, then answers through finish with key as the stale-reserve key.
+func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, fwd forwarder, order []*replica, path string, body []byte, key string) *proxyResult {
+	ctx, cancel, err := serve.RequestContext(r, g.cfg.timeout())
+	if err != nil {
+		serve.WriteError(w, r, http.StatusBadRequest, serve.KindBadRequest, err)
+		return nil
+	}
+	defer cancel()
+	span := obs.StartTraceSpanLeaf(ctx, serve.StageForward)
+	res, attempts, err := fwd(ctx, order, path, body)
+	span.End()
+	g.finish(w, r, res, attempts, err, key)
+	return res
+}
+
+// finish applies the shared failure ladder after a forward chain, as the
+// request's write stage: a definitive sub-5xx answer relays as-is;
+// budget expiry, injected permanent faults and contained panics keep
+// their taxonomy mapping; total failure falls back to the stale reserve
+// for staleKey (if any), then to the last upstream 5xx, then to 503 +
+// Retry-After.
+func (g *Gateway) finish(w http.ResponseWriter, r *http.Request, res *proxyResult, attempts int, ferr error, staleKey string) {
+	span := obs.StartTraceSpanLeaf(r.Context(), serve.StageWrite)
+	defer span.End()
+	tr := obs.TraceFrom(r.Context())
+	n := strconv.Itoa(attempts)
+	tr.SetAttr("attempts", n)
+	w.Header().Set(AttemptsHeader, n)
 	if ferr == nil && res != nil && res.status < http.StatusInternalServerError {
 		if res.status == http.StatusOK && staleKey != "" {
 			g.stale.Put(staleKey, res.body)
 		}
-		g.relay(w, res)
+		g.relay(w, tr, res)
 		return
 	}
-	if ferr != nil {
-		if robust.Classify(ferr) == robust.Canceled {
-			writeErr(w, http.StatusGatewayTimeout, kindCanceled, ferr)
-			return
-		}
-		if errors.Is(ferr, robust.ErrDomain) {
-			writeErr(w, http.StatusBadRequest, kindDomain, ferr)
-			return
-		}
-		// A permanent non-domain fault (e.g. a contained injected panic in
-		// the proxy path) is a gateway-side failure: the ring may be fine,
-		// so the stale reserve is the wrong answer — report it as 500.
-		if !errors.Is(ferr, errNoReplica) && robust.Classify(ferr) == robust.Permanent {
-			writeErr(w, http.StatusInternalServerError, kindInternal, ferr)
-			return
-		}
+	// A permanent fault (e.g. a contained injected panic in the proxy
+	// path) is a gateway-side failure: the ring may be fine, so the stale
+	// reserve is the wrong answer. It and budget expiry keep their
+	// taxonomy mapping.
+	if ferr != nil && !errors.Is(ferr, errNoReplica) && robust.Classify(ferr) != robust.Transient {
+		serve.WriteModelError(w, r, ferr)
+		return
 	}
 	if staleKey != "" {
 		if body, ok := g.stale.Get(staleKey); ok {
 			// Every 200 a replica answers on a keyed route is
-			// application/json (serve's writeCached and writeJSON), so the
+			// application/json (serve's writeCached and WriteJSON), so the
 			// reserve keeps bodies alone.
 			g.mDegraded.Inc()
+			tr.SetAttr("degraded", "stale")
 			w.Header().Set(DegradedHeader, "stale")
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusOK)
@@ -408,104 +371,51 @@ func (g *Gateway) finish(w http.ResponseWriter, res *proxyResult, attempts int, 
 	if res != nil {
 		// The last upstream 5xx carries a taxonomy body and a trace ID —
 		// strictly more diagnosable than a synthetic gateway error.
-		g.relay(w, res)
+		g.relay(w, tr, res)
 		return
 	}
 	g.mUnavailable.Inc()
 	if ferr == nil {
 		ferr = errNoReplica
 	}
-	writeErr(w, http.StatusServiceUnavailable, kindUnavailable, ferr)
+	serve.WriteError(w, r, http.StatusServiceUnavailable, serve.KindUnavailable, ferr)
 }
 
 // handleQuery is the partitioned, hedged, failing-over route for one
-// query kind. The gateway keys the body with serve's own key function
-// first: that yields the routing fingerprint — the key the owning
-// replica caches the answer under — and it means a domain-invalid spec
-// is answered 400 without consuming a single ring attempt, so the
-// no-retry-on-400 guarantee holds by construction. A body the key memo
-// holds skips the key function; the memo admits a body once its owning
-// replica answers it from its response cache.
-func (g *Gateway) handleQuery(path string, key func(body []byte) (string, error)) http.HandlerFunc {
+// query kind. The gateway keys the body with serve.ReadKey first: that
+// yields the routing fingerprint — the key the owning replica caches the
+// answer under — and it means a domain-invalid spec is answered 400
+// without consuming a single ring attempt, so the no-retry-on-400
+// guarantee holds by construction. A body the key memo holds skips parse
+// and fingerprint; the memo admits a body once its owning replica
+// answers it from its response cache.
+func (g *Gateway) handleQuery(route string) http.HandlerFunc {
+	path := "/v1/" + route
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := serve.ReadSpec(r)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, kindBadRequest, err)
-			return
-		}
-		fp, memoHit := g.memo.Get(path, body)
-		if memoHit {
+		w.Header().Set(AttemptsHeader, "0") // until the body reaches the ring
+		body, fp, memoHit, ok := serve.ReadKey(w, r, route, g.memo)
+		switch {
+		case memoHit:
 			g.mMemoHits.Inc()
-		} else {
+		case body != nil: // read, then parsed: an unparseable body missed too
 			g.mMemoMisses.Inc()
-			if fp, err = key(body); err != nil {
-				status, kind := http.StatusInternalServerError, kindInternal
-				if errors.Is(err, robust.ErrDomain) {
-					status, kind = http.StatusBadRequest, kindDomain
-				}
-				w.Header().Set(AttemptsHeader, "0")
-				writeErr(w, status, kind, err)
-				return
-			}
 		}
-		ctx, cancel, err := serve.RequestContext(r, g.cfg.timeout())
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, kindBadRequest, err)
+		if !ok {
 			return
 		}
-		defer cancel()
-		res, attempts, ferr := g.forwardHedged(ctx, rendezvousOrder(g.replicas, fp), http.MethodPost, path, body, true)
+		res := g.proxy(w, r, g.forwardHedged, rendezvousOrder(g.replicas, fp), path, body, fp)
 		if !memoHit && res != nil && res.status == http.StatusOK && res.header.Get(serve.CacheHeader) == "hit" {
-			g.memo.Put(path, body, fp)
+			g.memo.Put(route, body, fp)
 		}
-		g.finish(w, res, attempts, ferr, fp)
 	}
-}
-
-// handleValidate fans a validation request to any healthy replica —
-// validation is stateless, so round-robin spreads the parse load.
-func (g *Gateway) handleValidate(w http.ResponseWriter, r *http.Request) {
-	body, err := serve.ReadSpec(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, kindBadRequest, err)
-		return
-	}
-	ctx, cancel, err := serve.RequestContext(r, g.cfg.timeout())
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, kindBadRequest, err)
-		return
-	}
-	defer cancel()
-	res, attempts, ferr := g.forward(ctx, g.rrOrder(), http.MethodPost, "/v1/validate", body, false)
-	g.finish(w, res, attempts, ferr, "")
-}
-
-// handleExperiments round-robins the read-only experiment listing.
-func (g *Gateway) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, err := serve.RequestContext(r, g.cfg.timeout())
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, kindBadRequest, err)
-		return
-	}
-	defer cancel()
-	res, attempts, ferr := g.forward(ctx, g.rrOrder(), http.MethodGet, "/v1/experiments", nil, false)
-	g.finish(w, res, attempts, ferr, "")
 }
 
 // handleExperimentRun routes a reproduction run by its experiment id,
 // so repeated runs of one experiment hit the same replica's caches.
 func (g *Gateway) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	ctx, cancel, err := serve.RequestContext(r, g.cfg.timeout())
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, kindBadRequest, err)
-		return
-	}
-	defer cancel()
 	key := "exp|" + id
-	order := rendezvousOrder(g.replicas, key)
-	res, attempts, ferr := g.forward(ctx, order, http.MethodPost, "/v1/experiments/"+url.PathEscape(id)+"/run", nil, true)
-	g.finish(w, res, attempts, ferr, key)
+	g.proxy(w, r, g.forward, rendezvousOrder(g.replicas, key), "/v1/experiments/"+url.PathEscape(id)+"/run", nil, key)
 }
 
 // CacheFanout is the GET /v1/cache aggregation body: each replica's own
@@ -541,7 +451,7 @@ func (g *Gateway) handleCacheDelete(w http.ResponseWriter, r *http.Request) {
 // handleCacheGet and handleCacheDelete share fanout, which fills out's
 // per-replica maps.
 func (g *Gateway) fanout(w http.ResponseWriter, r *http.Request, method, query string, out CacheFanout) {
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.healthTimeout()*4)
+	ctx, cancel := context.WithTimeout(r.Context(), 4*healthTimeout)
 	defer cancel()
 	out.Replicas = make(map[string]json.RawMessage, len(g.replicas))
 	var mu sync.Mutex
@@ -550,28 +460,24 @@ func (g *Gateway) fanout(w http.ResponseWriter, r *http.Request, method, query s
 		wg.Add(1)
 		go func(rep *replica) {
 			defer wg.Done()
-			res, err := g.attempt(ctx, rep, method, "/v1/cache", query, nil, 0, false)
+			res, err := g.attempt(ctx, rep, method, "/v1/cache", query, nil, 0)
 			mu.Lock()
 			defer mu.Unlock()
-			if err != nil {
-				if out.Errors == nil {
-					out.Errors = make(map[string]string)
-				}
-				out.Errors[rep.base] = err.Error()
+			if err == nil && res.status >= 300 {
+				err = fmt.Errorf("status %d: %s", res.status, strings.TrimSpace(string(res.body)))
+			}
+			if err == nil {
+				out.Replicas[rep.base] = json.RawMessage(res.body)
 				return
 			}
-			if res.status >= 300 {
-				if out.Errors == nil {
-					out.Errors = make(map[string]string)
-				}
-				out.Errors[rep.base] = fmt.Sprintf("status %d: %s", res.status, strings.TrimSpace(string(res.body)))
-				return
+			if out.Errors == nil {
+				out.Errors = make(map[string]string)
 			}
-			out.Replicas[rep.base] = json.RawMessage(res.body)
+			out.Errors[rep.base] = err.Error()
 		}(rep)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 // ReplicaStatus is one replica's health view in the gateway /healthz
@@ -607,59 +513,15 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	switch {
-	case g.draining.Load():
+	case g.Draining():
 		resp.Status = "draining"
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, resp)
 	case available == 0:
 		resp.Status = "no replicas available"
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, resp)
 	default:
 		resp.Status = "ok"
-		writeJSON(w, http.StatusOK, resp)
-	}
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if g.reg == nil {
-		writeErr(w, http.StatusServiceUnavailable, kindInternal,
-			fmt.Errorf("metrics collection is disabled (no obs registry installed)"))
+		serve.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	serve.WriteMetricsText(w, g.reg)
-}
-
-// ListenAndServe serves on addr until ctx is canceled, then drains like
-// the serve tier: readiness flips to 503 "draining" before the listener
-// closes, in-flight proxies finish within DrainTimeout, a clean drain
-// returns nil. It also owns the active health checker's lifetime.
-func (g *Gateway) ListenAndServe(ctx context.Context, addr string, ready func(net.Addr)) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if ready != nil {
-		ready(l.Addr())
-	}
-	return g.Serve(ctx, l)
-}
-
-// Serve is ListenAndServe over an existing listener. It owns l and
-// closes it on return.
-func (g *Gateway) Serve(ctx context.Context, l net.Listener) error {
-	return serve.ServeAndDrain(ctx, l, g.mux, g.cfg.drainTimeout(), &g.draining, g.checkHealth)
-}
-
-// rrOrder rotates the replica list by an atomic cursor: the failover
-// order for routes with no cache affinity.
-func (g *Gateway) rrOrder() []*replica {
-	n := len(g.replicas)
-	start := int(g.rr.Add(1)-1) % n
-	out := make([]*replica, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, g.replicas[(start+i)%n])
-	}
-	return out
+	w.Header().Set("Retry-After", "1")
+	serve.WriteJSON(w, http.StatusServiceUnavailable, resp)
 }

@@ -17,8 +17,16 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/robust"
+	"repro/internal/scenario"
 	"repro/internal/serve"
 )
+
+// errBody is the JSON error body both tiers write.
+type errBody struct {
+	Error string `json:"error"`
+	Kind  string `json:"kind"`
+	Trace string `json:"trace"`
+}
 
 // specWithID builds a trivially distinct one-case spec (same shape the
 // serve tests use), so each id routes and caches under its own
@@ -42,10 +50,14 @@ func installPlan(t *testing.T, spec string) (restore func()) {
 }
 
 // fingerprintOf computes the routing fingerprint the gateway will use
-// for an eval body: serve's own key function, as the gateway calls it.
+// for an eval body: serve's parse, then its fingerprint.
 func fingerprintOf(t *testing.T, body string) string {
 	t.Helper()
-	fp, err := serve.EvalKey([]byte(body))
+	sp, err := scenario.ParseSpec([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := serve.FingerprintSpec(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +170,7 @@ func postGateway(t *testing.T, g *Gateway, path, body string) *httptest.Response
 	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	w := httptest.NewRecorder()
-	g.mux.ServeHTTP(w, req)
+	g.Handler().ServeHTTP(w, req)
 	return w
 }
 
@@ -317,12 +329,12 @@ func TestDomainErrorNeverReachesRing(t *testing.T) {
 			if w.Code != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400: %s", w.Code, w.Body)
 			}
-			var ge gwError
+			var ge errBody
 			if err := json.Unmarshal(w.Body.Bytes(), &ge); err != nil {
 				t.Fatalf("error body not JSON: %v\n%s", err, w.Body)
 			}
-			if ge.Kind != kindDomain {
-				t.Errorf("kind = %q, want %q", ge.Kind, kindDomain)
+			if ge.Kind != serve.KindDomain {
+				t.Errorf("kind = %q, want %q", ge.Kind, serve.KindDomain)
 			}
 			if got := w.Header().Get(AttemptsHeader); got != "0" {
 				t.Errorf("attempts = %q, want 0 (domain errors must not be proxied, let alone retried)", got)
@@ -348,11 +360,11 @@ func TestOversizedBodyNeverReachesRing(t *testing.T) {
 			t.Errorf("%s: status %d, want 400: %s", path, w.Code, w.Body)
 			continue
 		}
-		var ge gwError
+		var ge errBody
 		if err := json.Unmarshal(w.Body.Bytes(), &ge); err != nil {
 			t.Fatalf("%s: error body not JSON: %v", path, err)
 		}
-		if ge.Kind != kindBadRequest || ge.Error != "spec exceeds 1048576 bytes" {
+		if ge.Kind != serve.KindBadRequest || ge.Error != "spec exceeds 1048576 bytes" {
 			t.Errorf("%s: error = %+v, want bad_request \"spec exceeds 1048576 bytes\"", path, ge)
 		}
 	}
@@ -375,10 +387,10 @@ func TestBudgetExhaustedIs504(t *testing.T) {
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", w.Code, w.Body)
 	}
-	var ge gwError
+	var ge errBody
 	_ = json.Unmarshal(w.Body.Bytes(), &ge)
-	if ge.Kind != kindCanceled {
-		t.Errorf("kind = %q, want %q", ge.Kind, kindCanceled)
+	if ge.Kind != serve.KindCanceled {
+		t.Errorf("kind = %q, want %q", ge.Kind, serve.KindCanceled)
 	}
 	if el := time.Since(start); el > 2*time.Second {
 		t.Errorf("budget-bound request took %s", el)
@@ -425,10 +437,10 @@ func TestStaleDegradedServing(t *testing.T) {
 	if w.Header().Get("Retry-After") == "" {
 		t.Error("503 without Retry-After")
 	}
-	var ge gwError
+	var ge errBody
 	_ = json.Unmarshal(w.Body.Bytes(), &ge)
-	if ge.Kind != kindUnavailable {
-		t.Errorf("kind = %q, want %q", ge.Kind, kindUnavailable)
+	if ge.Kind != serve.KindUnavailable {
+		t.Errorf("kind = %q, want %q", ge.Kind, serve.KindUnavailable)
 	}
 }
 
@@ -503,7 +515,7 @@ func TestGatewayHealthzReportsBreakers(t *testing.T) {
 
 	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
 	w := httptest.NewRecorder()
-	g.mux.ServeHTTP(w, req)
+	g.Handler().ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
 		t.Fatalf("healthz status %d (one replica is still fine): %s", w.Code, w.Body)
 	}
@@ -563,31 +575,71 @@ func TestInjectedProxyPanicIsContained(t *testing.T) {
 	if got := w.Header().Get(AttemptsHeader); got != "1" {
 		t.Errorf("attempts = %s, want 1 (permanent faults are not retried)", got)
 	}
+	var ge errBody
+	if err := json.Unmarshal(w.Body.Bytes(), &ge); err != nil || ge.Kind != serve.KindPanic {
+		t.Errorf("kind = %q (err %v), want %q", ge.Kind, err, serve.KindPanic)
+	}
 }
 
-func TestValidateRoundRobinsAndPassesThrough(t *testing.T) {
-	// Real serve replicas here: validation semantics live server-side.
-	g, _, _ := newServeFleet(t, 2, nil)
-	good := specWithID("val-ok", 16)
-	w := postGateway(t, g, "/v1/validate", good)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", w.Code, w.Body)
+// serveLocal sends one request to h and returns the recorded response.
+func serveLocal(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(method, path, strings.NewReader(body))
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	return w
+}
+
+// TestGatewayAnswersStatelessRoutesLocally: the gateway answers the
+// catalog, the experiment list and validation itself, byte-identical to
+// a replica up to each response's own trace ID, without a replica
+// attempt and without the proxy headers.
+func TestGatewayAnswersStatelessRoutesLocally(t *testing.T) {
+	g, _, servers := newServeFleet(t, 2, nil)
+	invalid := `{"id":"val-bad","axis":{"n2":[16]},"cases":[{"label":"X","value_key":"v","stack":[{"name":"NOPE"}]}]}`
+	for _, tc := range []struct {
+		name, method, path, body string
+		status                   int
+	}{
+		{"catalog", http.MethodGet, "/v1/catalog", "", http.StatusOK},
+		{"experiments", http.MethodGet, "/v1/experiments", "", http.StatusOK},
+		{"validate", http.MethodPost, "/v1/validate", specWithID("val-ok", 16), http.StatusOK},
+		{"validate-domain", http.MethodPost, "/v1/validate", invalid, http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gw := serveLocal(g.Handler(), tc.method, tc.path, tc.body)
+			rep := serveLocal(servers[0].Handler(), tc.method, tc.path, tc.body)
+			if gw.Code != tc.status || rep.Code != tc.status {
+				t.Fatalf("status gateway %d, replica %d, want %d: %s", gw.Code, rep.Code, tc.status, gw.Body)
+			}
+			// Error bodies name the answering tier's own trace.
+			norm := func(w *httptest.ResponseRecorder) string {
+				return strings.ReplaceAll(w.Body.String(), w.Header().Get(serve.TraceHeader), "TRACE")
+			}
+			if norm(gw) != norm(rep) {
+				t.Errorf("gateway body differs from the replica's:\n%s\n%s", gw.Body, rep.Body)
+			}
+			for _, h := range []string{ReplicaHeader, AttemptsHeader} {
+				if v := gw.Header().Get(h); v != "" {
+					t.Errorf("%s = %q on a locally answered route", h, v)
+				}
+			}
+		})
 	}
 	var vr serve.ValidateResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &vr); err != nil {
-		t.Fatal(err)
+	good := specWithID("val-ok", 16)
+	w := postGateway(t, g, "/v1/validate", good)
+	if err := json.Unmarshal(w.Body.Bytes(), &vr); err != nil || !vr.Valid || vr.ID != "val-ok" || vr.Fingerprint != fingerprintOf(t, good) {
+		t.Errorf("validate = %+v (err %v)", vr, err)
 	}
-	if !vr.Valid || vr.ID != "val-ok" || vr.Fingerprint != fingerprintOf(t, good) {
-		t.Errorf("validate = %+v", vr)
+	var ge errBody
+	w = postGateway(t, g, "/v1/validate", invalid)
+	if err := json.Unmarshal(w.Body.Bytes(), &ge); err != nil || ge.Kind != serve.KindDomain {
+		t.Errorf("invalid validate kind = %q (err %v), want %q: %s", ge.Kind, err, serve.KindDomain, w.Body)
 	}
-
-	bad := `{"id":"val-bad","axis":{"n2":[16]},"cases":[{"label":"X","value_key":"v","stack":[{"name":"NOPE"}]}]}`
-	w = postGateway(t, g, "/v1/validate", bad)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("invalid spec status %d, want 400: %s", w.Code, w.Body)
-	}
-	if !strings.Contains(w.Body.String(), `"domain"`) {
-		t.Errorf("replica's domain taxonomy body not passed through: %s", w.Body)
+	for _, rep := range g.replicas {
+		if hits := rep.hits.Load(); hits != 0 {
+			t.Errorf("replica %s saw %d proxy attempts for locally answered routes", rep.base, hits)
+		}
 	}
 }
 
@@ -682,7 +734,7 @@ func TestGatewayDrainFlipsReadiness(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("drained gateway returned %v, want nil", err)
 	}
-	if !g.draining.Load() {
+	if !g.Draining() {
 		t.Error("draining = false after shutdown")
 	}
 }
@@ -712,7 +764,7 @@ func TestCacheDeletePurgesStaleReserve(t *testing.T) {
 	// report how much it dropped.
 	req := httptest.NewRequest(http.MethodDelete, "/v1/cache", nil)
 	w := httptest.NewRecorder()
-	g.mux.ServeHTTP(w, req)
+	g.Handler().ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
 		t.Fatalf("purge status %d: %s", w.Code, w.Body)
 	}
@@ -843,6 +895,9 @@ func TestGatewayKeyMemo(t *testing.T) {
 	if got := g.memo.Info().Entries; got != 1 {
 		t.Errorf("gateway memo entries = %d after invalid bodies, want 1", got)
 	}
+	if h, m := reg.Counter(MetricMemoHits).Value(), reg.Counter(MetricMemoMisses).Value(); h != 1 || m != 5 {
+		t.Errorf("%s/%s = %d/%d after three invalid bodies, want 1/5 (each was looked up and parsed)", MetricMemoHits, MetricMemoMisses, h, m)
+	}
 
 	// Replicas that never report a cache hit never get a body admitted.
 	gs, _ := newTestGateway(t, 2, nil)
@@ -853,5 +908,180 @@ func TestGatewayKeyMemo(t *testing.T) {
 	}
 	if got := gs.memo.Info(); got.Entries != 0 || got.Misses != 3 {
 		t.Errorf("gateway memo over cache-less stubs = %+v, want 0 entries and 3 misses", got)
+	}
+}
+
+// TestGatewayStageMetricsNDJSON: the gateway's /metrics speaks NDJSON,
+// names the fleet tier, and carries fleet.requests and the eval route's
+// fleet.stage_us series, one per gateway stage.
+func TestGatewayStageMetricsNDJSON(t *testing.T) {
+	g, _, _ := newServeFleet(t, 2, nil)
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+	if w := postGateway(t, g, "/v1/eval", specWithID("ndjson", 16)); w.Code != http.StatusOK {
+		t.Fatalf("eval status %d: %s", w.Code, w.Body)
+	}
+	snap, err := serve.ScrapeMetrics(context.Background(), nil, gw.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Tier != "fleet" {
+		t.Errorf("tier = %q, want fleet", snap.Tier)
+	}
+	if _, ok := snap.Counters["fleet.requests"]; !ok || snap.Requests() == 0 {
+		t.Errorf("fleet.requests = %d (present %v), want > 0", snap.Requests(), ok)
+	}
+	stages := snap.StageHistograms("eval")
+	for _, stage := range gatewayStages {
+		if h, ok := snap.Histograms["fleet.stage_us.eval."+stage]; !ok || h.Count != 1 || stages[stage].Count != 1 {
+			t.Errorf("fleet.stage_us.eval.%s: present %v, count %d, want 1 observation", stage, ok, h.Count)
+		}
+	}
+}
+
+// TestGatewayTraceResolvesWithStages: a gateway eval's X-Bandwall-Trace
+// resolves at the gateway's own /v1/trace, with top-level parse,
+// fingerprint, forward and write spans in start order and not
+// overlapping, and with attributes naming the replica, the attempt
+// count, the key-memo disposition and the replica's own trace, which
+// resolves at that replica.
+func TestGatewayTraceResolvesWithStages(t *testing.T) {
+	g, fronts, servers := newServeFleet(t, 3, nil)
+	w := postGateway(t, g, "/v1/eval", specWithID("traced", 16))
+	if w.Code != http.StatusOK {
+		t.Fatalf("eval status %d: %s", w.Code, w.Body)
+	}
+	id := w.Header().Get(serve.TraceHeader)
+	var list serve.TraceList
+	tw := serveLocal(g.Handler(), http.MethodGet, "/v1/trace?id="+id, "")
+	if err := json.Unmarshal(tw.Body.Bytes(), &list); err != nil || list.Count != 1 {
+		t.Fatalf("gateway /v1/trace?id=%s: status %d, count %d, err %v: %s", id, tw.Code, list.Count, err, tw.Body)
+	}
+	tr := list.Traces[0]
+	var names []string
+	end := 0.0
+	for _, sp := range tr.Spans {
+		if sp.Parent != 0 {
+			continue
+		}
+		names = append(names, sp.Name)
+		if sp.StartUS+1e-3 < end {
+			t.Errorf("span %s starts at %.3fµs, before the previous stage ended at %.3fµs", sp.Name, sp.StartUS, end)
+		}
+		end = sp.StartUS + sp.WallUS
+	}
+	want := []string{serve.StageParse, serve.StageFingerprint, serve.StageForward, serve.StageWrite}
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Errorf("top-level spans = %v, want %v", names, want)
+	}
+	if got := tr.Attrs["replica"]; got != w.Header().Get(ReplicaHeader) || got == "" {
+		t.Errorf("replica attr = %q, want the %s header %q", got, ReplicaHeader, w.Header().Get(ReplicaHeader))
+	}
+	if got := tr.Attrs["attempts"]; got != w.Header().Get(AttemptsHeader) || got != "1" {
+		t.Errorf("attempts attr = %q, header %q, want 1", got, w.Header().Get(AttemptsHeader))
+	}
+	if got := tr.Attrs["memo"]; got != "miss" {
+		t.Errorf("memo attr = %q, want miss", got)
+	}
+	rt := tr.Attrs["replica_trace"]
+	if rt == "" || rt == id {
+		t.Fatalf("replica_trace attr = %q, want the replica's own trace (gateway trace %s)", rt, id)
+	}
+	for i, f := range fronts {
+		if f.URL != tr.Attrs["replica"] {
+			continue
+		}
+		rw := serveLocal(servers[i].Handler(), http.MethodGet, "/v1/trace?id="+rt, "")
+		var rl serve.TraceList
+		if err := json.Unmarshal(rw.Body.Bytes(), &rl); err != nil || rl.Count != 1 || rl.Traces[0].Route != "eval" {
+			t.Errorf("replica /v1/trace?id=%s: count %d, err %v: %s", rt, rl.Count, err, rw.Body)
+		}
+		return
+	}
+	t.Errorf("replica attr %q names no replica", tr.Attrs["replica"])
+}
+
+// TestGatewayErrorsCarryTrace: the errors the gateway writes itself —
+// 400 domain, 504 budget expiry and 503 total ring failure — name the
+// gateway's trace in their body, as its X-Bandwall-Trace header does,
+// and the 503 carries Retry-After.
+func TestGatewayErrorsCarryTrace(t *testing.T) {
+	g, stubs := newTestGateway(t, 2, func(c *Config) { c.Timeout = 80 * time.Millisecond })
+	check := func(name string, w *httptest.ResponseRecorder, status int, kind string) {
+		t.Helper()
+		var ge errBody
+		if err := json.Unmarshal(w.Body.Bytes(), &ge); err != nil || w.Code != status || ge.Kind != kind {
+			t.Fatalf("%s: status %d kind %q (err %v), want %d %q: %s", name, w.Code, ge.Kind, err, status, kind, w.Body)
+		}
+		if id := w.Header().Get(serve.TraceHeader); ge.Trace == "" || ge.Trace != id {
+			t.Errorf("%s: body trace %q, header trace %q; want equal and non-empty", name, ge.Trace, id)
+		}
+	}
+	check("domain", postGateway(t, g, "/v1/eval", `{"id":"dom","axis":{"n2":[16]},"cases":[{"stack":[{"name":"NOPE"}]}]}`),
+		http.StatusBadRequest, serve.KindDomain)
+	for _, s := range stubs {
+		s.mode.Store(stubHang)
+	}
+	check("budget", postGateway(t, g, "/v1/eval", specWithID("trace-504", 16)), http.StatusGatewayTimeout, serve.KindCanceled)
+	for _, s := range stubs {
+		s.ts.Close()
+	}
+	w := postGateway(t, g, "/v1/eval", specWithID("trace-503", 16))
+	check("unavailable", w, http.StatusServiceUnavailable, serve.KindUnavailable)
+	if w.Header().Get("Retry-After") == "" {
+		t.Error("503 without Retry-After")
+	}
+}
+
+// TestGatewayAccessLogTrace: the gateway logs one line per request with
+// serve's fields plus its own attributes.
+func TestGatewayAccessLogTrace(t *testing.T) {
+	var log strings.Builder
+	g, _ := newTestGateway(t, 2, func(c *Config) { c.AccessLog = &log })
+	w := postGateway(t, g, "/v1/eval", specWithID("logged", 16))
+	if w.Code != http.StatusOK {
+		t.Fatalf("eval status %d: %s", w.Code, w.Body)
+	}
+	line := log.String()
+	for _, want := range []string{
+		"msg=request", "route=eval", "status=200",
+		"trace=" + w.Header().Get(serve.TraceHeader),
+		"memo=miss",
+		"replica=" + w.Header().Get(ReplicaHeader),
+		"attempts=1",
+	} {
+		if !strings.Contains(line, want) {
+			t.Errorf("access log missing %q:\n%s", want, line)
+		}
+	}
+	if n := strings.Count(line, "\n"); n != 1 {
+		t.Errorf("access log has %d lines for one request, want 1:\n%s", n, line)
+	}
+}
+
+// TestLoadgenThroughGatewayReadsFleetStages: loadgen against a gateway
+// that shares its registry with its replicas reports the gateway's
+// stages, not the replicas'.
+func TestLoadgenThroughGatewayReadsFleetStages(t *testing.T) {
+	g, _, _ := newServeFleet(t, 2, nil)
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+	res, err := serve.Loadgen(context.Background(), serve.LoadgenConfig{
+		URL: gw.URL, Body: []byte(specWithID("loadgen", 16)),
+		Conns: 2, Duration: 200 * time.Millisecond, WarmupRequests: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests == 0 || res.Errors != 0 {
+		t.Fatalf("loadgen: %d requests, %d errors", res.Requests, res.Errors)
+	}
+	for _, stage := range []string{serve.StageTotal, serve.StageForward, serve.StageWrite} {
+		if res.Stages[stage].Count == 0 {
+			t.Errorf("stage %s missing from the gateway breakdown: %v", stage, res.Stages)
+		}
+	}
+	if _, ok := res.Stages[serve.StageCacheLookup]; ok {
+		t.Errorf("gateway breakdown carries the replicas' %s stage: %v", serve.StageCacheLookup, res.Stages)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // as the probe that closes it (a restarted replica rejoins the ring
 // without a live request having to gamble first).
 func (g *Gateway) checkReplica(ctx context.Context, rep *replica) {
-	hctx, cancel := context.WithTimeout(ctx, g.cfg.healthTimeout())
+	hctx, cancel := context.WithTimeout(ctx, healthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(hctx, http.MethodGet, rep.base+"/healthz", nil)
 	if err != nil {

@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -17,19 +17,13 @@ const latencyWindow = 64
 const hedgeMinSamples = 8
 
 // latencyTracker is a fixed ring of recent request latencies for one
-// replica, answering quantile queries for the hedge trigger.
+// replica, answering quantile queries for the hedge trigger. The zero
+// value is ready to use.
 type latencyTracker struct {
 	mu   sync.Mutex
-	buf  []time.Duration
+	buf  [latencyWindow]time.Duration
 	next int
 	n    int // valid samples (≤ len(buf))
-}
-
-func newLatencyTracker(window int) *latencyTracker {
-	if window < 1 {
-		window = latencyWindow
-	}
-	return &latencyTracker{buf: make([]time.Duration, window)}
 }
 
 // Observe records one successful-request latency.
@@ -44,23 +38,18 @@ func (t *latencyTracker) Observe(d time.Duration) {
 }
 
 // Quantile returns the q-quantile (0 < q ≤ 1) of the window, or
-// (0, false) with fewer than hedgeMinSamples observations.
+// (0, false) with fewer than hedgeMinSamples observations. It sorts a
+// copy on its own stack, so a hedged request allocates nothing here.
 func (t *latencyTracker) Quantile(q float64) (time.Duration, bool) {
+	var window [latencyWindow]time.Duration
 	t.mu.Lock()
-	if t.n < hedgeMinSamples {
-		t.mu.Unlock()
-		return 0, false
-	}
-	samples := make([]time.Duration, t.n)
+	samples := window[:t.n]
 	copy(samples, t.buf[:t.n])
 	t.mu.Unlock()
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	idx := int(q*float64(len(samples))) - 1
-	if idx < 0 {
-		idx = 0
+	if len(samples) < hedgeMinSamples {
+		return 0, false
 	}
-	if idx >= len(samples) {
-		idx = len(samples) - 1
-	}
+	slices.Sort(samples)
+	idx := min(max(int(q*float64(len(samples)))-1, 0), len(samples)-1)
 	return samples[idx], true
 }

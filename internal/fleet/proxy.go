@@ -45,10 +45,10 @@ type proxyResult struct {
 // response. slice > 0 is this attempt's share of the deadline budget;
 // it is forwarded to the replica as ?timeout= (the replica enforces it
 // with its own taxonomy 504) and enforced transport-side with a small
-// grace. Transport-level errors come back marked Transient so the
+// grace. The cache fan-out passes 0, under its own deadline. Transport-level errors come back marked Transient so the
 // failover loop retries them; injected fleet.dial / fleet.proxy faults
 // come back exactly as injected.
-func (g *Gateway) attempt(ctx context.Context, rep *replica, method, path, query string, body []byte, slice time.Duration, forwardTimeout bool) (res *proxyResult, err error) {
+func (g *Gateway) attempt(ctx context.Context, rep *replica, method, path, query string, body []byte, slice time.Duration) (res *proxyResult, err error) {
 	actx := robust.WithScope(ctx, rep.base)
 	rep.hits.Add(1)
 	// Chaos hook before the dial: a plan scoped to this replica's base URL
@@ -59,21 +59,19 @@ func (g *Gateway) attempt(ctx context.Context, rep *replica, method, path, query
 	}
 	u := rep.base + path
 	q := query
-	if forwardTimeout && slice > 0 {
+	if slice > 0 {
 		tp := "timeout=" + url.QueryEscape(slice.Round(time.Millisecond).String())
 		if q == "" {
 			q = tp
 		} else {
 			q += "&" + tp
 		}
-	}
-	if q != "" {
-		u += "?" + q
-	}
-	if slice > 0 {
 		var cancel context.CancelFunc
 		actx, cancel = context.WithTimeout(actx, slice+sliceGrace)
 		defer cancel()
+	}
+	if q != "" {
+		u += "?" + q
 	}
 	var rd io.Reader
 	if len(body) > 0 {
@@ -110,11 +108,15 @@ func (g *Gateway) attempt(ctx context.Context, rep *replica, method, path, query
 	return &proxyResult{status: resp.StatusCode, header: resp.Header, body: b, rep: rep}, nil
 }
 
-// forward walks order — the rendezvous preference sequence for this
-// request's key — spending up to maxAttempts proxy attempts and the
-// context's deadline budget. Each attempt gets an equal share of the
-// remaining budget (remaining / attemptsLeft), so one slow replica
-// cannot eat the whole deadline before failover gets a turn.
+// forwarder is forward's signature, which forwardHedged shares.
+type forwarder func(ctx context.Context, order []*replica, path string, body []byte) (*proxyResult, int, error)
+
+// forward POSTs body to path along order — the rendezvous preference
+// sequence for this request's key — spending up to maxAttempts proxy
+// attempts and the context's deadline budget. Each attempt gets an
+// equal share of the remaining budget (remaining / attemptsLeft), so
+// one slow replica cannot eat the whole deadline before failover gets a
+// turn.
 //
 // Outcome contract:
 //   - (res, n, nil) with res.status < 500: a definitive upstream answer
@@ -125,7 +127,7 @@ func (g *Gateway) attempt(ctx context.Context, rep *replica, method, path, query
 //   - (nil, n, err): no upstream answer at all — err is the budget
 //     expiry (Canceled), an injected permanent fault, errNoReplica, or
 //     the last transport error.
-func (g *Gateway) forward(ctx context.Context, order []*replica, method, path string, body []byte, forwardTimeout bool) (res *proxyResult, attempts int, err error) {
+func (g *Gateway) forward(ctx context.Context, order []*replica, path string, body []byte) (res *proxyResult, attempts int, err error) {
 	if len(order) == 0 {
 		return nil, 0, errNoReplica
 	}
@@ -161,7 +163,7 @@ func (g *Gateway) forward(ctx context.Context, order []*replica, method, path st
 			slice = remaining / time.Duration(maxAtt-attempts)
 		}
 		attempts++
-		pr, aerr := g.attempt(ctx, rep, method, path, "", body, slice, forwardTimeout)
+		pr, aerr := g.attempt(ctx, rep, http.MethodPost, path, "", body, slice)
 		if aerr == nil {
 			if pr.status < http.StatusInternalServerError {
 				rep.br.Success()
@@ -246,10 +248,10 @@ const minHedgeDelay = time.Millisecond
 // Both responses are fully buffered, so the loser is simply cancelled
 // and garbage-collected; its context cancellation is the only side
 // effect the loser's replica ever sees.
-func (g *Gateway) forwardHedged(ctx context.Context, order []*replica, method, path string, body []byte, forwardTimeout bool) (*proxyResult, int, error) {
+func (g *Gateway) forwardHedged(ctx context.Context, order []*replica, path string, body []byte) (*proxyResult, int, error) {
 	delay, ok := g.hedgeDelay(order[0])
 	if !ok || len(order) < 2 {
-		return g.forward(ctx, order, method, path, body, forwardTimeout)
+		return g.forward(ctx, order, path, body)
 	}
 	type out struct {
 		res      *proxyResult
@@ -263,7 +265,7 @@ func (g *Gateway) forwardHedged(ctx context.Context, order []*replica, method, p
 	hctx, hcancel := context.WithCancel(ctx)
 	defer hcancel()
 	run := func(c context.Context, ord []*replica, hedge bool) {
-		r, a, e := g.forward(c, ord, method, path, body, forwardTimeout)
+		r, a, e := g.forward(c, ord, path, body)
 		ch <- out{res: r, attempts: a, err: e, hedge: hedge}
 	}
 	go run(pctx, order, false)

@@ -28,7 +28,7 @@ func newReplica(base string, threshold int, cooldown time.Duration) *replica {
 	rep := &replica{
 		base: base,
 		br:   newBreaker(threshold, cooldown),
-		lat:  newLatencyTracker(latencyWindow),
+		lat:  new(latencyTracker),
 	}
 	rep.healthy.Store(true) // optimistic until the first check says otherwise
 	return rep

@@ -22,10 +22,11 @@ import (
 // (a few hundred ns, no heap allocation; the start value reuses the
 // trace's most recent sample, so allocation between spans is attributed
 // to the next span and sequential stage spans tile the trace).
-// The trace total, read on every trace, is quantized like every span's
-// (see SpanRecord): a span that allocated 480 B read 0 in 186 of 200
-// trials (mean 569 B). The span list is capped so a pathological request
-// cannot balloon memory.
+// The trace total follows the same rule: it is read at NewTrace and
+// Finish on the sampled traces only, and reads 0 on the rest. Where
+// read, it is quantized like every span's (see SpanRecord): a span that
+// allocated 480 B read 0 in 186 of 200 trials (mean 569 B). The span
+// list is capped so a pathological request cannot balloon memory.
 //
 // Propagation is by context:
 //
@@ -41,9 +42,9 @@ import (
 // are counted in Dropped instead of retained.
 const DefaultTraceSpanCap = 256
 
-// allocSampleEvery is the per-span allocation-delta sampling rate: one
-// trace in this many records alloc_bytes on its spans (the rest record
-// 0 there and skip the runtime/metrics read per span end entirely).
+// allocSampleEvery is the allocation-delta sampling rate: one trace in
+// this many records alloc_bytes on its root and its spans (the rest
+// record 0 there and skip every runtime/metrics read).
 const allocSampleEvery = 8
 
 // traceSeed randomizes trace IDs across process restarts; traceSeq makes
@@ -109,7 +110,7 @@ type TraceRecord struct {
 	Start      time.Time         `json:"start"`
 	Wall       time.Duration     `json:"-"`
 	WallNS     int64             `json:"wall_ns"`
-	AllocBytes uint64            `json:"alloc_bytes"`
+	AllocBytes uint64            `json:"alloc_bytes"` // 0 unless the trace is alloc-sampled
 	Attrs      map[string]string `json:"attrs,omitempty"`
 	Spans      []TraceSpanRecord `json:"spans"`
 	Dropped    int               `json:"dropped,omitempty"` // spans beyond the cap
@@ -124,7 +125,7 @@ type Trace struct {
 	route       string
 	start       time.Time
 	a0          uint64
-	allocDetail bool // this trace samples per-span alloc deltas
+	allocDetail bool // this trace samples alloc deltas, its own and its spans'
 
 	// nextID hands out span IDs; lastAlloc caches the most recent
 	// heap-alloc counter read so span starts don't pay a metrics read.
@@ -152,12 +153,14 @@ func NewTrace(id, route string, spanCap int) *Trace {
 		id:          id,
 		route:       route,
 		start:       time.Now(),
-		a0:          heapAllocBytes(),
 		allocDetail: allocSample.Add(1)%allocSampleEvery == 1,
 		cap:         spanCap,
 		spans:       make([]TraceSpanRecord, 0, 8),
 	}
-	t.lastAlloc.Store(t.a0)
+	if t.allocDetail {
+		t.a0 = heapAllocBytes()
+		t.lastAlloc.Store(t.a0)
+	}
 	return t
 }
 
@@ -190,7 +193,10 @@ func (t *Trace) Finish(status int) *TraceRecord {
 		return nil
 	}
 	wall := time.Since(t.start)
-	alloc := heapAllocBytes() - t.a0
+	var alloc uint64
+	if t.allocDetail {
+		alloc = heapAllocBytes() - t.a0
+	}
 	t.mu.Lock()
 	rec := &TraceRecord{
 		ID:         t.id,

@@ -180,3 +180,29 @@ func TestRegistrySpanCap(t *testing.T) {
 		t.Errorf("after recap: spans = %d, want 2", got)
 	}
 }
+
+// allocSink keeps the test allocations below live.
+var allocSink []byte
+
+// TestTraceAllocSampledRootOnly: of eight consecutive traces that each
+// allocate 1 MiB, exactly the alloc-sampled one reads it at the root;
+// the others skip the runtime/metrics reads and read 0.
+func TestTraceAllocSampledRootOnly(t *testing.T) {
+	sampled := 0
+	for i := 0; i < allocSampleEvery; i++ {
+		tr := NewTrace(NewTraceID(), "alloc", 0)
+		allocSink = make([]byte, 1<<20)
+		rec := tr.Finish(200)
+		switch {
+		case tr.allocDetail && rec.AllocBytes >= 1<<20:
+			sampled++
+		case tr.allocDetail:
+			t.Errorf("sampled trace read alloc_bytes %d, want >= 1 MiB", rec.AllocBytes)
+		case rec.AllocBytes != 0:
+			t.Errorf("unsampled trace read alloc_bytes %d, want 0", rec.AllocBytes)
+		}
+	}
+	if sampled != 1 {
+		t.Errorf("%d of %d traces read their allocation, want exactly 1", sampled, allocSampleEvery)
+	}
+}

@@ -42,20 +42,20 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("top"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeError(w, r, http.StatusBadRequest, kindBadRequest,
+			WriteError(w, r, http.StatusBadRequest, KindBadRequest,
 				fmt.Errorf("invalid top %q (want a non-negative integer)", v))
 			return
 		}
 		topN = n
 	}
-	writeJSON(w, http.StatusOK, s.CacheInfo(topN))
+	WriteJSON(w, http.StatusOK, s.CacheInfo(topN))
 }
 
 // handleCacheDelete empties every cache layer (fleet ops: after a model
 // or catalog change, stale rendered responses and memoized solves must
 // not survive). Lifetime hit/miss counters are preserved.
 func (s *Server) handleCacheDelete(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, CachePurgeResponse{
+	WriteJSON(w, http.StatusOK, CachePurgeResponse{
 		KeyMemoEntriesPurged:  s.memo.Purge(),
 		ResponseEntriesPurged: s.cache.Purge(),
 		SolverEntriesPurged:   s.engine.Cache.Purge(),

@@ -22,7 +22,7 @@ type CatalogEntry struct {
 }
 
 // handleCatalog serves the technique registry with parameter schemas.
-func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
+func handleCatalog(w http.ResponseWriter, r *http.Request) {
 	out := make([]CatalogEntry, 0, len(technique.Builders))
 	for _, b := range technique.Builders {
 		e := CatalogEntry{
@@ -37,5 +37,5 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, e)
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }

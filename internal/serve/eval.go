@@ -55,7 +55,7 @@ var evalQuery = query[*scenario.Spec, *scenario.Outcome]{
 // and numeric spellings, so two textually different bodies describing
 // the same query collapse onto one key — the request-level analogue of
 // the solver-cache fingerprint. The fleet gateway routes on it through
-// EvalKey: the fingerprint that names a response in a replica's cache
+// ReadKey: the fingerprint that names a response in a replica's cache
 // is the fingerprint that picks the replica.
 func FingerprintSpec(sp *scenario.Spec) (string, error) {
 	canon, err := json.Marshal(sp)

@@ -15,12 +15,12 @@ type ExperimentInfo struct {
 }
 
 // handleExperiments lists the registered reproductions in paper order.
-func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
+func handleExperiments(w http.ResponseWriter, r *http.Request) {
 	out := make([]ExperimentInfo, 0, len(exp.Registry))
 	for _, e := range exp.Registry {
 		out = append(out, ExperimentInfo{ID: e.ID, Title: e.Title, Paper: e.Paper})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // handleExperimentRun runs one registered reproduction and returns its
@@ -32,15 +32,15 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	e, ok := exp.ByID(id)
 	if !ok {
-		writeError(w, r, http.StatusNotFound, kindNotFound,
+		WriteError(w, r, http.StatusNotFound, KindNotFound,
 			fmt.Errorf("unknown experiment %q (GET /v1/experiments lists them)", id))
 		return
 	}
 	opts := exp.Options{Quick: r.URL.Query().Get("quick") != ""}
 	res, err := exp.RunOne(r.Context(), e, opts)
 	if err != nil {
-		writeModelError(w, r, err)
+		WriteModelError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }

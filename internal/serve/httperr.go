@@ -11,19 +11,19 @@ import (
 
 // Error kinds carried in JSON error bodies. They mirror the robust
 // taxonomy plus the serving-layer conditions, so clients can branch on
-// a stable string instead of parsing messages.
+// a stable string instead of parsing messages. Both tiers write them.
 const (
-	kindDomain     = "domain"      // robust.ErrDomain: bad spec or parameters → 400
-	kindBadRequest = "bad_request" // malformed request around the model (query params, body size) → 400
-	kindNotFound   = "not_found"   // unknown experiment id or route → 404
-	kindCanceled   = "canceled"    // deadline expiry or client disconnect → 504
-	kindPanic      = "panic"       // contained panic inside a solve → 500
-	kindSaturated  = "saturated"   // admission semaphore full → 429
-	kindInternal   = "internal"    // anything else → 500
-	// kindUnavailable marks a replica refusing work without being broken:
-	// injected admission faults here, total-ring failure at the gateway.
-	// Always paired with Retry-After → 503.
-	kindUnavailable = "unavailable"
+	KindDomain     = "domain"      // robust.ErrDomain: bad spec or parameters → 400
+	KindBadRequest = "bad_request" // malformed request around the model (query params, body size) → 400
+	KindNotFound   = "not_found"   // unknown experiment id or route → 404
+	KindCanceled   = "canceled"    // deadline expiry, client disconnect or an exhausted gateway budget → 504
+	KindPanic      = "panic"       // contained panic inside a solve or the gateway's proxy path → 500
+	KindSaturated  = "saturated"   // admission semaphore full → 429
+	KindInternal   = "internal"    // anything else → 500
+	// KindUnavailable marks a tier refusing work without being broken:
+	// injected admission faults on a replica, total ring failure at the
+	// gateway. Always 503 with Retry-After.
+	KindUnavailable = "unavailable"
 )
 
 // httpError is the JSON error body shape. Trace names the trace whose
@@ -46,34 +46,39 @@ func classify(err error) (status int, kind string) {
 	var pe *robust.PanicError
 	switch {
 	case errors.Is(err, robust.ErrDomain):
-		return http.StatusBadRequest, kindDomain
+		return http.StatusBadRequest, KindDomain
 	case robust.Classify(err) == robust.Canceled:
-		return http.StatusGatewayTimeout, kindCanceled
+		return http.StatusGatewayTimeout, KindCanceled
 	case errors.As(err, &pe):
-		return http.StatusInternalServerError, kindPanic
+		return http.StatusInternalServerError, KindPanic
 	default:
-		return http.StatusInternalServerError, kindInternal
+		return http.StatusInternalServerError, KindInternal
 	}
 }
 
-// writeModelError renders err with the taxonomy mapping.
-func writeModelError(w http.ResponseWriter, r *http.Request, err error) {
+// WriteModelError renders err with the taxonomy mapping.
+func WriteModelError(w http.ResponseWriter, r *http.Request, err error) {
 	status, kind := classify(err)
-	writeError(w, r, status, kind, err)
+	WriteError(w, r, status, kind, err)
 }
 
-// writeError writes a JSON error body stamped with the responsible
+// WriteError writes a JSON error body stamped with the responsible
 // trace ID: the one carried by the error if any, else this request's.
-func writeError(w http.ResponseWriter, r *http.Request, status int, kind string, err error) {
+// A 503 or 429 also gets Retry-After, so a shed client knows to back
+// off.
+func WriteError(w http.ResponseWriter, r *http.Request, status int, kind string, err error) {
 	trace := robust.TraceIDOf(err)
 	if trace == "" && r != nil {
 		trace = obs.TraceFrom(r.Context()).ID()
 	}
-	writeJSON(w, status, httpError{Error: err.Error(), Kind: kind, Trace: trace})
+	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", "1")
+	}
+	WriteJSON(w, status, httpError{Error: err.Error(), Kind: kind, Trace: trace})
 }
 
-// writeJSON writes v as a JSON response with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)

@@ -34,7 +34,7 @@ func respell(t *testing.T, body []byte) []byte {
 
 // TestKeyMemoMatchesFreshParse: for every shipped example spec and a
 // respelled copy, the key the memo returns is the key a fresh parse
-// gives (EvalKey or OptimizeKey), and both spellings share one
+// gives (parse, then fingerprint), and both spellings share one
 // response-cache entry and one answer. Each spelling is admitted on its
 // first response-cache hit and served from the memo after that.
 func TestKeyMemoMatchesFreshParse(t *testing.T) {

@@ -10,15 +10,22 @@ import (
 	"repro/internal/obs"
 )
 
+// TierHeader names the tier that answered GET /metrics: its metric-name
+// prefix, "serve" on a replica or "fleet" at the gateway. A process that
+// runs both tiers shares one registry, so the scraper reads the
+// target's own series by this prefix.
+const TierHeader = "X-Bandwall-Tier"
+
 // handleMetrics snapshots the process obs registry. The default
 // rendering is a Prometheus-style text exposition (dots in metric names
 // become underscores); ?format=ndjson (or an Accept header of
 // application/x-ndjson) switches to the repo's NDJSON dump — the same
 // lines `bandwall run -metrics` writes, spans included.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := obs.Default()
+func (f *Front) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	reg := f.reg
+	w.Header().Set(TierHeader, f.tier)
 	if reg == nil {
-		writeError(w, r, http.StatusServiceUnavailable, kindInternal,
+		WriteError(w, r, http.StatusServiceUnavailable, KindInternal,
 			fmt.Errorf("metrics collection is disabled (no obs registry installed)"))
 		return
 	}
@@ -29,22 +36,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	switch format {
 	case "", "text":
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WriteMetricsText(w, reg)
+		writeMetricsText(w, reg)
 	case "ndjson":
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		_ = reg.WriteNDJSON(w)
 	default:
-		writeError(w, r, http.StatusBadRequest, kindBadRequest,
+		WriteError(w, r, http.StatusBadRequest, KindBadRequest,
 			fmt.Errorf("unknown metrics format %q (want text or ndjson)", format))
 	}
 }
 
-// WriteMetricsText renders counters, gauges, and histograms in the
+// writeMetricsText renders counters, gauges, and histograms in the
 // Prometheus text exposition shape. Spans are omitted (they are
-// per-run, unbounded series; the NDJSON format carries them). Exported
-// so the fleet gateway's /metrics endpoint shares one exposition
-// format with the replicas it fronts.
-func WriteMetricsText(w io.Writer, reg *obs.Registry) {
+// per-run, unbounded series; the NDJSON format carries them).
+func writeMetricsText(w io.Writer, reg *obs.Registry) {
 	snap := reg.Snapshot()
 	for _, c := range snap.Counters {
 		fmt.Fprintf(w, "%s %d\n", promName(c.Name), c.Value)

@@ -24,8 +24,8 @@ const CacheHeader = "X-Bandwall-Cache"
 // query declares one query kind on the serving pipeline: how a request
 // body becomes a typed spec (parse), a cache key (fingerprint), an
 // answer (solve) and response bytes (render). Eval and optimize are two
-// declarations of it; a third kind is one more declaration plus one mux
-// line here and one in the gateway.
+// declarations of it; a third kind is one more declaration, one mux line
+// here and one in the gateway, and one case in ReadKey.
 type query[T, R any] struct {
 	route       string // trace and stage-histogram route; "serve."+route is the leader's fault point
 	parse       func(body []byte) (T, error)
@@ -34,27 +34,10 @@ type query[T, R any] struct {
 	render      func(answer R) ([]byte, error)
 }
 
-// key parses body and fingerprints it, untraced. It is the gateway's
-// routing key, so the replica a body is routed to files its answer
-// under the same key.
-func (q query[T, R]) key(body []byte) (string, error) {
-	spec, err := q.parse(body)
-	if err != nil {
-		return "", err
-	}
-	return q.fingerprint(spec)
-}
-
-// EvalKey parses a POST /v1/eval body and returns its fingerprint: the
-// key the replica caches the answer under and the gateway routes on.
-func EvalKey(body []byte) (string, error) { return evalQuery.key(body) }
-
-// OptimizeKey is EvalKey for POST /v1/optimize bodies.
-func OptimizeKey(body []byte) (string, error) { return optimizeQuery.key(body) }
-
-// ReadSpec reads a query request body, refusing more than 1 MiB. Both
-// tiers read bodies with it, so they share one limit and one message.
-func ReadSpec(r *http.Request) ([]byte, error) {
+// readSpec reads a query request body, refusing more than 1 MiB. Both
+// tiers read bodies through read, so they share one limit and one
+// message.
+func readSpec(r *http.Request) ([]byte, error) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("reading body: %w", err)
@@ -90,10 +73,10 @@ type input[T any] struct {
 func (q query[T, R]) read(w http.ResponseWriter, r *http.Request, memo *KeyMemo) (in input[T], ok bool) {
 	ctx := r.Context()
 	parseSpan := obs.StartTraceSpanLeaf(ctx, StageParse)
-	body, err := ReadSpec(r)
+	body, err := readSpec(r)
 	if err != nil {
 		parseSpan.End()
-		writeError(w, r, http.StatusBadRequest, kindBadRequest, err)
+		WriteError(w, r, http.StatusBadRequest, KindBadRequest, err)
 		return in, false
 	}
 	in.body = body
@@ -110,26 +93,41 @@ func (q query[T, R]) read(w http.ResponseWriter, r *http.Request, memo *KeyMemo)
 	in.spec, err = q.parse(body)
 	parseSpan.End()
 	if err != nil {
-		writeModelError(w, r, err) // ErrDomain-classified → 400 with kind "domain"
+		WriteModelError(w, r, err) // ErrDomain-classified → 400 with kind "domain"
 		return in, false
 	}
 	fpSpan := obs.StartTraceSpanLeaf(ctx, StageFingerprint)
 	in.key, err = q.fingerprint(in.spec)
 	fpSpan.End()
 	if err != nil {
-		writeModelError(w, r, err)
+		WriteModelError(w, r, err)
 		return in, false
 	}
 	in.parsed = true
 	return in, true
 }
 
-// handleQuery serves one query kind behind instrumentation and
-// admission: read → response cache → singleflight (fault point, solve,
-// render once, cache) → write.
+// ReadKey is the first half of route's query pipeline ("eval" or
+// "optimize"): read, then key the body from memo or by parse and
+// fingerprint, each a traced stage. The gateway routes on it, so the
+// replica a body is routed to files its answer under the same key. On
+// failure it has written the error response and ok is false; body is
+// nil then unless it was read. memoHit reports that the key came from
+// memo, unparsed.
+func ReadKey(w http.ResponseWriter, r *http.Request, route string, memo *KeyMemo) (body []byte, key string, memoHit, ok bool) {
+	if route == optimizeQuery.route {
+		in, ok := optimizeQuery.read(w, r, memo)
+		return in.body, in.key, ok && !in.parsed, ok
+	}
+	in, ok := evalQuery.read(w, r, memo)
+	return in.body, in.key, ok && !in.parsed, ok
+}
+
+// handleQuery serves one query kind behind admission: read → response
+// cache → singleflight (fault point, solve, render once, cache) → write.
 func handleQuery[T, R any](s *Server, q query[T, R]) http.HandlerFunc {
 	fault := "serve." + q.route
-	return s.instrument(q.route, s.admit(func(w http.ResponseWriter, r *http.Request) {
+	return s.admit(func(w http.ResponseWriter, r *http.Request) {
 		in, ok := q.read(w, r, s.memo)
 		if !ok {
 			return
@@ -198,7 +196,7 @@ func handleQuery[T, R any](s *Server, q query[T, R]) http.HandlerFunc {
 		}
 		tr.SetAttr("shared", fmt.Sprintf("%t", shared))
 		if err != nil {
-			writeModelError(w, r, err)
+			WriteModelError(w, r, err)
 			return
 		}
 		flag := "miss"
@@ -207,7 +205,7 @@ func handleQuery[T, R any](s *Server, q query[T, R]) http.HandlerFunc {
 		}
 		tr.SetAttr("cache", flag)
 		writeCached(ctx, w, resp, flag)
-	}))
+	})
 }
 
 // writeCached writes a pre-rendered JSON response with its cache

@@ -16,6 +16,10 @@ import (
 
 // MetricsSnapshot is one scrape of a server's /metrics?format=ndjson.
 type MetricsSnapshot struct {
+	// Tier is the answering tier's metric-name prefix ("serve" or
+	// "fleet", from its TierHeader): the series Requests and
+	// StageHistograms read.
+	Tier       string
 	Counters   map[string]uint64
 	Gauges     map[string]float64
 	Histograms map[string]HistogramSnapshot
@@ -40,6 +44,9 @@ type BucketSnapshot struct {
 
 // Counter returns the named counter, zero if absent.
 func (s MetricsSnapshot) Counter(name string) uint64 { return s.Counters[name] }
+
+// Requests returns the answering tier's request counter.
+func (s MetricsSnapshot) Requests() uint64 { return s.Counters[s.Tier+".requests"] }
 
 // Gauge returns the named gauge, zero if absent.
 func (s MetricsSnapshot) Gauge(name string) float64 { return s.Gauges[name] }
@@ -114,10 +121,11 @@ func (h HistogramSnapshot) SlowestExemplar() string {
 	return ""
 }
 
-// StageHistograms extracts the per-stage histograms of one route
-// ("serve.stage_us.{route}.{stage}"), keyed by bare stage name.
+// StageHistograms extracts the answering tier's per-stage histograms of
+// one route ("{tier}.stage_us.{route}.{stage}"), keyed by bare stage
+// name.
 func (s MetricsSnapshot) StageHistograms(route string) map[string]HistogramSnapshot {
-	prefix := "serve.stage_us." + route + "."
+	prefix := stageHistName(s.Tier, route, "")
 	out := make(map[string]HistogramSnapshot)
 	for name, h := range s.Histograms {
 		if stage, ok := strings.CutPrefix(name, prefix); ok {
@@ -150,6 +158,7 @@ func ScrapeMetrics(ctx context.Context, client *http.Client, baseURL string) (Me
 	if resp.StatusCode != http.StatusOK {
 		return snap, fmt.Errorf("scraping metrics: %s", resp.Status)
 	}
+	snap.Tier = resp.Header.Get(TierHeader)
 
 	type line struct {
 		Kind    string      `json:"kind"`

@@ -31,31 +31,31 @@
 // The query endpoints share one pipeline. Eval and optimize are two
 // declarations of a query kind — parser, fingerprint, solver, renderer —
 // on a single handler, and /v1/validate runs that handler's first half
-// (read, parse, fingerprint). The same package exports the body reader,
-// the per-kind key functions (EvalKey, OptimizeKey), the ?timeout= rule
-// and the drain loop, so the fleet gateway routes on serve's own key and
-// both tiers share one request lifecycle. Both tiers also put a KeyMemo
-// in front of the key function: a body whose exact bytes already had an
-// answer served from a response cache skips parse and fingerprint.
+// (read, parse, fingerprint). Both tiers run on one Front, the HTTP
+// plumbing around every handler: request counting, tracing, the access
+// log, error bodies, /metrics and drain-aware serving. The fleet gateway
+// embeds it too, keys bodies with ReadKey (the same first half, behind
+// its own KeyMemo) and lowers ?timeout= with RequestContext, so both
+// tiers share one request lifecycle. A KeyMemo on either tier lets a
+// body whose exact bytes already had an answer served from a response
+// cache skip parse and fingerprint.
 //
 // Every request is traced, always-on: the handler pipeline records a
 // per-stage span tree (admission → parse → fingerprint → cache lookup →
 // singleflight → engine → solver → render → write) with wall-clock and
-// allocation deltas, keeps the last TraceBuffer completed traces in a
-// fixed ring behind GET /v1/trace, returns the trace ID in the
-// X-Bandwall-Trace header, stamps it into the access log, and feeds
-// per-route × per-stage latency histograms whose bucket exemplars carry
-// trace IDs. A background collector samples runtime gauges (goroutines,
-// heap, GC) so /metrics answers "is the process healthy" too.
+// (on one trace in eight) allocation deltas, keeps the last TraceBuffer
+// completed traces in a fixed ring behind GET /v1/trace, returns the
+// trace ID in the X-Bandwall-Trace header, stamps it into the access
+// log, and feeds per-route × per-stage latency histograms whose bucket
+// exemplars carry trace IDs. A background collector samples runtime
+// gauges (goroutines, heap, GC) so /metrics answers "is the process
+// healthy" too.
 package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"log/slog"
-	"net"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -141,37 +141,24 @@ func (c Config) traceBuffer() int {
 // Server is the HTTP evaluation service. Create one with NewServer; it
 // is safe for concurrent use by the stdlib HTTP stack.
 type Server struct {
+	*Front
 	cfg    Config
 	engine *scenario.Engine
 	opt    *optimize.Optimizer // shares the engine's solver cache
 
-	sem    chan struct{}                        // admission slots for the heavy endpoints
-	flight robust.Flight[string, []byte]        // collapses concurrent identical queries
-	memo   *KeyMemo                             // exact repeated body → fingerprint
-	cache  *RespCache                           // fingerprint → rendered response
-	ring   *traceRing                           // recent completed request traces
-	reg    *obs.Registry                        // resolved once at construction (may be nil)
-	stageH map[string]map[string]*obs.Histogram // route → stage → histogram, read-only after NewServer
-
-	accessLog *slog.Logger
-	mux       *http.ServeMux
+	sem    chan struct{}                 // admission slots for the heavy endpoints
+	flight robust.Flight[string, []byte] // collapses concurrent identical queries
+	memo   *KeyMemo                      // exact repeated body → fingerprint
+	cache  *RespCache                    // fingerprint → rendered response
 
 	inflight atomic.Int64
-	// draining flips the instant graceful shutdown begins, before the
-	// listener closes: /healthz answers 503 "draining" while in-flight
-	// requests finish, so a fleet gateway stops routing here ahead of
-	// connection refusals.
-	draining atomic.Bool
 
 	// Instruments (nil-safe no-ops when obs is disabled).
-	mReqs      *obs.Counter
-	mResp      [6]*obs.Counter // index = status/100 (mResp[2] = 2xx …)
 	mSaturated *obs.Counter
 	mSolves    *obs.Counter
 	mShared    *obs.Counter
 	mCacheHits *obs.Counter
 	mCacheMiss *obs.Counter
-	mLatency   *obs.Histogram
 	gInflight  *obs.Gauge
 	solveCount atomic.Uint64 // underlying evaluations (the singleflight proof)
 
@@ -226,13 +213,17 @@ func RegisterObs(reg *obs.Registry) {
 	}
 	// The eval pipeline's stage histograms, pre-registered so /metrics has
 	// a stable shape before the first eval. NewServer resolves every
-	// other route's stage histograms when it builds the server.
-	for _, stage := range []string{
-		StageTotal, StageAdmit, StageParse, StageFingerprint,
-		StageCacheLookup, StageSingleflight, StageWrite,
-	} {
-		reg.Histogram(stageHistName("eval", stage), stageBounds)
+	// other route's stage histograms as it mounts the routes.
+	for _, stage := range replicaStages {
+		reg.Histogram(stageHistName("serve", "eval", stage), stageBounds)
 	}
+}
+
+// replicaStages are the stages whose histograms a replica pre-resolves
+// for every route.
+var replicaStages = []string{
+	StageTotal, StageAdmit, StageParse, StageFingerprint,
+	StageCacheLookup, StageSingleflight, StageWrite,
 }
 
 // NewServer builds a Server over one shared scenario engine (and thus
@@ -247,55 +238,24 @@ func NewServer(cfg Config) *Server {
 		sem:        make(chan struct{}, cfg.maxInflight()),
 		memo:       NewKeyMemo(),
 		cache:      NewRespCache(cfg.CacheSize),
-		ring:       newTraceRing(cfg.traceBuffer()),
-		reg:        reg,
-		mReqs:      reg.Counter(MetricRequests),
 		mSaturated: reg.Counter(MetricSaturated),
 		mSolves:    reg.Counter(MetricEvalSolves),
 		mShared:    reg.Counter(MetricSingleflightShared),
 		mCacheHits: reg.Counter(MetricCacheHits),
 		mCacheMiss: reg.Counter(MetricCacheMisses),
-		mLatency:   reg.Histogram(MetricLatencyUS, latencyBounds),
 		gInflight:  reg.Gauge(MetricInflight),
 	}
 	s.opt = optimize.NewWithCache(s.engine.Cache)
-	for class := 2; class <= 5; class++ {
-		s.mResp[class] = reg.Counter(fmt.Sprintf("serve.responses.%dxx", class))
-	}
-	if cfg.AccessLog != nil {
-		s.accessLog = slog.New(slog.NewTextHandler(cfg.AccessLog, nil))
-	}
-	// Pre-resolve every route × stage histogram the tracer will feed, so
-	// recordStages is map reads on an immutable map, not registry lookups.
-	s.stageH = make(map[string]map[string]*obs.Histogram)
-	for _, route := range []string{"eval", "optimize", "run", "metrics", "catalog", "experiments", "trace", "cache", "validate"} {
-		m := make(map[string]*obs.Histogram, 8)
-		for _, stage := range []string{
-			StageTotal, StageAdmit, StageParse, StageFingerprint,
-			StageCacheLookup, StageSingleflight, StageWrite,
-		} {
-			m[stage] = reg.Histogram(stageHistName(route, stage), stageBounds)
-		}
-		s.stageH[route] = m
-	}
+	s.Front = NewFront("serve", replicaStages, cfg.traceBuffer(), cfg.drainTimeout(), cfg.AccessLog, s.collectRuntime)
 	s.SampleRuntime() // gauges hold real values before the collector's first tick
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
-	s.mux.HandleFunc("GET /v1/catalog", s.instrument("catalog", s.handleCatalog))
-	s.mux.HandleFunc("GET /v1/experiments", s.instrument("experiments", s.handleExperiments))
-	s.mux.HandleFunc("POST /v1/experiments/{id}/run", s.instrument("run", s.admit(s.handleExperimentRun)))
-	s.mux.HandleFunc("POST /v1/eval", handleQuery(s, evalQuery))
-	s.mux.HandleFunc("POST /v1/optimize", handleQuery(s, optimizeQuery))
-	s.mux.HandleFunc("POST /v1/validate", s.instrument("validate", s.handleValidate))
-	s.mux.HandleFunc("GET /v1/trace", s.instrument("trace", s.handleTrace))
-	s.mux.HandleFunc("GET /v1/cache", s.instrument("cache", s.handleCacheGet))
-	s.mux.HandleFunc("DELETE /v1/cache", s.instrument("cache", s.handleCacheDelete))
+	s.Handle("GET /healthz", "", s.handleHealthz)
+	s.Handle("POST /v1/experiments/{id}/run", "run", s.admit(s.handleExperimentRun))
+	s.Handle("POST /v1/eval", evalQuery.route, handleQuery(s, evalQuery))
+	s.Handle("POST /v1/optimize", optimizeQuery.route, handleQuery(s, optimizeQuery))
+	s.Handle("GET /v1/cache", "cache", s.handleCacheGet)
+	s.Handle("DELETE /v1/cache", "cache", s.handleCacheDelete)
 	return s
 }
-
-// Handler returns the service's root handler (for tests and embedding).
-func (s *Server) Handler() http.Handler { return s.mux }
 
 // Solves returns the number of underlying scenario evaluations the
 // server has performed — requests absorbed by the response cache or
@@ -306,77 +266,6 @@ func (s *Server) Solves() uint64 { return s.solveCount.Load() }
 // SharedFlights returns how many requests were served by another
 // in-flight request's solve (singleflight waiters).
 func (s *Server) SharedFlights() uint64 { return s.flight.Shared() }
-
-// statusWriter captures the response status and byte count for the
-// access log and metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += n
-	return n, err
-}
-
-// instrument wraps a handler with request counting, latency recording,
-// always-on request tracing, and structured access logging. route is
-// the stable short name ("eval", "metrics", …) used for trace filtering
-// and the per-route stage histograms — Go 1.22's mux doesn't expose the
-// matched pattern, so it is passed explicitly. A request's spans go into
-// its obs.Trace (the ring behind /v1/trace), never the registry's span
-// log, which keeps the experiment spans /v1/run records.
-func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		s.mReqs.Inc()
-		tr := obs.NewTrace(obs.NewTraceID(), route, 0)
-		w.Header().Set(TraceHeader, tr.ID())
-		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r.WithContext(obs.WithTrace(r.Context(), tr)))
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		rec := tr.Finish(sw.status) // before bookkeeping, so stages tile the trace wall
-		if class := sw.status / 100; class >= 2 && class <= 5 {
-			s.mResp[class].Inc()
-		}
-		dur := time.Since(start)
-		s.mLatency.Observe(float64(dur.Microseconds()))
-		s.ring.Push(rec)
-		s.recordStages(route, rec)
-		if s.accessLog != nil {
-			attrs := []slog.Attr{
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.String("route", route),
-				slog.Int("status", sw.status),
-				slog.Int("bytes", sw.bytes),
-				slog.Duration("dur", dur),
-				slog.String("trace", tr.ID()),
-				slog.String("remote", r.RemoteAddr),
-			}
-			for _, k := range []string{"memo", "cache", "shared"} {
-				if v, ok := rec.Attrs[k]; ok {
-					attrs = append(attrs, slog.String(k, v))
-				}
-			}
-			s.accessLog.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
-		}
-	}
-}
 
 // admit wraps a heavy handler with the bounded admission semaphore and
 // the per-request deadline. A saturated server sheds immediately with
@@ -390,11 +279,10 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 		// to make one replica refuse work without killing it.
 		if err := robust.Safe(func() error { return robust.Hit(r.Context(), "serve.admit") }); err != nil {
 			status, kind := classify(err)
-			if status == http.StatusInternalServerError && kind == kindInternal {
-				status, kind = http.StatusServiceUnavailable, kindUnavailable
-				w.Header().Set("Retry-After", "1")
+			if status == http.StatusInternalServerError && kind == KindInternal {
+				status, kind = http.StatusServiceUnavailable, KindUnavailable
 			}
-			writeError(w, r, status, kind, err)
+			WriteError(w, r, status, kind, err)
 			return
 		}
 		admitSpan := obs.StartTraceSpanLeaf(r.Context(), StageAdmit)
@@ -403,8 +291,7 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 		default:
 			admitSpan.End()
 			s.mSaturated.Inc()
-			w.Header().Set("Retry-After", "1")
-			writeError(w, r, http.StatusTooManyRequests, kindSaturated,
+			WriteError(w, r, http.StatusTooManyRequests, KindSaturated,
 				fmt.Errorf("server at capacity (%d in-flight requests)", cap(s.sem)))
 			return
 		}
@@ -417,7 +304,7 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 
 		ctx, cancel, err := RequestContext(r, s.cfg.evalTimeout())
 		if err != nil {
-			writeError(w, r, http.StatusBadRequest, kindBadRequest, err)
+			WriteError(w, r, http.StatusBadRequest, KindBadRequest, err)
 			return
 		}
 		defer cancel()
@@ -443,10 +330,10 @@ func RequestContext(r *http.Request, def time.Duration) (context.Context, contex
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // SampleRuntime reads the Go runtime's health signals into the obs
@@ -482,62 +369,4 @@ func (s *Server) collectRuntime(ctx context.Context) {
 			s.SampleRuntime()
 		}
 	}
-}
-
-// ListenAndServe serves on addr until ctx is canceled, then drains
-// in-flight requests for up to DrainTimeout before returning. A clean
-// drain returns nil, so a SIGTERM'd server process exits 0. If ready is
-// non-nil it receives the bound address (useful with ":0") once the
-// listener is open.
-func (s *Server) ListenAndServe(ctx context.Context, addr string, ready func(net.Addr)) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if ready != nil {
-		ready(l.Addr())
-	}
-	return s.Serve(ctx, l)
-}
-
-// Serve is ListenAndServe over an existing listener. It owns l and
-// closes it on return.
-func (s *Server) Serve(ctx context.Context, l net.Listener) error {
-	return ServeAndDrain(ctx, l, s.mux, s.cfg.drainTimeout(), &s.draining, s.collectRuntime)
-}
-
-// ServeAndDrain serves h on l until ctx is canceled, running background
-// beside it, then drains. Readiness flips first: draining is set before
-// the listener closes, so a gateway polling /healthz sees "draining"
-// (503) and stops routing here while the requests already in flight
-// complete. Shutdown does not cancel request contexts, so running
-// solves finish within their own deadlines; the whole drain gets up to
-// drain. A clean drain returns nil. Both tiers serve with it.
-func ServeAndDrain(ctx context.Context, l net.Listener, h http.Handler, drain time.Duration, draining *atomic.Bool, background func(context.Context)) error {
-	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
-	bctx, stop := context.WithCancel(ctx)
-	defer stop()
-	go background(bctx)
-	errc := make(chan error, 1)
-	go func() {
-		err := srv.Serve(l)
-		if errors.Is(err, http.ErrServerClosed) {
-			err = nil
-		}
-		errc <- err
-	}()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	draining.Store(true)
-	dctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	shutErr := srv.Shutdown(dctx)
-	<-errc
-	if shutErr != nil {
-		return fmt.Errorf("drain exceeded %s: %w", drain, shutErr)
-	}
-	return nil
 }

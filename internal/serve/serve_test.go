@@ -46,8 +46,7 @@ func optimizeWithID(id string) string {
 
 // queryKind is one query route of the pipeline, for the tests that must
 // hold for every kind: its path, a factory of distinct bodies, a fixed
-// body for the collapse and cache-hit tests, and the key function the
-// gateway routes on.
+// body for the collapse and cache-hit tests, and its key function.
 type queryKind struct {
 	name, path string
 	withID     func(id string) string
@@ -56,8 +55,20 @@ type queryKind struct {
 }
 
 var queryKinds = []queryKind{
-	{"eval", "/v1/eval", func(id string) string { return specWithID(id, 32) }, stackedSpec, EvalKey},
-	{"optimize", "/v1/optimize", optimizeWithID, optimizeSpecBody, OptimizeKey},
+	{"eval", "/v1/eval", func(id string) string { return specWithID(id, 32) }, stackedSpec, keyOf(evalQuery)},
+	{"optimize", "/v1/optimize", optimizeWithID, optimizeSpecBody, keyOf(optimizeQuery)},
+}
+
+// keyOf is q's key function, built as the pipeline builds it: parse,
+// then fingerprint.
+func keyOf[T, R any](q query[T, R]) func([]byte) (string, error) {
+	return func(body []byte) (string, error) {
+		spec, err := q.parse(body)
+		if err != nil {
+			return "", err
+		}
+		return q.fingerprint(spec)
+	}
 }
 
 // mustKey is k's fingerprint of body.
@@ -176,12 +187,12 @@ func TestEvalMalformedSpec(t *testing.T) {
 	cases := []struct {
 		name, body, wantKind string
 	}{
-		{"invalid json", `{"id":`, kindDomain},
-		{"unknown field", `{"id":"x","axes":{"n2":[32]},"cases":[{}]}`, kindDomain},
-		{"no axis", `{"id":"x","cases":[{}]}`, kindDomain},
-		{"unknown technique", `{"id":"x","axis":{"n2":[32]},"cases":[{"stack":[{"name":"Nope"}]}]}`, kindDomain},
-		{"bad param", `{"id":"x","axis":{"n2":[32]},"cases":[{"stack":[{"name":"CC","params":{"ratio":0.5}}]}]}`, kindDomain},
-		{"trailing brace", `{"id":"x","axis":{"n2":[32]},"cases":[{}]}}`, kindDomain},
+		{"invalid json", `{"id":`, KindDomain},
+		{"unknown field", `{"id":"x","axes":{"n2":[32]},"cases":[{}]}`, KindDomain},
+		{"no axis", `{"id":"x","cases":[{}]}`, KindDomain},
+		{"unknown technique", `{"id":"x","axis":{"n2":[32]},"cases":[{"stack":[{"name":"Nope"}]}]}`, KindDomain},
+		{"bad param", `{"id":"x","axis":{"n2":[32]},"cases":[{"stack":[{"name":"CC","params":{"ratio":0.5}}]}]}`, KindDomain},
+		{"trailing brace", `{"id":"x","axis":{"n2":[32]},"cases":[{}]}}`, KindDomain},
 	}
 	for _, tc := range cases {
 		resp, data := postEval(t, ts.URL, tc.body)
@@ -206,8 +217,8 @@ func TestEvalDeadline(t *testing.T) {
 			if resp.StatusCode != http.StatusGatewayTimeout {
 				t.Fatalf("status %d, want 504 (%s)", resp.StatusCode, data)
 			}
-			if he := decodeError(t, data); he.Kind != kindCanceled {
-				t.Errorf("kind = %q, want %q", he.Kind, kindCanceled)
+			if he := decodeError(t, data); he.Kind != KindCanceled {
+				t.Errorf("kind = %q, want %q", he.Kind, KindCanceled)
 			}
 			if s.Solves() != 0 {
 				t.Errorf("solves = %d, want 0", s.Solves())
@@ -240,8 +251,8 @@ func TestEvalTimeoutQueryParam(t *testing.T) {
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad timeout: status %d, want 400", resp2.StatusCode)
 	}
-	if he := decodeError(t, data); he.Kind != kindBadRequest {
-		t.Errorf("bad timeout kind = %q, want %q", he.Kind, kindBadRequest)
+	if he := decodeError(t, data); he.Kind != KindBadRequest {
+		t.Errorf("bad timeout kind = %q, want %q", he.Kind, KindBadRequest)
 	}
 }
 
@@ -283,8 +294,8 @@ func TestEvalSaturation(t *testing.T) {
 			if resp.Header.Get("Retry-After") == "" {
 				t.Error("429 missing Retry-After header")
 			}
-			if he := decodeError(t, data); he.Kind != kindSaturated {
-				t.Errorf("kind = %q, want %q", he.Kind, kindSaturated)
+			if he := decodeError(t, data); he.Kind != KindSaturated {
+				t.Errorf("kind = %q, want %q", he.Kind, KindSaturated)
 			}
 			if reg.Counter(MetricSaturated).Value() != 1 {
 				t.Errorf("saturated counter = %d, want 1", reg.Counter(MetricSaturated).Value())
@@ -382,7 +393,7 @@ func TestOversizedBody(t *testing.T) {
 			t.Errorf("%s: status %d, want 400 (%s)", path, resp.StatusCode, data)
 			continue
 		}
-		if he := decodeError(t, data); he.Kind != kindBadRequest || he.Error != "spec exceeds 1048576 bytes" {
+		if he := decodeError(t, data); he.Kind != KindBadRequest || he.Error != "spec exceeds 1048576 bytes" {
 			t.Errorf("%s: error body = %+v, want bad_request \"spec exceeds 1048576 bytes\"", path, he)
 		}
 	}
@@ -450,8 +461,8 @@ func TestExperimentRunUnknown(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d, want 404", resp.StatusCode)
 	}
-	if he := decodeError(t, data); he.Kind != kindNotFound {
-		t.Errorf("kind = %q, want %q", he.Kind, kindNotFound)
+	if he := decodeError(t, data); he.Kind != KindNotFound {
+		t.Errorf("kind = %q, want %q", he.Kind, KindNotFound)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // client can immediately fetch its span tree from GET /v1/trace?id=.
 const TraceHeader = "X-Bandwall-Trace"
 
-// Stage names recorded as top-level trace spans on the eval pipeline
-// (and as per-route histograms serve.stage_us.{route}.{stage}).
+// Stage names recorded as top-level trace spans on the query pipeline
+// (and as per-route histograms {tier}.stage_us.{route}.{stage}).
 const (
 	StageAdmit        = "admit"        // admission-semaphore acquisition
 	StageParse        = "parse"        // body read + key-memo lookup + strict spec parse (memo miss only)
@@ -23,7 +23,8 @@ const (
 	StageCacheLookup  = "cache.lookup" // response-LRU probe
 	StageSingleflight = "singleflight" // leader solve or follower wait
 	StageRender       = "render"       // outcome → response bytes (inside singleflight)
-	StageWrite        = "write"        // response write
+	StageForward      = "forward"      // gateway only: the hedged, failing-over replica chain
+	StageWrite        = "write"        // response write (at the gateway: the relay)
 	StageTotal        = "total"        // whole request (root)
 )
 
@@ -39,17 +40,11 @@ type traceRing struct {
 }
 
 func newTraceRing(size int) *traceRing {
-	if size <= 0 {
-		size = DefaultTraceBuffer
-	}
 	return &traceRing{buf: make([]*obs.TraceRecord, size)}
 }
 
 // Push retains rec, evicting the oldest retained trace when full.
 func (r *traceRing) Push(rec *obs.TraceRecord) {
-	if rec == nil {
-		return
-	}
 	r.mu.Lock()
 	r.buf[r.next] = rec
 	r.next = (r.next + 1) % len(r.buf)
@@ -131,13 +126,13 @@ func traceInfoOf(rec *obs.TraceRecord) TraceInfo {
 // handleTrace serves the recent-trace ring, most recent first.
 // Filters: ?id= (exact trace), ?route= (route name), ?slow=D (wall ≥ D,
 // e.g. 5ms; slow=0 matches everything), ?limit=N (default 50).
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+func (f *Front) handleTrace(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var minWall time.Duration
 	if v := q.Get("slow"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d < 0 {
-			writeError(w, r, http.StatusBadRequest, kindBadRequest,
+			WriteError(w, r, http.StatusBadRequest, KindBadRequest,
 				fmt.Errorf("invalid slow threshold %q (want a non-negative Go duration)", v))
 			return
 		}
@@ -147,7 +142,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
-			writeError(w, r, http.StatusBadRequest, kindBadRequest,
+			WriteError(w, r, http.StatusBadRequest, KindBadRequest,
 				fmt.Errorf("invalid limit %q (want a positive integer)", v))
 			return
 		}
@@ -156,7 +151,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id, route := q.Get("id"), q.Get("route")
 
 	list := TraceList{Traces: []TraceInfo{}}
-	for _, rec := range s.ring.Snapshot() {
+	for _, rec := range f.ring.Snapshot() {
 		if id != "" && rec.ID != id {
 			continue
 		}
@@ -171,43 +166,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			list.Traces = append(list.Traces, traceInfoOf(rec))
 		}
 	}
-	writeJSON(w, http.StatusOK, list)
-}
-
-// stageHistName builds the per-route × per-stage histogram name.
-func stageHistName(route, stage string) string {
-	return "serve.stage_us." + route + "." + stage
-}
-
-// stageHist returns the route × stage histogram, preferring the
-// pointers pre-resolved at construction — the registry lookup (mutex +
-// map + string concat) is too expensive per request-stage.
-func (s *Server) stageHist(route, stage string) *obs.Histogram {
-	if m, ok := s.stageH[route]; ok {
-		if h, ok := m[stage]; ok {
-			return h
-		}
-	}
-	return s.reg.Histogram(stageHistName(route, stage), stageBounds)
-}
-
-// recordStages turns one finished trace into the per-route stage
-// histograms: every top-level span plus the request total, each
-// observation carrying the trace ID as its bucket exemplar — so the
-// slowest bucket of any stage histogram names a concrete trace to pull
-// from /v1/trace.
-func (s *Server) recordStages(route string, rec *obs.TraceRecord) {
-	if s.reg == nil || rec == nil {
-		return
-	}
-	id := rec.ID
-	s.stageHist(route, StageTotal).ObserveEx(float64(rec.WallNS)/1e3, id)
-	for _, sp := range rec.Spans {
-		if sp.Parent != 0 {
-			continue // nested spans are attributed through their parent stage
-		}
-		s.stageHist(route, sp.Name).ObserveEx(float64(sp.WallNS)/1e3, id)
-	}
+	WriteJSON(w, http.StatusOK, list)
 }
 
 // stageBounds are the stage-latency histogram buckets in microseconds:

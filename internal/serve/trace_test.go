@@ -413,9 +413,9 @@ func TestStageHistogramsAndExemplars(t *testing.T) {
 	for _, h := range snap.Histograms {
 		byName[h.Name] = h
 	}
-	total, ok := byName[stageHistName("eval", StageTotal)]
+	total, ok := byName[stageHistName("serve", "eval", StageTotal)]
 	if !ok || total.Count == 0 {
-		t.Fatalf("stage histogram %q empty", stageHistName("eval", StageTotal))
+		t.Fatalf("stage histogram %q empty", stageHistName("serve", "eval", StageTotal))
 	}
 	var exemplar string
 	for _, b := range total.Buckets {

@@ -20,12 +20,12 @@ type ValidateResponse struct {
 // stops there. Invalid specs get exactly the error body /v1/eval would
 // have sent (ErrDomain → 400 "domain"), which makes this the cheap
 // per-keystroke check: no admission slot, no deadline, no solver work.
-func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
+func handleValidate(w http.ResponseWriter, r *http.Request) {
 	in, ok := evalQuery.read(w, r, nil) // no memo: the answer needs the parsed spec
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, ValidateResponse{
+	WriteJSON(w, http.StatusOK, ValidateResponse{
 		Valid:       true,
 		ID:          in.spec.ID,
 		Title:       in.spec.Title,

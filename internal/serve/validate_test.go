@@ -61,8 +61,8 @@ func TestValidateDomainError(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400: %s", resp.StatusCode, data)
 	}
-	if he := decodeError(t, data); he.Kind != kindDomain || he.Error == "" {
-		t.Errorf("error body = %+v, want kind %q", he, kindDomain)
+	if he := decodeError(t, data); he.Kind != KindDomain || he.Error == "" {
+		t.Errorf("error body = %+v, want kind %q", he, KindDomain)
 	}
 	if s.Solves() != 0 {
 		t.Errorf("solves = %d, want 0", s.Solves())

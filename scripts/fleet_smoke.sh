@@ -3,10 +3,13 @@
 # three `bandwall serve` replicas behind a `bandwall gateway`.
 #
 # Phase 1 (chaos survival): evaluate the shipped stacked-compression
-# spec through the gateway (the Fig 12 answer: 18 cores), then run
-# `loadgen -chaos` against the gateway and kill -9 one replica mid-run,
-# restarting it before the run ends. The gateway's failover/retry path
-# must absorb the death completely: zero client-visible errors.
+# spec through the gateway (the Fig 12 answer: 18 cores), resolve the
+# gateway's own trace of it at the gateway's /v1/trace, check the routes
+# the gateway answers itself (validate, catalog, NDJSON metrics), then
+# run `loadgen -chaos` against the gateway and kill -9 one replica
+# mid-run, restarting it before the run ends. The gateway's
+# failover/retry path must absorb the death completely: zero
+# client-visible errors.
 #
 # Phase 2 (seeded-fault determinism): a fresh topology where replica 1
 # carries BANDWALL_FAULTS='serve.eval=panic x*' (every eval on it
@@ -84,9 +87,29 @@ grep -qi '^x-bandwall-replica:' "$HDRS" || {
   exit 1
 }
 
-echo "== validate through the gateway"
+echo "== the gateway's own trace of that eval resolves at the gateway"
+TRACE_ID="$(grep -i '^x-bandwall-trace:' "$HDRS" | tr -d '\r' | awk '{print $2}')"
+TRACE="$(curl -sf "$BASE/v1/trace?id=$TRACE_ID")"
+grep -q "\"id\":\"$TRACE_ID\"" <<<"$TRACE" && grep -q '"name":"forward"' <<<"$TRACE" \
+  && grep -q '"replica_trace"' <<<"$TRACE" || {
+  echo "FAIL: gateway /v1/trace?id=$TRACE_ID does not resolve the eval's trace:" >&2
+  echo "$TRACE" | head -c 600 >&2
+  exit 1
+}
+
+echo "== the gateway answers validate, catalog and NDJSON metrics itself"
 curl -sf -X POST --data-binary "@$SPEC" "$BASE/v1/validate" | grep -q '"valid":true' || {
   echo "FAIL: gateway /v1/validate did not validate the shipped spec" >&2
+  exit 1
+}
+curl -sf -o /dev/null "$BASE/v1/catalog" || {
+  echo "FAIL: gateway /v1/catalog did not answer 200" >&2
+  exit 1
+}
+# Captured first: grep -q would close the pipe on a long dump mid-write.
+METRICS="$(curl -sf "$BASE/metrics?format=ndjson")"
+grep -q '"name":"fleet.requests"' <<<"$METRICS" || {
+  echo "FAIL: gateway NDJSON /metrics missing fleet.requests" >&2
   exit 1
 }
 
