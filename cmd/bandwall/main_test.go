@@ -823,8 +823,7 @@ func TestOptimizeSigintExitCode(t *testing.T) {
 	  "catalog": [
 	    {"name": "LC", "params": {"ratio": 2}, "cost": 1.5},
 	    {"name": "DRAM", "params": {"density": 8}, "cost": 4}
-	  ],
-	  "split": {"min": 0.5, "max": 2, "points": 3}
+	  ]
 	}`
 	if err := os.WriteFile(spec, []byte(body), 0o644); err != nil {
 		t.Fatal(err)

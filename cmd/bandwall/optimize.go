@@ -14,8 +14,8 @@ import (
 )
 
 // cmdOptimize runs inverse design-space queries: for each OptimizeSpec
-// file it searches the technique-stack power set crossed with the S=C/P
-// split grid and prints the best design plus the Pareto frontier. All
+// file it searches the technique-stack power set and prints the best
+// design plus the Pareto frontier. All
 // specs share one optimizer, so repeated stacks across files resolve from
 // the solver cache.
 func cmdOptimize(ctx context.Context, args []string, out io.Writer) error {
@@ -64,7 +64,7 @@ func cmdOptimize(ctx context.Context, args []string, out io.Writer) error {
 			for _, tb := range res.Tables() {
 				fmt.Fprintln(out, tb.String())
 			}
-			fmt.Fprintf(out, "evaluated %d stacks × %d splits\n\n", res.Stacks, res.Candidates/res.Stacks)
+			fmt.Fprintf(out, "evaluated %d stacks\n\n", res.Stacks)
 		}
 	}
 	if *csvDir != "" {

@@ -141,13 +141,12 @@ const optimizeCheckSpec = `{
     {"name": "DRAM", "params": {"density": 8}, "cost": 4},
     {"name": "3D", "params": {"density": 8}, "cost": 6}
   ],
-  "max_techniques": 3,
-  "split": {"min": 0.25, "max": 4, "points": 8}
+  "max_techniques": 3
 }`
 
 // checkOptimize runs the inverse optimizer on the worked example and
 // verifies the frontier's (cost, cores, stack, binding) walk, ending on
-// the thermal-bound 3D design.
+// the bandwidth-bound Fltr + CC/LC + DRAM design.
 func checkOptimize(out io.Writer) (failures int, err error) {
 	osp, err := scenario.ParseOptimizeSpec([]byte(optimizeCheckSpec))
 	if err != nil {
@@ -170,6 +169,9 @@ func checkOptimize(out io.Writer) (failures int, err error) {
 		{4, 21, "Fltr + CC/LC", "bandwidth"},
 		{5.5, 24, "LC + DRAM", "bandwidth"},
 		{6, 25, "3D", "thermal"},
+		{6.5, 26, "Fltr + LC + DRAM", "bandwidth"},
+		{7, 27, "CC/LC + DRAM", "bandwidth"},
+		{8, 28, "Fltr + CC/LC + DRAM", "bandwidth"},
 	}
 	status := "ok"
 	if len(res.Frontier) != len(want) {
@@ -185,7 +187,7 @@ func checkOptimize(out io.Writer) (failures int, err error) {
 			}
 		}
 	}
-	fmt.Fprintf(out, "%-36s 7-point frontier, best 3D ... %s\n", "Optimize: area-budget example", status)
+	fmt.Fprintf(out, "%-36s 10-point frontier, best Fltr + CC/LC + DRAM ... %s\n", "Optimize: area-budget example", status)
 	return failures, nil
 }
 

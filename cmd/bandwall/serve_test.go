@@ -250,3 +250,38 @@ func TestTopAgainstGateway(t *testing.T) {
 		t.Errorf("top frame mixes in the replica's stages:\n%s", out)
 	}
 }
+
+// TestTopFrameShowsOnlyCarriedSeries: a frame prints the inflight, cache
+// and runtime parts only when the snapshot carries their series. A
+// gateway's snapshot has none of them, and a replica's frame is as
+// before.
+func TestTopFrameShowsOnlyCarriedSeries(t *testing.T) {
+	frame := func(snap serve.MetricsSnapshot) string {
+		var b strings.Builder
+		renderTopFrame(&b, "http://x", "eval", snap, serve.MetricsSnapshot{}, 0, false, nil, nil)
+		_, body, _ := strings.Cut(b.String(), "\n") // drop the clock line
+		return body
+	}
+	fleetSnap := serve.MetricsSnapshot{Tier: "fleet", Counters: map[string]uint64{"fleet.requests": 5}}
+	if got, want := frame(fleetSnap), "\nrequests 5\n\ntraces: none recorded yet\n"; got != want {
+		t.Errorf("gateway frame:\n%q\nwant\n%q", got, want)
+	}
+	replica := serve.MetricsSnapshot{
+		Tier: "serve",
+		Counters: map[string]uint64{
+			serve.MetricRequests: 12, serve.MetricSaturated: 1, serve.MetricCacheHits: 9,
+			serve.MetricCacheMisses: 3, serve.MetricEvalSolves: 3, serve.MetricSingleflightShared: 2,
+		},
+		Gauges: map[string]float64{
+			serve.MetricInflight: 4, serve.MetricGoroutines: 17, serve.MetricHeapBytes: 3 << 20,
+			serve.MetricGCCycles: 5, serve.MetricGCPauseMS: 1.5,
+		},
+	}
+	want := "\nrequests 12  inflight 4  saturated 1\n" +
+		"cache hits 9 / misses 3 (75.0%)  solves 3  shared flights 2\n" +
+		"goroutines 17  heap 3.0 MiB  gc cycles 5  gc pause 1.5 ms total\n\n" +
+		"traces: none recorded yet\n"
+	if got := frame(replica); got != want {
+		t.Errorf("replica frame:\n%q\nwant\n%q", got, want)
+	}
+}

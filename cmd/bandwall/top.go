@@ -88,25 +88,34 @@ func fetchTopTraces(ctx context.Context, client *http.Client, base string, n int
 func renderTopFrame(out io.Writer, url, route string, snap, prev serve.MetricsSnapshot, window time.Duration, haveDelta bool, traces []serve.TraceInfo, terr error) {
 	fmt.Fprintf(out, "bandwall top — %s (%s tier) — %s\n\n", url, snap.Tier, time.Now().Format(time.TimeOnly))
 
+	// The replica-only parts (inflight, cache and solves, runtime) print
+	// only when the snapshot carries their series: a gateway registers
+	// none of them, and a zero there would read as measured.
 	reqs := snap.Requests()
-	line := fmt.Sprintf("requests %d", reqs)
+	fmt.Fprintf(out, "requests %d", reqs)
 	if haveDelta && window > 0 {
-		dr := float64(reqs-prev.Requests()) / window.Seconds()
-		line += fmt.Sprintf("  (%.0f req/s)", dr)
+		fmt.Fprintf(out, "  (%.0f req/s)", float64(reqs-prev.Requests())/window.Seconds())
 	}
-	fmt.Fprintf(out, "%s  inflight %.0f  saturated %d\n", line,
-		snap.Gauge(serve.MetricInflight), snap.Counter(serve.MetricSaturated))
+	if _, ok := snap.Gauges[serve.MetricInflight]; ok {
+		fmt.Fprintf(out, "  inflight %.0f  saturated %d", snap.Gauge(serve.MetricInflight), snap.Counter(serve.MetricSaturated))
+	}
+	fmt.Fprintln(out)
 
-	ch, cm := snap.Counter(serve.MetricCacheHits), snap.Counter(serve.MetricCacheMisses)
-	ratio := 0.0
-	if ch+cm > 0 {
-		ratio = 100 * float64(ch) / float64(ch+cm)
+	if _, ok := snap.Counters[serve.MetricCacheHits]; ok {
+		ch, cm := snap.Counter(serve.MetricCacheHits), snap.Counter(serve.MetricCacheMisses)
+		ratio := 0.0
+		if ch+cm > 0 {
+			ratio = 100 * float64(ch) / float64(ch+cm)
+		}
+		fmt.Fprintf(out, "cache hits %d / misses %d (%.1f%%)  solves %d  shared flights %d\n",
+			ch, cm, ratio, snap.Counter(serve.MetricEvalSolves), snap.Counter(serve.MetricSingleflightShared))
 	}
-	fmt.Fprintf(out, "cache hits %d / misses %d (%.1f%%)  solves %d  shared flights %d\n",
-		ch, cm, ratio, snap.Counter(serve.MetricEvalSolves), snap.Counter(serve.MetricSingleflightShared))
-	fmt.Fprintf(out, "goroutines %.0f  heap %.1f MiB  gc cycles %.0f  gc pause %.1f ms total\n\n",
-		snap.Gauge(serve.MetricGoroutines), snap.Gauge(serve.MetricHeapBytes)/(1<<20),
-		snap.Gauge(serve.MetricGCCycles), snap.Gauge(serve.MetricGCPauseMS))
+	if _, ok := snap.Gauges[serve.MetricGoroutines]; ok {
+		fmt.Fprintf(out, "goroutines %.0f  heap %.1f MiB  gc cycles %.0f  gc pause %.1f ms total\n",
+			snap.Gauge(serve.MetricGoroutines), snap.Gauge(serve.MetricHeapBytes)/(1<<20),
+			snap.Gauge(serve.MetricGCCycles), snap.Gauge(serve.MetricGCPauseMS))
+	}
+	fmt.Fprintln(out)
 
 	stages := snap.StageHistograms(route)
 	if len(stages) > 0 {

@@ -804,8 +804,7 @@ func TestOptimizeThroughGateway(t *testing.T) {
 	  "catalog": [
 	    {"name": "LC", "params": {"ratio": 2}, "cost": 1.5},
 	    {"name": "DRAM", "params": {"density": 8}, "cost": 4}
-	  ],
-	  "split": {"min": 0.5, "max": 2, "points": 3}
+	  ]
 	}`
 
 	w1 := postGateway(t, g, "/v1/optimize", body)

@@ -1,14 +1,14 @@
 // Package optimize answers the inverse design-space query: given a chip
 // area, a wall envelope set, and a catalog of candidate techniques with
-// costs, which technique stack and S=C/P area split maximize supportable
-// cores? It enumerates the catalog's power set under compatibility rules
-// (exclusion groups: at most one entry per group, e.g. one DRAM variant),
-// crosses each eligible stack with a swept cache-per-core split, evaluates
-// every stack through the multi-wall solver — one Constraint.SolveFP call
-// per stack, whose wall root finds come from the shared solver memo and
-// whose answer all of the stack's split points share — and reports the
-// single best design plus the objective-vs-cost Pareto frontier with
-// per-point binding-wall attribution.
+// costs, which technique stack maximizes supportable cores? It enumerates
+// the catalog's power set under compatibility rules (exclusion groups: at
+// most one entry per group, e.g. one DRAM variant), evaluates each
+// eligible stack through the multi-wall solver — one Constraint.SolveFP
+// call per stack, whose wall root finds come from the shared solver memo —
+// and reports the single best design plus the objective-vs-cost Pareto
+// frontier with per-point binding-wall attribution. Each design point is
+// exactly what eval reports for its stack on the same chip and walls; the
+// S=C/P core/cache split is read off the solution, not searched.
 package optimize
 
 import (
@@ -24,19 +24,16 @@ import (
 	"repro/internal/technique"
 )
 
-// BindingSplit is the Binding value of a design point pinned by the split
-// geometry rather than a wall: at its split the chip runs out of area
-// before any wall binds.
-const BindingSplit = "split"
-
-// DesignPoint is one evaluated (stack, split) candidate.
+// DesignPoint is one evaluated stack.
 type DesignPoint struct {
 	// Stack lists the catalog entries the candidate combines, in catalog
 	// order. Empty means BASE.
 	Stack []technique.Spec `json:"stack,omitempty"`
 	// Label is the stack's display label ("CC/LC + DRAM", "BASE", ...).
 	Label string `json:"label"`
-	// Split is the S=C/P cache-per-core allocation in CEAs.
+	// Split is the S=C/P split the solution implies: the CEAs of on-die
+	// cache per core, (n2 − CoreArea·Exact)/Exact. A 3D stack's stacked
+	// die is not counted in it.
 	Split float64 `json:"split"`
 	// Cost is the stack's summed catalog cost.
 	Cost float64 `json:"cost"`
@@ -44,14 +41,10 @@ type DesignPoint struct {
 	// solution it is read from.
 	Cores int     `json:"cores"`
 	Exact float64 `json:"exact"`
-	// Binding names what pins this point: a wall kind when the constraint
-	// binds below the split's geometric core count, else "split".
-	Binding string `json:"binding"`
-	// Walls reports each wall's limit/usage/headroom at the stack's
-	// wall-bound solution (shared across the stack's split points).
-	Walls []scaling.WallHeadroom `json:"walls,omitempty"`
-
-	ord int // enumeration index, for deterministic tie-breaking
+	// Binding names the wall that pins this point; Walls reports each
+	// wall's limit/usage/headroom at the solution.
+	Binding string                 `json:"binding"`
+	Walls   []scaling.WallHeadroom `json:"walls,omitempty"`
 }
 
 // Result is one completed search.
@@ -66,11 +59,11 @@ type Result struct {
 	// Frontier is the objective-vs-cost Pareto frontier in ascending cost
 	// (and therefore strictly ascending objective) order.
 	Frontier []DesignPoint `json:"frontier"`
-	// Points holds every enumerated candidate in deterministic
-	// (stack, split) order — the exhaustive grid the frontier is drawn
-	// from.
+	// Points holds one design point per eligible stack, in enumeration
+	// order — the candidates the frontier is drawn from.
 	Points []DesignPoint `json:"-"`
-	// Stacks counts eligible stacks; Candidates the (stack, split) pairs.
+	// Stacks counts eligible stacks. Candidates equals Stacks: each stack
+	// is one candidate.
 	Stacks     int `json:"stacks"`
 	Candidates int `json:"candidates"`
 }
@@ -172,11 +165,10 @@ func groupsOverlap(a, b []string) bool {
 	return false
 }
 
-// Search evaluates the full (stack × split) grid and returns the best
-// design and Pareto frontier. Stacks are evaluated concurrently by
-// robust.Each (chunks of stacks, a cancellation check per chunk) with
-// contained panics; candidate ordering in the result is independent of
-// scheduling.
+// Search evaluates every eligible stack and returns the best design and
+// Pareto frontier. Stacks are evaluated concurrently by robust.Each
+// (chunks of stacks, a cancellation check per chunk) with contained
+// panics; candidate ordering in the result is independent of scheduling.
 func (o *Optimizer) Search(ctx context.Context, osp *scenario.OptimizeSpec) (*Result, error) {
 	ctx, tspan := obs.StartTraceSpan(ctx, "optimize.search")
 	defer tspan.End()
@@ -195,7 +187,6 @@ func (o *Optimizer) Search(ctx context.Context, osp *scenario.OptimizeSpec) (*Re
 	}
 	cons := osp.Constraint()
 	stacks := enumerateStacks(osp)
-	splits := osp.SplitPoints()
 
 	cache := o.Cache
 	if cache == nil {
@@ -203,7 +194,7 @@ func (o *Optimizer) Search(ctx context.Context, osp *scenario.OptimizeSpec) (*Re
 	}
 	evaluated := obs.Default().Counter("optimize.candidates")
 
-	points := make([]DesignPoint, len(stacks)*len(splits))
+	points := make([]DesignPoint, len(stacks))
 
 	// solveStack contains panics (fault injection reaches the solver
 	// through the scaling.solve hook), mirroring the scenario engine.
@@ -212,7 +203,6 @@ func (o *Optimizer) Search(ctx context.Context, osp *scenario.OptimizeSpec) (*Re
 		return cons.SolveFP(ctx, cache, solver, fp, st, osp.N2, 1)
 	}
 
-	// Each stack needs exactly one wall solve; its split points reuse it.
 	evalStack := func(si int) error {
 		sc := stacks[si]
 		st, err := technique.BuildStack(sc.specs)
@@ -225,31 +215,15 @@ func (o *Optimizer) Search(ctx context.Context, osp *scenario.OptimizeSpec) (*Re
 			return fmt.Errorf("optimize %s: stack %q: %w", osp.ID, st.Label(), err)
 		}
 		evaluated.Inc()
-		label := st.Label()
-		for pi, s := range splits {
-			// At split s the chip fits n2/(coreArea+s) cores, each with s
-			// CEAs of cache; the wall solve caps cores independently of the
-			// split (it already allocates all residual area to cache), so
-			// the supportable count is the smaller of the two.
-			pGeom := osp.N2 / (fp.Params.CoreArea + s)
-			exact := pGeom
-			binding := BindingSplit
-			if sol.Exact < pGeom {
-				exact = sol.Exact
-				binding = sol.Binding
-			}
-			idx := si*len(splits) + pi
-			points[idx] = DesignPoint{
-				Stack:   sc.specs,
-				Label:   label,
-				Split:   s,
-				Cost:    sc.cost,
-				Cores:   scaling.CoresFromExact(exact),
-				Exact:   exact,
-				Binding: binding,
-				Walls:   sol.Walls,
-				ord:     idx,
-			}
+		points[si] = DesignPoint{
+			Stack:   sc.specs,
+			Label:   st.Label(),
+			Split:   (osp.N2 - fp.Params.CoreArea*sol.Exact) / sol.Exact,
+			Cost:    sc.cost,
+			Cores:   scaling.CoresFromExact(sol.Exact),
+			Exact:   sol.Exact,
+			Binding: sol.Binding,
+			Walls:   sol.Walls,
 		}
 		return nil
 	}

@@ -3,15 +3,17 @@ package optimize
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/robust"
 	"repro/internal/scenario"
+	"repro/internal/technique"
 )
 
-// testSpec is a small exhaustive grid: 4 catalog entries (two of them
-// mutually exclusive via the CC/LC dual group), 3 split points.
+// testSpec is a small exhaustive search: 4 catalog entries, two of them
+// mutually exclusive via the CC/LC dual group.
 const testSpec = `{
   "id": "opt-test", "n2": 32,
   "catalog": [
@@ -19,8 +21,7 @@ const testSpec = `{
     {"name": "LC", "params": {"ratio": 2}, "cost": 1.5},
     {"name": "CC/LC", "params": {"ratio": 2}, "cost": 3},
     {"name": "DRAM", "params": {"density": 8}, "cost": 4}
-  ],
-  "split": {"min": 0.5, "max": 2, "points": 3}
+  ]
 }`
 
 func mustSearch(t *testing.T, o *Optimizer, spec string) *Result {
@@ -44,7 +45,7 @@ func TestFrontierProperty(t *testing.T) {
 		spec := strings.Replace(testSpec, `"n2": 32,`, fmt.Sprintf(`"n2": 32, "objective": %q,`, objective), 1)
 		res := mustSearch(t, New(), spec)
 		if len(res.Points) == 0 || len(res.Frontier) == 0 {
-			t.Fatalf("objective %s: empty grid or frontier", objective)
+			t.Fatalf("objective %s: no candidates or empty frontier", objective)
 		}
 		for _, f := range res.Frontier {
 			for _, p := range res.Points {
@@ -101,8 +102,7 @@ func TestExclusionGroups(t *testing.T) {
 	    {"name": "CC/LC", "params": {"ratio": 2}, "cost": 1},
 	    {"name": "DRAM", "params": {"density": 4}, "cost": 1, "group": "mem"},
 	    {"name": "DRAM", "params": {"density": 8}, "cost": 2, "group": "mem"}
-	  ],
-	  "split": {"min": 1, "max": 1, "points": 1}
+	  ]
 	}`
 	res := mustSearch(t, New(), spec)
 	for _, p := range res.Points {
@@ -141,8 +141,7 @@ func TestStackConstraints(t *testing.T) {
 	    {"name": "Fltr", "params": {"unused": 0.4}, "cost": 1},
 	    {"name": "LC", "params": {"ratio": 2}, "cost": 1.5},
 	    {"name": "DRAM", "params": {"density": 8}, "cost": 4}
-	  ],
-	  "split": {"min": 1, "max": 1, "points": 1}
+	  ]
 	}`
 	res := mustSearch(t, New(), spec)
 	if res.Stacks != 3 { // BASE, Fltr, LC — DRAM exceeds max_cost
@@ -206,6 +205,48 @@ func TestCacheReuse(t *testing.T) {
 	}
 }
 
+// TestOneStackMatchesEval: a design point is what eval reports for its
+// stack. For every registry technique at each of its three default
+// assumptions, plus 3D at density 16, optimize over a one-entry catalog
+// on 32 CEAs under a unit bandwidth envelope gives the technique's point
+// the cores, exact, binding and walls that eval of the same stack gives
+// on the same chip and walls.
+func TestOneStackMatchesEval(t *testing.T) {
+	stacks := []technique.Spec{{Name: "3D", Params: map[string]float64{"density": 16}}}
+	for _, b := range technique.Builders {
+		for _, a := range technique.Assumptions {
+			stacks = append(stacks, technique.Spec{Name: b.Name, Params: b.Defaults(a)})
+		}
+	}
+	ctx := context.Background()
+	budget := scenario.Budget{Envelope: 1}
+	eng := scenario.NewEngine()
+	for _, st := range stacks {
+		res, err := New().Search(ctx, &scenario.OptimizeSpec{ID: "one", N2: 32, Budget: budget,
+			Catalog: []scenario.CatalogEntry{{Name: st.Name, Params: st.Params}}})
+		if err != nil {
+			t.Fatalf("%s: optimize: %v", st, err)
+		}
+		out, err := eng.Evaluate(ctx, &scenario.Spec{ID: "one", Budget: budget,
+			Axis: scenario.Axis{N2: []float64{32}}, Cases: []scenario.Case{{Stack: []technique.Spec{st}}}})
+		if err != nil {
+			t.Fatalf("%s: eval: %v", st, err)
+		}
+		// The technique's best point; Points also holds BASE.
+		var got DesignPoint
+		for _, p := range res.Points {
+			if len(p.Stack) == 1 && p.Exact > got.Exact {
+				got = p
+			}
+		}
+		want := out.Points[0]
+		if got.Cores != want.Cores || got.Exact != want.Exact || got.Binding != want.Binding || !reflect.DeepEqual(got.Walls, want.Walls) {
+			t.Errorf("%s: optimize %d cores (exact %g, %s), eval %d (exact %g, %s)",
+				st, got.Cores, got.Exact, got.Binding, want.Cores, want.Exact, want.Binding)
+		}
+	}
+}
+
 // TestExampleSpecPinned pins the worked example's answer: the frontier and
 // best design of examples/scenarios/optimize-area-budget.json (also pinned
 // by `bandwall selftest`).
@@ -225,6 +266,12 @@ func TestExampleSpecPinned(t *testing.T) {
 		{4, 21, "Fltr + CC/LC", "bandwidth"},
 		{5.5, 24, "LC + DRAM", "bandwidth"},
 		{6, 25, "3D", "thermal"},
+		{6.5, 26, "Fltr + LC + DRAM", "bandwidth"},
+		{7, 27, "CC/LC + DRAM", "bandwidth"},
+		{8, 28, "Fltr + CC/LC + DRAM", "bandwidth"},
+	}
+	if res.Stacks != 33 || res.Candidates != 33 {
+		t.Errorf("searched %d stacks / %d candidates, want 33 / 33", res.Stacks, res.Candidates)
 	}
 	if len(res.Frontier) != len(want) {
 		t.Fatalf("frontier has %d points, want %d", len(res.Frontier), len(want))
@@ -236,8 +283,13 @@ func TestExampleSpecPinned(t *testing.T) {
 				i, g.Cost, g.Cores, g.Label, g.Binding, w.cost, w.cores, w.label, w.binding)
 		}
 	}
-	if res.Best.Label != "3D" || res.Best.Cores != 25 || res.Best.Binding != "thermal" {
-		t.Errorf("best = %q %d cores (%s), want 3D 25 cores (thermal)", res.Best.Label, res.Best.Cores, res.Best.Binding)
+	if b := res.Best; b.Label != "Fltr + CC/LC + DRAM" || b.Cores != 28 || fmt.Sprintf("%.4f", b.Exact) != "28.5803" || b.Binding != "bandwidth" {
+		t.Errorf("best = %q %d cores (exact %g, %s), want Fltr + CC/LC + DRAM 28 cores (exact 28.5803, bandwidth)",
+			b.Label, b.Cores, b.Exact, b.Binding)
+	}
+	// BASE's 11.03 cores leave (32 − 11.03)/11.03 ≈ 1.90 CEAs of cache each.
+	if s := res.Frontier[0].Split; fmt.Sprintf("%.2f", s) != "1.90" {
+		t.Errorf("BASE split = %g, want ≈ 1.90", s)
 	}
 }
 
@@ -257,6 +309,5 @@ const exampleSpec = `{
     {"name": "DRAM", "params": {"density": 8}, "cost": 4},
     {"name": "3D", "params": {"density": 8}, "cost": 6}
   ],
-  "max_techniques": 3,
-  "split": {"min": 0.25, "max": 4, "points": 8}
+  "max_techniques": 3
 }`

@@ -23,26 +23,23 @@ func Dominates(objective string, a, b DesignPoint) bool {
 
 // frontier extracts the Pareto-maximal set: every point no candidate
 // dominates, deduplicated on (value, cost) keeping the earliest-enumerated
-// candidate (ties resolve toward simpler stacks). The result is sorted by
-// ascending cost, which on a frontier means strictly ascending objective
-// value — so the last entry is the best design.
+// candidate (ties resolve toward simpler stacks). points must be in
+// enumeration order. The result is sorted by ascending cost, which on a
+// frontier means strictly ascending objective value — so the last entry is
+// the best design.
 func frontier(points []DesignPoint, objective string) []DesignPoint {
 	sorted := make([]DesignPoint, len(points))
 	copy(sorted, points)
-	sort.Slice(sorted, func(i, j int) bool {
+	sort.SliceStable(sorted, func(i, j int) bool {
 		if sorted[i].Cost != sorted[j].Cost {
 			return sorted[i].Cost < sorted[j].Cost
 		}
-		vi, vj := objectiveValue(objective, sorted[i]), objectiveValue(objective, sorted[j])
-		if vi != vj {
-			return vi > vj
-		}
-		return sorted[i].ord < sorted[j].ord
+		return objectiveValue(objective, sorted[i]) > objectiveValue(objective, sorted[j])
 	})
 	// Single ascending-cost sweep: a point joins the frontier only when it
 	// strictly improves the best value seen at lower-or-equal cost. Equal
-	// (value, cost) duplicates fail the strict test, implementing the
-	// earliest-ord dedupe via the sort order above.
+	// (value, cost) duplicates fail the strict test, so the stable sort
+	// keeps the earliest-enumerated one.
 	var out []DesignPoint
 	best := -1.0
 	for _, p := range sorted {

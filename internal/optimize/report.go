@@ -23,7 +23,7 @@ func (r *Result) Tables() []*render.Table {
 	best.AddRow(r.Best.Label, r.Best.Split, r.Best.Cost, r.Best.Cores, r.Best.Exact, r.Best.Binding)
 
 	front := &render.Table{
-		Title:   fmt.Sprintf("Pareto frontier (%d stacks × %d splits = %d candidates)", r.Stacks, r.Candidates/max(r.Stacks, 1), r.Candidates),
+		Title:   fmt.Sprintf("Pareto frontier (%d stacks)", r.Stacks),
 		Headers: []string{"cost", r.Objective, "stack", "split", "binding", "walls"},
 	}
 	for _, p := range r.Frontier {

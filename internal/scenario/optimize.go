@@ -18,19 +18,16 @@ const (
 	ObjectiveExact = "exact"
 )
 
-// Enumeration bounds: the optimizer searches the catalog's power set, so
-// the catalog size is capped to keep the search space (2^n × split points)
-// explicitly bounded rather than accidentally exponential.
-const (
-	MaxCatalog     = 12
-	MaxSplitPoints = 64
-)
+// MaxCatalog bounds the catalog: the optimizer searches its power set, so
+// the cap keeps the search space (2^n stacks) explicitly bounded rather
+// than accidentally exponential.
+const MaxCatalog = 12
 
 // OptimizeSpec is one inverse design-space query: given a chip area (N2),
 // a wall envelope set, and a catalog of candidate techniques with costs,
-// find the technique stack and S=C/P area split that maximize the
-// objective, and the cores-vs-cost Pareto frontier. The zero value of
-// every optional field means "the paper's default", mirroring Spec.
+// find the technique stack that maximizes the objective, and the
+// cores-vs-cost Pareto frontier. The zero value of every optional field
+// means "the paper's default", mirroring Spec.
 type OptimizeSpec struct {
 	// ID identifies the query in reports and logs. Required.
 	ID string `json:"id"`
@@ -59,8 +56,9 @@ type OptimizeSpec struct {
 	MaxTechniques int `json:"max_techniques,omitempty"`
 	// MaxCost bounds a stack's summed cost; 0 means unlimited.
 	MaxCost float64 `json:"max_cost,omitempty"`
-	// Split is the swept S=C/P cache-per-core range; the zero value means
-	// DefaultSplit.
+	// Split is accepted and ignored: each design's S=C/P split is an
+	// output of its wall solve, not a swept input. normalize zeroes it, so
+	// it never changes the canonical form or a fingerprint.
 	Split SplitRange `json:"split,omitempty"`
 }
 
@@ -80,39 +78,12 @@ type CatalogEntry struct {
 	Group string `json:"group,omitempty"`
 }
 
-// SplitRange sweeps the cache-per-core split S=C/P linearly over Points
-// values in [Min, Max].
+// SplitRange is the shape of OptimizeSpec.Split, which is accepted and
+// ignored so that bodies still carrying a split range parse.
 type SplitRange struct {
 	Min    float64 `json:"min,omitempty"`
 	Max    float64 `json:"max,omitempty"`
 	Points int     `json:"points,omitempty"`
-}
-
-// DefaultSplit brackets the paper's balanced baseline (S=1) from a
-// core-heavy quarter-CEA split up to a cache-heavy 4-CEA split.
-var DefaultSplit = SplitRange{Min: 0.25, Max: 4, Points: 16}
-
-// splitRange resolves the zero value to the default sweep.
-func (osp *OptimizeSpec) splitRange() SplitRange {
-	if osp.Split == (SplitRange{}) {
-		return DefaultSplit
-	}
-	return osp.Split
-}
-
-// SplitPoints expands the resolved split range into its grid.
-func (osp *OptimizeSpec) SplitPoints() []float64 {
-	r := osp.splitRange()
-	if r.Points <= 1 || r.Max == r.Min {
-		return []float64{r.Min}
-	}
-	out := make([]float64, r.Points)
-	step := (r.Max - r.Min) / float64(r.Points-1)
-	for i := range out {
-		out[i] = r.Min + step*float64(i)
-	}
-	out[len(out)-1] = r.Max
-	return out
 }
 
 // ObjectiveResolved returns the canonical objective name.
@@ -219,24 +190,15 @@ func (osp *OptimizeSpec) Validate() error {
 	if osp.MaxCost < 0 {
 		return errf("%s.max_cost: must be non-negative, got %g", osp.ID, osp.MaxCost)
 	}
-	if s := osp.Split; s != (SplitRange{}) {
-		if !(s.Min > 0) {
-			return errf("%s.split.min: split must be positive, got %g", osp.ID, s.Min)
-		}
-		if s.Max < s.Min {
-			return errf("%s.split.max: must be ≥ min, got min=%g max=%g", osp.ID, s.Min, s.Max)
-		}
-		if s.Points < 1 || s.Points > MaxSplitPoints {
-			return errf("%s.split.points: must be in [1,%d], got %d", osp.ID, MaxSplitPoints, s.Points)
-		}
-	}
 	return nil
 }
 
 // normalize canonicalizes the query in place, mirroring Spec.normalize:
 // envelope kinds fold to lower case, a lone pure-bandwidth envelope folds
-// into the budget alias, and the objective folds to its canonical name.
+// into the budget alias, the objective folds to its canonical name, and
+// the ignored split is zeroed.
 func (osp *OptimizeSpec) normalize() {
+	osp.Split = SplitRange{}
 	if len(osp.Envelopes) > 0 {
 		env := canonicalEnvelopes(osp.Envelopes)
 		osp.Envelopes = env
@@ -256,7 +218,7 @@ func ParseOptimizeSpec(data []byte) (*OptimizeSpec, error) {
 	dec.DisallowUnknownFields()
 	var osp OptimizeSpec
 	if err := dec.Decode(&osp); err != nil {
-		return nil, errf("decoding optimize spec: %v", err)
+		return nil, decodeError("optimize spec", osp.ID, err)
 	}
 	if trailingData(dec, data) {
 		return nil, errf("optimize spec %s: trailing data after JSON object", osp.ID)

@@ -17,8 +17,7 @@ const optSpec = `{
     {"name": "cc", "params": {"ratio": 2}, "cost": 2},
     {"name": "DRAM", "params": {"density": 8}, "cost": 4, "group": "mem"}
   ],
-  "max_techniques": 2,
-  "split": {"min": 0.5, "max": 2, "points": 4}
+  "max_techniques": 2
 }`
 
 func TestParseOptimizeSpec(t *testing.T) {
@@ -33,9 +32,15 @@ func TestParseOptimizeSpec(t *testing.T) {
 	if osp.Envelopes[0].Kind != "bandwidth" || osp.Envelopes[1].Kind != "thermal" {
 		t.Errorf("kinds not canonicalized: %+v", osp.Envelopes)
 	}
-	pts := osp.SplitPoints()
-	if len(pts) != 4 || pts[0] != 0.5 || pts[3] != 2 {
-		t.Errorf("split points = %v", pts)
+	// The ignored split parses and is zeroed, so it cannot reach the
+	// canonical form.
+	withSplit, err := ParseOptimizeSpec([]byte(strings.Replace(optSpec, `"max_techniques": 2`,
+		`"max_techniques": 2, "split": {"min": 0.5, "max": 2, "points": 4}`, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if withSplit.Split != (SplitRange{}) {
+		t.Errorf("split not zeroed: %+v", withSplit.Split)
 	}
 }
 
@@ -93,9 +98,6 @@ func TestOptimizeSpecValidationErrors(t *testing.T) {
 		{`{"id":"o","n2":32,"catalog":[{"name":"nosuch"}]}`, "o.catalog[0] (nosuch)"},
 		{`{"id":"o","n2":32,"catalog":[{"name":"CC","cost":-1}]}`, "o.catalog[0] (CC): cost must be non-negative"},
 		{`{"id":"o","n2":32,"max_techniques":-1}`, "o.max_techniques: must be non-negative"},
-		{`{"id":"o","n2":32,"split":{"min":0,"max":2,"points":2}}`, "o.split.min: split must be positive"},
-		{`{"id":"o","n2":32,"split":{"min":2,"max":1,"points":2}}`, "o.split.max: must be ≥ min"},
-		{`{"id":"o","n2":32,"split":{"min":1,"max":2,"points":999}}`, "o.split.points: must be in [1,64]"},
 		{`{"id":"o","n2":32,"envelopes":[{"kind":"termal"}]}`, `o.envelopes[0]: unknown kind "termal"`},
 		{`{"id":"o","n2":32,"budget":{"envelope":2},"envelopes":[{"kind":"thermal"}]}`, "o.envelopes: mutually exclusive"},
 		{`{"id":"o","n2":32,"bogus":1}`, "unknown field"},

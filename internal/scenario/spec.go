@@ -11,7 +11,9 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 
 	"repro/internal/power"
@@ -519,7 +521,7 @@ func ParseSpec(data []byte) (*Spec, error) {
 	dec.DisallowUnknownFields()
 	var sp Spec
 	if err := dec.Decode(&sp); err != nil {
-		return nil, errf("decoding spec: %v", err)
+		return nil, decodeError("spec", sp.ID, err)
 	}
 	if trailingData(dec, data) {
 		return nil, errf("spec %s: trailing data after JSON object", sp.ID)
@@ -529,6 +531,37 @@ func ParseSpec(data []byte) (*Spec, error) {
 		return nil, err
 	}
 	return &sp, nil
+}
+
+// decodeError turns a decode failure into a domain error. A type
+// mismatch names its JSON path and both kinds ("s.budget: want object,
+// got number"), not the Go type the value would have filled. The path has
+// no array indices or map keys, which encoding/json does not track.
+func decodeError(what, id string, err error) error {
+	var te *json.UnmarshalTypeError
+	if !errors.As(err, &te) {
+		return errf("decoding %s: %v", what, err)
+	}
+	path := strings.Trim(id+"."+te.Field, ".")
+	if path == "" {
+		path = what
+	}
+	return errf("%s: want %s, got %s", path, jsonKind(te.Type.Kind()), te.Value)
+}
+
+// jsonKind names the JSON kind that decodes into a Go value of kind k.
+func jsonKind(k reflect.Kind) string {
+	switch k {
+	case reflect.Struct, reflect.Map:
+		return "object"
+	case reflect.Slice, reflect.Array:
+		return "array"
+	case reflect.String, reflect.Bool:
+		return k.String()
+	case reflect.Float32, reflect.Float64:
+		return "number"
+	}
+	return "integer"
 }
 
 // trailingData reports whether anything but JSON whitespace follows the

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/robust"
@@ -42,6 +43,30 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	}
 	if !errors.Is(err, robust.ErrDomain) {
 		t.Errorf("err = %v, want robust.ErrDomain", err)
+	}
+}
+
+// TestDecodeErrorsNameJSONPaths: a value of the wrong JSON kind fails
+// with its path and both kinds, not with the Go type it would have filled.
+func TestDecodeErrorsNameJSONPaths(t *testing.T) {
+	parseSpec := func(b []byte) error { _, err := ParseSpec(b); return err }
+	parseOpt := func(b []byte) error { _, err := ParseOptimizeSpec(b); return err }
+	for _, c := range []struct {
+		parse func([]byte) error
+		body  string
+		want  string
+	}{
+		{parseSpec, `{"id":"s","budget":2,"axis":{"n2":[32]},"cases":[{}]}`,
+			"scenario: s.budget: want object, got number"},
+		{parseSpec, `{"id":"s","axis":{"n2":[32]},"cases":[{"stack":[{"name":"CC","params":{"ratio":"two"}}]}]}`,
+			"scenario: s.cases.stack.params: want number, got string"},
+		{parseOpt, `{"id":"o","n2":32,"split":3}`,
+			"scenario: o.split: want object, got number"},
+	} {
+		err := c.parse([]byte(c.body))
+		if err == nil || !errors.Is(err, robust.ErrDomain) || !strings.HasPrefix(err.Error(), c.want+":") {
+			t.Errorf("%s: error %v, want %q", c.body, err, c.want)
+		}
 	}
 }
 

@@ -22,8 +22,7 @@ type OptimizeResponse struct {
 	// binding-wall attribution.
 	Best     optimize.DesignPoint   `json:"best"`
 	Frontier []optimize.DesignPoint `json:"frontier"`
-	// Stacks/Candidates size the search (eligible stacks, stack × split
-	// pairs).
+	// Stacks counts the eligible stacks searched; Candidates equals it.
 	Stacks     int `json:"stacks"`
 	Candidates int `json:"candidates"`
 	// Report is the rendered text report — the same tables `bandwall

@@ -12,8 +12,8 @@ import (
 	"repro/internal/scenario"
 )
 
-// optimizeSpec is a small inverse query: 3 catalog entries × 3 splits on
-// the 32-CEA chip under the paper's constant envelope.
+// optimizeSpecBody is a small inverse query: 3 catalog entries on the
+// 32-CEA chip under the paper's constant envelope.
 const optimizeSpecBody = `{
   "id": "serve-opt",
   "n2": 32,
@@ -22,8 +22,7 @@ const optimizeSpecBody = `{
     {"name": "Fltr", "params": {"unused": 0.4}, "cost": 1},
     {"name": "LC", "params": {"ratio": 2}, "cost": 1.5},
     {"name": "DRAM", "params": {"density": 8}, "cost": 4}
-  ],
-  "split": {"min": 0.5, "max": 2, "points": 3}
+  ]
 }`
 
 func postOptimize(t *testing.T, base, body string) (*http.Response, []byte) {
@@ -32,8 +31,9 @@ func postOptimize(t *testing.T, base, body string) (*http.Response, []byte) {
 }
 
 // TestOptimizeHappyPath round-trips an inverse query and pins it against
-// a direct in-process search: same best design, same frontier, and the
-// second request must be a byte-identical response-cache hit.
+// a direct in-process search: same best design, same frontier, and a
+// reordered spelling and one carrying the ignored split must both be
+// byte-identical response-cache hits.
 func TestOptimizeHappyPath(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{}, nil)
 	resp, data := postOptimize(t, ts.URL, optimizeSpecBody)
@@ -85,7 +85,6 @@ func TestOptimizeHappyPath(t *testing.T) {
 	// Equivalent spelling (reordered fields) must hit the cache with the
 	// identical rendered body.
 	reordered := `{
-  "split": {"min": 0.5, "max": 2, "points": 3},
   "catalog": [
     {"name": "Fltr", "params": {"unused": 0.4}, "cost": 1},
     {"name": "LC", "params": {"ratio": 2}, "cost": 1.5},
@@ -104,6 +103,19 @@ func TestOptimizeHappyPath(t *testing.T) {
 	}
 	if !bytes.Equal(data, data2) {
 		t.Error("cached response differs from the original")
+	}
+
+	// The ignored split field shares the plain body's key.
+	withSplit := strings.Replace(optimizeSpecBody, `"n2": 32,`, `"n2": 32, "split": {"min": 0.5, "max": 2, "points": 3},`, 1)
+	resp3, data3 := postOptimize(t, ts.URL, withSplit)
+	if resp3.StatusCode != http.StatusOK {
+		t.Fatalf("request with split: status %d: %s", resp3.StatusCode, data3)
+	}
+	if got := resp3.Header.Get(CacheHeader); got != "hit" {
+		t.Errorf("request with split: cache disposition = %q, want hit", got)
+	}
+	if !bytes.Equal(data, data3) {
+		t.Error("response with split differs from the original")
 	}
 }
 

@@ -38,10 +38,10 @@ func specWithID(id string, n2 float64) string {
 }
 
 // optimizeWithID builds a small distinct optimize query: one catalog
-// entry × two split points on the 32-CEA chip.
+// entry on the 32-CEA chip.
 func optimizeWithID(id string) string {
 	return fmt.Sprintf(`{"id":%q,"n2":32,"budget":{"envelope":1},`+
-		`"catalog":[{"name":"LC","params":{"ratio":2},"cost":1}],"split":{"min":0.5,"max":2,"points":2}}`, id)
+		`"catalog":[{"name":"LC","params":{"ratio":2},"cost":1}]}`, id)
 }
 
 // queryKind is one query route of the pipeline, for the tests that must

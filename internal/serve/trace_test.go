@@ -129,8 +129,7 @@ func TestTraceStagesColdEval(t *testing.T) {
 		    {"name":"LC","params":{"ratio":2},"cost":1.5},
 		    {"name":"CC","params":{"ratio":2},"cost":2},
 		    {"name":"DRAM","params":{"density":8},"cost":4}
-		  ],
-		  "split":{"min":0.25,"max":4,"points":8}}`, "optimize.search"},
+		  ]}`, "optimize.search"},
 	}
 	for _, c := range cold {
 		t.Run(c.name, func(t *testing.T) {

@@ -98,8 +98,8 @@ echo "== POST /v1/optimize (inverse query round trip)"
 OPT_SPEC="examples/scenarios/optimize-area-budget.json"
 OPT_HDRS="$(mktemp)"
 OPT_RESP="$(curl -sf -D "$OPT_HDRS" -X POST --data-binary "@$OPT_SPEC" "$BASE/v1/optimize")"
-grep -q '"label":"3D"' <<<"$OPT_RESP" || {
-  echo "FAIL: optimize response missing the best stack (3D):" >&2
+grep -Eq '"best":\{"stack":\[[^]]*\],"label":"Fltr \+ CC/LC \+ DRAM","split":[^,]*,"cost":8,"cores":28,' <<<"$OPT_RESP" || {
+  echo "FAIL: optimize response's best design is not Fltr + CC/LC + DRAM at 28 cores:" >&2
   echo "$OPT_RESP" | head -c 600 >&2
   exit 1
 }
@@ -122,6 +122,23 @@ grep -qi '^x-bandwall-cache: hit' "$OPT_HDRS2" || {
 }
 if [[ "$OPT_RESP" != "$OPT_RESP2" ]]; then
   echo "FAIL: cached optimize response differs from the original" >&2
+  exit 1
+fi
+# The split field is accepted and ignored, so it shares the plain key.
+OPT_SPLIT="$(sed 's/"max_techniques": 3/"max_techniques": 3, "split": {"min": 0.5, "max": 2, "points": 3}/' "$OPT_SPEC")"
+grep -q '"split": {' <<<"$OPT_SPLIT" || {
+  echo "FAIL: could not add split to $OPT_SPEC" >&2
+  exit 1
+}
+OPT_HDRS3="$(mktemp)"
+OPT_RESP3="$(curl -sf -D "$OPT_HDRS3" -X POST --data-binary "$OPT_SPLIT" "$BASE/v1/optimize")"
+grep -qi '^x-bandwall-cache: hit' "$OPT_HDRS3" || {
+  echo "FAIL: optimize request with the ignored split should be a cache hit" >&2
+  cat "$OPT_HDRS3" >&2
+  exit 1
+}
+if [[ "$OPT_RESP" != "$OPT_RESP3" ]]; then
+  echo "FAIL: optimize response with the ignored split differs from the original" >&2
   exit 1
 fi
 
