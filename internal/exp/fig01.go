@@ -8,6 +8,8 @@ import (
 	"repro/internal/fit"
 	"repro/internal/render"
 	"repro/internal/suite"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func fig01Exp() Experiment {
@@ -19,19 +21,51 @@ func fig01Exp() Experiment {
 	}
 }
 
-func runFig01(ctx context.Context, o Options) (*Result, error) {
-	accesses := 1_600_000
-	warmup := 400_000
+// fig01Sweep is fig01's sweep at one fidelity.
+type fig01Sweep struct {
+	build suite.BuildOptions
+	sizes []int
+	// warmup and accesses are the phased workload's: it draws accesses
+	// in all, and the first warmup only warm the caches.
+	warmup, accesses int
+}
+
+func newFig01Sweep(o Options) fig01Sweep {
+	sw := fig01Sweep{build: suite.DefaultBuildOptions(), warmup: 400_000, accesses: 1_600_000}
+	sw.build.Seed = o.Seed
 	maxSize := 4 * 1024 * 1024
-	build := suite.DefaultBuildOptions()
-	build.Seed = o.Seed
 	if o.Quick {
-		accesses, warmup, maxSize = 300_000, 60_000, 512*1024
-		build.FootprintLines = 1 << 17
-		build.PhasedLines = 2048
+		sw.accesses, sw.warmup, maxSize = 300_000, 60_000, 512*1024
+		sw.build.FootprintLines = 1 << 17
+		sw.build.PhasedLines = 2048
 	}
-	build.PhasedDwell = accesses / 3
-	sizes := cachesim.PowerOfTwoSizes(32*1024, maxSize)
+	sw.build.PhasedDwell = sw.accesses / 3
+	sw.sizes = cachesim.PowerOfTwoSizes(32*1024, maxSize)
+	return sw
+}
+
+// stream builds wl's generator and returns it with the accesses to draw
+// from it, of which the first warmup only warm the caches. A power-law
+// generator draws no warmup: a warm prefix of the largest swept cache's
+// lines puts every swept cache in the stream's steady state, and the same
+// measured window follows it. The phased workload keeps its drawn warmup.
+func (sw fig01Sweep) stream(wl suite.Workload) (gen trace.Generator, warmup, n int, err error) {
+	if gen, err = wl.Build(sw.build); err != nil {
+		return nil, 0, 0, err
+	}
+	sd, ok := gen.(*workload.StackDistance)
+	if !ok {
+		return gen, sw.warmup, sw.accesses, nil
+	}
+	prefix := sw.sizes[len(sw.sizes)-1] / workload.LineBytes
+	if gen, err = sd.WarmPrefix(prefix); err != nil {
+		return nil, 0, 0, err
+	}
+	return gen, prefix, prefix + sw.accesses - sw.warmup, nil
+}
+
+func runFig01(ctx context.Context, o Options) (*Result, error) {
+	sw := newFig01Sweep(o)
 	base := cachesim.Config{
 		LineBytes: 64, Assoc: 8, Policy: cachesim.LRU,
 		WriteBack: true, WriteAllocate: true,
@@ -39,7 +73,7 @@ func runFig01(ctx context.Context, o Options) (*Result, error) {
 
 	curveTable := &render.Table{
 		Title:   "Normalized miss rate by cache size (each column ÷ value at 32KB)",
-		Headers: append([]string{"workload"}, sizeHeaders(sizes)...),
+		Headers: append([]string{"workload"}, sizeHeaders(sw.sizes)...),
 	}
 	fitTable := &render.Table{
 		Title:   "Power-law fits (log-log least squares; 90% bootstrap CI)",
@@ -50,11 +84,11 @@ func runFig01(ctx context.Context, o Options) (*Result, error) {
 
 	var commercialAlphas []float64
 	for wi, wl := range suite.Paper {
-		gen, err := wl.Build(build)
+		gen, warmup, n, err := sw.stream(wl)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", wl.Name, err)
 		}
-		pts, err := missCurve(ctx, o, gen, base, sizes, warmup, accesses)
+		pts, err := missCurve(ctx, o, gen, base, sw.sizes, warmup, n)
 		if err != nil {
 			return nil, err
 		}

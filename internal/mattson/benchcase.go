@@ -20,8 +20,10 @@ type Fig1Bench struct {
 	Accesses int
 }
 
-// QuickFig1Bench returns the canonical configuration, mirroring runFig01's
-// -quick parameters.
+// QuickFig1Bench returns the canonical configuration: fig01's quick sizes
+// over a 300K-access master trace whose first 60K accesses warm the
+// caches. fig01 itself warms its power-law sweeps with an 8,192-line warm
+// prefix instead and measures the 240K accesses after it.
 func QuickFig1Bench() Fig1Bench {
 	return Fig1Bench{
 		Base: cachesim.Config{

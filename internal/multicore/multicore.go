@@ -144,21 +144,38 @@ func (c *CMP) Access(a trace.Access) error {
 	return nil
 }
 
-// Run drives n accesses from the generator through the chip, then
-// publishes every cache's obs counter deltas, as cachesim.RunTrace does.
-func (c *CMP) Run(g trace.Generator, n int) error {
+// Run drives n accesses from the generator through the chip and counts
+// only those after the first warmup, as cachesim.RunTrace does: after
+// warmup accesses, clamped to [0, n], it zeroes the sharing and cache
+// statistics, so lifetimes that end in the warmup go uncounted. Resident
+// lines keep their sharer masks, so a lifetime that spans the reset counts
+// whole. Every cache's obs counter deltas, warmup included, are published
+// on return.
+func (c *CMP) Run(g trace.Generator, warmup, n int) error {
 	defer func() {
 		for _, l1 := range c.l1s {
 			l1.FlushObs()
 		}
 		c.l2.FlushObs()
 	}()
-	for i := 0; i < n; i++ {
-		if err := c.Access(g.Next()); err != nil {
-			return err
+	drive := func(n int) error {
+		for range n {
+			if err := c.Access(g.Next()); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	return nil
+	warmup = min(max(warmup, 0), n)
+	if err := drive(warmup); err != nil {
+		return err
+	}
+	c.stats = SharingStats{}
+	for _, l1 := range c.l1s {
+		l1.ResetStats()
+	}
+	c.l2.ResetStats()
+	return drive(n - warmup)
 }
 
 // Sharing returns the sharing statistics, including a snapshot of

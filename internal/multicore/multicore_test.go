@@ -192,7 +192,7 @@ func TestFig14Trend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cmp.Run(gen, 400_000); err != nil {
+		if err := cmp.Run(gen, 0, 400_000); err != nil {
 			t.Fatal(err)
 		}
 		st := cmp.Sharing()
@@ -227,5 +227,47 @@ func TestMemoryTraffic(t *testing.T) {
 	cmp.Access(trace.Access{Addr: 0, TID: 1})
 	if got := cmp.MemoryTrafficBytes(); got != 64 {
 		t.Errorf("traffic after shared hit = %d, want 64", got)
+	}
+}
+
+// TestRunWarmupIsUncounted checks that Run counts exactly the accesses
+// after its warmup. Evicted lifetimes and L2 traffic add up along a
+// stream, so a run of n accesses with warmup w must read a plain run of n
+// minus a plain run of its first w. A negative warmup counts every access,
+// and one past n counts none.
+func TestRunWarmupIsUncounted(t *testing.T) {
+	const n, w = 60_000, 20_000
+	run := func(warmup, n int) (SharingStats, uint64) {
+		gen, err := workload.NewSharedPrivate(workload.SharedPrivateConfig{
+			Threads: 4, SharedLines: 2048, PrivateLines: 4096,
+			SharedAccessFrac: 0.3, Skew: 1.2, WriteFraction: 0.2, Seed: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmp, err := New(testConfig(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmp.Run(gen, warmup, n); err != nil {
+			t.Fatal(err)
+		}
+		return cmp.stats, cmp.MemoryTrafficBytes()
+	}
+	all, allBytes := run(0, n)
+	head, headBytes := run(0, w)
+	tail, tailBytes := run(w, n)
+	if head.EvictedLines == 0 || tail.EvictedShared == 0 {
+		t.Fatalf("head %+v, tail %+v: enlarge the run", head, tail)
+	}
+	want := SharingStats{EvictedLines: all.EvictedLines - head.EvictedLines, EvictedShared: all.EvictedShared - head.EvictedShared}
+	if tail != want || tailBytes != allBytes-headBytes {
+		t.Errorf("warmup %d of %d: %+v and %d bytes, want %+v and %d", w, n, tail, tailBytes, want, allBytes-headBytes)
+	}
+	if got, bytes := run(-1, n); got != all || bytes != allBytes {
+		t.Errorf("warmup -1: %+v and %d bytes, want the plain run's %+v and %d", got, bytes, all, allBytes)
+	}
+	if got, bytes := run(n+1, n); got != (SharingStats{}) || bytes != 0 {
+		t.Errorf("warmup past n: %+v and %d bytes, want none counted", got, bytes)
 	}
 }

@@ -22,8 +22,8 @@ func benchPowerLaw(b *testing.B, fn func(b *testing.B, wl suite.Workload)) {
 }
 
 // fig01Accesses is how many accesses fig01's quick run draws from each
-// generator (internal/exp/fig01.go).
-const fig01Accesses = 300_000
+// power-law generator, after its warm prefix (internal/exp/fig01.go).
+const fig01Accesses = 240_000
 
 // BenchmarkStackDistanceNext times the draws fig01's quick run makes: a
 // fresh generator every fig01Accesses accesses, built with the timer

@@ -19,15 +19,18 @@ func seededPair(n int) (*LRUStack, *naiveLRU) {
 	return NewLRUStack(n), ref
 }
 
-// contents lists the stack in rank order, top first, from the raw slots.
-func (s *LRUStack) contents() []uint64 {
-	out := make([]uint64, 0, s.live)
-	for slot := s.next - 1; slot >= 0; slot-- {
-		if s.occ[slot>>6]&(1<<(slot&63)) != 0 {
-			out = append(out, uint64(s.ids[slot]))
+// topLines returns the stack's top k lines (all of them if fewer) in rank
+// order, read from the raw slots into buf's storage.
+func (s *LRUStack) topLines(k int, buf []uint64) []uint64 {
+	buf = buf[:0]
+	for w := (s.next - 1) >> 6; w >= 0 && len(buf) < k; w-- {
+		for word := s.occ[w]; word != 0 && len(buf) < k; {
+			b := 63 - bits.LeadingZeros64(word)
+			word &^= 1 << b
+			buf = append(buf, uint64(s.ids[w<<6+b]))
 		}
 	}
-	return out
+	return buf
 }
 
 // sameStack fails unless s and ref hold the same lines in the same order.
@@ -36,7 +39,7 @@ func sameStack(t *testing.T, s *LRUStack, ref *naiveLRU, step string) {
 	if s.Len() != len(*ref) {
 		t.Fatalf("%s: Len %d, reference %d", step, s.Len(), len(*ref))
 	}
-	if got, want := s.contents(), []uint64(*ref); !slices.Equal(got, want) {
+	if got, want := s.topLines(s.Len(), nil), []uint64(*ref); !slices.Equal(got, want) {
 		t.Fatalf("%s: stack %v, reference %v", step, got, want)
 	}
 }
@@ -368,7 +371,7 @@ func FuzzLRUStack(f *testing.F) {
 				t.Fatalf("byte %d: Len %d, naive %d", i, s.Len(), len(ref))
 			}
 		}
-		if got := s.contents(); !slices.Equal(got, ref) {
+		if got := s.topLines(s.Len(), nil); !slices.Equal(got, ref) {
 			t.Fatalf("stack %v, naive %v", got, []uint64(ref))
 		}
 		sameCounts(t, s, "end")

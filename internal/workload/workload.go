@@ -135,6 +135,46 @@ func writeCut(frac float64) uint64 {
 // returns FootprintLines.
 func (g *StackDistance) Footprint() int { return g.stack.Len() }
 
+// WarmPrefix returns a generator that emits n reads of the top n lines of
+// g's stack, oldest first, and then g's own stream. Before the first Next
+// the stack holds line FootprintLines−1 on top, then FootprintLines−2 and
+// so on, so the prefix is lines FootprintLines−n … FootprintLines−1. After
+// it, every LRU cache of at most n lines, fully associative or modulo-set,
+// holds exactly the lines the stack's top implies, in the same recency
+// order: a warmup that leaves such caches in the stream's steady state
+// rather than filling them from cold. The prefix takes no RNG draw and
+// leaves the stack alone, so the stream after it is the one g would emit
+// without it. Call it before the first Next, which moves the top; it
+// returns an error then, and when n is negative or exceeds the stack.
+func (g *StackDistance) WarmPrefix(n int) (trace.Generator, error) {
+	if n < 0 || n > g.stack.Len() {
+		return nil, fmt.Errorf("workload: warm prefix of %d lines, want 0 to the stack's %d", n, g.stack.Len())
+	}
+	// Every Next places a line in a fresh slot, so the slot cursor sits at
+	// FootprintLines only while nothing has been drawn.
+	if g.stack.next != g.cfg.FootprintLines {
+		return nil, fmt.Errorf("workload: warm prefix after the first Next")
+	}
+	end := uint64(g.cfg.FootprintLines)
+	return &warmPrefix{g: g, line: end - uint64(n), end: end}, nil
+}
+
+// warmPrefix emits reads of lines [line, end), then g's stream.
+type warmPrefix struct {
+	g         *StackDistance
+	line, end uint64
+}
+
+// Next implements trace.Generator.
+func (p *warmPrefix) Next() trace.Access {
+	if p.line == p.end {
+		return p.g.Next()
+	}
+	a := trace.Access{Addr: p.g.cfg.Region + p.line*LineBytes, TID: p.g.cfg.TID}
+	p.line++
+	return a
+}
+
 // Next implements trace.Generator.
 func (g *StackDistance) Next() trace.Access {
 	var line uint64
