@@ -213,7 +213,7 @@ func addSuiteFlags(fs *flag.FlagSet) *suiteFlags {
 		csvDir:      fs.String("csv", "", "also write each experiment's tables as CSV into DIR"),
 		jobs:        fs.Int("jobs", 4, "parallel workers"),
 		asJSON:      fs.Bool("json", false, "emit results as JSON instead of text"),
-		metricsFile: fs.String("metrics", "", "write spans and counters as NDJSON to `FILE`"),
+		metricsFile: fs.String("metrics", "", "write run traces and metrics as NDJSON to `FILE`"),
 		timings:     fs.Bool("timings", false, "print a per-experiment timing table after the results"),
 		timeout:     fs.Duration("timeout", 0, "per-attempt experiment timeout (0 = none)"),
 		retries:     fs.Int("retries", 2, "extra attempts for transiently failing experiments"),
@@ -232,7 +232,7 @@ func (sf *suiteFlags) runSuite(ctx context.Context, name string, exps []exp.Expe
 		return usagef("%s: -resume requires -checkpoint FILE", name)
 	}
 	var reg *obs.Registry
-	if *sf.metricsFile != "" || *sf.timings {
+	if *sf.metricsFile != "" {
 		var restore func()
 		reg, restore = enableObs()
 		defer restore()
@@ -293,10 +293,10 @@ func (sf *suiteFlags) runSuite(ctx context.Context, name string, exps []exp.Expe
 		}
 	}
 	if *sf.timings {
-		fmt.Fprint(out, timingTable(reg).String())
+		fmt.Fprint(out, timingTable(outcomes).String())
 	}
 	if *sf.metricsFile != "" {
-		if err := writeMetricsFile(*sf.metricsFile, reg); err != nil {
+		if err := writeMetricsFile(*sf.metricsFile, outcomes, reg); err != nil {
 			return err
 		}
 	}

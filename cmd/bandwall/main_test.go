@@ -303,8 +303,8 @@ func TestEvalTextReport(t *testing.T) {
 }
 
 // TestEvalSuiteFlags verifies eval rides the same suite runner as run:
-// -metrics writes the NDJSON dump, whose one span line is the spec's
-// experiment span (the engine records no registry span of its own), and
+// -metrics writes the NDJSON dump, whose one trace line is the spec's run
+// trace, with the engine's span nested under the experiment's, and
 // -checkpoint/-resume skip clean specs.
 func TestEvalSuiteFlags(t *testing.T) {
 	dir := t.TempDir()
@@ -317,30 +317,39 @@ func TestEvalSuiteFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var spans []map[string]any
+	type traceLine struct {
+		Kind, Name, Status string
+		WallNS             int64   `json:"wall_ns"`
+		AllocBytes         *uint64 `json:"alloc_bytes"`
+		Spans              []struct {
+			ID, Parent int
+			Name       string
+		}
+	}
+	var traces []traceLine
 	for _, ln := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		var m map[string]any
-		if err := json.Unmarshal([]byte(ln), &m); err != nil {
+		var tl traceLine
+		if err := json.Unmarshal([]byte(ln), &tl); err != nil {
 			t.Fatalf("metrics line %q: %v", ln, err)
 		}
-		if m["kind"] == "span" {
-			spans = append(spans, m)
+		if tl.Kind == "trace" {
+			traces = append(traces, tl)
 		}
 	}
-	if len(spans) != 1 {
-		t.Fatalf("metrics dump has %d span lines, want 1: %v", len(spans), spans)
+	if len(traces) != 1 {
+		t.Fatalf("metrics dump has %d trace lines, want 1: %+v", len(traces), traces)
 	}
-	sp := spans[0]
-	if sp["name"] != "exp.custom-envelope" {
-		t.Errorf("span name = %v, want exp.custom-envelope", sp["name"])
+	tl := traces[0]
+	if tl.Name != "exp.custom-envelope" || tl.Status != "ok" || tl.WallNS <= 0 || tl.AllocBytes == nil {
+		t.Errorf("trace line = %+v, want exp.custom-envelope, ok, wall_ns > 0 and alloc_bytes", tl)
 	}
-	if wall, _ := sp["wall_ns"].(float64); wall <= 0 {
-		t.Errorf("span wall_ns = %v, want > 0", sp["wall_ns"])
+	parent := map[string]int{}
+	ids := map[string]int{}
+	for _, sp := range tl.Spans {
+		parent[sp.Name], ids[sp.Name] = sp.Parent, sp.ID
 	}
-	for _, k := range []string{"alloc_bytes", "mallocs"} {
-		if _, ok := sp[k].(float64); !ok {
-			t.Errorf("span %s = %v, want a number", k, sp[k])
-		}
+	if id, ok := ids["exp.custom-envelope"]; !ok || parent["exp.custom-envelope"] != 0 || parent["scenario.eval"] != id {
+		t.Errorf("trace spans = %+v, want scenario.eval under a top-level exp.custom-envelope", tl.Spans)
 	}
 	out, err := runCapture(t, "eval", "-checkpoint", ckpt, "-resume", exampleSpecs[1])
 	if err != nil {
@@ -630,8 +639,8 @@ func TestRunResumeSkips(t *testing.T) {
 }
 
 // TestRunMetricsNDJSON covers the acceptance path: run -metrics FILE
-// must write parseable NDJSON holding one wall-clock span per experiment
-// and the cachesim counters.
+// must write parseable NDJSON holding one run trace per experiment and
+// the cachesim counters.
 func TestRunMetricsNDJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.ndjson")
 	if _, err := runCapture(t, "run", "-quick", "-metrics", path, "fig02", "fig15"); err != nil {
@@ -641,7 +650,7 @@ func TestRunMetricsNDJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := map[string]float64{}
+	traces := map[string]float64{}
 	var cachesimCounters int
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 		var m map[string]any
@@ -651,19 +660,19 @@ func TestRunMetricsNDJSON(t *testing.T) {
 		kind, _ := m["kind"].(string)
 		name, _ := m["name"].(string)
 		switch {
-		case kind == "span":
+		case kind == "trace":
 			wall, ok := m["wall_ns"].(float64)
 			if !ok || wall <= 0 {
-				t.Errorf("span %s has no positive wall_ns: %v", name, m["wall_ns"])
+				t.Errorf("trace %s has no positive wall_ns: %v", name, m["wall_ns"])
 			}
-			spans[name] = wall
+			traces[name] = wall
 		case kind == "counter" && strings.HasPrefix(name, "cachesim."):
 			cachesimCounters++
 		}
 	}
 	for _, want := range []string{"exp.fig02", "exp.fig15"} {
-		if _, ok := spans[want]; !ok {
-			t.Errorf("NDJSON missing span %q (have %v)", want, spans)
+		if _, ok := traces[want]; !ok {
+			t.Errorf("NDJSON missing trace %q (have %v)", want, traces)
 		}
 	}
 	if cachesimCounters == 0 {

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/cachesim"
+	"repro/internal/exp"
 	"repro/internal/numeric"
 	"repro/internal/obs"
 	"repro/internal/perfsim"
@@ -32,37 +33,49 @@ func enableObs() (*obs.Registry, func()) {
 	return reg, func() { obs.SetDefault(prev) }
 }
 
-// writeMetricsFile dumps the registry as NDJSON to path.
-func writeMetricsFile(path string, reg *obs.Registry) error {
+// writeMetricsFile dumps one NDJSON trace line per experiment run
+// (skipped experiments have none), then the registry, to path.
+func writeMetricsFile(path string, outcomes []exp.Outcome, reg *obs.Registry) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("metrics: %w", err)
 	}
-	if err := reg.WriteNDJSON(f); err != nil {
+	for _, oc := range outcomes {
+		if oc.Trace != nil && err == nil {
+			err = obs.WriteTraceNDJSON(f, oc.Trace, oc.Status)
+		}
+	}
+	if err == nil {
+		err = reg.WriteNDJSON(f)
+	}
+	if err != nil {
 		f.Close()
 		return fmt.Errorf("metrics: writing %s: %w", path, err)
 	}
 	return f.Close()
 }
 
-// timingTable renders the registry's experiment spans (exp.RunOne is the
-// only code that records registry spans), slowest first.
-func timingTable(reg *obs.Registry) *render.Table {
-	spans := reg.Snapshot().Spans
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Wall > spans[j].Wall })
+// timingTable renders the experiments' run traces, slowest first.
+func timingTable(outcomes []exp.Outcome) *render.Table {
+	var runs []*obs.TraceRecord
+	for _, oc := range outcomes {
+		if oc.Trace != nil {
+			runs = append(runs, oc.Trace)
+		}
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i].Wall > runs[j].Wall })
 	tb := &render.Table{
-		Title:   "Per-experiment timings (wall-clock; allocations are process-wide over the span)",
-		Headers: []string{"experiment", "wall ms", "alloc MB", "mallocs"},
+		Title:   "Per-experiment timings (wall-clock; allocations are process-wide over the run)",
+		Headers: []string{"experiment", "wall ms", "alloc MB"},
 	}
 	var totalNS int64
-	for _, sp := range spans {
-		totalNS += sp.Wall.Nanoseconds()
-		tb.AddRow(strings.TrimPrefix(sp.Name, "exp."),
-			fmt.Sprintf("%.2f", float64(sp.Wall.Nanoseconds())/1e6),
-			fmt.Sprintf("%.2f", float64(sp.AllocBytes)/(1<<20)),
-			sp.Mallocs)
+	for _, rec := range runs {
+		totalNS += rec.WallNS
+		tb.AddRow(strings.TrimPrefix(rec.Route, "exp."),
+			fmt.Sprintf("%.2f", float64(rec.WallNS)/1e6),
+			fmt.Sprintf("%.2f", float64(rec.AllocBytes)/(1<<20)))
 	}
-	tb.AddRow("TOTAL", fmt.Sprintf("%.2f", float64(totalNS)/1e6), "", "")
+	tb.AddRow("TOTAL", fmt.Sprintf("%.2f", float64(totalNS)/1e6), "")
 	return tb
 }
 

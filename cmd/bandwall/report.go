@@ -11,14 +11,14 @@ import (
 
 // cmdReport runs every experiment and emits a single Markdown report —
 // an auto-generated EXPERIMENTS-style document with live numbers, plus a
-// per-experiment timing section backed by the obs span log.
+// per-experiment timing section read from the experiments' run traces.
 //
 //	report [-quick] [-jobs N] [-metrics FILE] [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
 func cmdReport(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("report", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "reduce simulation fidelity for speed")
 	jobs := fs.Int("jobs", 4, "parallel workers")
-	metricsFile := fs.String("metrics", "", "write spans and counters as NDJSON to `FILE`")
+	metricsFile := fs.String("metrics", "", "write run traces and metrics as NDJSON to `FILE`")
 	pf := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -67,14 +67,14 @@ func cmdReport(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "\n## Timings\n\n")
 	fmt.Fprintln(out, "Wall-clock per experiment, slowest first (allocations are")
-	fmt.Fprintln(out, "process-wide runtime/metrics deltas over each span, approximate under")
+	fmt.Fprintln(out, "process-wide runtime/metrics deltas over each run, approximate under")
 	fmt.Fprintln(out, "parallelism and quantized: small objects count when a span cache refills).")
 	fmt.Fprintln(out)
-	tt := timingTable(reg)
+	tt := timingTable(outcomes)
 	tt.Title = ""
 	fmt.Fprintln(out, tt.Markdown())
 	if *metricsFile != "" {
-		if err := writeMetricsFile(*metricsFile, reg); err != nil {
+		if err := writeMetricsFile(*metricsFile, outcomes, reg); err != nil {
 			return err
 		}
 	}

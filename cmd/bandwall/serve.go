@@ -14,13 +14,6 @@ import (
 	"repro/internal/serve"
 )
 
-// registrySpanCap bounds the obs registry's completed-span buffer in the
-// long-lived server: each POST /v1/experiments/{id}/run records its
-// experiment's span, and an unbounded buffer would grow for the life of
-// the process. The ring keeps the most recent ones for the NDJSON
-// /metrics dump.
-const registrySpanCap = 1024
-
 // cmdServe runs the HTTP evaluation service until the process context
 // is canceled (SIGINT/SIGTERM), then drains in-flight requests and
 // exits cleanly — a SIGTERM'd server exits 0.
@@ -44,10 +37,8 @@ func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 	// The server always collects metrics: /metrics is an endpoint, not a
 	// debug flag. The registry is installed before NewServer so every
 	// instrument (including the engine's solver-cache counters) lands in it.
-	reg, restore := enableObs()
+	_, restore := enableObs()
 	defer restore()
-	serve.RegisterObs(reg)
-	reg.SetSpanCap(registrySpanCap)
 
 	// pprof stays off the service mux: profiling endpoints leak heap
 	// contents and stack traces, so they bind separately (typically to

@@ -269,7 +269,7 @@ func TestTopFrameShowsOnlyCarriedSeries(t *testing.T) {
 	replica := serve.MetricsSnapshot{
 		Tier: "serve",
 		Counters: map[string]uint64{
-			serve.MetricRequests: 12, serve.MetricSaturated: 1, serve.MetricCacheHits: 9,
+			"serve.requests": 12, serve.MetricSaturated: 1, serve.MetricCacheHits: 9,
 			serve.MetricCacheMisses: 3, serve.MetricEvalSolves: 3, serve.MetricSingleflightShared: 2,
 		},
 		Gauges: map[string]float64{

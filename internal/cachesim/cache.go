@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/bits"
 
+	"repro/internal/obs"
 	"repro/internal/robust"
 	"repro/internal/trace"
 )
@@ -54,7 +55,7 @@ func New(cfg Config) (*Cache, error) {
 		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		sectorsPer: 1,
 		rng:        0x9e3779b97f4a7c15,
-		obs:        newCacheObs(),
+		obs:        newCacheObs(obs.Default()),
 	}
 	if cfg.SectorBytes != 0 {
 		c.sectorsPer = cfg.LineBytes / cfg.SectorBytes

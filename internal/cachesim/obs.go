@@ -27,10 +27,9 @@ type cacheObs struct {
 	writeBacks *obs.Counter
 }
 
-// newCacheObs fetches the package's counters from the process-default
-// registry once, at cache construction time.
-func newCacheObs() cacheObs {
-	reg := obs.Default()
+// newCacheObs fetches the package's counters from reg (a cache passes
+// the process-default registry) once, at cache construction time.
+func newCacheObs(reg *obs.Registry) cacheObs {
 	if reg == nil {
 		return cacheObs{}
 	}
@@ -61,16 +60,10 @@ func (o *cacheObs) add(d Stats) {
 // profiler, notably — use this so CLI metric dumps see their simulated
 // work under the same cachesim.* names. No-op when collection is disabled.
 func PublishStats(d Stats) {
-	o := newCacheObs()
+	o := newCacheObs(obs.Default())
 	o.add(d)
 }
 
 // RegisterObs pre-creates this package's counters in reg so metric dumps
 // have a stable shape even for runs that never construct a cache.
-func RegisterObs(reg *obs.Registry) {
-	reg.Counter(obsAccesses)
-	reg.Counter(obsHits)
-	reg.Counter(obsMisses)
-	reg.Counter(obsEvictions)
-	reg.Counter(obsWriteBacks)
-}
+func RegisterObs(reg *obs.Registry) { newCacheObs(reg) }

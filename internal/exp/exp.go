@@ -130,11 +130,12 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// RunOne executes one experiment wrapped in an obs span named
-// "exp.<id>", so any live metrics registry records its wall-clock and
-// allocation footprint. With collection disabled the span is a free
-// no-op. This is the entry point the CLI and the parallel driver share;
-// calling e.Run directly skips instrumentation.
+// RunOne executes one experiment inside a trace span named "exp.<id>"
+// under ctx's trace: the request's trace in serve, the per-experiment
+// trace RunSuite opens in the CLI. The experiment's own spans (the
+// engine's scenario.eval, the solver's scaling.solve) nest under it. An
+// untraced ctx makes the span a free no-op. This is the entry point the
+// CLI, serve and perfbench share; calling e.Run directly skips it.
 //
 // RunOne is additionally the pipeline's panic barrier: any panic escaping
 // the driver (library invariant violations, injected worker panics) is
@@ -146,8 +147,7 @@ func RunOne(ctx context.Context, e Experiment, o Options) (r *Result, err error)
 	if cerr := robust.Err(ctx); cerr != nil {
 		return nil, cerr
 	}
-	ctx = robust.WithScope(ctx, e.ID)
-	sp := obs.StartSpan("exp." + e.ID)
+	ctx, sp := obs.StartTraceSpan(robust.WithScope(ctx, e.ID), "exp."+e.ID)
 	defer sp.End()
 	defer robust.Recover(&err)
 	if ierr := robust.Hit(ctx, "exp.run"); ierr != nil {

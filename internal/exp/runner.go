@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/robust"
 )
 
@@ -46,7 +47,12 @@ type Outcome struct {
 	Result   *Result
 	Err      error
 	Attempts int
-	Wall     time.Duration
+	Wall     time.Duration // Trace's wall: every attempt and backoff
+	// Trace is the experiment's finished run trace, nil when skipped. Its
+	// route is "exp.<id>"; it holds one exp.<id> span per attempt with
+	// the engine's and solver's spans nested under them, and its
+	// allocation delta is sampled.
+	Trace *obs.TraceRecord
 }
 
 // SuiteConfig tunes RunSuite.
@@ -157,7 +163,8 @@ func runGuarded(ctx context.Context, e Experiment, o Options, cfg SuiteConfig) O
 		oc.Status = StatusSkipped
 		return oc
 	}
-	start := time.Now()
+	tr := obs.NewTrace(obs.NewTraceID(), "exp."+e.ID, true)
+	ctx = obs.WithTrace(ctx, tr)
 	rc := robust.RetryConfig{Attempts: cfg.Attempts, BaseDelay: cfg.Backoff}
 	var res *Result
 	attempts, err := robust.Retry(ctx, rc, func(int) error {
@@ -174,7 +181,8 @@ func runGuarded(ctx context.Context, e Experiment, o Options, cfg SuiteConfig) O
 		return rerr
 	})
 	oc.Attempts = attempts
-	oc.Wall = time.Since(start)
+	oc.Trace = tr.Finish(0)
+	oc.Wall = oc.Trace.Wall
 
 	entry := robust.CheckpointEntry{
 		ID:        e.ID,

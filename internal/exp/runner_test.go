@@ -270,6 +270,70 @@ func TestRunSuiteAttemptTimeout(t *testing.T) {
 	}
 }
 
+// TestRunSuiteTracesEveryRun: every experiment a suite runs gets its own
+// run trace, which holds its exp.<id> span and reads its allocations:
+// nine experiments that each allocate 1 MiB must each read at least
+// 1 MiB, which one-in-eight sampling would fail. A retried experiment
+// records one span per attempt, and a skipped one has no trace.
+func TestRunSuiteTracesEveryRun(t *testing.T) {
+	plan, err := robust.ParsePlan("exp.run@e8=noconverge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer robust.SetInjector(robust.NewInjector(plan))()
+	exps := make([]Experiment, 9)
+	for i := range exps {
+		id := fmt.Sprintf("e%d", i)
+		exps[i] = Experiment{ID: id, Title: id, Paper: "n/a",
+			Run: func(context.Context, Options) (*Result, error) {
+				runtime.KeepAlive(make([]byte, 1<<20))
+				return &Result{ID: id}, nil
+			}}
+	}
+	ckptPath := filepath.Join(t.TempDir(), "ck.ndjson")
+	ckpt, err := robust.OpenCheckpoint(ckptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SuiteConfig{Workers: 3, Attempts: 2, Checkpoint: ckpt}
+	outcomes, err := RunSuite(context.Background(), exps, Options{}, cfg)
+	ckpt.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, oc := range outcomes {
+		rec := oc.Trace
+		if rec == nil {
+			t.Fatalf("%s has no run trace", oc.ID)
+		}
+		if rec.Route != "exp."+oc.ID || rec.AllocBytes < 1<<20 || oc.Wall != rec.Wall {
+			t.Errorf("%s trace: route %q, alloc %d B, wall %v (outcome %v), want exp.%s, >= 1 MiB, the outcome's wall",
+				oc.ID, rec.Route, rec.AllocBytes, rec.Wall, oc.Wall, oc.ID)
+		}
+		spans := 0
+		for _, sp := range rec.Spans {
+			if sp.Name == "exp."+oc.ID && sp.Parent == 0 {
+				spans++
+			}
+		}
+		if spans != oc.Attempts {
+			t.Errorf("%s trace holds %d exp spans over %d attempts, want one each", oc.ID, spans, oc.Attempts)
+		}
+	}
+	if outcomes[8].Attempts != 2 {
+		t.Errorf("e8 attempts = %d, want 2 (one injected transient)", outcomes[8].Attempts)
+	}
+	if cfg.Checkpoint, err = robust.OpenCheckpoint(ckptPath); err != nil {
+		t.Fatal(err)
+	}
+	defer cfg.Checkpoint.Close()
+	cfg.Resume = true
+	outcomes, err = RunSuite(context.Background(), exps[:1], Options{}, cfg)
+	if err != nil || outcomes[0].Status != StatusSkipped || outcomes[0].Trace != nil {
+		t.Errorf("resumed e0 = %s with trace %v (err %v), want skipped without one", outcomes[0].Status, outcomes[0].Trace, err)
+	}
+}
+
 // TestInputHash asserts every run option feeds the resume fingerprint.
 func TestInputHash(t *testing.T) {
 	base := InputHash("fig01", Options{})

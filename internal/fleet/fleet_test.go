@@ -685,7 +685,6 @@ func newServeFleet(t *testing.T, n int, override func(*Config)) (*Gateway, []*ht
 	t.Helper()
 	prev := obs.Default()
 	reg := obs.NewRegistry()
-	serve.RegisterObs(reg)
 	obs.SetDefault(reg)
 	t.Cleanup(func() { obs.SetDefault(prev) })
 	servers := make([]*serve.Server, n)

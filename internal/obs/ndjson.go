@@ -11,14 +11,17 @@ import (
 // consumers can stream-filter without schema knowledge. The overflow
 // histogram bucket's upper bound is encoded as null (JSON has no +Inf).
 type (
-	ndjsonSpan struct {
-		Kind       string  `json:"kind"` // "span"
-		Name       string  `json:"name"`
-		Start      string  `json:"start"` // RFC3339Nano
-		WallNS     int64   `json:"wall_ns"`
-		WallMS     float64 `json:"wall_ms"`
-		AllocBytes uint64  `json:"alloc_bytes"`
-		Mallocs    uint64  `json:"mallocs"`
+	ndjsonTrace struct {
+		Kind       string            `json:"kind"` // "trace"
+		Name       string            `json:"name"` // the trace's route
+		ID         string            `json:"id"`
+		Status     string            `json:"status"`
+		Start      string            `json:"start"` // RFC3339Nano
+		WallNS     int64             `json:"wall_ns"`
+		WallMS     float64           `json:"wall_ms"`
+		AllocBytes uint64            `json:"alloc_bytes"`
+		Spans      []TraceSpanRecord `json:"spans"`
+		Dropped    int               `json:"dropped,omitempty"`
 	}
 	ndjsonCounter struct {
 		Kind  string `json:"kind"` // "counter"
@@ -48,29 +51,33 @@ type (
 	}
 )
 
+// WriteTraceNDJSON writes one finished trace as a "trace" line holding
+// its span tree; status says how the traced work ended (a CLI run's ok,
+// failed or canceled).
+func WriteTraceNDJSON(w io.Writer, rec *TraceRecord, status string) error {
+	return json.NewEncoder(w).Encode(ndjsonTrace{
+		Kind:       "trace",
+		Name:       rec.Route,
+		ID:         rec.ID,
+		Status:     status,
+		Start:      rec.Start.Format(time.RFC3339Nano),
+		WallNS:     rec.WallNS,
+		WallMS:     float64(rec.WallNS) / 1e6,
+		AllocBytes: rec.AllocBytes,
+		Spans:      rec.Spans,
+		Dropped:    rec.Dropped,
+	})
+}
+
 // WriteNDJSON emits the registry's snapshot as newline-delimited JSON:
-// one object per span (in completion order), then per counter, gauge, and
-// histogram (each sorted by name). A nil registry writes nothing.
+// one object per counter, gauge, and histogram (each sorted by name). A
+// nil registry writes nothing.
 func (r *Registry) WriteNDJSON(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
 	snap := r.Snapshot()
 	enc := json.NewEncoder(w)
-	for _, sp := range snap.Spans {
-		line := ndjsonSpan{
-			Kind:       "span",
-			Name:       sp.Name,
-			Start:      sp.Start.Format(time.RFC3339Nano),
-			WallNS:     sp.Wall.Nanoseconds(),
-			WallMS:     float64(sp.Wall.Nanoseconds()) / 1e6,
-			AllocBytes: sp.AllocBytes,
-			Mallocs:    sp.Mallocs,
-		}
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
-	}
 	for _, c := range snap.Counters {
 		if err := enc.Encode(ndjsonCounter{Kind: "counter", Name: c.Name, Value: c.Value}); err != nil {
 			return err

@@ -1,11 +1,12 @@
 // Package obs is the repository's lightweight, dependency-free
 // observability layer: a metrics registry of atomic counters, gauges, and
-// fixed-bucket histograms, plus two kinds of span. Run-scoped spans, one
-// per experiment (exp.RunOne opens them), go into the registry's span log;
-// request-scoped trace spans (trace.go) form one tree per request. Both
-// take wall-clock from time.Now and allocation deltas from runtime/metrics,
-// so neither stops the world. The CLI snapshots a registry after a run to
-// print timing tables and to emit a machine-readable NDJSON dump.
+// fixed-bucket histograms, plus one span type. A trace (trace.go) is a
+// bounded span tree for one unit of work: a served request, or one
+// experiment of a CLI suite run (exp.RunSuite opens it and exp.RunOne
+// records the experiment's span in it). Spans take wall-clock from
+// time.Now and allocation deltas from runtime/metrics, so none stops the
+// world. The CLI reads its run traces to print timing tables and writes
+// them, with a registry snapshot, as a machine-readable NDJSON dump.
 //
 // Instrumentation is zero-cost when disabled: every instrument method has
 // a nil receiver fast path, and a nil *Registry hands out nil instruments,
@@ -131,51 +132,20 @@ func (h *Histogram) ObserveEx(v float64, label string) {
 	}
 }
 
-// Registry owns a namespace of instruments and the span log for one run.
-// All methods are safe for concurrent use, and all lookup methods are
-// safe on a nil receiver (they return nil instruments, completing the
-// no-op chain).
+// Registry owns a namespace of instruments. All methods are safe for
+// concurrent use, and all lookup methods are safe on a nil receiver (they
+// return nil instruments, completing the no-op chain).
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-
-	spanMu      sync.Mutex
-	spans       []SpanRecord
-	spanCap     int // >0: keep only the newest spanCap spans (ring)
-	spanHead    int // ring start once capped
-	spanDropped uint64
 }
 
-// SetSpanCap bounds the registry's span log to the newest n spans
-// (older ones are overwritten ring-style and counted as dropped). A
-// long-lived server must cap the log or per-request spans grow without
-// bound; CLI runs, whose span count is bounded by the experiment count,
-// leave it unset (n ≤ 0 restores the unbounded default).
-func (r *Registry) SetSpanCap(n int) {
-	if r == nil {
-		return
-	}
-	r.spanMu.Lock()
-	defer r.spanMu.Unlock()
-	if n <= 0 {
-		n = 0
-	}
-	r.spanCap = n
-	// Re-linearize any existing ring so the invariant (spans[spanHead:]
-	// then spans[:spanHead] is oldest→newest) survives the cap change.
-	if r.spanHead > 0 {
-		lin := make([]SpanRecord, 0, len(r.spans))
-		lin = append(lin, r.spans[r.spanHead:]...)
-		lin = append(lin, r.spans[:r.spanHead]...)
-		r.spans, r.spanHead = lin, 0
-	}
-	if n > 0 && len(r.spans) > n {
-		r.spanDropped += uint64(len(r.spans) - n)
-		r.spans = append([]SpanRecord(nil), r.spans[len(r.spans)-n:]...)
-	}
-}
+// SetSpanCap does nothing: the registry keeps no spans, and each trace
+// caps its own at maxTraceSpans. It remains only because perfbench,
+// which builds against this module, still calls it.
+func (*Registry) SetSpanCap(int) {}
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -278,9 +248,6 @@ type Snapshot struct {
 	Counters   []CounterValue
 	Gauges     []GaugeValue
 	Histograms []HistogramValue
-	Spans      []SpanRecord
-	// SpansDropped counts spans overwritten by the SetSpanCap ring.
-	SpansDropped uint64
 }
 
 // CounterValue is one counter's snapshot.
@@ -321,8 +288,7 @@ func (h HistogramValue) Mean() float64 {
 }
 
 // Snapshot copies the registry's current state, instruments sorted by
-// name and spans in completion order. A nil registry yields an empty
-// snapshot.
+// name. A nil registry yields an empty snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
@@ -355,12 +321,5 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
-
-	r.spanMu.Lock()
-	s.Spans = make([]SpanRecord, 0, len(r.spans))
-	s.Spans = append(s.Spans, r.spans[r.spanHead:]...)
-	s.Spans = append(s.Spans, r.spans[:r.spanHead]...)
-	s.SpansDropped = r.spanDropped
-	r.spanMu.Unlock()
 	return s
 }

@@ -4,29 +4,31 @@ import (
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Request-scoped tracing. A Trace is a bounded span tree for ONE unit of
-// work (an HTTP request, typically): stages open child spans via a
-// context-propagated handle, each recording its wall-clock duration and
-// the process-wide heap-allocation delta while it was open. Unlike the
-// run-scoped Registry spans (which accumulate for a whole CLI run), a
-// Trace is cheap enough to be always-on in a server hot path: span
-// start/end cost two time.Now calls and one short mutex'd append, and the
-// first few spans are carved from an arena inside the Trace itself.
-// Per-span allocation deltas are SAMPLED — one trace in allocSampleEvery
-// carries them — because each costs a runtime/metrics read per span end
-// (a few hundred ns, no heap allocation; the start value reuses the
-// trace's most recent sample, so allocation between spans is attributed
-// to the next span and sequential stage spans tile the trace).
-// The trace total follows the same rule: it is read at NewTrace and
-// Finish on the sampled traces only, and reads 0 on the rest. Where
-// read, it is quantized like every span's (see SpanRecord): a span that
-// allocated 480 B read 0 in 186 of 200 trials (mean 569 B). The span
-// list is capped so a pathological request cannot balloon memory.
+// Tracing. A Trace is a bounded span tree for ONE unit of work: an HTTP
+// request, or one experiment of a CLI suite run. Stages open child spans
+// via a context-propagated handle, each recording its wall-clock duration
+// and the process-wide heap-allocation delta while it was open. A Trace
+// is cheap enough to be always-on in a server hot path: span start/end
+// cost two time.Now calls and one short mutex'd append, and the first few
+// spans are carved from an arena inside the Trace itself.
+// Allocation deltas are opt-in per trace (the serve front samples one
+// request in allocSampleEvery, a CLI run every experiment), because each
+// costs a runtime/metrics read per span end (a few hundred ns, no heap
+// allocation; the start value reuses the trace's most recent sample, so
+// allocation between spans is attributed to the next span and sequential
+// stage spans tile the trace). The trace total follows the same rule: it
+// is read at NewTrace and Finish on sampled traces only, and reads 0 on
+// the rest. The deltas include other goroutines' allocations and are
+// quantized: the runtime counts a small allocation only when its P's
+// span cache refills, so a span that allocated 480 B read 0 in 186 of
+// 200 trials (mean 569 B). The span list is capped so a pathological
+// request cannot balloon memory.
 //
 // Propagation is by context:
 //
@@ -38,18 +40,17 @@ import (
 // its children, so handler → engine → solver hooks compose into a tree
 // without any layer knowing about the others.
 
-// DefaultTraceSpanCap bounds the spans recorded per trace; further spans
-// are counted in Dropped instead of retained.
-const DefaultTraceSpanCap = 256
+// maxTraceSpans bounds the spans recorded per trace; further spans are
+// counted in Dropped instead of retained.
+const maxTraceSpans = 256
 
-// allocSampleEvery is the allocation-delta sampling rate: one trace in
-// this many records alloc_bytes on its root and its spans (the rest
-// record 0 there and skip every runtime/metrics read).
+// allocSampleEvery is the serve front's allocation sampling rate: one
+// request trace in this many records alloc_bytes on its root and its
+// spans (the rest record 0 there and skip every runtime/metrics read).
 const allocSampleEvery = 8
 
 // traceSeed randomizes trace IDs across process restarts; traceSeq makes
-// them unique within one process; allocSample drives the 1-in-N span
-// alloc-delta sampling.
+// them unique within one process; allocSample drives SampleAllocs.
 var (
 	traceSeed   uint64
 	traceSeq    atomic.Uint64
@@ -83,10 +84,25 @@ func NewTraceID() string {
 	return string(b[:])
 }
 
-// heapAllocBytes reads the cumulative heap-allocation bytes counter, the
-// one sample a trace's hot path needs.
+// SampleAllocs reports whether the next request trace should sample
+// allocations: true for one call in allocSampleEvery.
+func SampleAllocs() bool { return allocSample.Add(1)%allocSampleEvery == 1 }
+
+// samplePool recycles the sample heapAllocBytes passes to metrics.Read.
+// The slice escapes there, so an array on the caller's stack would cost
+// one heap allocation per read.
+var samplePool = sync.Pool{New: func() any {
+	return &[1]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+}}
+
+// heapAllocBytes reads the cumulative heap-allocation bytes counter.
+// Unlike runtime.ReadMemStats it does not stop the world, and it
+// allocates nothing once samplePool is warm.
 func heapAllocBytes() uint64 {
-	b, _ := readHeapAllocs(1)
+	s := samplePool.Get().(*[1]metrics.Sample)
+	metrics.Read(s[:])
+	b := s[0].Value.Uint64()
+	samplePool.Put(s)
 	return b
 }
 
@@ -110,13 +126,13 @@ type TraceRecord struct {
 	Start      time.Time         `json:"start"`
 	Wall       time.Duration     `json:"-"`
 	WallNS     int64             `json:"wall_ns"`
-	AllocBytes uint64            `json:"alloc_bytes"` // 0 unless the trace is alloc-sampled
+	AllocBytes uint64            `json:"alloc_bytes"` // 0 unless the trace samples allocations
 	Attrs      map[string]string `json:"attrs,omitempty"`
 	Spans      []TraceSpanRecord `json:"spans"`
 	Dropped    int               `json:"dropped,omitempty"` // spans beyond the cap
 }
 
-// Trace is one live request's span collector. Create with NewTrace,
+// Trace is one live unit of work's span collector. Create with NewTrace,
 // propagate with WithTrace, and close with Finish. All methods are safe
 // for concurrent use (engine worker pools record spans from many
 // goroutines) and safe on a nil receiver.
@@ -140,21 +156,16 @@ type Trace struct {
 	spans   []TraceSpanRecord
 	attrs   map[string]string
 	dropped int
-	cap     int
 }
 
-// NewTrace starts a trace for one request on the named route. spanCap
-// bounds recorded spans; ≤0 means DefaultTraceSpanCap.
-func NewTrace(id, route string, spanCap int) *Trace {
-	if spanCap <= 0 {
-		spanCap = DefaultTraceSpanCap
-	}
+// NewTrace starts a trace for one unit of work on the named route.
+// sampleAllocs makes the trace and its spans record allocation deltas.
+func NewTrace(id, route string, sampleAllocs bool) *Trace {
 	t := &Trace{
 		id:          id,
 		route:       route,
 		start:       time.Now(),
-		allocDetail: allocSample.Add(1)%allocSampleEvery == 1,
-		cap:         spanCap,
+		allocDetail: sampleAllocs,
 		spans:       make([]TraceSpanRecord, 0, 8),
 	}
 	if t.allocDetail {
@@ -186,8 +197,9 @@ func (t *Trace) SetAttr(key, value string) {
 	t.mu.Unlock()
 }
 
-// Finish closes the trace with the request's final status and returns the
-// immutable record. Nil receiver returns nil.
+// Finish closes the trace with the request's final HTTP status (0 for a
+// CLI run, whose Outcome says how it ended) and returns the immutable
+// record. Nil receiver returns nil.
 func (t *Trace) Finish(status int) *TraceRecord {
 	if t == nil {
 		return nil
@@ -313,7 +325,7 @@ func (s *TraceSpan) End() {
 	}
 	t := s.tr
 	t.mu.Lock()
-	if len(t.spans) < t.cap {
+	if len(t.spans) < maxTraceSpans {
 		t.spans = append(t.spans, rec)
 	} else {
 		t.dropped++

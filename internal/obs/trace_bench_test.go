@@ -17,8 +17,7 @@ func BenchmarkHeapAllocBytes(b *testing.B) {
 // BenchmarkTraceSpanPair pins the cost of one leaf span open/close on a
 // trace WITH alloc-delta sampling enabled (the expensive 1-in-N case).
 func BenchmarkTraceSpanPair(b *testing.B) {
-	tr := NewTrace(NewTraceID(), "bench", 0)
-	tr.allocDetail = true
+	tr := NewTrace(NewTraceID(), "bench", true)
 	ctx := WithTrace(context.Background(), tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -30,8 +29,7 @@ func BenchmarkTraceSpanPair(b *testing.B) {
 // BenchmarkTraceSpanPairNoAlloc is the common (sampled-out) case: no
 // runtime/metrics read on End.
 func BenchmarkTraceSpanPairNoAlloc(b *testing.B) {
-	tr := NewTrace(NewTraceID(), "bench", 0)
-	tr.allocDetail = false
+	tr := NewTrace(NewTraceID(), "bench", false)
 	ctx := WithTrace(context.Background(), tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -46,7 +44,7 @@ func BenchmarkTraceSpanPairNoAlloc(b *testing.B) {
 // the heap counter per span).
 func BenchmarkFullRequestTrace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tr := NewTrace(NewTraceID(), "bench", 0)
+		tr := NewTrace(NewTraceID(), "bench", SampleAllocs())
 		ctx := WithTrace(context.Background(), tr)
 		for j := 0; j < 5; j++ {
 			sp := StartTraceSpanLeaf(ctx, "s")

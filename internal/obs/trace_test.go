@@ -8,7 +8,7 @@ import (
 )
 
 func TestTraceSpanTree(t *testing.T) {
-	tr := NewTrace(NewTraceID(), "eval", 0)
+	tr := NewTrace(NewTraceID(), "eval", false)
 	ctx := WithTrace(context.Background(), tr)
 
 	ctx1, parse := StartTraceSpan(ctx, "parse")
@@ -64,20 +64,20 @@ func TestTraceNilSafety(t *testing.T) {
 }
 
 func TestTraceSpanCap(t *testing.T) {
-	tr := NewTrace("t", "r", 3)
+	tr := NewTrace("t", "r", false)
 	ctx := WithTrace(context.Background(), tr)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxTraceSpans+7; i++ {
 		_, sp := StartTraceSpan(ctx, "s")
 		sp.End()
 	}
 	rec := tr.Finish(200)
-	if len(rec.Spans) != 3 || rec.Dropped != 7 {
-		t.Errorf("spans = %d dropped = %d, want 3 and 7", len(rec.Spans), rec.Dropped)
+	if len(rec.Spans) != maxTraceSpans || rec.Dropped != 7 {
+		t.Errorf("spans = %d dropped = %d, want %d and 7", len(rec.Spans), rec.Dropped, maxTraceSpans)
 	}
 }
 
 func TestTraceConcurrentSpans(t *testing.T) {
-	tr := NewTrace("t", "r", 128)
+	tr := NewTrace("t", "r", false)
 	ctx := WithTrace(context.Background(), tr)
 	var wg sync.WaitGroup
 	for i := 0; i < 64; i++ {
@@ -117,7 +117,7 @@ func TestTraceIDsUnique(t *testing.T) {
 }
 
 func TestTraceAttrsAndWall(t *testing.T) {
-	tr := NewTrace("t", "r", 0)
+	tr := NewTrace("t", "r", false)
 	tr.SetAttr("cache", "hit")
 	tr.SetAttr("shared", "false")
 	time.Sleep(2 * time.Millisecond)
@@ -154,43 +154,16 @@ func TestHistogramExemplar(t *testing.T) {
 	nilH.ObserveEx(1, "x") // no-op
 }
 
-func TestRegistrySpanCap(t *testing.T) {
-	reg := NewRegistry()
-	reg.SetSpanCap(4)
-	for i := 0; i < 10; i++ {
-		sp := reg.StartSpan("s")
-		sp.End()
-	}
-	snap := reg.Snapshot()
-	if len(snap.Spans) != 4 {
-		t.Fatalf("spans = %d, want 4", len(snap.Spans))
-	}
-	if snap.SpansDropped != 6 {
-		t.Errorf("dropped = %d, want 6", snap.SpansDropped)
-	}
-	// Order must remain oldest→newest even through the ring.
-	for i := 1; i < len(snap.Spans); i++ {
-		if snap.Spans[i].Start.Before(snap.Spans[i-1].Start) {
-			t.Errorf("spans out of order at %d", i)
-		}
-	}
-	// Lowering the cap on a wrapped ring keeps the newest spans.
-	reg.SetSpanCap(2)
-	if got := len(reg.Snapshot().Spans); got != 2 {
-		t.Errorf("after recap: spans = %d, want 2", got)
-	}
-}
-
 // allocSink keeps the test allocations below live.
 var allocSink []byte
 
-// TestTraceAllocSampledRootOnly: of eight consecutive traces that each
-// allocate 1 MiB, exactly the alloc-sampled one reads it at the root;
-// the others skip the runtime/metrics reads and read 0.
+// TestTraceAllocSampledRootOnly: of eight consecutive request traces
+// that each allocate 1 MiB, exactly the one SampleAllocs picks reads it
+// at the root; the others skip the runtime/metrics reads and read 0.
 func TestTraceAllocSampledRootOnly(t *testing.T) {
 	sampled := 0
 	for i := 0; i < allocSampleEvery; i++ {
-		tr := NewTrace(NewTraceID(), "alloc", 0)
+		tr := NewTrace(NewTraceID(), "alloc", SampleAllocs())
 		allocSink = make([]byte, 1<<20)
 		rec := tr.Finish(200)
 		switch {

@@ -26,10 +26,9 @@ type simObs struct {
 	busyCycles *obs.Counter
 }
 
-// newSimObs fetches instruments from the process-default registry once
-// per Run call.
-func newSimObs() simObs {
-	reg := obs.Default()
+// newSimObs fetches instruments from reg (Run passes the process-default
+// registry) once per Run call.
+func newSimObs(reg *obs.Registry) simObs {
 	if reg == nil {
 		return simObs{}
 	}
@@ -41,7 +40,4 @@ func newSimObs() simObs {
 
 // RegisterObs pre-creates this package's instruments in reg so metric
 // dumps have a stable shape even for runs that never simulate.
-func RegisterObs(reg *obs.Registry) {
-	reg.Histogram(obsQueueDepth, queueDepthBuckets)
-	reg.Counter(obsBusyCycles)
-}
+func RegisterObs(reg *obs.Registry) { newSimObs(reg) }

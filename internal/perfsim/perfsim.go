@@ -11,6 +11,8 @@ package perfsim
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/obs"
 )
 
 // Config describes the simulated chip.
@@ -110,7 +112,7 @@ func Run(cfg Config, cycles uint64) (Result, error) {
 	}
 	serviceCycles := float64(cfg.LineBytes) / cfg.ChannelBytesPerCycle
 	var res Result
-	ob := newSimObs()
+	ob := newSimObs(obs.Default())
 	busy := 0.0 // total service time scheduled on the channel
 	// channelFree is the cycle at which the channel next becomes idle
 	// (FIFO service, fractional cycles accumulated exactly).

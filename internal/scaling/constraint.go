@@ -194,7 +194,7 @@ func (w ThermalWall) SolveCores(ctx context.Context, c *EvalCache, s Solver, fp 
 	fixed := km * cacheArea(pm, n2, 0)
 	p := (limit*n2*w.baselineDensity(s)/gr - fixed) / slope
 	pMax := n2 / pm.CoreArea
-	lo, hi := pMax*1e-9, pMax*(1-1e-12)
+	lo, hi := math.Min(pMax, n2)*1e-9, pMax*(1-1e-12)
 	if p < lo {
 		return 0, fmt.Errorf("scaling: thermal limit %g unreachable on %g CEAs (cache-area floor density %g): %w",
 			limit, n2, gr*fixed/(n2*w.baselineDensity(s)), robust.ErrDomain)

@@ -106,6 +106,15 @@ func (s Solver) SupportableCoresCtx(ctx context.Context, st technique.Stack, n2,
 		}
 	}
 	flo, fhi := f(lo), f(hi)
+	// Shrunk cores put pMax far above n2, and from a shrink of about 1e9
+	// even pMax·1e-9 cores exceed the budget. Step the bracket down three
+	// decades at a time, hi following lo, to the area floor n2·1e-9; one
+	// step at a time keeps each bracket within the root finder's reach.
+	for flo > 0 && lo > n2*1e-9 {
+		hi, fhi = lo, flo
+		lo /= 1e3
+		flo = f(lo)
+	}
 	if flo > 0 {
 		// Even a near-zero-core chip exceeds the budget (degenerate: budget
 		// below the traffic of an almost-pure-cache chip).

@@ -1,12 +1,15 @@
 package scaling
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/numeric"
 	"repro/internal/power"
+	"repro/internal/robust"
 	"repro/internal/technique"
 )
 
@@ -264,6 +267,39 @@ func TestSmallerCoresLimit(t *testing.T) {
 		if c < 11 || c > 13 {
 			t.Errorf("SmCo %.4f: %d cores, want 11–13 (limited benefit)", f, c)
 		}
+	}
+}
+
+// TestSupportableCoresTinyCores: from a core shrink of about 1e9 the
+// die's core capacity n2/CoreArea is so large that a 1e-9 share of it
+// already exceeds the budget, so the bracket must step down to the root.
+// Every shrink reads 12 cores, and the exact root converges from shrink
+// 1e6's as the residual core area vanishes (1.7e-6 higher at 1e300). A
+// budget below the traffic of a pure-cache die stays a domain error, with
+// a finite minimum traffic in its message.
+func TestSupportableCoresTinyCores(t *testing.T) {
+	s := Default()
+	smco := func(shrink float64) technique.Stack {
+		return technique.Combine(technique.SmallerCores{AreaFraction: 1 / shrink})
+	}
+	prev, err := s.SupportableCores(smco(1e6), 32, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := prev
+	for _, k := range []float64{1e9, 1e12, 1e30, 1e300} {
+		p, err := s.SupportableCores(smco(k), 32, 1)
+		if err != nil {
+			t.Fatalf("shrink %g: %v", k, err)
+		}
+		if CoresFromExact(p) != 12 || p < prev || p-base > 1e-5 {
+			t.Errorf("shrink %g: exact %.12f, want 12 cores, at least %.12f and within 1e-5 of shrink 1e6's %.12f", k, p, prev, base)
+		}
+		prev = p
+	}
+	_, err = s.SupportableCores(smco(1e300), 32, 1e-30)
+	if !errors.Is(err, robust.ErrDomain) || strings.Contains(err.Error(), "Inf") {
+		t.Errorf("budget 1e-30 at shrink 1e300: %v, want a domain error without Inf", err)
 	}
 }
 

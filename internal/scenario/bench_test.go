@@ -53,8 +53,8 @@ func BenchmarkScenarioEval(b *testing.B) {
 		}
 	})
 	// The serve tier's miss path: one warm engine shared by every P, with
-	// no default registry and with one installed (span log capped) the
-	// way `bandwall serve` installs it. The two should cost the same.
+	// no default registry and with one installed the way `bandwall serve`
+	// installs it. The two should cost the same.
 	for _, withReg := range []bool{false, true} {
 		name := "warm-parallel/no-registry"
 		if withReg {
@@ -66,7 +66,6 @@ func BenchmarkScenarioEval(b *testing.B) {
 			var reg *obs.Registry
 			if withReg {
 				reg = obs.NewRegistry()
-				reg.SetSpanCap(1024)
 			}
 			obs.SetDefault(reg)
 			e := NewEngine()

@@ -321,6 +321,46 @@ func TestEvaluateEnergyEnvelope(t *testing.T) {
 	}
 }
 
+// TestEvaluateTinyCores: shrinking cores past about 1e9 once made every
+// wall's solve start above its root, so a multi-wall spec answered a
+// domain error where the model reads shrink 1e6's core count. Through a
+// three-wall spec bandwidth binds at 12 cores, and with a tight thermal
+// wall thermal binds at 5, at every shrink.
+func TestEvaluateTinyCores(t *testing.T) {
+	shrinks := []float64{1e6, 1e9, 1e12, 1e30, 1e300}
+	spec := func(envs ...Envelope) *Spec {
+		sp := &Spec{ID: "tiny", Axis: Axis{N2: []float64{32}}, Envelopes: envs}
+		for _, k := range shrinks {
+			sp.Cases = append(sp.Cases, Case{
+				Label: fmt.Sprint(k),
+				Stack: []technique.Spec{{Name: "SmCo", Params: map[string]float64{"shrink": k}}},
+			})
+		}
+		return sp
+	}
+	for _, tc := range []struct {
+		sp      *Spec
+		binding string
+		cores   int
+	}{
+		{spec(Envelope{Kind: "bandwidth", Limit: 1}, Envelope{Kind: "thermal", Limit: 100}, Envelope{Kind: "energy", Limit: 100}), scaling.KindBandwidth, 12},
+		{spec(Envelope{Kind: "bandwidth", Limit: 1}, Envelope{Kind: "thermal", Limit: 0.5}), scaling.KindThermal, 5},
+	} {
+		o, err := NewEngine().Evaluate(context.Background(), tc.sp)
+		if err != nil {
+			t.Fatalf("%s-bound spec: %v", tc.binding, err)
+		}
+		base := o.PointsFor(0)[0].Exact
+		for i, k := range shrinks {
+			pt := o.PointsFor(i)[0]
+			if pt.Cores != tc.cores || pt.Binding != tc.binding || math.Abs(pt.Exact-base) > 1e-5 {
+				t.Errorf("%s-bound spec, shrink %g: %d cores (exact %.9f) bound by %s, want %d by %s within 1e-5 of %.9f",
+					tc.binding, k, pt.Cores, pt.Exact, pt.Binding, tc.cores, tc.binding, base)
+			}
+		}
+	}
+}
+
 // TestRenderMultiWallTables: multi-wall outcomes grow the binding-wall
 // table; legacy outcomes must not (their report bytes are pinned by the
 // serve smoke test).

@@ -57,7 +57,6 @@ func BenchmarkQueryHitPath(b *testing.B) {
 		b.Run(q.name, func(b *testing.B) {
 			prev := obs.Default()
 			reg := obs.NewRegistry()
-			RegisterObs(reg)
 			obs.SetDefault(reg)
 			defer obs.SetDefault(prev)
 			h := NewServer(Config{}).Handler()

@@ -138,13 +138,14 @@ var logAttrs = []string{"memo", "cache", "shared", "replica", "attempts", "repli
 
 // instrument wraps a handler with request counting, latency recording,
 // always-on request tracing, and structured access logging. A request's
-// spans go into its obs.Trace (the ring behind /v1/trace), never the
-// registry's span log, which keeps the experiment spans /v1/run records.
+// spans, an experiment run's exp.<id> span among them, go into its
+// obs.Trace (the ring behind /v1/trace); one trace in eight samples
+// allocations.
 func (f *Front) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		f.mReqs.Inc()
-		tr := obs.NewTrace(obs.NewTraceID(), route, 0)
+		tr := obs.NewTrace(obs.NewTraceID(), route, obs.SampleAllocs())
 		w.Header().Set(TraceHeader, tr.ID())
 		sw := &statusWriter{ResponseWriter: w}
 		h(sw, r.WithContext(obs.WithTrace(r.Context(), tr)))

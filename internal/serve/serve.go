@@ -169,15 +169,15 @@ type Server struct {
 	leaderGate func(ctx context.Context, key string)
 }
 
-// Metric names published by this package.
+// Metric names published by this package. NewFront adds the tier's
+// serve.requests, serve.responses.{2..5}xx, serve.latency_us and stage
+// histograms.
 const (
-	MetricRequests           = "serve.requests"
 	MetricSaturated          = "serve.saturated"
 	MetricEvalSolves         = "serve.eval.solves"
 	MetricSingleflightShared = "serve.eval.singleflight.shared"
 	MetricCacheHits          = "serve.cache.hits"
 	MetricCacheMisses        = "serve.cache.misses"
-	MetricLatencyUS          = "serve.latency_us"
 	MetricInflight           = "serve.inflight"
 
 	// Runtime gauges sampled by the background collector.
@@ -192,32 +192,10 @@ const (
 // microseconds: 50µs .. 1s, roughly ×2.5 per bucket.
 var latencyBounds = []float64{50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000, 500000, 1e6}
 
-// RegisterObs pre-registers this package's metric names on reg so
-// /metrics has a stable shape before the first request arrives.
-func RegisterObs(reg *obs.Registry) {
-	for _, name := range []string{
-		MetricRequests, MetricSaturated, MetricEvalSolves,
-		MetricSingleflightShared, MetricCacheHits, MetricCacheMisses,
-	} {
-		reg.Counter(name)
-	}
-	for class := 2; class <= 5; class++ {
-		reg.Counter(fmt.Sprintf("serve.responses.%dxx", class))
-	}
-	reg.Histogram(MetricLatencyUS, latencyBounds)
-	reg.Gauge(MetricInflight)
-	for _, name := range []string{
-		MetricGoroutines, MetricHeapBytes, MetricGCPauseMS, MetricGCLastPause, MetricGCCycles,
-	} {
-		reg.Gauge(name)
-	}
-	// The eval pipeline's stage histograms, pre-registered so /metrics has
-	// a stable shape before the first eval. NewServer resolves every
-	// other route's stage histograms as it mounts the routes.
-	for _, stage := range replicaStages {
-		reg.Histogram(stageHistName("serve", "eval", stage), stageBounds)
-	}
-}
+// RegisterObs does nothing: NewServer resolves every serve metric, so
+// /metrics has its whole shape before the first request. It remains only
+// because perfbench, which builds against this module, still calls it.
+func RegisterObs(*obs.Registry) {}
 
 // replicaStages are the stages whose histograms a replica pre-resolves
 // for every route.
@@ -349,8 +327,9 @@ func (s *Server) SampleRuntime() {
 	s.reg.Gauge(MetricGoroutines).Set(float64(runtime.NumGoroutine()))
 	s.reg.Gauge(MetricHeapBytes).Set(float64(ms.HeapAlloc))
 	s.reg.Gauge(MetricGCPauseMS).Set(float64(ms.PauseTotalNs) / 1e6)
+	last := s.reg.Gauge(MetricGCLastPause) // resolved before the first GC too, so /metrics keeps its shape
 	if ms.NumGC > 0 {
-		s.reg.Gauge(MetricGCLastPause).Set(float64(ms.PauseNs[(ms.NumGC+255)%256]) / 1e3)
+		last.Set(float64(ms.PauseNs[(ms.NumGC+255)%256]) / 1e3)
 	}
 	s.reg.Gauge(MetricGCCycles).Set(float64(ms.NumGC))
 }

@@ -88,7 +88,6 @@ func newTestServer(t *testing.T, cfg Config, gate func(ctx context.Context, key 
 	t.Helper()
 	prev := obs.Default()
 	reg := obs.NewRegistry()
-	RegisterObs(reg)
 	obs.SetDefault(reg)
 	t.Cleanup(func() { obs.SetDefault(prev) })
 	s := NewServer(cfg)
@@ -556,7 +555,6 @@ func TestMetricsTextAndNDJSON(t *testing.T) {
 func TestGracefulDrain(t *testing.T) {
 	prev := obs.Default()
 	reg := obs.NewRegistry()
-	RegisterObs(reg)
 	obs.SetDefault(reg)
 	t.Cleanup(func() { obs.SetDefault(prev) })
 

@@ -77,14 +77,13 @@ func TestTraceHeaderAndRetrieval(t *testing.T) {
 	}
 }
 
-// TestTraceHoldsQuerySpans: a query miss records its engine span in the
-// request's /v1/trace tree and adds nothing to the registry's span log,
-// which holds only the experiment spans /v1/experiments/{id}/run records.
+// TestTraceHoldsQuerySpans: a query miss records its engine span once in
+// the request's /v1/trace tree.
 func TestTraceHoldsQuerySpans(t *testing.T) {
 	engine := map[string]string{"eval": "scenario.eval", "optimize": "optimize.search"}
 	for _, k := range queryKinds {
 		t.Run(k.name, func(t *testing.T) {
-			_, ts, reg := newTestServer(t, Config{}, nil)
+			_, ts, _ := newTestServer(t, Config{}, nil)
 			resp, data := post(t, ts.URL+k.path, k.body)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status %d: %s", resp.StatusCode, data)
@@ -101,10 +100,40 @@ func TestTraceHoldsQuerySpans(t *testing.T) {
 			if n != 1 {
 				t.Errorf("trace has %d %s spans, want 1", n, engine[k.name])
 			}
-			if spans := reg.Snapshot().Spans; len(spans) != 0 {
-				t.Errorf("registry span log = %+v, want empty", spans)
-			}
 		})
+	}
+}
+
+// TestTraceHoldsExperimentSpan: an experiment run records its exp.<id>
+// span in the request's /v1/trace tree, once, with the engine's span
+// nested under it.
+func TestTraceHoldsExperimentSpan(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{}, nil)
+	resp, data := post(t, ts.URL+"/v1/experiments/fig02/run?quick=1", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	ti := fetchTrace(t, ts.URL, resp.Header.Get(TraceHeader))
+	var run []SpanInfo
+	for _, sp := range ti.Spans {
+		if sp.Name == "exp.fig02" {
+			run = append(run, sp)
+		}
+	}
+	if len(run) != 1 || run[0].Parent != 0 {
+		t.Fatalf("trace has exp.fig02 spans %+v, want one at the top level (spans %+v)", run, ti.Spans)
+	}
+	evals := 0
+	for _, sp := range ti.Spans {
+		if sp.Name == "scenario.eval" {
+			evals++
+			if sp.Parent != run[0].ID {
+				t.Errorf("scenario.eval parent = %d, want exp.fig02's %d", sp.Parent, run[0].ID)
+			}
+		}
+	}
+	if evals == 0 {
+		t.Errorf("trace has no scenario.eval span: %+v", ti.Spans)
 	}
 }
 
@@ -114,15 +143,16 @@ func TestTraceHoldsQuerySpans(t *testing.T) {
 // stage durations account for the bulk of the request wall-clock.
 func TestTraceStagesColdEval(t *testing.T) {
 	// Wide queries keep the solve on the critical path long enough that
-	// the ±10% accounting check measures tiling, not fixed overhead.
+	// the ±10% accounting check measures tiling, not fixed overhead. Each
+	// body takes an α, so a retry can send a distinct, fully cold query.
 	cold := []struct{ name, path, body, engine string }{
-		{"eval", "/v1/eval", `{"id":"wide","axis":{"n2":[2,4,8,16,32,64,128,256,512,1024]},"cases":[
+		{"eval", "/v1/eval", `{"id":"wide","alpha":%g,"axis":{"n2":[2,4,8,16,32,64,128,256,512,1024]},"cases":[
 		  {"label":"BASE","value_key":"cores@base"},
 		  {"label":"CC","stack":[{"name":"CC","params":{"ratio":2}}]},
 		  {"label":"LC","stack":[{"name":"LC","params":{"ratio":2}}]},
 		  {"label":"CC+LC","stack":[{"name":"CC","params":{"ratio":2}},{"name":"LC","params":{"ratio":2}}]}
 		]}`, "scenario.eval"},
-		{"optimize", "/v1/optimize", `{"id":"wide","n2":32,
+		{"optimize", "/v1/optimize", `{"id":"wide","alpha":%g,"n2":32,
 		  "envelopes":[{"kind":"bandwidth","limit":1},{"kind":"thermal","limit":2.08}],
 		  "catalog":[
 		    {"name":"Fltr","params":{"unused":0.4},"cost":1},
@@ -134,11 +164,7 @@ func TestTraceStagesColdEval(t *testing.T) {
 	for _, c := range cold {
 		t.Run(c.name, func(t *testing.T) {
 			_, ts, _ := newTestServer(t, Config{}, nil)
-			resp, data := post(t, ts.URL+c.path, c.body)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("status %d: %s", resp.StatusCode, data)
-			}
-			ti := fetchTrace(t, ts.URL, resp.Header.Get(TraceHeader))
+			ti := coldTrace(t, ts.URL, c.path, fmt.Sprintf(c.body, 0.5))
 
 			stages := stageSet(ti)
 			for _, want := range []string{StageAdmit, StageParse, StageFingerprint, StageCacheLookup, StageSingleflight, StageWrite} {
@@ -183,17 +209,42 @@ func TestTraceStagesColdEval(t *testing.T) {
 			}
 
 			// Wall-clock accounting: the top-level stages tile the handler, so
-			// their sum must land within 10% of the request wall time.
-			var sum float64
-			for _, sp := range stages {
-				sum += sp.WallUS
-			}
-			wall := ti.WallMS * 1e3
-			if sum < 0.9*wall || sum > 1.1*wall {
-				t.Errorf("stage sum %.1fµs vs request wall %.1fµs: outside ±10%%", sum, wall)
+			// their sum must land within 10% of the request wall time. A
+			// preemption between stages can break that once; an untraced gap
+			// in the pipeline breaks it on every request, so a miss retries
+			// with a distinct cold query, at most twice.
+			const attempts = 3
+			for i := 1; ; i++ {
+				var sum float64
+				for _, sp := range stageSet(ti) {
+					sum += sp.WallUS
+				}
+				wall := ti.WallMS * 1e3
+				if sum >= 0.9*wall && sum <= 1.1*wall {
+					break
+				}
+				if i == attempts {
+					t.Fatalf("stage sum %.1fµs vs request wall %.1fµs: outside ±10%% on %d cold requests", sum, wall, attempts)
+				}
+				t.Logf("attempt %d: stage sum %.1fµs vs request wall %.1fµs: outside ±10%%, retrying", i, sum, wall)
+				ti = coldTrace(t, ts.URL, c.path, fmt.Sprintf(c.body, 0.5+0.01*float64(i)))
 			}
 		})
 	}
+}
+
+// coldTrace posts body to base+path, requires a cache miss, and fetches
+// the request's trace.
+func coldTrace(t *testing.T, base, path, body string) TraceInfo {
+	t.Helper()
+	resp, data := post(t, base+path, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	if got := resp.Header.Get(CacheHeader); got != "miss" {
+		t.Fatalf("%s = %q, want miss", CacheHeader, got)
+	}
+	return fetchTrace(t, base, resp.Header.Get(TraceHeader))
 }
 
 // TestTraceStagesCacheHit: a repeat query of either kind is served from

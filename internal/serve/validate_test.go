@@ -102,7 +102,6 @@ func TestValidateNoAdmissionSlot(t *testing.T) {
 func TestHealthzDrainReadiness(t *testing.T) {
 	prev := obs.Default()
 	reg := obs.NewRegistry()
-	RegisterObs(reg)
 	obs.SetDefault(reg)
 	t.Cleanup(func() { obs.SetDefault(prev) })
 

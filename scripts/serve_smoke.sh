@@ -3,7 +3,8 @@
 # process: build, start, probe /healthz, evaluate the shipped
 # stacked-compression spec over HTTP (the Fig 12 answer: 18 cores),
 # pull the request's trace from /v1/trace, inspect and purge the caches
-# via /v1/cache, scrape /metrics, then SIGTERM and require a graceful
+# via /v1/cache, run quick fig02 and find its experiment span in that
+# request's trace, scrape /metrics, then SIGTERM and require a graceful
 # exit 0.
 #
 # Run from the repo root: bash scripts/serve_smoke.sh
@@ -142,6 +143,17 @@ if [[ "$OPT_RESP" != "$OPT_RESP3" ]]; then
   exit 1
 fi
 
+echo "== POST /v1/experiments/fig02/run?quick=1"
+RUN_HDRS="$(mktemp)"
+curl -sf -D "$RUN_HDRS" -X POST "$BASE/v1/experiments/fig02/run?quick=1" >/dev/null
+RUN_TRACE_ID="$(grep -i '^x-bandwall-trace:' "$RUN_HDRS" | tr -d '\r' | awk '{print $2}')"
+RUN_TRACE="$(curl -sf "$BASE/v1/trace?id=$RUN_TRACE_ID")"
+grep -q '"exp.fig02"' <<<"$RUN_TRACE" || {
+  echo "FAIL: the fig02 run's trace has no exp.fig02 span" >&2
+  echo "$RUN_TRACE" | head -c 600 >&2
+  exit 1
+}
+
 echo "== scrape /metrics"
 # Capture first, then grep a here-string: grep -q exits at the first
 # match, so any writer piped into it (curl, or echo of a ~75 KB body)
@@ -151,6 +163,11 @@ grep -q '^bandwall_serve_requests ' <<<"$METRICS" || {
   echo "FAIL: /metrics missing bandwall_serve_requests" >&2
   exit 1
 }
+METRICS_NDJSON="$(curl -sf "$BASE/metrics?format=ndjson")"
+if grep -q '"kind":"span"' <<<"$METRICS_NDJSON"; then
+  echo "FAIL: /metrics?format=ndjson has span lines; spans live in /v1/trace" >&2
+  exit 1
+fi
 
 echo "== SIGTERM → graceful exit 0"
 kill -TERM "$SERVER_PID"
