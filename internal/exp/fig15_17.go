@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/render"
 	"repro/internal/scenario"
@@ -97,7 +98,7 @@ func runFig15(ctx context.Context, _ Options) (*Result, error) {
 		ys = append(ys, values[genKey(l, 16)])
 	}
 	chart := &render.Chart{
-		Title: "Fig 15 @16x (realistic): IDEAL, BASE, " + joinLabels(technique.Catalog), Width: 44, Height: 14,
+		Title: "Fig 15 @16x (realistic): " + strings.Join(labels, ", "), Width: 44, Height: 14,
 		Series: []render.Series{{Name: "cores @16x", X: xs, Y: ys}},
 	}
 	return &Result{
@@ -113,17 +114,6 @@ func runFig15(ctx context.Context, _ Options) (*Result, error) {
 	}, nil
 }
 
-func joinLabels(entries []technique.CatalogEntry) string {
-	s := ""
-	for i, e := range entries {
-		if i > 0 {
-			s += ", "
-		}
-		s += e.Label
-	}
-	return s
-}
-
 func fig16Exp() Experiment {
 	return Experiment{
 		ID:    "fig16",
@@ -134,26 +124,20 @@ func fig16Exp() Experiment {
 }
 
 func runFig16(ctx context.Context, _ Options) (*Result, error) {
-	// The 15 combination columns of Fig 16, by index so the three
-	// assumption variants stay aligned. Each concrete stack is serialized
-	// through the registry into its scenario case.
-	combosByAssumption := [3][]technique.Stack{
-		technique.Fig16Combos(technique.Pessimistic),
-		technique.Fig16Combos(technique.Realistic),
-		technique.Fig16Combos(technique.Optimistic),
-	}
-	realistic := combosByAssumption[1]
-	var cases []scenario.Case
-	cases = append(cases, scenario.Case{Label: "BASE"})
-	for i := range realistic {
-		for ai, combos := range combosByAssumption {
-			specs, err := technique.StackSpecs(combos[i])
-			if err != nil {
-				return nil, err
-			}
-			c := scenario.Case{Label: combos[i].Label(), Stack: specs}
-			if ai == 1 {
-				c.ValueKey = realistic[i].Label()
+	// One case per (combination, assumption) plus BASE, as in fig15: each
+	// combination names its builders, and the case's assumption picks
+	// their Table 2 parameters.
+	cases := []scenario.Case{{Label: "BASE"}}
+	for _, names := range technique.Fig16Stacks {
+		label := strings.Join(names, " + ")
+		stack := make([]technique.Spec, len(names))
+		for i, name := range names {
+			stack[i] = technique.Spec{Name: name}
+		}
+		for _, an := range assumptionNames {
+			c := scenario.Case{Label: label, Stack: stack, Assumption: an.spec}
+			if an.suffix == "" {
+				c.ValueKey = label
 			}
 			cases = append(cases, c)
 		}
@@ -186,11 +170,11 @@ func runFig16(ctx context.Context, _ Options) (*Result, error) {
 	}
 	tb.AddRow(baseRow...)
 
-	for i := range realistic {
+	for i := range technique.Fig16Stacks {
 		pess := o.PointsFor(1 + i*3)
 		real := o.PointsFor(2 + i*3)
 		opt := o.PointsFor(3 + i*3)
-		row := []any{realistic[i].Label()}
+		row := []any{cases[2+i*3].Label}
 		for gi := range o.Gens {
 			row = append(row, fmt.Sprintf("%d/%d/%d", pess[gi].Cores, real[gi].Cores, opt[gi].Cores))
 		}
@@ -199,7 +183,7 @@ func runFig16(ctx context.Context, _ Options) (*Result, error) {
 
 	// Headline: the all-combined configuration's die share at 16x (the
 	// last generation of the last realistic case).
-	allPts := o.PointsFor(2 + (len(realistic)-1)*3)
+	allPts := o.PointsFor(2 + (len(technique.Fig16Stacks)-1)*3)
 	values["allcombined:area%@16x"] = 100 * allPts[3].AreaFraction
 
 	return &Result{

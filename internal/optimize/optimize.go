@@ -41,7 +41,7 @@ type DesignPoint struct {
 	// solution it is read from.
 	Cores int     `json:"cores"`
 	Exact float64 `json:"exact"`
-	// Binding names the wall that pins this point; Walls reports each
+	// Binding names the wall that pins this point, or "die"; Walls reports each
 	// wall's limit/usage/headroom at the solution.
 	Binding string                 `json:"binding"`
 	Walls   []scaling.WallHeadroom `json:"walls,omitempty"`

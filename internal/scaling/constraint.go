@@ -4,14 +4,15 @@
 // and energy (a per-access/per-bit account after Shahid et al.) — each
 // mapping a candidate core count and technique stack to a feasibility
 // margin. A Constraint is solved by tightest-binding intersection: the
-// supportable core count is the max p such that every wall holds, and the
-// solution reports which wall binds plus each wall's headroom at the
-// solved point.
+// supportable core count is the max p, up to the processor die's own
+// n2/CoreArea, such that every wall holds, and the solution reports which
+// wall (or the die) binds plus each wall's headroom at the solved point.
 //
 // Every wall's usage is strictly increasing in p on its feasible domain
 // (more cores draw more power, generate more traffic, and burn more
 // energy per unit work), so the intersection is simply the minimum of the
-// walls' standalone solutions and binding-wall attribution is exact.
+// die and the walls' standalone solutions and binding attribution is
+// exact.
 package scaling
 
 import (
@@ -29,6 +30,9 @@ const (
 	KindBandwidth = "bandwidth"
 	KindThermal   = "thermal"
 	KindEnergy    = "energy"
+	// KindDie is no wall: it names the processor die's own limit,
+	// n2/CoreArea cores, when it binds before every wall.
+	KindDie = "die"
 )
 
 // Default wall coefficients. Provenance is documented in EXPERIMENTS.md.
@@ -194,15 +198,11 @@ func (w ThermalWall) SolveCores(ctx context.Context, c *EvalCache, s Solver, fp 
 	fixed := km * cacheArea(pm, n2, 0)
 	p := (limit*n2*w.baselineDensity(s)/gr - fixed) / slope
 	pMax := n2 / pm.CoreArea
-	lo, hi := math.Min(pMax, n2)*1e-9, pMax*(1-1e-12)
-	if p < lo {
+	if p < math.Min(pMax, n2)*1e-9 {
 		return 0, fmt.Errorf("scaling: thermal limit %g unreachable on %g CEAs (cache-area floor density %g): %w",
 			limit, n2, gr*fixed/(n2*w.baselineDensity(s)), robust.ErrDomain)
 	}
-	if p > hi {
-		return hi, nil // thermal does not bind within the die's geometry
-	}
-	return p, nil
+	return math.Min(p, pMax), nil // past the die, thermal does not bind
 }
 
 // EnergyWall caps relative memory-system energy per unit of work: a
@@ -311,7 +311,8 @@ type WallHeadroom struct {
 }
 
 // Solution is a solved constraint: the intersection core count, which wall
-// binds, and every wall's headroom at that point.
+// binds (KindDie when the die does), and every wall's headroom at that
+// point.
 type Solution struct {
 	Exact   float64
 	Binding string
@@ -319,7 +320,9 @@ type Solution struct {
 }
 
 // SolveFP solves the constraint at one (stack, chip, generation) cell: the
-// max core count satisfying every wall, attributed to the tightest wall.
+// max core count satisfying every wall within the processor die,
+// attributed to the tightest wall, or to KindDie when no wall's root lies
+// below the die's n2/CoreArea cores.
 // fp must be FingerprintOf(st); cache may be nil (uncached inner solves).
 // Only the walls' root finds are memoized (one cache event per bandwidth
 // or energy wall); the intersection and the headroom report are rebuilt
@@ -328,7 +331,8 @@ func (c Constraint) SolveFP(ctx context.Context, cache *EvalCache, s Solver, fp 
 	if len(c.walls) == 0 {
 		return Solution{}, fmt.Errorf("scaling: constraint has no walls: %w", robust.ErrDomain)
 	}
-	sol := Solution{Exact: math.Inf(1), Walls: make([]WallHeadroom, len(c.walls))}
+	pm := fp.Params
+	sol := Solution{Exact: n2 / pm.CoreArea, Binding: KindDie, Walls: make([]WallHeadroom, len(c.walls))}
 	for i, w := range c.walls {
 		p, err := w.SolveCores(ctx, cache, s, fp, st, n2, gen)
 		if err != nil {
@@ -339,7 +343,6 @@ func (c Constraint) SolveFP(ctx context.Context, cache *EvalCache, s Solver, fp 
 			sol.Exact, sol.Binding = p, w.Kind()
 		}
 	}
-	pm := fp.Params
 	for i, w := range c.walls {
 		u := w.Usage(s, pm, n2, sol.Exact, gen)
 		sol.Walls[i].Usage = u

@@ -49,7 +49,7 @@ func TestBandwidthWallBitIdentity(t *testing.T) {
 
 // TestThermalWallClosedForm: the closed-form thermal solve must land exactly
 // on the wall — Usage at the solved core count equals the limit — whenever
-// the solution is interior (not clamped at the die's geometric capacity).
+// the solution is interior (not the die's geometric capacity).
 func TestThermalWallClosedForm(t *testing.T) {
 	s := Default()
 	for _, st := range []technique.Stack{
@@ -64,8 +64,8 @@ func TestThermalWallClosedForm(t *testing.T) {
 			if err != nil {
 				t.Fatalf("gen %d: %v", gen, err)
 			}
-			if hi := n2 / fp.Params.CoreArea * (1 - 1e-12); p == hi {
-				continue // clamped: thermal does not bind within the die
+			if p == n2/fp.Params.CoreArea {
+				continue // the die: thermal does not bind within it
 			}
 			u := w.Usage(s, fp.Params, n2, p, gen)
 			if math.Abs(u-w.LimitAt(gen)) > 1e-9 {

@@ -91,20 +91,16 @@ func (s Solver) SupportableCoresCtx(ctx context.Context, st technique.Stack, n2,
 		return 0, fmt.Errorf("%w: %w", err, robust.ErrDomain)
 	}
 	// Cores fit while on-die cache CEAs stay non-negative: p ≤ pMax, the
-	// geometric limit of the processor die.
+	// geometric limit of the processor die. If even the full die fits the
+	// budget, that limit is the answer. Traffic there is +Inf (no cache
+	// left) unless a stacked cache die keeps it finite.
 	pMax := n2 / pm.CoreArea
 	f := func(p float64) float64 { return pm.Traffic(s.model, n2, p) - budget }
+	if f(pMax) <= 0 {
+		return pMax, nil
+	}
 	lo := pMax * 1e-9
 	hi := pMax * (1 - 1e-12)
-	if pm.ExtraDie {
-		// Traffic stays finite at p == pMax (the extra die still provides
-		// cache); the supportable count may exceed the die's CEA count only
-		// if cores shrank, which pMax already covers. If even the full die
-		// fits the budget, the answer is the geometric limit.
-		if f(hi) <= 0 {
-			return hi, nil
-		}
-	}
 	flo, fhi := f(lo), f(hi)
 	// Shrunk cores put pMax far above n2, and from a shrink of about 1e9
 	// even pMax·1e-9 cores exceed the budget. Step the bracket down three

@@ -234,17 +234,30 @@ func TestHugeBudgetHitsGeometricLimit(t *testing.T) {
 	}
 }
 
+// TestExtraDieAllCoresChip: with a 3D cache die the whole processor die
+// can be cores and traffic stays finite; when that fits the budget, the
+// answer is the die's n2/CoreArea exactly, not a point just below it.
 func TestExtraDieAllCoresChip(t *testing.T) {
-	// With a 3D cache die and a huge budget, the whole processor die can be
-	// cores and traffic stays finite.
 	s := Default()
-	st := technique.Combine(technique.ThreeDCache{LayerDensity: 16})
-	got, err := s.SupportableCores(st, 32, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got < 31.9 {
-		t.Errorf("cores = %v, want the full die", got)
+	for _, tc := range []struct {
+		st         technique.Stack
+		n2, budget float64
+		want       float64
+	}{
+		{technique.Combine(technique.ThreeDCache{LayerDensity: 16}), 32, 100, 32},
+		{technique.Combine(technique.ThreeDCache{LayerDensity: 64}), 32, 1, 32},
+		{technique.Combine(technique.ThreeDCache{LayerDensity: 16}), 256, 100, 256},
+		// 4x smaller cores: the die holds 128 of them, and the 64x
+		// stacked die gives each 16 CEAs, so traffic is 16·16^-0.5 = 4.
+		{technique.Combine(technique.ThreeDCache{LayerDensity: 64}, technique.SmallerCores{AreaFraction: 0.25}), 32, 4, 128},
+	} {
+		got, err := s.SupportableCores(tc.st, tc.n2, tc.budget)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.st.Label(), err)
+		}
+		if got != tc.want {
+			t.Errorf("%s on %g CEAs at budget %g: cores = %v, want exactly %v", tc.st.Label(), tc.n2, tc.budget, got, tc.want)
+		}
 	}
 }
 

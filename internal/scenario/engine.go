@@ -15,12 +15,6 @@ type Point struct {
 	Case int // index into Spec.Cases
 	Axis int // index into the expanded axis
 	Gen  scaling.Generation
-	// Alpha and Budget are the resolved solver inputs for this cell (after
-	// case overrides and envelope compounding). Budget is the bandwidth
-	// wall's limit at this cell; 0 when the constraint set has no
-	// bandwidth wall.
-	Alpha  float64
-	Budget float64
 	// Exact is Eq. 7's fractional solution; Cores its whole-core reading.
 	Exact float64
 	Cores int
@@ -29,8 +23,9 @@ type Point struct {
 	AreaFraction float64
 	Proportional float64
 	// Binding names the wall that limits this cell ("bandwidth" for
-	// legacy single-envelope specs); Walls reports each wall's limit,
-	// usage, and headroom at the solved core count.
+	// legacy single-envelope specs), or "die" when every wall allows the
+	// whole processor die; Walls reports each wall's limit, usage, and
+	// headroom at the solved core count.
 	Binding string
 	Walls   []scaling.WallHeadroom
 }
@@ -119,7 +114,6 @@ func (e *Engine) Evaluate(ctx context.Context, sp *Spec) (*Outcome, error) {
 		stack  technique.Stack
 		fp     scaling.Fingerprint // precomputed: fingerprinting per cell would dominate cache hits
 		solver scaling.Solver
-		alpha  float64
 		cons   scaling.Constraint
 	}
 	envs := make([]caseEnv, len(sp.Cases))
@@ -136,7 +130,7 @@ func (e *Engine) Evaluate(ctx context.Context, sp *Spec) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		envs[i] = caseEnv{stack: st, fp: scaling.FingerprintOf(st), solver: s, alpha: alpha, cons: sp.constraintFor(c)}
+		envs[i] = caseEnv{stack: st, fp: scaling.FingerprintOf(st), solver: s, cons: sp.constraintFor(c)}
 	}
 
 	cache := e.Cache
@@ -163,15 +157,8 @@ func (e *Engine) Evaluate(ctx context.Context, sp *Spec) (*Outcome, error) {
 			return fmt.Errorf("scenario %s: case %q @ %s: %w", sp.ID, sp.Cases[ci].label(), g, err)
 		}
 		evaluated.Inc()
-		budget := 0.0
-		for _, wh := range sol.Walls {
-			if wh.Kind == scaling.KindBandwidth {
-				budget = wh.Limit
-			}
-		}
 		points[i] = Point{
 			Case: ci, Axis: ai, Gen: g,
-			Alpha: env.alpha, Budget: budget,
 			Exact: sol.Exact, Cores: scaling.CoresFromExact(sol.Exact),
 			// CoreAreaFraction from the precomputed Params.
 			AreaFraction: env.fp.Params.CoreArea * sol.Exact / g.N,

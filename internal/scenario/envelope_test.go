@@ -215,9 +215,20 @@ func TestNormalizeKeepsImpureEnvelopes(t *testing.T) {
 	}
 }
 
+// bandwidthLimit is the bandwidth wall's limit among pt's wall reports,
+// 0 when it has none.
+func bandwidthLimit(pt Point) float64 {
+	for _, wh := range pt.Walls {
+		if wh.Kind == scaling.KindBandwidth {
+			return wh.Limit
+		}
+	}
+	return 0
+}
+
 // TestEvaluateMultiWallFlip: the flip scenario end-to-end — binding wall
 // bandwidth at 2x/4x, thermal at 8x/16x, with per-wall headroom on every
-// point and the bandwidth limit surfaced as the legacy Budget field.
+// point, the bandwidth wall's limit among them.
 func TestEvaluateMultiWallFlip(t *testing.T) {
 	o, err := NewEngine().Evaluate(context.Background(), multiwallSpec())
 	if err != nil {
@@ -232,8 +243,8 @@ func TestEvaluateMultiWallFlip(t *testing.T) {
 		if len(pt.Walls) != 2 {
 			t.Fatalf("gen %d: %d wall reports, want 2", i+1, len(pt.Walls))
 		}
-		if pt.Budget != 1 {
-			t.Errorf("gen %d: Budget = %g, want the bandwidth wall's limit 1", i+1, pt.Budget)
+		if bandwidthLimit(pt) != 1 {
+			t.Errorf("gen %d: bandwidth limit = %g, want 1", i+1, bandwidthLimit(pt))
 		}
 		for _, wh := range pt.Walls {
 			if wh.Kind == pt.Binding && math.Abs(wh.Headroom) > 1e-6 && wh.Exact < pt.Gen.N/1.1 {
@@ -265,8 +276,8 @@ func TestEvaluateCaseBudgetWithEnvelopes(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt := o.PointsFor(0)[0]
-	if pt.Budget != 2 {
-		t.Errorf("override lost: Budget = %g, want 2", pt.Budget)
+	if bandwidthLimit(pt) != 2 {
+		t.Errorf("override lost: bandwidth limit = %g, want 2", bandwidthLimit(pt))
 	}
 
 	// Thermal-only envelope set + case budget: the override adds the wall.
@@ -285,13 +296,15 @@ func TestEvaluateCaseBudgetWithEnvelopes(t *testing.T) {
 	if !kinds[scaling.KindBandwidth] || !kinds[scaling.KindThermal] {
 		t.Errorf("walls = %v, want thermal plus conjured bandwidth", pt2.Walls)
 	}
-	if pt2.Budget != 1.5 {
-		t.Errorf("conjured wall limit = %g, want 1.5", pt2.Budget)
+	if bandwidthLimit(pt2) != 1.5 {
+		t.Errorf("conjured wall limit = %g, want 1.5", bandwidthLimit(pt2))
 	}
 }
 
 // TestEvaluateEnergyEnvelope: an energy wall runs end-to-end through the
-// engine and reports its headroom.
+// engine and reports its headroom. On 32 CEAs the whole die fits both
+// walls (bandwidth usage 1.41 ≤ 1.5, energy 1.46 ≤ 1.8), so the die binds
+// there; from 64 CEAs on a wall does.
 func TestEvaluateEnergyEnvelope(t *testing.T) {
 	sp := multiwallSpec()
 	sp.Envelopes = []Envelope{
@@ -303,8 +316,12 @@ func TestEvaluateEnergyEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pt := range o.PointsFor(0) {
-		if pt.Binding != scaling.KindEnergy && pt.Binding != scaling.KindBandwidth {
-			t.Errorf("binding = %q, want bandwidth or energy", pt.Binding)
+		if pt.Gen.N == 32 {
+			if pt.Binding != scaling.KindDie || pt.Exact != 32 {
+				t.Errorf("32 CEAs: binding %q at %v cores, want die at 32", pt.Binding, pt.Exact)
+			}
+		} else if pt.Binding != scaling.KindEnergy && pt.Binding != scaling.KindBandwidth {
+			t.Errorf("%g CEAs: binding = %q, want bandwidth or energy", pt.Gen.N, pt.Binding)
 		}
 		found := false
 		for _, wh := range pt.Walls {
@@ -317,6 +334,34 @@ func TestEvaluateEnergyEnvelope(t *testing.T) {
 		}
 		if !found {
 			t.Error("no energy wall report on point")
+		}
+	}
+}
+
+// TestEvaluateDieBound: a 64x stacked die lets all 32 cores of a 32-CEA
+// die fit both walls, so the die binds at exactly 32 cores, and every
+// wall reports its usage there.
+func TestEvaluateDieBound(t *testing.T) {
+	sp := &Spec{
+		ID:   "die",
+		Axis: Axis{N2: []float64{32}},
+		Envelopes: []Envelope{
+			{Kind: "bandwidth", Limit: 1},
+			{Kind: "thermal", Limit: 100},
+		},
+		Cases: []Case{{Stack: []technique.Spec{{Name: "3D", Params: map[string]float64{"density": 64}}}}},
+	}
+	o, err := NewEngine().Evaluate(context.Background(), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := o.Points[0]
+	if pt.Binding != scaling.KindDie || pt.Exact != 32 || pt.Cores != 32 {
+		t.Fatalf("binding %q, exact %v, cores %d; want die, 32, 32", pt.Binding, pt.Exact, pt.Cores)
+	}
+	for i, want := range []float64{0.5, 2.5} {
+		if wh := pt.Walls[i]; math.Abs(wh.Usage-want) > 1e-12 || wh.Exact != 32 {
+			t.Errorf("%s wall: usage %v, exact %v; want %v, 32", wh.Kind, wh.Usage, wh.Exact, want)
 		}
 	}
 }
@@ -451,8 +496,8 @@ func TestEvaluateCaseEnvelopeOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt3 := o3.PointsFor(0)[0]
-	if len(pt3.Walls) != 2 || pt3.Budget != 1 {
-		t.Errorf("legacy + case envelope: walls = %v budget = %g, want implicit bandwidth 1 plus thermal", pt3.Walls, pt3.Budget)
+	if len(pt3.Walls) != 2 || bandwidthLimit(pt3) != 1 {
+		t.Errorf("legacy + case envelope: walls = %v budget = %g, want implicit bandwidth 1 plus thermal", pt3.Walls, bandwidthLimit(pt3))
 	}
 }
 

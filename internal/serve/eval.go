@@ -30,7 +30,8 @@ type EvalPoint struct {
 	N2    float64 `json:"n2"`
 	Cores int     `json:"cores"`
 	Exact float64 `json:"exact"`
-	// BindingWall names the constraint that limits this cell; Walls
+	// BindingWall names the constraint that limits this cell ("die" when
+	// every wall allows the whole processor die); Walls
 	// reports every wall's limit, usage, and headroom at the solved core
 	// count ("bandwidth" alone for legacy single-envelope specs).
 	BindingWall string                 `json:"binding_wall,omitempty"`

@@ -81,11 +81,23 @@ func (h HistogramSnapshot) Mean() float64 {
 // Quantile estimates the q-quantile (0 < q ≤ 1) from the bucket counts
 // with linear interpolation inside the landing bucket — the classic
 // histogram_quantile. The overflow bucket reports its lower bound (the
-// estimate is then a floor, not an interpolation).
+// estimate is then a floor, not an interpolation). Observations are
+// non-negative, so by Markov's inequality the q-quantile is at most
+// mean/(1−q) for q < 1; an estimate above that bound reads the bound, so
+// a stage far below the first bucket's bound does not read half of it.
 func (h HistogramSnapshot) Quantile(q float64) float64 {
 	if h.Count == 0 || len(h.Buckets) == 0 {
 		return 0
 	}
+	est := h.interpolate(q)
+	if q < 1 {
+		return math.Min(est, h.Mean()/(1-q))
+	}
+	return est
+}
+
+// interpolate is Quantile's bucket estimate before the mean bound.
+func (h HistogramSnapshot) interpolate(q float64) float64 {
 	rank := q * float64(h.Count)
 	cum := uint64(0)
 	lower := 0.0
@@ -135,8 +147,8 @@ func (s MetricsSnapshot) StageHistograms(route string) map[string]HistogramSnaps
 	return out
 }
 
-// ScrapeMetrics fetches and parses baseURL's /metrics NDJSON exposition.
-// Span lines are skipped (the scrape consumers want series, not events).
+// ScrapeMetrics fetches and parses baseURL's /metrics NDJSON exposition:
+// its counter, gauge and histogram lines.
 func ScrapeMetrics(ctx context.Context, client *http.Client, baseURL string) (MetricsSnapshot, error) {
 	snap := MetricsSnapshot{
 		Counters:   make(map[string]uint64),

@@ -75,142 +75,84 @@ type CatalogEntry struct {
 	New func(a Assumption) Technique
 }
 
-// pick returns the value for assumption a out of (pess, real, opt).
-func pick(a Assumption, pess, real, opt float64) float64 {
-	switch a {
-	case Pessimistic:
-		return pess
-	case Optimistic:
-		return opt
-	default:
-		return real
+// pick returns the entry of defs (pessimistic, realistic, optimistic)
+// for assumption a; any other value reads the realistic one.
+func pick(a Assumption, defs [3]float64) float64 {
+	if a < Pessimistic || a > Optimistic {
+		a = Realistic
 	}
+	return defs[a]
 }
 
-// Catalog is the paper's Table 2: every individual technique with its
-// pessimistic/realistic/optimistic parameters and qualitative ratings, in
-// the x-axis order of Fig 15.
-var Catalog = []CatalogEntry{
-	{
-		Label: "CC", Name: "Cache Compress", Cat: Indirect,
-		Effectiveness: Medium, Range: Low, Complexity: Medium,
-		Scenario: map[Assumption]string{
-			Pessimistic: "1.25x compr.", Realistic: "2x compr.", Optimistic: "3.5x compr.",
-		},
-		New: func(a Assumption) Technique {
-			return CacheCompression{Ratio: pick(a, 1.25, 2.0, 3.5)}
-		},
-	},
-	{
-		Label: "DRAM", Name: "DRAM Cache", Cat: Indirect,
-		Effectiveness: High, Range: Medium, Complexity: Low,
-		Scenario: map[Assumption]string{
-			Pessimistic: "4x density", Realistic: "8x density", Optimistic: "16x density",
-		},
-		New: func(a Assumption) Technique {
-			return DRAMCache{Density: pick(a, 4, 8, 16)}
-		},
-	},
-	{
-		Label: "3D", Name: "3D-stacked Cache", Cat: Indirect,
-		Effectiveness: Medium, Range: Low, Complexity: High,
-		Scenario: map[Assumption]string{
-			Pessimistic: "3D SRAM layer", Realistic: "3D SRAM layer", Optimistic: "3D SRAM layer",
-		},
-		New: func(Assumption) Technique {
-			return ThreeDCache{LayerDensity: 1}
-		},
-	},
-	{
-		Label: "Fltr", Name: "Unused Data Filter", Cat: Indirect,
-		Effectiveness: Medium, Range: Medium, Complexity: Medium,
-		Scenario: map[Assumption]string{
-			Pessimistic: "10% unused data", Realistic: "40% unused data", Optimistic: "80% unused data",
-		},
-		New: func(a Assumption) Technique {
-			return UnusedDataFilter{Unused: pick(a, 0.10, 0.40, 0.80)}
-		},
-	},
-	{
-		Label: "SmCo", Name: "Smaller Cores", Cat: Indirect,
-		Effectiveness: Low, Range: Low, Complexity: Low,
-		Scenario: map[Assumption]string{
-			Pessimistic: "9x less area", Realistic: "40x less area", Optimistic: "80x less area",
-		},
-		New: func(a Assumption) Technique {
-			return SmallerCores{AreaFraction: 1 / pick(a, 9, 40, 80)}
-		},
-	},
-	{
-		Label: "LC", Name: "Link Compress", Cat: Direct,
-		Effectiveness: High, Range: Medium, Complexity: Low,
-		Scenario: map[Assumption]string{
-			Pessimistic: "1.25x compr.", Realistic: "2x compr.", Optimistic: "3.5x compr.",
-		},
-		New: func(a Assumption) Technique {
-			return LinkCompression{Ratio: pick(a, 1.25, 2.0, 3.5)}
-		},
-	},
-	{
-		Label: "Sect", Name: "Sectored Caches", Cat: Direct,
-		Effectiveness: Medium, Range: High, Complexity: Medium,
-		Scenario: map[Assumption]string{
-			Pessimistic: "10% unused data", Realistic: "40% unused data", Optimistic: "80% unused data",
-		},
-		New: func(a Assumption) Technique {
-			return SectoredCache{Unused: pick(a, 0.10, 0.40, 0.80)}
-		},
-	},
-	{
-		Label: "SmCl", Name: "Smaller Cache Lines", Cat: Dual,
-		Effectiveness: High, Range: High, Complexity: Medium,
-		Scenario: map[Assumption]string{
-			Pessimistic: "10% unused data", Realistic: "40% unused data", Optimistic: "80% unused data",
-		},
-		New: func(a Assumption) Technique {
-			return SmallCacheLines{Unused: pick(a, 0.10, 0.40, 0.80)}
-		},
-	},
-	{
-		Label: "CC/LC", Name: "Cache+Link Compress", Cat: Dual,
-		Effectiveness: High, Range: High, Complexity: Low,
-		Scenario: map[Assumption]string{
-			Pessimistic: "1.25x compr.", Realistic: "2x compr.", Optimistic: "3.5x compr.",
-		},
-		New: func(a Assumption) Technique {
-			return CacheLinkCompression{Ratio: pick(a, 1.25, 2.0, 3.5)}
-		},
-	},
+// Catalog is the paper's Table 2 as read off the Builders rows that carry
+// it, in registry order, which is Fig 15's x-axis order. Each entry's
+// category is its realistic technique's own, and its parameter texts
+// render its rows' defaults.
+var Catalog = table2Catalog()
+
+func table2Catalog() []CatalogEntry {
+	var out []CatalogEntry
+	for _, b := range Builders {
+		if b.param == nil {
+			continue
+		}
+		e := CatalogEntry{
+			Label: b.Name, Name: b.title,
+			Effectiveness: b.effectiveness, Range: b.rng, Complexity: b.complexity,
+			Scenario: make(map[Assumption]string, len(Assumptions)),
+			New:      func(a Assumption) Technique { return mustDefault(b.Name, a) },
+		}
+		for _, a := range Assumptions {
+			e.Scenario[a] = b.param(b.Defaults(a)[b.Key])
+		}
+		e.Cat = e.New(Realistic).Category()
+		out = append(out, e)
+	}
+	return out
 }
 
-// Fig16Combos returns the 15 technique combinations of Fig 16 (besides
-// IDEAL and BASE), built under the given assumption, in the paper's x-axis
-// order. The 3D layers within combinations are SRAM unless a DRAM technique
-// in the same stack upgrades them (Stack.Params handles that interaction).
+// mustDefault is BuildDefault for the names this package declares (the
+// Builders rows and Fig16Stacks), whose defaults always build.
+func mustDefault(name string, a Assumption) Technique {
+	t, err := BuildDefault(name, a)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// Fig16Stacks lists Fig 16's fifteen technique combinations (besides
+// IDEAL and BASE) by builder name, in the paper's x-axis order. The 3D
+// layers within them are SRAM unless a DRAM technique in the same stack
+// upgrades them (Stack.Params handles that interaction).
+var Fig16Stacks = [][]string{
+	{"CC", "DRAM", "3D"},
+	{"CC/LC", "DRAM"},
+	{"CC", "3D", "Fltr"},
+	{"CC/LC", "Fltr"},
+	{"DRAM", "3D", "LC"},
+	{"DRAM", "Fltr", "LC"},
+	{"DRAM", "LC", "Sect"},
+	{"3D", "Fltr", "LC"},
+	{"SmCl", "LC"},
+	{"CC/LC", "SmCl"},
+	{"DRAM", "3D", "SmCl"},
+	{"CC/LC", "DRAM", "SmCl"},
+	{"CC/LC", "3D", "SmCl"},
+	{"CC/LC", "DRAM", "3D"},
+	{"CC/LC", "DRAM", "3D", "SmCl"},
+}
+
+// Fig16Combos returns the Fig16Stacks combinations, each member built
+// with its Table 2 parameters under the given assumption.
 func Fig16Combos(a Assumption) []Stack {
-	cc := func() Technique { return Catalog[0].New(a) }
-	dram := func() Technique { return Catalog[1].New(a) }
-	threeD := func() Technique { return Catalog[2].New(a) }
-	fltr := func() Technique { return Catalog[3].New(a) }
-	lc := func() Technique { return Catalog[5].New(a) }
-	sect := func() Technique { return Catalog[6].New(a) }
-	smcl := func() Technique { return Catalog[7].New(a) }
-	cclc := func() Technique { return Catalog[8].New(a) }
-	return []Stack{
-		Combine(cc(), dram(), threeD()),
-		Combine(cclc(), dram()),
-		Combine(cc(), threeD(), fltr()),
-		Combine(cclc(), fltr()),
-		Combine(dram(), threeD(), lc()),
-		Combine(dram(), fltr(), lc()),
-		Combine(dram(), lc(), sect()),
-		Combine(threeD(), fltr(), lc()),
-		Combine(smcl(), lc()),
-		Combine(cclc(), smcl()),
-		Combine(dram(), threeD(), smcl()),
-		Combine(cclc(), dram(), smcl()),
-		Combine(cclc(), threeD(), smcl()),
-		Combine(cclc(), dram(), threeD()),
-		Combine(cclc(), dram(), threeD(), smcl()),
+	out := make([]Stack, len(Fig16Stacks))
+	for i, names := range Fig16Stacks {
+		ts := make([]Technique, len(names))
+		for j, name := range names {
+			ts[j] = mustDefault(name, a)
+		}
+		out[i] = Stack{techs: ts}
 	}
+	return out
 }

@@ -35,7 +35,7 @@ func TestCatalogMatchesTable2(t *testing.T) {
 			t.Errorf("catalog[%d] = %s, want %s (Fig 15 x-axis order)", i, Catalog[i].Label, label)
 		}
 	}
-	// Table 2 spot checks.
+	// Table 2's ratings.
 	checks := []struct {
 		label string
 		eff   Rating
@@ -62,12 +62,36 @@ func TestCatalogMatchesTable2(t *testing.T) {
 				e.Effectiveness, e.Range, e.Complexity, c.eff, c.rng, c.cplx)
 		}
 		for _, a := range Assumptions {
-			if e.Scenario[a] == "" {
-				t.Errorf("%s missing %v scenario text", c.label, a)
-			}
 			if e.New(a) == nil {
 				t.Errorf("%s New(%v) returned nil", c.label, a)
 			}
+		}
+	}
+	// Table 2's title, category and parameter texts, as the table2
+	// experiment prints them.
+	texts := []struct {
+		label, title    string
+		cat             Category
+		pess, real, opt string
+	}{
+		{"CC", "Cache Compress", Indirect, "1.25x compr.", "2x compr.", "3.5x compr."},
+		{"DRAM", "DRAM Cache", Indirect, "4x density", "8x density", "16x density"},
+		{"3D", "3D-stacked Cache", Indirect, "3D SRAM layer", "3D SRAM layer", "3D SRAM layer"},
+		{"Fltr", "Unused Data Filter", Indirect, "10% unused data", "40% unused data", "80% unused data"},
+		{"SmCo", "Smaller Cores", Indirect, "9x less area", "40x less area", "80x less area"},
+		{"LC", "Link Compress", Direct, "1.25x compr.", "2x compr.", "3.5x compr."},
+		{"Sect", "Sectored Caches", Direct, "10% unused data", "40% unused data", "80% unused data"},
+		{"SmCl", "Smaller Cache Lines", Dual, "10% unused data", "40% unused data", "80% unused data"},
+		{"CC/LC", "Cache+Link Compress", Dual, "1.25x compr.", "2x compr.", "3.5x compr."},
+	}
+	for _, w := range texts {
+		e, _ := byLabel(w.label)
+		if e.Name != w.title || e.Cat != w.cat {
+			t.Errorf("%s: title %q, category %v; want %q, %v", w.label, e.Name, e.Cat, w.title, w.cat)
+		}
+		got := [3]string{e.Scenario[Pessimistic], e.Scenario[Realistic], e.Scenario[Optimistic]}
+		if want := [3]string{w.pess, w.real, w.opt}; got != want {
+			t.Errorf("%s parameter texts = %q, want %q", w.label, got, want)
 		}
 	}
 }

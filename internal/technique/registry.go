@@ -10,7 +10,7 @@ import (
 
 // Spec is the serializable form of one technique: a catalog name plus typed
 // parameters. It is the unit the scenario engine and the CLI's JSON specs
-// round-trip; Build and ToSpec convert between Spec and Technique values.
+// carry; Build turns it into a Technique value.
 type Spec struct {
 	Name   string             `json:"name"`
 	Params map[string]float64 `json:"params,omitempty"`
@@ -48,7 +48,28 @@ type Builder struct {
 	// ParseParams validates p and builds the technique. Unknown keys and
 	// out-of-domain values fail with robust.ErrDomain.
 	ParseParams func(p map[string]float64) (Technique, error)
+
+	// Table 2's columns beyond the parameter values: the "Technique"
+	// title, the qualitative ratings, and param, which renders the
+	// parameter text from the primary value. param is nil on rows Table 2
+	// does not list (Shr, ShrPriv).
+	title                          string
+	effectiveness, rng, complexity Rating
+	param                          func(v float64) string
 }
+
+// table2 returns b carrying its Table 2 row.
+func (b Builder) table2(title string, eff, rng, cplx Rating, param func(v float64) string) Builder {
+	b.title, b.effectiveness, b.rng, b.complexity, b.param = title, eff, rng, cplx, param
+	return b
+}
+
+// Table 2's parameter texts, rendered from a row's primary value.
+func compr(v float64) string      { return fmt.Sprintf("%gx compr.", v) }
+func density(v float64) string    { return fmt.Sprintf("%gx density", v) }
+func unusedData(v float64) string { return fmt.Sprintf("%.0f%% unused data", 100*v) }
+func lessArea(v float64) string   { return fmt.Sprintf("%gx less area", v) }
+func sramLayer(float64) string    { return "3D SRAM layer" }
 
 // specErrf builds a robust.ErrDomain-classified construction error.
 func specErrf(format string, a ...any) error {
@@ -96,27 +117,28 @@ func splitCoeffs(name string, p map[string]float64, keys []string) (coeffs, rest
 	return coeffs, rest, nil
 }
 
-// ratioBuilder covers the ≥1 multiplicative techniques (CC, LC, CC/LC, DRAM, 3D).
-// coeffKeys lists the optional thermal/energy coefficient keys the family
-// accepts beyond the primary parameter; mk receives them as a map where a
-// missing key is 0 ("use the catalog default").
-func ratioBuilder(name string, aliases []string, key, doc string, min float64, defs [3]float64, coeffKeys []string, mk func(v float64, c map[string]float64) Technique) Builder {
+// ratioBuilder covers the ≥1 multiplicative techniques (CC, DRAM, 3D,
+// SmCo, LC, CC/LC). coeffKeys lists the optional thermal/energy
+// coefficient keys the family accepts beyond the primary parameter; mk
+// receives them as a map where a missing key is 0 ("use the catalog
+// default").
+func ratioBuilder(name string, aliases []string, key, doc string, defs [3]float64, coeffKeys []string, mk func(v float64, c map[string]float64) Technique) Builder {
 	return Builder{
 		Name: name, Aliases: aliases, Key: key, Doc: doc,
 		Defaults: func(a Assumption) map[string]float64 {
-			return map[string]float64{key: pick(a, defs[0], defs[1], defs[2])}
+			return map[string]float64{key: pick(a, defs)}
 		},
 		ParseParams: func(p map[string]float64) (Technique, error) {
 			coeffs, rest, err := splitCoeffs(name, p, coeffKeys)
 			if err != nil {
 				return nil, err
 			}
-			v, err := oneParam(name, key, rest, pick(Realistic, defs[0], defs[1], defs[2]))
+			v, err := oneParam(name, key, rest, defs[Realistic])
 			if err != nil {
 				return nil, err
 			}
-			if !(v >= min) {
-				return nil, specErrf("%s: %s must be ≥ %g, got %g", name, key, min, v)
+			if !(v >= 1) {
+				return nil, specErrf("%s: %s must be ≥ 1, got %g", name, key, v)
 			}
 			return mk(v, coeffs), nil
 		},
@@ -128,10 +150,10 @@ func fracBuilder(name string, aliases []string, key, doc string, defs [3]float64
 	return Builder{
 		Name: name, Aliases: aliases, Key: key, Doc: doc,
 		Defaults: func(a Assumption) map[string]float64 {
-			return map[string]float64{key: pick(a, defs[0], defs[1], defs[2])}
+			return map[string]float64{key: pick(a, defs)}
 		},
 		ParseParams: func(p map[string]float64) (Technique, error) {
-			v, err := oneParam(name, key, p, defs[1])
+			v, err := oneParam(name, key, p, defs[Realistic])
 			if err != nil {
 				return nil, err
 			}
@@ -144,57 +166,50 @@ func fracBuilder(name string, aliases []string, key, doc string, defs [3]float64
 }
 
 // Builders is the by-name construction registry: every technique the model
-// knows, keyed by its canonical catalog name. The first nine rows mirror
-// Table 2 (and the Catalog variable); Shr/ShrPriv extend it with the §6.3
+// knows, keyed by its canonical catalog name. The first nine rows are the
+// paper's Table 2, parameters (pessimistic, realistic, optimistic) and
+// ratings (effectiveness, range, complexity) included, in Fig 15's x-axis
+// order; Catalog reads them. Shr/ShrPriv extend it with the §6.3
 // data-sharing models.
 var Builders = []Builder{
-	ratioBuilder("CC", nil, "ratio", "cache compression ratio (effective capacity multiplier); optional eacc: energy per cache access vs SRAM", 1,
+	ratioBuilder("CC", nil, "ratio", "cache compression ratio (effective capacity multiplier); optional eacc: energy per cache access vs SRAM",
 		[3]float64{1.25, 2.0, 3.5}, []string{"eacc"},
 		func(v float64, c map[string]float64) Technique {
 			return CacheCompression{Ratio: v, AccessEnergy: c["eacc"]}
-		}),
-	ratioBuilder("DRAM", nil, "density", "DRAM L2 storage density vs SRAM; optional refresh: cache power multiplier, eacc: energy per access vs SRAM", 1,
+		}).table2("Cache Compress", Medium, Low, Medium, compr),
+	ratioBuilder("DRAM", nil, "density", "DRAM L2 storage density vs SRAM; optional refresh: cache power multiplier, eacc: energy per access vs SRAM",
 		[3]float64{4, 8, 16}, []string{"refresh", "eacc"},
 		func(v float64, c map[string]float64) Technique {
 			return DRAMCache{Density: v, RefreshPower: c["refresh"], AccessEnergy: c["eacc"]}
-		}),
-	ratioBuilder("3D", nil, "density", "3D-stacked cache die density vs SRAM (1 = SRAM layer); optional resist: thermal resistance multiplier", 1,
+		}).table2("DRAM Cache", High, Medium, Low, density),
+	ratioBuilder("3D", nil, "density", "3D-stacked cache die density vs SRAM (1 = SRAM layer); optional resist: thermal resistance multiplier",
 		[3]float64{1, 1, 1}, []string{"resist"},
 		func(v float64, c map[string]float64) Technique {
 			return ThreeDCache{LayerDensity: v, Resist: c["resist"]}
-		}),
+		}).table2("3D-stacked Cache", Medium, Low, High, sramLayer),
 	fracBuilder("Fltr", nil, "unused", "fraction of cached data never referenced, filtered out",
-		[3]float64{0.10, 0.40, 0.80}, func(v float64) Technique { return UnusedDataFilter{Unused: v} }),
-	{
-		Name: "SmCo", Key: "shrink", Doc: "core shrink factor k (core area becomes 1/k CEA)",
-		Defaults: func(a Assumption) map[string]float64 {
-			return map[string]float64{"shrink": pick(a, 9, 40, 80)}
-		},
-		ParseParams: func(p map[string]float64) (Technique, error) {
-			v, err := oneParam("SmCo", "shrink", p, 40)
-			if err != nil {
-				return nil, err
-			}
-			if !(v >= 1) {
-				return nil, specErrf("SmCo: shrink must be ≥ 1, got %g", v)
-			}
-			return SmallerCores{AreaFraction: 1 / v}, nil
-		},
-	},
-	ratioBuilder("LC", nil, "ratio", "link compression ratio (effective bandwidth multiplier); optional ebit: energy per off-chip bit vs baseline", 1,
+		[3]float64{0.10, 0.40, 0.80}, func(v float64) Technique { return UnusedDataFilter{Unused: v} }).
+		table2("Unused Data Filter", Medium, Medium, Medium, unusedData),
+	ratioBuilder("SmCo", nil, "shrink", "core shrink factor k (core area becomes 1/k CEA)",
+		[3]float64{9, 40, 80}, nil,
+		func(v float64, _ map[string]float64) Technique { return SmallerCores{AreaFraction: 1 / v} }).
+		table2("Smaller Cores", Low, Low, Low, lessArea),
+	ratioBuilder("LC", nil, "ratio", "link compression ratio (effective bandwidth multiplier); optional ebit: energy per off-chip bit vs baseline",
 		[3]float64{1.25, 2.0, 3.5}, []string{"ebit"},
 		func(v float64, c map[string]float64) Technique {
 			return LinkCompression{Ratio: v, BitEnergy: c["ebit"]}
-		}),
+		}).table2("Link Compress", High, Medium, Low, compr),
 	fracBuilder("Sect", nil, "unused", "fraction of fetched line data never referenced, not fetched",
-		[3]float64{0.10, 0.40, 0.80}, func(v float64) Technique { return SectoredCache{Unused: v} }),
+		[3]float64{0.10, 0.40, 0.80}, func(v float64) Technique { return SectoredCache{Unused: v} }).
+		table2("Sectored Caches", Medium, High, Medium, unusedData),
 	fracBuilder("SmCl", nil, "unused", "fraction of line data never referenced, neither fetched nor stored",
-		[3]float64{0.10, 0.40, 0.80}, func(v float64) Technique { return SmallCacheLines{Unused: v} }),
-	ratioBuilder("CC/LC", []string{"CCLC"}, "ratio", "compression ratio applied to both cache and link; optional eacc/ebit energy coefficients", 1,
+		[3]float64{0.10, 0.40, 0.80}, func(v float64) Technique { return SmallCacheLines{Unused: v} }).
+		table2("Smaller Cache Lines", High, High, Medium, unusedData),
+	ratioBuilder("CC/LC", []string{"CCLC"}, "ratio", "compression ratio applied to both cache and link; optional eacc/ebit energy coefficients",
 		[3]float64{1.25, 2.0, 3.5}, []string{"eacc", "ebit"},
 		func(v float64, c map[string]float64) Technique {
 			return CacheLinkCompression{Ratio: v, AccessEnergy: c["eacc"], BitEnergy: c["ebit"]}
-		}),
+		}).table2("Cache+Link Compress", High, High, Low, compr),
 	fracBuilder("Shr", nil, "shared", "fraction of cached data shared by all threads (shared L2)",
 		[3]float64{0.4, 0.4, 0.4}, func(v float64) Technique { return DataSharing{SharedFrac: v} }),
 	fracBuilder("ShrPriv", []string{"Shr(priv)"}, "shared", "shared data fraction with private, replicating L2s",
@@ -259,135 +274,4 @@ func BuildStack(specs []Spec) (Stack, error) {
 		ts = append(ts, t)
 	}
 	return Combine(ts...), nil
-}
-
-// ToSpec serializes a technique back into its Spec. Every catalog technique
-// implements the round trip via its MarshalParams method.
-func ToSpec(t Technique) (Spec, error) {
-	m, ok := t.(interface {
-		SpecName() string
-		MarshalParams() map[string]float64
-	})
-	if !ok {
-		return Spec{}, specErrf("technique %T is not spec-serializable", t)
-	}
-	return Spec{Name: m.SpecName(), Params: m.MarshalParams()}, nil
-}
-
-// StackSpecs serializes every member of a stack.
-func StackSpecs(st Stack) ([]Spec, error) {
-	ts := st.Techniques()
-	out := make([]Spec, 0, len(ts))
-	for _, t := range ts {
-		sp, err := ToSpec(t)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sp)
-	}
-	return out, nil
-}
-
-// SpecName / MarshalParams implementations: the serialization half of the
-// by-name registry. Each returns the canonical Spec that Build inverts.
-
-// SpecName implements spec serialization for CacheCompression.
-func (CacheCompression) SpecName() string { return "CC" }
-
-// putCoeff emits an optional coefficient key only when explicitly set;
-// zero-valued fields mean "catalog default" and stay out of the spec so
-// default-built and explicit-default specs keep distinct spellings but the
-// canonical default form stays minimal.
-func putCoeff(m map[string]float64, key string, v float64) map[string]float64 {
-	if v != 0 {
-		m[key] = v
-	}
-	return m
-}
-
-// MarshalParams implements spec serialization for CacheCompression.
-func (t CacheCompression) MarshalParams() map[string]float64 {
-	return putCoeff(map[string]float64{"ratio": t.Ratio}, "eacc", t.AccessEnergy)
-}
-
-// SpecName implements spec serialization for DRAMCache.
-func (DRAMCache) SpecName() string { return "DRAM" }
-
-// MarshalParams implements spec serialization for DRAMCache.
-func (t DRAMCache) MarshalParams() map[string]float64 {
-	m := putCoeff(map[string]float64{"density": t.Density}, "refresh", t.RefreshPower)
-	return putCoeff(m, "eacc", t.AccessEnergy)
-}
-
-// SpecName implements spec serialization for ThreeDCache.
-func (ThreeDCache) SpecName() string { return "3D" }
-
-// MarshalParams implements spec serialization for ThreeDCache.
-func (t ThreeDCache) MarshalParams() map[string]float64 {
-	return putCoeff(map[string]float64{"density": t.LayerDensity}, "resist", t.Resist)
-}
-
-// SpecName implements spec serialization for UnusedDataFilter.
-func (UnusedDataFilter) SpecName() string { return "Fltr" }
-
-// MarshalParams implements spec serialization for UnusedDataFilter.
-func (t UnusedDataFilter) MarshalParams() map[string]float64 {
-	return map[string]float64{"unused": t.Unused}
-}
-
-// SpecName implements spec serialization for SmallerCores.
-func (SmallerCores) SpecName() string { return "SmCo" }
-
-// MarshalParams implements spec serialization for SmallerCores.
-func (t SmallerCores) MarshalParams() map[string]float64 {
-	return map[string]float64{"shrink": 1 / t.AreaFraction}
-}
-
-// SpecName implements spec serialization for LinkCompression.
-func (LinkCompression) SpecName() string { return "LC" }
-
-// MarshalParams implements spec serialization for LinkCompression.
-func (t LinkCompression) MarshalParams() map[string]float64 {
-	return putCoeff(map[string]float64{"ratio": t.Ratio}, "ebit", t.BitEnergy)
-}
-
-// SpecName implements spec serialization for SectoredCache.
-func (SectoredCache) SpecName() string { return "Sect" }
-
-// MarshalParams implements spec serialization for SectoredCache.
-func (t SectoredCache) MarshalParams() map[string]float64 {
-	return map[string]float64{"unused": t.Unused}
-}
-
-// SpecName implements spec serialization for SmallCacheLines.
-func (SmallCacheLines) SpecName() string { return "SmCl" }
-
-// MarshalParams implements spec serialization for SmallCacheLines.
-func (t SmallCacheLines) MarshalParams() map[string]float64 {
-	return map[string]float64{"unused": t.Unused}
-}
-
-// SpecName implements spec serialization for CacheLinkCompression.
-func (CacheLinkCompression) SpecName() string { return "CC/LC" }
-
-// MarshalParams implements spec serialization for CacheLinkCompression.
-func (t CacheLinkCompression) MarshalParams() map[string]float64 {
-	m := putCoeff(map[string]float64{"ratio": t.Ratio}, "eacc", t.AccessEnergy)
-	return putCoeff(m, "ebit", t.BitEnergy)
-}
-
-// SpecName implements spec serialization for DataSharing.
-func (DataSharing) SpecName() string { return "Shr" }
-
-// MarshalParams implements spec serialization for DataSharing.
-func (t DataSharing) MarshalParams() map[string]float64 {
-	return map[string]float64{"shared": t.SharedFrac}
-}
-
-// SpecName implements spec serialization for DataSharingPrivate.
-func (DataSharingPrivate) SpecName() string { return "ShrPriv" }
-
-// MarshalParams implements spec serialization for DataSharingPrivate.
-func (t DataSharingPrivate) MarshalParams() map[string]float64 {
-	return map[string]float64{"shared": t.SharedFrac}
 }

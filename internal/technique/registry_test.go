@@ -1,8 +1,8 @@
 package technique
 
 import (
-	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/robust"
@@ -66,96 +66,18 @@ func TestBuildDomainErrors(t *testing.T) {
 	}
 }
 
-func TestBuildDefaultMatchesCatalog(t *testing.T) {
-	// The registry's per-assumption defaults must agree with Table 2's
-	// Catalog constructors for every technique and assumption.
-	for _, entry := range Catalog {
-		for _, a := range Assumptions {
-			got, err := BuildDefault(entry.Label, a)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", entry.Label, a, err)
-			}
-			want := entry.New(a)
-			var pmGot, pmWant Params
-			pmGot, pmWant = Neutral(), Neutral()
-			got.Modify(&pmGot)
-			want.Modify(&pmWant)
-			if pmGot != pmWant {
-				t.Errorf("%s/%s: registry default %+v != catalog %+v", entry.Label, a, pmGot, pmWant)
-			}
+func TestSmCoErrorText(t *testing.T) {
+	for _, tc := range []struct {
+		params map[string]float64
+		want   string
+	}{
+		{map[string]float64{"shrink": 0.5}, "technique: SmCo: shrink must be ≥ 1, got 0.5: "},
+		{map[string]float64{"ratio": 2}, `technique: SmCo: unknown parameter "ratio" (want "shrink"): `},
+	} {
+		_, err := Build(Spec{Name: "SmCo", Params: tc.params})
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want prefix %q", tc.params, err, tc.want)
 		}
-	}
-}
-
-func TestSpecRoundTrip(t *testing.T) {
-	// Build → ToSpec → Build must be the identity on resolved Params, and
-	// the Spec itself must survive JSON.
-	specs := []Spec{
-		{Name: "CC", Params: map[string]float64{"ratio": 1.7}},
-		{Name: "DRAM", Params: map[string]float64{"density": 16}},
-		{Name: "3D", Params: map[string]float64{"density": 8}},
-		{Name: "Fltr", Params: map[string]float64{"unused": 0.8}},
-		{Name: "SmCo", Params: map[string]float64{"shrink": 80}},
-		{Name: "LC", Params: map[string]float64{"ratio": 1.25}},
-		{Name: "Sect", Params: map[string]float64{"unused": 0.4}},
-		{Name: "SmCl", Params: map[string]float64{"unused": 0.1}},
-		{Name: "CC/LC", Params: map[string]float64{"ratio": 3.5}},
-		{Name: "Shr", Params: map[string]float64{"shared": 0.86}},
-		{Name: "ShrPriv", Params: map[string]float64{"shared": 0.53}},
-	}
-	for _, sp := range specs {
-		tech, err := Build(sp)
-		if err != nil {
-			t.Fatalf("%v: %v", sp, err)
-		}
-		back, err := ToSpec(tech)
-		if err != nil {
-			t.Fatalf("%v: ToSpec: %v", sp, err)
-		}
-		data, err := json.Marshal(back)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var decoded Spec
-		if err := json.Unmarshal(data, &decoded); err != nil {
-			t.Fatal(err)
-		}
-		tech2, err := Build(decoded)
-		if err != nil {
-			t.Fatalf("%v: rebuild after JSON: %v", decoded, err)
-		}
-		pm1, pm2 := Neutral(), Neutral()
-		tech.Modify(&pm1)
-		tech2.Modify(&pm2)
-		if pm1 != pm2 {
-			t.Errorf("%v: params drifted across round trip: %+v vs %+v", sp, pm1, pm2)
-		}
-	}
-}
-
-func TestStackSpecsRoundTrip(t *testing.T) {
-	st := Combine(
-		CacheLinkCompression{Ratio: 2},
-		DRAMCache{Density: 8},
-		ThreeDCache{LayerDensity: 1},
-		SmallCacheLines{Unused: 0.4},
-	)
-	specs, err := StackSpecs(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 4 {
-		t.Fatalf("got %d specs", len(specs))
-	}
-	back, err := BuildStack(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Params() != st.Params() {
-		t.Errorf("stack params drifted: %+v vs %+v", back.Params(), st.Params())
-	}
-	if back.Label() != st.Label() {
-		t.Errorf("stack label drifted: %q vs %q", back.Label(), st.Label())
 	}
 }
 
