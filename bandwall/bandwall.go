@@ -56,8 +56,6 @@ type (
 	Generation = scaling.Generation
 	// GenPoint is a per-generation scaling outcome.
 	GenPoint = scaling.GenPoint
-	// Candle is a pessimistic/realistic/optimistic core-count triple.
-	Candle = scaling.Candle
 )
 
 // Technique modeling types.

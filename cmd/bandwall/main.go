@@ -122,7 +122,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	case "top":
 		return cmdTop(ctx, args[1:], out)
 	case "cores":
-		return cmdCores(args[1:], out)
+		return cmdCores(ctx, args[1:], out)
 	case "traffic":
 		return cmdTraffic(args[1:], out)
 	case "sweep":
@@ -425,7 +425,7 @@ func (m modelFlags) build() (bandwall.Solver, bandwall.Stack, error) {
 	return s, st, nil
 }
 
-func cmdCores(args []string, out io.Writer) error {
+func cmdCores(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cores", flag.ContinueOnError)
 	n2 := fs.Float64("n2", 32, "total chip area in CEAs")
 	budget := fs.Float64("budget", 1, "traffic budget B relative to the baseline")
@@ -444,16 +444,16 @@ func cmdCores(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	exact, err := s.SupportableCores(st, *n2, *budget)
+	pm := st.Params()
+	sol, err := scaling.Bandwidth(*budget, false).Solve(ctx, nil, s, pm, *n2, 0)
 	if err != nil {
 		return err
 	}
-	cores := scaling.CoresFromExact(exact) // MaxCores's reading, without a second solve
 	fmt.Fprintf(out, "configuration : %s (α=%g)\n", st.Label(), s.Alpha())
 	fmt.Fprintf(out, "chip          : %g CEAs, traffic budget %gx baseline\n", *n2, *budget)
-	fmt.Fprintf(out, "cores         : %d (exact %.3f)\n", cores, exact)
+	fmt.Fprintf(out, "cores         : %d (exact %.3f)\n", sol.Cores, sol.Exact)
 	fmt.Fprintf(out, "proportional  : %g\n", s.ProportionalCores(*n2))
-	areaPct := 100 * exact * st.Params().CoreArea / *n2
+	areaPct := 100 * sol.Exact * pm.CoreArea / *n2
 	fmt.Fprintf(out, "core die area : %.1f%%\n", areaPct)
 	if *verbose {
 		printSolverObs(out, reg)

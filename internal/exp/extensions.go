@@ -155,7 +155,7 @@ func runExtHetero(ctx context.Context, _ Options) (*Result, error) {
 
 	// Homogeneous reference: 11 baseline cores (Fig 2).
 	sol := scaling.Default()
-	homog, err := sol.MaxCoresCtx(ctx, technique.Combine(), 32, 1)
+	homog, err := maxCores(ctx, sol, technique.Combine(), 32)
 	if err != nil {
 		return nil, err
 	}

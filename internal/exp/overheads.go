@@ -44,11 +44,11 @@ func runExtOverheads(ctx context.Context, _ Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ideal, err := s.MaxCoresCtx(ctx, technique.Combine(technique.SmallerCores{AreaFraction: fsm}), 32, 1)
+		ideal, err := maxCores(ctx, s, technique.Combine(technique.SmallerCores{AreaFraction: fsm}), 32)
 		if err != nil {
 			return nil, err
 		}
-		withNoC, err := s.MaxCoresCtx(ctx, technique.Combine(technique.SmallerCores{AreaFraction: eff}), 32, 1)
+		withNoC, err := maxCores(ctx, s, technique.Combine(technique.SmallerCores{AreaFraction: eff}), 32)
 		if err != nil {
 			return nil, err
 		}
@@ -67,7 +67,7 @@ func runExtOverheads(ctx context.Context, _ Options) (*Result, error) {
 		const nominal = 8.0
 		// Size the DRAM L2 for the nominal technique at this generation:
 		// cache CEAs ≈ N − P at the nominal solution.
-		nomCores, err := s.MaxCoresCtx(ctx, technique.Combine(technique.DRAMCache{Density: nominal}), g.N, 1)
+		nomCores, err := maxCores(ctx, s, technique.Combine(technique.DRAMCache{Density: nominal}), g.N)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +84,7 @@ func runExtOverheads(ctx context.Context, _ Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		discCores, err := s.MaxCoresCtx(ctx, technique.Combine(technique.DRAMCache{Density: effDensity}), g.N, 1)
+		discCores, err := maxCores(ctx, s, technique.Combine(technique.DRAMCache{Density: effDensity}), g.N)
 		if err != nil {
 			return nil, err
 		}
@@ -106,4 +106,11 @@ func runExtOverheads(ctx context.Context, _ Options) (*Result, error) {
 		},
 		Values: values,
 	}, nil
+}
+
+// maxCores is Solver.MaxCores at the constant envelope under ctx, so
+// cancellation and fault injection reach the solve.
+func maxCores(ctx context.Context, s scaling.Solver, st technique.Stack, n2 float64) (int, error) {
+	sol, err := scaling.Bandwidth(1, false).Solve(ctx, nil, s, st.Params(), n2, 0)
+	return sol.Cores, err
 }

@@ -3,7 +3,7 @@
 // costs, which technique stack maximizes supportable cores? It enumerates
 // the catalog's power set under compatibility rules (exclusion groups: at
 // most one entry per group, e.g. one DRAM variant), evaluates each
-// eligible stack through the multi-wall solver — one Constraint.SolveFP
+// eligible stack through the multi-wall solver — one Constraint.Solve
 // call per stack, whose wall root finds come from the shared solver memo —
 // and reports the single best design plus the objective-vs-cost Pareto
 // frontier with per-point binding-wall attribution. Each design point is
@@ -37,12 +37,12 @@ type DesignPoint struct {
 	Split float64 `json:"split"`
 	// Cost is the stack's summed catalog cost.
 	Cost float64 `json:"cost"`
-	// Cores is the supportable whole-core count; Exact the fractional
-	// solution it is read from.
+	// Cores is the certified whole-core count every wall allows; Exact
+	// the fractional solution.
 	Cores int     `json:"cores"`
 	Exact float64 `json:"exact"`
 	// Binding names the wall that pins this point, or "die"; Walls reports each
-	// wall's limit/usage/headroom at the solution.
+	// wall's limit/usage/headroom at Cores.
 	Binding string                 `json:"binding"`
 	Walls   []scaling.WallHeadroom `json:"walls,omitempty"`
 }
@@ -198,9 +198,9 @@ func (o *Optimizer) Search(ctx context.Context, osp *scenario.OptimizeSpec) (*Re
 
 	// solveStack contains panics (fault injection reaches the solver
 	// through the scaling.solve hook), mirroring the scenario engine.
-	solveStack := func(fp scaling.Fingerprint, st technique.Stack) (sol scaling.Solution, err error) {
+	solveStack := func(pm technique.Params) (sol scaling.Solution, err error) {
 		defer robust.Recover(&err)
-		return cons.SolveFP(ctx, cache, solver, fp, st, osp.N2, 1)
+		return cons.Solve(ctx, cache, solver, pm, osp.N2, 1)
 	}
 
 	evalStack := func(si int) error {
@@ -209,8 +209,8 @@ func (o *Optimizer) Search(ctx context.Context, osp *scenario.OptimizeSpec) (*Re
 		if err != nil {
 			return fmt.Errorf("optimize %s: stack %v: %w", osp.ID, sc.specs, err)
 		}
-		fp := scaling.FingerprintOf(st)
-		sol, err := solveStack(fp, st)
+		pm := st.Params()
+		sol, err := solveStack(pm)
 		if err != nil {
 			return fmt.Errorf("optimize %s: stack %q: %w", osp.ID, st.Label(), err)
 		}
@@ -218,9 +218,9 @@ func (o *Optimizer) Search(ctx context.Context, osp *scenario.OptimizeSpec) (*Re
 		points[si] = DesignPoint{
 			Stack:   sc.specs,
 			Label:   st.Label(),
-			Split:   (osp.N2 - fp.Params.CoreArea*sol.Exact) / sol.Exact,
+			Split:   (osp.N2 - pm.CoreArea*sol.Exact) / sol.Exact,
 			Cost:    sc.cost,
-			Cores:   scaling.CoresFromExact(sol.Exact),
+			Cores:   sol.Cores,
 			Exact:   sol.Exact,
 			Binding: sol.Binding,
 			Walls:   sol.Walls,

@@ -22,30 +22,16 @@ import (
 // rebuilt from these entries per call: the closed-form thermal solve and
 // the walls' usages cost less than a sound key on the whole constraint.
 //
-// The key is the canonical stack fingerprint: the stack's RESOLVED
-// technique.Params. Resolution is order-independent and collapses any
-// spelling of a stack ("CC=2 + LC=2" vs "CC/LC=2") with identical model
-// effect onto one entry, so the cache is exactly as sharp as the math.
-// Alongside the fingerprint the key carries everything else that
-// determines the root: the baseline allocation, α, the chip area, and the
-// traffic budget.
-
-// Fingerprint is the canonical identity of a technique stack for solver
-// memoization: its resolved parameter set. Two stacks with equal
-// Fingerprints produce identical traffic curves and therefore identical
-// solver answers.
-type Fingerprint struct {
-	Params technique.Params
-}
-
-// FingerprintOf resolves a stack to its canonical fingerprint.
-func FingerprintOf(st technique.Stack) Fingerprint {
-	return Fingerprint{Params: st.Params()}
-}
+// The key's stack identity is the stack's RESOLVED technique.Params.
+// Resolution is order-independent and collapses any spelling of a stack
+// ("CC=2 + LC=2" vs "CC/LC=2") with identical model effect onto one
+// entry, so the cache is exactly as sharp as the math. Alongside the
+// Params the key carries everything else that determines the root: the
+// baseline allocation, α, the chip area, and the traffic budget.
 
 // cacheKey is one memoized solver evaluation.
 type cacheKey struct {
-	fp     Fingerprint
+	pm     technique.Params
 	baseP  float64
 	baseC  float64
 	alpha  float64
@@ -60,7 +46,7 @@ type evalEntry struct {
 	hits atomic.Uint64
 }
 
-// EvalCache memoizes successful SupportableCores evaluations. It is safe
+// EvalCache memoizes successful traffic-root solves. It is safe
 // for concurrent use by the engine's and optimizer's worker pools: one map
 // behind one RWMutex, so a hit costs one read lock, and one flight per
 // missing key, so concurrent misses on a key solve it once. Errors are
@@ -89,9 +75,9 @@ func NewEvalCache() *EvalCache {
 }
 
 // key builds the full memoization key for a solve on s.
-func (c *EvalCache) key(s Solver, fp Fingerprint, n2, budget float64) cacheKey {
+func (c *EvalCache) key(s Solver, pm technique.Params, n2, budget float64) cacheKey {
 	base := s.Base()
-	return cacheKey{fp: fp, baseP: base.P, baseC: base.C, alpha: s.Alpha(), n2: n2, budget: budget}
+	return cacheKey{pm: pm, baseP: base.P, baseC: base.C, alpha: s.Alpha(), n2: n2, budget: budget}
 }
 
 // lookup returns k's entry, or nil when k has not been solved.
@@ -109,23 +95,21 @@ func (c *EvalCache) hit(e *evalEntry) float64 {
 	return e.val
 }
 
-// SupportableCoresFP is Solver.SupportableCoresCtx memoized on the
-// canonical stack fingerprint, which the caller precomputes: batch
-// evaluators resolving the same stack at many axis points fingerprint it
-// once instead of per cell (resolving Params dominates a cache hit
-// otherwise). fp must be FingerprintOf(st). A nil receiver degrades to
-// the uncached solver call.
+// SupportableCores is the solver's traffic root for the resolved stack
+// parameters pm, memoized. Batch evaluators resolve a stack once and pass
+// its Params at every axis point (resolving dominates a cache hit
+// otherwise). A nil receiver degrades to the uncached solve.
 //
 // Each call counts one event. The caller that runs the solve counts the
 // key's one miss; every other caller counts a hit on the entry — flight
 // followers, and a leader whose second look finds the entry a previous
 // flight stored. Followers of a failed solve share its error and count
 // nothing.
-func (c *EvalCache) SupportableCoresFP(ctx context.Context, s Solver, fp Fingerprint, st technique.Stack, n2, budget float64) (float64, error) {
+func (c *EvalCache) SupportableCores(ctx context.Context, s Solver, pm technique.Params, n2, budget float64) (float64, error) {
 	if c == nil {
-		return s.SupportableCoresCtx(ctx, st, n2, budget)
+		return s.root(ctx, pm, n2, budget)
 	}
-	k := c.key(s, fp, n2, budget)
+	k := c.key(s, pm, n2, budget)
 	if e := c.lookup(k); e != nil {
 		return c.hit(e), nil
 	}
@@ -139,7 +123,7 @@ func (c *EvalCache) SupportableCoresFP(ctx context.Context, s Solver, fp Fingerp
 		c.obsMisses.Inc()
 		// Only a real solve gets a trace span; hits take well under a µs.
 		sctx, tsp := obs.StartTraceSpan(ctx, "scaling.solve")
-		v, err := s.SupportableCoresCtx(sctx, st, n2, budget)
+		v, err := s.root(sctx, pm, n2, budget)
 		tsp.End()
 		if err != nil {
 			return nil, err
@@ -181,8 +165,8 @@ func (c *EvalCache) Purge() int {
 	return n
 }
 
-// StackInfo aggregates the cache's view of one technique-stack
-// fingerprint: how many distinct (chip, α, budget) keys share it and
+// StackInfo aggregates the cache's view of one resolved technique
+// stack: how many distinct (chip, α, budget) keys share it and
 // their combined hit count.
 type StackInfo struct {
 	Stack   string `json:"stack"`   // resolved technique.Params, display form
@@ -200,7 +184,7 @@ type Info struct {
 }
 
 // Info reports occupancy, lifetime traffic, an approximate byte
-// footprint, and the topN hottest stack fingerprints (Yavits-style
+// footprint, and the topN hottest resolved stacks (Yavits-style
 // measured-occupancy numbers for cache sizing). topN ≤ 0 omits the
 // ranking.
 func (c *EvalCache) Info(topN int) Info {
@@ -220,10 +204,10 @@ func (c *EvalCache) Info(topN int) Info {
 	info.Entries = len(c.evals)
 	if topN > 0 {
 		for k, e := range c.evals {
-			si := agg[k.fp.Params]
+			si := agg[k.pm]
 			if si == nil {
-				si = &StackInfo{Stack: fmt.Sprintf("%+v", k.fp.Params)}
-				agg[k.fp.Params] = si
+				si = &StackInfo{Stack: fmt.Sprintf("%+v", k.pm)}
+				agg[k.pm] = si
 			}
 			si.Entries++
 			si.Hits += e.hits.Load()

@@ -26,7 +26,7 @@ func BenchmarkEvalCacheContention(b *testing.B) {
 	}
 	c := NewEvalCache()
 	warm := func(st technique.Stack) {
-		if _, err := c.SupportableCoresFP(context.Background(), s, FingerprintOf(st), st, 32, 1); err != nil {
+		if _, err := c.SupportableCores(context.Background(), s, st.Params(), 32, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -36,29 +36,26 @@ func BenchmarkEvalCacheContention(b *testing.B) {
 	for _, st := range cold {
 		warm(st)
 	}
-	// Fingerprint once per stack, as the engine's batch path does;
-	// re-resolving Params per op would dwarf the lock being measured.
-	hotFP := make([]Fingerprint, len(hot))
+	// Resolve Params once per stack, as the engine's batch path does;
+	// re-resolving per op would dwarf the lock being measured.
+	hotPM := make([]technique.Params, len(hot))
 	for i, st := range hot {
-		hotFP[i] = FingerprintOf(st)
+		hotPM[i] = st.Params()
 	}
-	coldFP := make([]Fingerprint, len(cold))
+	coldPM := make([]technique.Params, len(cold))
 	for i, st := range cold {
-		coldFP[i] = FingerprintOf(st)
+		coldPM[i] = st.Params()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			var fp Fingerprint
-			var st technique.Stack
-			if i%10 < 9 { // 90% hot, 10% cold
-				fp, st = hotFP[i%len(hotFP)], hot[i%len(hot)]
-			} else {
-				fp, st = coldFP[i%len(coldFP)], cold[i%len(cold)]
+			pm := hotPM[i%len(hotPM)] // 90% hot, 10% cold
+			if i%10 == 9 {
+				pm = coldPM[i%len(coldPM)]
 			}
-			if _, err := c.SupportableCoresFP(context.Background(), s, fp, st, 32, 1); err != nil {
+			if _, err := c.SupportableCores(context.Background(), s, pm, 32, 1); err != nil {
 				b.Fatal(err)
 			}
 			i++

@@ -19,11 +19,11 @@ func TestEvalCacheHitMiss(t *testing.T) {
 	c := NewEvalCache()
 	st := technique.Combine(technique.CacheCompression{Ratio: 2})
 
-	v1, err := c.SupportableCoresFP(context.Background(), s, FingerprintOf(st), st, 32, 1)
+	v1, err := c.SupportableCores(context.Background(), s, st.Params(), 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := c.SupportableCoresFP(context.Background(), s, FingerprintOf(st), st, 32, 1)
+	v2, err := c.SupportableCores(context.Background(), s, st.Params(), 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestEvalCacheHitMiss(t *testing.T) {
 	}
 
 	// A different budget is a different key.
-	if _, err := c.SupportableCoresFP(context.Background(), s, FingerprintOf(st), st, 32, 1.5); err != nil {
+	if _, err := c.SupportableCores(context.Background(), s, st.Params(), 32, 1.5); err != nil {
 		t.Fatal(err)
 	}
 	if c.Info(0).Entries != 2 {
@@ -56,15 +56,15 @@ func TestEvalCacheFingerprintCollapsesEquivalentStacks(t *testing.T) {
 		technique.LinkCompression{Ratio: 2},
 	)
 	fused := technique.Combine(technique.CacheLinkCompression{Ratio: 2})
-	if FingerprintOf(split) != FingerprintOf(fused) {
-		t.Fatalf("fingerprints differ: %+v vs %+v", FingerprintOf(split), FingerprintOf(fused))
+	if split.Params() != fused.Params() {
+		t.Fatalf("resolved params differ: %+v vs %+v", split.Params(), fused.Params())
 	}
 
-	v1, err := c.SupportableCoresFP(context.Background(), s, FingerprintOf(split), split, 32, 1)
+	v1, err := c.SupportableCores(context.Background(), s, split.Params(), 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := c.SupportableCoresFP(context.Background(), s, FingerprintOf(fused), fused, 32, 1)
+	v2, err := c.SupportableCores(context.Background(), s, fused.Params(), 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestEvalCacheNilReceiver(t *testing.T) {
 	var c *EvalCache
 	s := Default()
 	st := technique.Combine()
-	v, err := c.SupportableCoresFP(context.Background(), s, FingerprintOf(st), st, 32, 1)
+	v, err := c.SupportableCores(context.Background(), s, st.Params(), 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestEvalCacheNilReceiver(t *testing.T) {
 }
 
 func TestEvalCacheMaxCoresMatchesSolver(t *testing.T) {
-	// The cached solve, floored, must agree with the direct MaxCoresCtx
+	// The cached certified count must agree with the uncached MaxCores
 	// across stacks, chip sizes, and budgets — including after a warm hit.
 	s := Default()
 	c := NewEvalCache()
@@ -118,7 +118,7 @@ func TestEvalCacheMaxCoresMatchesSolver(t *testing.T) {
 	for _, st := range stacks {
 		for _, n2 := range []float64{16, 32, 64, 128} {
 			for _, budget := range []float64{1, 1.5} {
-				want, err := s.MaxCoresCtx(context.Background(), st, n2, budget)
+				want, err := s.MaxCores(st, n2, budget)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,11 +142,11 @@ func TestEvalCacheSolverConstantsInKey(t *testing.T) {
 	st := technique.Combine()
 	s1 := Default()
 	s2 := MustNew(s1.Base(), 0.25)
-	v1, err := c.SupportableCoresFP(context.Background(), s1, FingerprintOf(st), st, 64, 1)
+	v1, err := c.SupportableCores(context.Background(), s1, st.Params(), 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := c.SupportableCoresFP(context.Background(), s2, FingerprintOf(st), st, 64, 1)
+	v2, err := c.SupportableCores(context.Background(), s2, st.Params(), 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestEvalCacheDoesNotCacheErrors(t *testing.T) {
 	st := technique.Combine()
 
 	// Domain violation: nothing memoized.
-	if _, err := c.SupportableCoresFP(context.Background(), s, FingerprintOf(st), st, 32, -1); !errors.Is(err, robust.ErrDomain) {
+	if _, err := c.SupportableCores(context.Background(), s, st.Params(), 32, -1); !errors.Is(err, robust.ErrDomain) {
 		t.Errorf("bad budget error = %v, want robust.ErrDomain", err)
 	}
 	if c.Info(0).Entries != 0 {
@@ -175,13 +175,13 @@ func TestEvalCacheDoesNotCacheErrors(t *testing.T) {
 	// is live again — a canceled solve must not poison the entry.
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.SupportableCoresFP(canceled, s, FingerprintOf(st), st, 32, 1); robust.Classify(err) != robust.Canceled {
+	if _, err := c.SupportableCores(canceled, s, st.Params(), 32, 1); robust.Classify(err) != robust.Canceled {
 		t.Errorf("canceled solve classified %v (err %v), want Canceled", robust.Classify(err), err)
 	}
 	if c.Info(0).Entries != 0 {
 		t.Errorf("canceled solve was cached: entries = %d", c.Info(0).Entries)
 	}
-	if _, err := c.SupportableCoresFP(context.Background(), s, FingerprintOf(st), st, 32, 1); err != nil {
+	if _, err := c.SupportableCores(context.Background(), s, st.Params(), 32, 1); err != nil {
 		t.Errorf("solve after cancellation: %v", err)
 	}
 	if c.Info(0).Entries != 1 {
@@ -254,7 +254,7 @@ func TestEvalCacheSolvesColdKeyOnce(t *testing.T) {
 	s := Default()
 	c := NewEvalCache()
 	st := technique.Combine(technique.CacheCompression{Ratio: 2})
-	fp := FingerprintOf(st)
+	pm := st.Params()
 	const n = 8
 	vals := make([]float64, n)
 	errs := make([]error, n)
@@ -265,7 +265,7 @@ func TestEvalCacheSolvesColdKeyOnce(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			vals[i], errs[i] = c.SupportableCoresFP(context.Background(), s, fp, st, 32, 1)
+			vals[i], errs[i] = c.SupportableCores(context.Background(), s, pm, 32, 1)
 		}(i)
 	}
 	close(start)
@@ -298,8 +298,8 @@ func TestEvalCacheKeyCarriesEveryInput(t *testing.T) {
 	model := Default().Model()
 	pm := technique.Neutral()
 	const n2, budget = 64.0, 1.0
-	base := c.key(Solver{model: model}, Fingerprint{Params: pm}, n2, budget)
-	if c.key(Solver{model: model}, Fingerprint{Params: pm}, n2, budget) != base {
+	base := c.key(Solver{model: model}, pm, n2, budget)
+	if c.key(Solver{model: model}, pm, n2, budget) != base {
 		t.Fatal("key is not a function of its inputs")
 	}
 
@@ -309,10 +309,10 @@ func TestEvalCacheKeyCarriesEveryInput(t *testing.T) {
 		key  func(v any) cacheKey
 	}{
 		{"power.TrafficModel", model, func(v any) cacheKey {
-			return c.key(Solver{model: v.(power.TrafficModel)}, Fingerprint{Params: pm}, n2, budget)
+			return c.key(Solver{model: v.(power.TrafficModel)}, pm, n2, budget)
 		}},
 		{"technique.Params", pm, func(v any) cacheKey {
-			return c.key(Solver{model: model}, Fingerprint{Params: v.(technique.Params)}, n2, budget)
+			return c.key(Solver{model: model}, v.(technique.Params), n2, budget)
 		}},
 	} {
 		leaves := 0
@@ -329,10 +329,10 @@ func TestEvalCacheKeyCarriesEveryInput(t *testing.T) {
 			t.Errorf("%s: no leaf fields walked", in.name)
 		}
 	}
-	if c.key(Solver{model: model}, Fingerprint{Params: pm}, 2*n2, budget) == base {
+	if c.key(Solver{model: model}, pm, 2*n2, budget) == base {
 		t.Error("changing n2 leaves the memo key unchanged")
 	}
-	if c.key(Solver{model: model}, Fingerprint{Params: pm}, n2, 2*budget) == base {
+	if c.key(Solver{model: model}, pm, n2, 2*budget) == base {
 		t.Error("changing the budget leaves the memo key unchanged")
 	}
 }
@@ -369,32 +369,8 @@ func perturb(t *testing.T, name string, v reflect.Value) {
 	}
 }
 
-func TestCoresFromExact(t *testing.T) {
-	cases := []struct {
-		in   float64
-		want int
-	}{
-		{0, 0},
-		{0.4, 0},
-		{11.0, 11},
-		{11.97, 11},
-		{15.999999999998, 16}, // snap: within 1e-6 of the next integer
-		{16.0000001, 16},
-		{17.9999, 17}, // outside the snap window: keep the floor
-	}
-	for _, tc := range cases {
-		if got := CoresFromExact(tc.in); got != tc.want {
-			t.Errorf("CoresFromExact(%v) = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
-// maxCores is Solver.MaxCoresCtx through the cache's memoized solve,
-// floored with the shared CoresFromExact rule.
+// maxCores is Solver.MaxCores through the cache's memoized solve.
 func maxCores(ctx context.Context, c *EvalCache, s Solver, st technique.Stack, n2, budget float64) (int, error) {
-	p, err := c.SupportableCoresFP(ctx, s, FingerprintOf(st), st, n2, budget)
-	if err != nil {
-		return 0, err
-	}
-	return CoresFromExact(p), nil
+	sol, err := Bandwidth(budget, false).Solve(ctx, c, s, st.Params(), n2, 0)
+	return sol.Cores, err
 }

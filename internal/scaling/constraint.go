@@ -4,9 +4,10 @@
 // and energy (a per-access/per-bit account after Shahid et al.) — each
 // mapping a candidate core count and technique stack to a feasibility
 // margin. A Constraint is solved by tightest-binding intersection: the
-// supportable core count is the max p, up to the processor die's own
+// exact core count is the max p, up to the processor die's own
 // n2/CoreArea, such that every wall holds, and the solution reports which
-// wall (or the die) binds plus each wall's headroom at the solved point.
+// wall (or the die) binds. The served whole count is certified against
+// the walls themselves, and each wall's headroom is reported there.
 //
 // Every wall's usage is strictly increasing in p on its feasible domain
 // (more cores draw more power, generate more traffic, and burn more
@@ -60,9 +61,9 @@ type Wall interface {
 	// n2-CEA chip with the resolved stack parameters pm, at generation
 	// gen. Feasible iff Usage ≤ LimitAt(gen).
 	Usage(s Solver, pm technique.Params, n2, p float64, gen int) float64
-	// SolveCores returns the exact max core count under this wall alone.
-	// fp must be FingerprintOf(st); c may be nil (uncached).
-	SolveCores(ctx context.Context, c *EvalCache, s Solver, fp Fingerprint, st technique.Stack, n2 float64, gen int) (float64, error)
+	// SolveCores returns the exact max core count under this wall alone
+	// for the resolved stack parameters pm. c may be nil (uncached).
+	SolveCores(ctx context.Context, c *EvalCache, s Solver, pm technique.Params, n2 float64, gen int) (float64, error)
 }
 
 // growthAt resolves a per-generation usage-growth factor: 0 means none.
@@ -101,8 +102,8 @@ func (BandwidthWall) Usage(s Solver, pm technique.Params, n2, p float64, gen int
 }
 
 // SolveCores implements Wall via the memoized traffic solver.
-func (w BandwidthWall) SolveCores(ctx context.Context, c *EvalCache, s Solver, fp Fingerprint, st technique.Stack, n2 float64, gen int) (float64, error) {
-	return c.SupportableCoresFP(ctx, s, fp, st, n2, w.LimitAt(gen))
+func (w BandwidthWall) SolveCores(ctx context.Context, c *EvalCache, s Solver, pm technique.Params, n2 float64, gen int) (float64, error) {
+	return c.SupportableCores(ctx, s, pm, n2, w.LimitAt(gen))
 }
 
 // ThermalWall caps relative power density (junction temperature proxy),
@@ -172,7 +173,7 @@ func (w ThermalWall) Usage(s Solver, pm technique.Params, n2, p float64, gen int
 
 // SolveCores implements Wall. Usage is linear in p, so the solve is closed
 // form: no root finding and nothing worth memoizing.
-func (w ThermalWall) SolveCores(ctx context.Context, c *EvalCache, s Solver, fp Fingerprint, st technique.Stack, n2 float64, gen int) (float64, error) {
+func (w ThermalWall) SolveCores(ctx context.Context, c *EvalCache, s Solver, pm technique.Params, n2 float64, gen int) (float64, error) {
 	if err := robust.Hit(ctx, "scaling.solve"); err != nil {
 		return 0, err
 	}
@@ -183,7 +184,6 @@ func (w ThermalWall) SolveCores(ctx context.Context, c *EvalCache, s Solver, fp 
 	if !(limit > 0) {
 		return 0, fmt.Errorf("scaling: thermal limit must be positive, got %g: %w", limit, robust.ErrDomain)
 	}
-	pm := fp.Params
 	if err := pm.Validate(); err != nil {
 		return 0, fmt.Errorf("%w: %w", err, robust.ErrDomain)
 	}
@@ -252,12 +252,11 @@ func (w EnergyWall) Usage(s Solver, pm technique.Params, n2, p float64, gen int)
 }
 
 // SolveCores implements Wall by reduction to an effective traffic budget.
-func (w EnergyWall) SolveCores(ctx context.Context, c *EvalCache, s Solver, fp Fingerprint, st technique.Stack, n2 float64, gen int) (float64, error) {
+func (w EnergyWall) SolveCores(ctx context.Context, c *EvalCache, s Solver, pm technique.Params, n2 float64, gen int) (float64, error) {
 	sh := w.share()
 	if !(sh > 0) || sh >= 1 {
 		return 0, fmt.Errorf("scaling: energy access share must be in (0,1), got %g: %w", sh, robust.ErrDomain)
 	}
-	pm := fp.Params
 	if err := pm.Validate(); err != nil {
 		return 0, fmt.Errorf("%w: %w", err, robust.ErrDomain)
 	}
@@ -268,7 +267,7 @@ func (w EnergyWall) SolveCores(ctx context.Context, c *EvalCache, s Solver, fp F
 		return 0, fmt.Errorf("scaling: energy limit %g is below the cache-access floor %g on %g CEAs: %w",
 			w.LimitAt(gen), growthAt(w.Growth, gen)*floor, n2, robust.ErrDomain)
 	}
-	p, err := c.SupportableCoresFP(ctx, s, fp, st, n2, budget)
+	p, err := c.SupportableCores(ctx, s, pm, n2, budget)
 	if err != nil {
 		return 0, fmt.Errorf("scaling: energy wall at effective traffic budget %g: %w", budget, err)
 	}
@@ -296,12 +295,18 @@ func Bandwidth(budget float64, compound bool) Constraint {
 	return NewConstraint(BandwidthWall{Budget: budget, Compound: compound})
 }
 
+// CertifyEps is the certificate's relative tolerance: a wall holds at p
+// cores when its usage there is at most limit·(1+CertifyEps). It is
+// sized for float rounding where the model's root is an exact integer
+// (DRAM 4x on 32 CEAs solves to 16 cores).
+const CertifyEps = 1e-9
+
 // WallHeadroom is one wall's report card at the solved operating point.
 type WallHeadroom struct {
 	Kind string `json:"kind"`
 	// Limit is the wall's ceiling at this generation; Usage its draw at
-	// the constraint's solved core count; Headroom is Limit − Usage
-	// (zero, up to solver tolerance, for the binding wall).
+	// the served whole core count; Headroom is Limit − Usage, never below
+	// −Limit·CertifyEps.
 	Limit    float64 `json:"limit"`
 	Usage    float64 `json:"usage"`
 	Headroom float64 `json:"headroom"`
@@ -310,31 +315,39 @@ type WallHeadroom struct {
 	Exact float64 `json:"exact"`
 }
 
-// Solution is a solved constraint: the intersection core count, which wall
-// binds (KindDie when the die does), and every wall's headroom at that
-// point.
+// Solution is a solved constraint. Exact is the intersection's fractional
+// core count and Binding the wall it sits on (KindDie when the die binds).
+// Cores is the served whole count, certified: the largest integer P ≤
+// n2/CoreArea at which every wall's usage ≤ limit·(1+CertifyEps). Walls
+// reports each wall's usage and headroom at Cores.
 type Solution struct {
 	Exact   float64
+	Cores   int
 	Binding string
 	Walls   []WallHeadroom
 }
 
-// SolveFP solves the constraint at one (stack, chip, generation) cell: the
-// max core count satisfying every wall within the processor die,
-// attributed to the tightest wall, or to KindDie when no wall's root lies
-// below the die's n2/CoreArea cores.
-// fp must be FingerprintOf(st); cache may be nil (uncached inner solves).
-// Only the walls' root finds are memoized (one cache event per bandwidth
-// or energy wall); the intersection and the headroom report are rebuilt
-// on every call, so each caller owns its Walls slice.
-func (c Constraint) SolveFP(ctx context.Context, cache *EvalCache, s Solver, fp Fingerprint, st technique.Stack, n2 float64, gen int) (Solution, error) {
+// maxCertifiable is 2^53: past it a float64 no longer holds every
+// integer, so a count and its successor cannot both be evaluated.
+const maxCertifiable = 1 << 53
+
+// Solve solves the constraint at one (stack, chip, generation) cell for
+// the resolved stack parameters pm: the max core count satisfying every
+// wall within the processor die, attributed to the tightest wall, or to
+// KindDie when no wall's root lies below the die's n2/CoreArea cores, and
+// the whole count certified against every wall. cache may be nil
+// (uncached inner solves). Only the walls' root finds are memoized (one
+// cache event per bandwidth or energy wall); the intersection, the
+// certificate and the headroom report are rebuilt on every call, so each
+// caller owns its Walls slice.
+func (c Constraint) Solve(ctx context.Context, cache *EvalCache, s Solver, pm technique.Params, n2 float64, gen int) (Solution, error) {
 	if len(c.walls) == 0 {
 		return Solution{}, fmt.Errorf("scaling: constraint has no walls: %w", robust.ErrDomain)
 	}
-	pm := fp.Params
-	sol := Solution{Exact: n2 / pm.CoreArea, Binding: KindDie, Walls: make([]WallHeadroom, len(c.walls))}
+	die := n2 / pm.CoreArea
+	sol := Solution{Exact: die, Binding: KindDie, Walls: make([]WallHeadroom, len(c.walls))}
 	for i, w := range c.walls {
-		p, err := w.SolveCores(ctx, cache, s, fp, st, n2, gen)
+		p, err := w.SolveCores(ctx, cache, s, pm, n2, gen)
 		if err != nil {
 			return Solution{}, fmt.Errorf("%s wall: %w", w.Kind(), err)
 		}
@@ -343,10 +356,44 @@ func (c Constraint) SolveFP(ctx context.Context, cache *EvalCache, s Solver, fp 
 			sol.Exact, sol.Binding = p, w.Kind()
 		}
 	}
-	for i, w := range c.walls {
-		u := w.Usage(s, pm, n2, sol.Exact, gen)
-		sol.Walls[i].Usage = u
-		sol.Walls[i].Headroom = sol.Walls[i].Limit - u
+	if sol.Exact >= maxCertifiable {
+		return Solution{}, fmt.Errorf("scaling: %g cores reach 2^53, where a float64 no longer holds every whole count: %w",
+			sol.Exact, robust.ErrDomain)
 	}
+	// The certificate: the roots are accurate to far better than one
+	// core, so ⌊Exact⌋ is off by at most one either way. One step, not a
+	// loop: past about 1/CertifyEps cores one core moves a wall's usage by
+	// less than the tolerance, and the count stays within a core of the
+	// root instead of climbing the tolerance band.
+	p := math.Floor(sol.Exact)
+	if !c.fits(s, pm, n2, p, gen, sol.Walls, true) {
+		p--
+		c.fits(s, pm, n2, p, gen, sol.Walls, true)
+	} else if p+1 <= die && c.fits(s, pm, n2, p+1, gen, sol.Walls, false) {
+		p++
+		c.fits(s, pm, n2, p, gen, sol.Walls, true)
+	}
+	sol.Cores = int(p)
 	return sol, nil
+}
+
+// fits reports whether every wall holds at p cores: usage ≤
+// limit·(1+CertifyEps), with each limit read from walls. With record set
+// it stores every wall's usage and headroom at p in walls; without, it
+// stops at the first wall that fails.
+func (c Constraint) fits(s Solver, pm technique.Params, n2, p float64, gen int, walls []WallHeadroom, record bool) bool {
+	ok := true
+	for i, w := range c.walls {
+		u := w.Usage(s, pm, n2, p, gen)
+		if record {
+			walls[i].Usage, walls[i].Headroom = u, walls[i].Limit-u
+		}
+		if !(u <= walls[i].Limit*(1+CertifyEps)) {
+			if !record {
+				return false
+			}
+			ok = false
+		}
+	}
+	return ok
 }

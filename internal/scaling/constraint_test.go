@@ -17,7 +17,7 @@ import (
 func TestBandwidthWallBitIdentity(t *testing.T) {
 	s := Default()
 	st := technique.Combine(technique.DRAMCache{Density: 8})
-	fp := FingerprintOf(st)
+	pm := st.Params()
 	for _, tc := range []struct {
 		budget   float64
 		compound bool
@@ -25,7 +25,7 @@ func TestBandwidthWallBitIdentity(t *testing.T) {
 	}{
 		{1, false, 1}, {1.5, false, 3}, {1.3, true, 2}, {1.3, true, 4},
 	} {
-		want, err := NewEvalCache().SupportableCoresFP(context.Background(), s, FingerprintOf(st), st, 64, func() float64 {
+		want, err := NewEvalCache().SupportableCores(context.Background(), s, st.Params(), 64, func() float64 {
 			if tc.compound {
 				return math.Pow(tc.budget, float64(tc.gen))
 			}
@@ -34,7 +34,7 @@ func TestBandwidthWallBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := Bandwidth(tc.budget, tc.compound).SolveFP(context.Background(), nil, s, fp, st, 64, tc.gen)
+		sol, err := Bandwidth(tc.budget, tc.compound).Solve(context.Background(), nil, s, pm, 64, tc.gen)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,18 +56,18 @@ func TestThermalWallClosedForm(t *testing.T) {
 		technique.Combine(),
 		technique.Combine(technique.DRAMCache{Density: 8}, technique.ThreeDCache{LayerDensity: 1}),
 	} {
-		fp := FingerprintOf(st)
+		pm := st.Params()
 		w := ThermalWall{Limit: 3.4, Growth: 1.4}
 		for gen := 1; gen <= 4; gen++ {
 			n2 := 16 * float64(int(1)<<gen)
-			p, err := w.SolveCores(context.Background(), nil, s, fp, st, n2, gen)
+			p, err := w.SolveCores(context.Background(), nil, s, pm, n2, gen)
 			if err != nil {
 				t.Fatalf("gen %d: %v", gen, err)
 			}
-			if p == n2/fp.Params.CoreArea {
+			if p == n2/pm.CoreArea {
 				continue // the die: thermal does not bind within it
 			}
-			u := w.Usage(s, fp.Params, n2, p, gen)
+			u := w.Usage(s, pm, n2, p, gen)
 			if math.Abs(u-w.LimitAt(gen)) > 1e-9 {
 				t.Errorf("gen %d: usage at solved p = %v, want limit %v", gen, u, w.LimitAt(gen))
 			}
@@ -80,10 +80,10 @@ func TestThermalWallClosedForm(t *testing.T) {
 func TestThermalWallDomainErrors(t *testing.T) {
 	s := Default()
 	st := technique.Combine()
-	fp := FingerprintOf(st)
+	pm := st.Params()
 
 	// The cache-area floor alone exceeds a tiny limit: unreachable.
-	_, err := ThermalWall{Limit: 1e-6}.SolveCores(context.Background(), nil, s, fp, st, 64, 1)
+	_, err := ThermalWall{Limit: 1e-6}.SolveCores(context.Background(), nil, s, pm, 64, 1)
 	if !errors.Is(err, robust.ErrDomain) {
 		t.Errorf("unreachable limit: err = %v, want ErrDomain", err)
 	}
@@ -93,12 +93,12 @@ func TestThermalWallDomainErrors(t *testing.T) {
 
 	// κ so large that swapping cache area for cores lowers density: the
 	// "more cores" direction no longer increases usage.
-	_, err = ThermalWall{Limit: 2, CachePower: 1.5}.SolveCores(context.Background(), nil, s, fp, st, 64, 1)
+	_, err = ThermalWall{Limit: 2, CachePower: 1.5}.SolveCores(context.Background(), nil, s, pm, 64, 1)
 	if !errors.Is(err, robust.ErrDomain) {
 		t.Errorf("non-increasing slope: err = %v, want ErrDomain", err)
 	}
 
-	_, err = ThermalWall{Limit: 2}.SolveCores(context.Background(), nil, s, fp, st, -1, 1)
+	_, err = ThermalWall{Limit: 2}.SolveCores(context.Background(), nil, s, pm, -1, 1)
 	if !errors.Is(err, robust.ErrDomain) {
 		t.Errorf("negative area: err = %v, want ErrDomain", err)
 	}
@@ -109,8 +109,8 @@ func TestThermalWallDomainErrors(t *testing.T) {
 func TestEnergyWallFloor(t *testing.T) {
 	s := Default()
 	st := technique.Combine()
-	fp := FingerprintOf(st)
-	_, err := EnergyWall{Limit: 0.5}.SolveCores(context.Background(), NewEvalCache(), s, fp, st, 64, 1)
+	pm := st.Params()
+	_, err := EnergyWall{Limit: 0.5}.SolveCores(context.Background(), NewEvalCache(), s, pm, 64, 1)
 	if !errors.Is(err, robust.ErrDomain) {
 		t.Fatalf("err = %v, want ErrDomain", err)
 	}
@@ -125,16 +125,16 @@ func TestEnergyWallFloor(t *testing.T) {
 func TestEnergyWallReduction(t *testing.T) {
 	s := Default()
 	st := technique.Combine(technique.DRAMCache{Density: 8})
-	fp := FingerprintOf(st)
+	pm := st.Params()
 	w := EnergyWall{Limit: 2.5}
 	c := NewEvalCache()
-	p, err := w.SolveCores(context.Background(), c, s, fp, st, 64, 1)
+	p, err := w.SolveCores(context.Background(), c, s, pm, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sh := DefaultEnergyAccessShare
-	budget := (w.Limit - sh*fp.Params.CacheEnergyMult) / ((1 - sh) * fp.Params.LinkEnergyMult)
-	want, err := c.SupportableCoresFP(context.Background(), s, fp, st, 64, budget)
+	budget := (w.Limit - sh*pm.CacheEnergyMult) / ((1 - sh) * pm.LinkEnergyMult)
+	want, err := c.SupportableCores(context.Background(), s, pm, 64, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,18 +145,18 @@ func TestEnergyWallReduction(t *testing.T) {
 	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
 		t.Errorf("stats = (%d hits, %d misses), want (1, 1): reduction did not share the memo", hits, misses)
 	}
-	if u := w.Usage(s, fp.Params, 64, p, 1); math.Abs(u-w.Limit) > 1e-9 {
+	if u := w.Usage(s, pm, 64, p, 1); math.Abs(u-w.Limit) > 1e-9 {
 		t.Errorf("usage at solved p = %v, want limit %v", u, w.Limit)
 	}
 }
 
 // TestConstraintIntersection: the multi-wall solution is the minimum of the
-// standalone wall solutions, attributed to the argmin, with (near-)zero
-// headroom on the binding wall and non-negative headroom everywhere.
+// standalone wall solutions, attributed to the argmin, and its whole count
+// is certified against every wall (certificateErr).
 func TestConstraintIntersection(t *testing.T) {
 	s := Default()
 	st := technique.Combine(technique.DRAMCache{Density: 8}, technique.ThreeDCache{LayerDensity: 1})
-	fp := FingerprintOf(st)
+	pm := st.Params()
 	cons := NewConstraint(
 		BandwidthWall{Budget: 1},
 		ThermalWall{Limit: 3.4, Growth: 1.4},
@@ -164,7 +164,7 @@ func TestConstraintIntersection(t *testing.T) {
 	)
 	for gen := 1; gen <= 4; gen++ {
 		n2 := 16 * float64(int(1)<<gen)
-		sol, err := cons.SolveFP(context.Background(), NewEvalCache(), s, fp, st, n2, gen)
+		sol, err := cons.Solve(context.Background(), NewEvalCache(), s, pm, n2, gen)
 		if err != nil {
 			t.Fatalf("gen %d: %v", gen, err)
 		}
@@ -173,9 +173,9 @@ func TestConstraintIntersection(t *testing.T) {
 			if wh.Exact < min {
 				min, argmin = wh.Exact, wh.Kind
 			}
-			if wh.Headroom < -1e-9 {
-				t.Errorf("gen %d: wall %s has negative headroom %v at the intersection", gen, wh.Kind, wh.Headroom)
-			}
+		}
+		if err := certificateErr(cons, s, pm, n2, gen, sol, true); err != nil {
+			t.Errorf("gen %d: %v", gen, err)
 		}
 		if sol.Exact != min || sol.Binding != argmin {
 			t.Errorf("gen %d: solution (%v, %s) != wall minimum (%v, %s)", gen, sol.Exact, sol.Binding, min, argmin)
@@ -203,19 +203,19 @@ func TestConstraintTighteningMonotone(t *testing.T) {
 	}
 	c := NewEvalCache()
 	for _, st := range stacks {
-		fp := FingerprintOf(st)
+		pm := st.Params()
 		for _, lim := range limits {
 			for gen := 1; gen <= 3; gen++ {
 				n2 := 16 * float64(int(1)<<gen)
 				base := NewConstraint(BandwidthWall{Budget: lim.bw}, ThermalWall{Limit: lim.th, Growth: 1.4}, EnergyWall{Limit: lim.en})
-				sol, err := base.SolveFP(context.Background(), c, s, fp, st, n2, gen)
+				sol, err := base.Solve(context.Background(), c, s, pm, n2, gen)
 				if err != nil {
 					t.Fatalf("base solve: %v", err)
 				}
 				for wi, f := range tighten {
 					bw, th, en := f(lim.bw, lim.th, lim.en)
 					tight := NewConstraint(BandwidthWall{Budget: bw}, ThermalWall{Limit: th, Growth: 1.4}, EnergyWall{Limit: en})
-					tsol, err := tight.SolveFP(context.Background(), c, s, fp, st, n2, gen)
+					tsol, err := tight.Solve(context.Background(), c, s, pm, n2, gen)
 					if errors.Is(err, robust.ErrDomain) {
 						continue // tightened past feasibility: zero cores, trivially monotone
 					}
@@ -231,19 +231,19 @@ func TestConstraintTighteningMonotone(t *testing.T) {
 	}
 }
 
-// TestConstraintSolveFPMemo: a repeated multi-wall solve reads its
+// TestConstraintSolveMemo: a repeated multi-wall solve reads its
 // bandwidth root from the wall memo (one event per memoized wall; the
 // closed-form thermal wall counts none), hands each caller its own
 // headroom slice, shares wall entries across constraints, and starts over
 // after Purge.
-func TestConstraintSolveFPMemo(t *testing.T) {
+func TestConstraintSolveMemo(t *testing.T) {
 	s := Default()
 	c := NewEvalCache()
 	st := technique.Combine(technique.DRAMCache{Density: 8})
-	fp := FingerprintOf(st)
+	pm := st.Params()
 	cons := NewConstraint(BandwidthWall{Budget: 1}, ThermalWall{Limit: 3.4, Growth: 1.4})
 	solve := func(c *EvalCache, cons Constraint) (Solution, error) {
-		return cons.SolveFP(context.Background(), c, s, fp, st, 64, 2)
+		return cons.Solve(context.Background(), c, s, pm, 64, 2)
 	}
 
 	sol1, err := solve(c, cons)

@@ -11,7 +11,6 @@ package scaling
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/numeric"
 	"repro/internal/power"
@@ -68,15 +67,16 @@ func (s Solver) Traffic(st technique.Stack, n2, p2 float64) float64 {
 // budget is the paper's B: 1 for a constant traffic envelope, 1.5 for the
 // optimistic 50%-per-generation growth of §5.1.
 func (s Solver) SupportableCores(st technique.Stack, n2, budget float64) (float64, error) {
-	return s.SupportableCoresCtx(context.Background(), st, n2, budget)
+	return s.root(context.TODO(), st.Params(), n2, budget)
 }
 
-// SupportableCoresCtx is SupportableCores with cancellation propagated
-// into the root finder and fault injection at the "scaling.solve" point.
-// Domain violations (non-positive areas or budgets, unreachable budgets,
-// invalid stacks) wrap robust.ErrDomain; solver failures go through
-// numeric.RobustRoot's degradation ladder before being reported.
-func (s Solver) SupportableCoresCtx(ctx context.Context, st technique.Stack, n2, budget float64) (float64, error) {
+// root is SupportableCores on resolved parameters, with cancellation
+// propagated into the root finder and fault injection at the
+// "scaling.solve" point. Domain violations (non-positive areas or
+// budgets, unreachable budgets, invalid parameters) wrap robust.ErrDomain;
+// solver failures go through numeric.RobustRoot's degradation ladder
+// before being reported.
+func (s Solver) root(ctx context.Context, pm technique.Params, n2, budget float64) (float64, error) {
 	if err := robust.Hit(ctx, "scaling.solve"); err != nil {
 		return 0, err
 	}
@@ -86,7 +86,6 @@ func (s Solver) SupportableCoresCtx(ctx context.Context, st technique.Stack, n2,
 	if !(budget > 0) {
 		return 0, fmt.Errorf("scaling: traffic budget must be positive, got %g: %w", budget, robust.ErrDomain)
 	}
-	pm := st.Params()
 	if err := pm.Validate(); err != nil {
 		return 0, fmt.Errorf("%w: %w", err, robust.ErrDomain)
 	}
@@ -121,45 +120,17 @@ func (s Solver) SupportableCoresCtx(ctx context.Context, st technique.Stack, n2,
 	}
 	root, err := numeric.RobustRoot(ctx, f, lo, hi, 1e-10)
 	if err != nil {
-		return 0, fmt.Errorf("scaling: solving cores for %s on %g CEAs: %w", st.Label(), n2, err)
+		return 0, fmt.Errorf("scaling: solving cores on %g CEAs: %w", n2, err)
 	}
 	return root, nil
 }
 
 // MaxCores returns the largest whole number of cores whose traffic fits the
-// budget: ⌊SupportableCores⌋, clamped to at least 0. This matches how the
+// budget: the bandwidth constraint's certified count. This matches how the
 // paper reads integer core counts off the model (e.g. "only 11 cores").
 func (s Solver) MaxCores(st technique.Stack, n2, budget float64) (int, error) {
-	return s.MaxCoresCtx(context.Background(), st, n2, budget)
-}
-
-// MaxCoresCtx is MaxCores with cancellation and fault injection (see
-// SupportableCoresCtx).
-func (s Solver) MaxCoresCtx(ctx context.Context, st technique.Stack, n2, budget float64) (int, error) {
-	p, err := s.SupportableCoresCtx(ctx, st, n2, budget)
-	if err != nil {
-		return 0, err
-	}
-	return CoresFromExact(p), nil
-}
-
-// CoresFromExact converts an exact (fractional) supportable-core solution
-// into the whole-core reading the paper uses: ⌊p⌋, with a snap guard
-// against floating-point answers like 15.999999999998 when the true fixed
-// point is integral (several paper cases are exact). It is the shared
-// flooring rule of MaxCores and the scenario engine's cached evaluations.
-func CoresFromExact(p float64) int {
-	const snap = 1e-6
-	if frac := p - math.Floor(p); frac > 1-snap {
-		return int(math.Floor(p)) + 1
-	}
-	return int(math.Floor(p))
-}
-
-// CoreAreaFraction returns the fraction of the (processor-die) area used by
-// p cores of the stack's core size on an n-CEA chip.
-func CoreAreaFraction(st technique.Stack, n, p float64) float64 {
-	return st.Params().CoreArea * p / n
+	sol, err := Bandwidth(budget, false).Solve(context.TODO(), nil, s, st.Params(), n2, 0)
+	return sol.Cores, err
 }
 
 // ProportionalCores returns the "ideal scaling" core count: the baseline's

@@ -81,7 +81,7 @@ func TestFig3Headline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frac := CoreAreaFraction(base, 256, exact)
+	frac := base.Params().CoreArea * exact / 256
 	if math.Abs(frac-0.10) > 0.005 {
 		t.Errorf("core area fraction = %.3f, want ≈0.10", frac)
 	}
@@ -177,7 +177,7 @@ func TestAllCombinedHeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	area := CoreAreaFraction(all, 256, exact)
+	area := all.Params().CoreArea * exact / 256
 	if math.Abs(area-0.71) > 0.01 {
 		t.Errorf("core area = %.3f, want ≈0.71", area)
 	}
@@ -305,8 +305,12 @@ func TestSupportableCoresTinyCores(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shrink %g: %v", k, err)
 		}
-		if CoresFromExact(p) != 12 || p < prev || p-base > 1e-5 {
-			t.Errorf("shrink %g: exact %.12f, want 12 cores, at least %.12f and within 1e-5 of shrink 1e6's %.12f", k, p, prev, base)
+		cores, err := s.MaxCores(smco(k), 32, 1)
+		if err != nil {
+			t.Fatalf("shrink %g: %v", k, err)
+		}
+		if cores != 12 || p < prev || p-base > 1e-5 {
+			t.Errorf("shrink %g: %d cores (exact %.12f), want 12, at least %.12f and within 1e-5 of shrink 1e6's %.12f", k, cores, p, prev, base)
 		}
 		prev = p
 	}

@@ -3,7 +3,6 @@ package scaling
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/numeric"
 	"repro/internal/robust"
@@ -59,89 +58,23 @@ type GenPoint struct {
 // generation g may use budgetPerGen^g × baseline traffic (budgetPerGen = 1
 // reproduces the paper's constant-traffic envelope).
 func (s Solver) SweepGenerations(st technique.Stack, gens []Generation, budgetPerGen float64) ([]GenPoint, error) {
-	return s.SweepGenerationsCtx(context.Background(), st, gens, budgetPerGen)
-}
-
-// SweepGenerationsCtx is SweepGenerations with cancellation checked once
-// per generation (each generation is one solver batch).
-func (s Solver) SweepGenerationsCtx(ctx context.Context, st technique.Stack, gens []Generation, budgetPerGen float64) ([]GenPoint, error) {
+	pm := st.Params()
+	cons := Bandwidth(budgetPerGen, true)
 	out := make([]GenPoint, 0, len(gens))
 	for _, g := range gens {
-		if err := robust.Err(ctx); err != nil {
-			return nil, err
-		}
-		budget := math.Pow(budgetPerGen, float64(g.Index))
-		exact, err := s.SupportableCoresCtx(ctx, st, g.N, budget)
+		sol, err := cons.Solve(context.TODO(), nil, s, pm, g.N, g.Index)
 		if err != nil {
 			return nil, fmt.Errorf("scaling: generation %s: %w", g, err)
 		}
 		out = append(out, GenPoint{
 			Gen:          g,
-			Cores:        CoresFromExact(exact),
-			ExactCores:   exact,
-			AreaFraction: CoreAreaFraction(st, g.N, exact),
+			Cores:        sol.Cores,
+			ExactCores:   sol.Exact,
+			AreaFraction: pm.CoreArea * sol.Exact / g.N,
 			Proportional: s.ProportionalCores(g.N),
 		})
 	}
 	return out, nil
-}
-
-// Candle is a pessimistic/realistic/optimistic triple of supportable core
-// counts at one generation — one candle bar of Fig 15/16.
-type Candle struct {
-	Gen         Generation
-	Pessimistic int
-	Realistic   int
-	Optimistic  int
-}
-
-// SweepCandles evaluates a stack-family across generations under all three
-// assumptions. build maps an assumption to the concrete stack.
-func (s Solver) SweepCandles(build func(technique.Assumption) technique.Stack, gens []Generation, budget float64) ([]Candle, error) {
-	return s.SweepCandlesCtx(context.Background(), build, gens, budget)
-}
-
-// SweepCandlesCtx is SweepCandles with cancellation checked once per
-// generation.
-func (s Solver) SweepCandlesCtx(ctx context.Context, build func(technique.Assumption) technique.Stack, gens []Generation, budget float64) ([]Candle, error) {
-	out := make([]Candle, 0, len(gens))
-	for _, g := range gens {
-		if err := robust.Err(ctx); err != nil {
-			return nil, err
-		}
-		var c Candle
-		c.Gen = g
-		for _, a := range technique.Assumptions {
-			cores, err := s.MaxCoresCtx(ctx, build(a), g.N, budget)
-			if err != nil {
-				return nil, fmt.Errorf("scaling: %s at %s: %w", a, g, err)
-			}
-			switch a {
-			case technique.Pessimistic:
-				c.Pessimistic = cores
-			case technique.Realistic:
-				c.Realistic = cores
-			case technique.Optimistic:
-				c.Optimistic = cores
-			}
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
-// EnvelopeIntersection finds the largest core count whose traffic stays
-// within budget on an n2-CEA chip with no techniques applied — the
-// intersection of the "New Traffic" curve with the bandwidth envelope in
-// Fig 2. It is SupportableCores specialized to the empty stack.
-func (s Solver) EnvelopeIntersection(n2, budget float64) (float64, error) {
-	return s.SupportableCores(technique.Combine(), n2, budget)
-}
-
-// EnvelopeIntersectionCtx is EnvelopeIntersection with cancellation and
-// fault injection.
-func (s Solver) EnvelopeIntersectionCtx(ctx context.Context, n2, budget float64) (float64, error) {
-	return s.SupportableCoresCtx(ctx, technique.Combine(), n2, budget)
 }
 
 // BreakEvenSharing returns the data-sharing fraction f_sh at which p2 cores

@@ -94,7 +94,10 @@ func TestSweepGenerationsCompoundingBudget(t *testing.T) {
 	}
 }
 
-func TestSweepCandles(t *testing.T) {
+// TestDRAMCandles pins Fig 5's DRAM candles: pessimistic 16, realistic
+// 18, optimistic 21 cores at the first generation, the paper's realistic
+// 47 at 16x, and pess ≤ real ≤ opt at every generation.
+func TestDRAMCandles(t *testing.T) {
 	s := Default()
 	var entry technique.CatalogEntry
 	for _, e := range technique.Catalog {
@@ -105,41 +108,41 @@ func TestSweepCandles(t *testing.T) {
 	if entry.New == nil {
 		t.Fatal("DRAM missing from catalog")
 	}
-	build := func(a technique.Assumption) technique.Stack {
-		return technique.Combine(entry.New(a))
+	var candles [][3]int
+	for _, g := range Generations(16, 4) {
+		var c [3]int
+		for i, a := range technique.Assumptions {
+			cores, err := s.MaxCores(technique.Combine(entry.New(a)), g.N, 1)
+			if err != nil {
+				t.Fatalf("%s at %s: %v", a, g, err)
+			}
+			c[i] = cores
+		}
+		candles = append(candles, c)
 	}
-	candles, err := s.SweepCandles(build, Generations(16, 4), 1)
-	if err != nil {
-		t.Fatal(err)
+	if c := candles[0]; c != [3]int{16, 18, 21} {
+		t.Errorf("gen-1 DRAM candle = %v, want [16 18 21]", c)
 	}
-	if len(candles) != 4 {
-		t.Fatalf("candles = %d", len(candles))
+	if candles[3][1] != 47 {
+		t.Errorf("gen-4 DRAM realistic = %d, want 47", candles[3][1])
 	}
-	// Fig 5 at gen 1: pessimistic 16, realistic 18, optimistic 21.
-	c := candles[0]
-	if c.Pessimistic != 16 || c.Realistic != 18 || c.Optimistic != 21 {
-		t.Errorf("gen-1 DRAM candle = %+v, want 16/18/21", c)
-	}
-	// Realistic @16x = 47 (the paper's DRAM headline).
-	if candles[3].Realistic != 47 {
-		t.Errorf("gen-4 DRAM realistic = %d, want 47", candles[3].Realistic)
-	}
-	// Candles are ordered pess ≤ real ≤ opt at every generation.
 	for i, c := range candles {
-		if !(c.Pessimistic <= c.Realistic && c.Realistic <= c.Optimistic) {
-			t.Errorf("gen %d candle out of order: %+v", i+1, c)
+		if !(c[0] <= c[1] && c[1] <= c[2]) {
+			t.Errorf("gen %d candle out of order: %v", i+1, c)
 		}
 	}
 }
 
+// TestEnvelopeIntersection: Fig 2's intersection of the "New Traffic"
+// curve with the constant envelope is the bandwidth constraint's solve on
+// the empty stack: 11 whole cores on 32 CEAs.
 func TestEnvelopeIntersection(t *testing.T) {
-	s := Default()
-	p, err := s.EnvelopeIntersection(32, 1)
+	sol, err := Bandwidth(1, false).Solve(context.Background(), nil, Default(), technique.Combine().Params(), 32, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Floor(p) != 11 {
-		t.Errorf("intersection = %v, want ⌊·⌋ = 11", p)
+	if math.Floor(sol.Exact) != 11 || sol.Cores != 11 {
+		t.Errorf("intersection = %v (%d cores), want ⌊·⌋ = 11", sol.Exact, sol.Cores)
 	}
 }
 
@@ -191,24 +194,31 @@ func TestBreakEvenSharingEdgeCases(t *testing.T) {
 	}
 }
 
+// TestEnvelopeIntersectionEdgeCases: the bandwidth constraint's solve
+// on the empty stack fails with domain errors on bad inputs and an
+// unreachable budget, and with a Canceled error on a canceled context.
 func TestEnvelopeIntersectionEdgeCases(t *testing.T) {
 	s := Default()
 	ctx := context.Background()
+	base := technique.Combine().Params()
+	solve := func(ctx context.Context, n2, budget float64) (Solution, error) {
+		return Bandwidth(budget, false).Solve(ctx, nil, s, base, n2, 0)
+	}
 
 	// Non-bracketing budget: even a near-zero-core chip exceeds it (traffic
 	// ~ p^(1+α) at the bracket's low end, but never zero), so the solve
 	// fails before root finding with a permanent domain error.
-	if _, err := s.EnvelopeIntersectionCtx(ctx, 32, 1e-18); !errors.Is(err, robust.ErrDomain) {
+	if _, err := solve(ctx, 32, 1e-18); !errors.Is(err, robust.ErrDomain) {
 		t.Errorf("unreachable budget: err = %v, want robust.ErrDomain", err)
 	} else if robust.Classify(err) != robust.Permanent {
 		t.Errorf("unreachable budget classified %v, want Permanent", robust.Classify(err))
 	}
 
 	// Invalid inputs propagate ErrDomain too.
-	if _, err := s.EnvelopeIntersectionCtx(ctx, -4, 1); !errors.Is(err, robust.ErrDomain) {
+	if _, err := solve(ctx, -4, 1); !errors.Is(err, robust.ErrDomain) {
 		t.Errorf("negative n2: err = %v, want robust.ErrDomain", err)
 	}
-	if _, err := s.EnvelopeIntersectionCtx(ctx, 32, 0); !errors.Is(err, robust.ErrDomain) {
+	if _, err := solve(ctx, 32, 0); !errors.Is(err, robust.ErrDomain) {
 		t.Errorf("zero budget: err = %v, want robust.ErrDomain", err)
 	}
 
@@ -216,7 +226,7 @@ func TestEnvelopeIntersectionEdgeCases(t *testing.T) {
 	// callers retry rather than discard the case.
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	_, err := s.EnvelopeIntersectionCtx(canceled, 32, 1)
+	_, err := solve(canceled, 32, 1)
 	if err == nil {
 		t.Fatal("canceled context: want error")
 	}
@@ -225,9 +235,9 @@ func TestEnvelopeIntersectionEdgeCases(t *testing.T) {
 	}
 
 	// A live context still solves (the canceled run left no bad state).
-	p, err := s.EnvelopeIntersectionCtx(ctx, 32, 1)
-	if err != nil || math.Floor(p) != 11 {
-		t.Errorf("post-cancel solve = %v, %v; want ⌊·⌋ = 11", p, err)
+	sol, err := solve(ctx, 32, 1)
+	if err != nil || sol.Cores != 11 {
+		t.Errorf("post-cancel solve = %+v, %v; want 11 cores", sol, err)
 	}
 }
 

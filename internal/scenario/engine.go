@@ -15,7 +15,8 @@ type Point struct {
 	Case int // index into Spec.Cases
 	Axis int // index into the expanded axis
 	Gen  scaling.Generation
-	// Exact is Eq. 7's fractional solution; Cores its whole-core reading.
+	// Exact is Eq. 7's fractional solution; Cores the certified whole
+	// count every wall allows (scaling.Solution.Cores).
 	Exact float64
 	Cores int
 	// AreaFraction is the processor-die share the exact solution occupies;
@@ -25,7 +26,7 @@ type Point struct {
 	// Binding names the wall that limits this cell ("bandwidth" for
 	// legacy single-envelope specs), or "die" when every wall allows the
 	// whole processor die; Walls reports each wall's limit, usage, and
-	// headroom at the solved core count.
+	// headroom at Cores.
 	Binding string
 	Walls   []scaling.WallHeadroom
 }
@@ -111,8 +112,7 @@ func (e *Engine) Evaluate(ctx context.Context, sp *Spec) (*Outcome, error) {
 
 	// Resolve stacks and per-case constants up front, before spawning work.
 	type caseEnv struct {
-		stack  technique.Stack
-		fp     scaling.Fingerprint // precomputed: fingerprinting per cell would dominate cache hits
+		pm     technique.Params // resolved once: resolving per cell would dominate cache hits
 		solver scaling.Solver
 		cons   scaling.Constraint
 	}
@@ -130,7 +130,7 @@ func (e *Engine) Evaluate(ctx context.Context, sp *Spec) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		envs[i] = caseEnv{stack: st, fp: scaling.FingerprintOf(st), solver: s, cons: sp.constraintFor(c)}
+		envs[i] = caseEnv{pm: st.Params(), solver: s, cons: sp.constraintFor(c)}
 	}
 
 	cache := e.Cache
@@ -146,7 +146,7 @@ func (e *Engine) Evaluate(ctx context.Context, sp *Spec) (*Outcome, error) {
 	// instead of escaping the worker goroutine and killing the process.
 	solveCell := func(env caseEnv, n2 float64, gen int) (sol scaling.Solution, err error) {
 		defer robust.Recover(&err)
-		return env.cons.SolveFP(ctx, cache, env.solver, env.fp, env.stack, n2, gen)
+		return env.cons.Solve(ctx, cache, env.solver, env.pm, n2, gen)
 	}
 
 	err := robust.Each(ctx, len(points), e.Workers, func(i int) error {
@@ -159,9 +159,8 @@ func (e *Engine) Evaluate(ctx context.Context, sp *Spec) (*Outcome, error) {
 		evaluated.Inc()
 		points[i] = Point{
 			Case: ci, Axis: ai, Gen: g,
-			Exact: sol.Exact, Cores: scaling.CoresFromExact(sol.Exact),
-			// CoreAreaFraction from the precomputed Params.
-			AreaFraction: env.fp.Params.CoreArea * sol.Exact / g.N,
+			Exact: sol.Exact, Cores: sol.Cores,
+			AreaFraction: env.pm.CoreArea * sol.Exact / g.N,
 			Proportional: env.solver.ProportionalCores(g.N),
 			Binding:      sol.Binding,
 			Walls:        sol.Walls,

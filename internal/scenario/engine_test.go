@@ -84,7 +84,7 @@ func TestEvaluateMatchesDirectSolver(t *testing.T) {
 }
 
 func TestEvaluateCompoundBudgetMatchesSweep(t *testing.T) {
-	// Compound envelopes must agree with SweepGenerationsCtx's
+	// Compound envelopes must agree with SweepGenerations's
 	// budget^generation rule, including the derived fields.
 	e := NewEngine()
 	sp := &Spec{
@@ -117,7 +117,8 @@ func TestEvaluateCompoundBudgetMatchesSweep(t *testing.T) {
 }
 
 func TestEvaluateAssumptionCandles(t *testing.T) {
-	// Three assumption-tagged cases per technique must match SweepCandles.
+	// Three assumption-tagged cases per technique must match MaxCores at
+	// each assumption's Table 2 ratio.
 	e := NewEngine()
 	sp := &Spec{
 		ID:   "candles",
@@ -133,20 +134,18 @@ func TestEvaluateAssumptionCandles(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := scaling.Default()
-	candles, err := s.SweepCandles(func(a technique.Assumption) technique.Stack {
-		return technique.Combine(technique.CacheCompression{Ratio: map[technique.Assumption]float64{
-			technique.Pessimistic: 1.25, technique.Realistic: 2.0, technique.Optimistic: 3.5,
-		}[a]})
-	}, o.Gens, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range candles {
-		r := c.Gen.Ratio
-		if o.Values[GenKey("CC:pess", r)] != float64(c.Pessimistic) ||
-			o.Values[GenKey("CC", r)] != float64(c.Realistic) ||
-			o.Values[GenKey("CC:opt", r)] != float64(c.Optimistic) {
-			t.Errorf("gen %d: engine candle != sweep candle %+v", i, c)
+	for _, g := range o.Gens {
+		for _, c := range []struct {
+			key   string
+			ratio float64 // Table 2's CC ratio at the case's assumption
+		}{{"CC:pess", 1.25}, {"CC", 2.0}, {"CC:opt", 3.5}} {
+			want, err := s.MaxCores(technique.Combine(technique.CacheCompression{Ratio: c.ratio}), g.N, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := o.Values[GenKey(c.key, g.Ratio)]; got != float64(want) {
+				t.Errorf("%s @%gx: engine %v cores, MaxCores %d", c.key, g.Ratio, got, want)
+			}
 		}
 	}
 }

@@ -228,12 +228,20 @@ func bandwidthLimit(pt Point) float64 {
 
 // TestEvaluateMultiWallFlip: the flip scenario end-to-end — binding wall
 // bandwidth at 2x/4x, thermal at 8x/16x, with per-wall headroom on every
-// point, the bandwidth wall's limit among them.
+// point, the bandwidth wall's limit among them. Each point's count is
+// certified: every wall holds there within scaling.CertifyEps, and one
+// more core leaves the die or breaks a wall.
 func TestEvaluateMultiWallFlip(t *testing.T) {
-	o, err := NewEngine().Evaluate(context.Background(), multiwallSpec())
+	sp := multiwallSpec()
+	o, err := NewEngine().Evaluate(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st, err := sp.Cases[0].BuildStack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, s := st.Params(), scaling.Default()
 	want := []string{"bandwidth", "bandwidth", "thermal", "thermal"}
 	row := o.PointsFor(0)
 	for i, pt := range row {
@@ -247,12 +255,18 @@ func TestEvaluateMultiWallFlip(t *testing.T) {
 			t.Errorf("gen %d: bandwidth limit = %g, want 1", i+1, bandwidthLimit(pt))
 		}
 		for _, wh := range pt.Walls {
-			if wh.Kind == pt.Binding && math.Abs(wh.Headroom) > 1e-6 && wh.Exact < pt.Gen.N/1.1 {
-				t.Errorf("gen %d: binding wall %s has headroom %g", i+1, wh.Kind, wh.Headroom)
+			if wh.Headroom < -wh.Limit*scaling.CertifyEps {
+				t.Errorf("gen %d: wall %s infeasible at %d cores (headroom %g)", i+1, wh.Kind, pt.Cores, wh.Headroom)
 			}
-			if wh.Headroom < -1e-9 {
-				t.Errorf("gen %d: wall %s infeasible at solution (headroom %g)", i+1, wh.Kind, wh.Headroom)
-			}
+		}
+		next := float64(pt.Cores + 1)
+		broken := next > pt.Gen.N/pm.CoreArea
+		for _, e := range sp.Envelopes {
+			w := e.wall()
+			broken = broken || w.Usage(s, pm, pt.Gen.N, next, pt.Gen.Index) > w.LimitAt(pt.Gen.Index)*(1+scaling.CertifyEps)
+		}
+		if !broken {
+			t.Errorf("gen %d: %d cores fit every wall, but %d were served", i+1, pt.Cores+1, pt.Cores)
 		}
 	}
 	// The cores are the flip example's pinned values.
@@ -363,6 +377,66 @@ func TestEvaluateDieBound(t *testing.T) {
 		if wh := pt.Walls[i]; math.Abs(wh.Usage-want) > 1e-12 || wh.Exact != 32 {
 			t.Errorf("%s wall: usage %v, exact %v; want %v, 32", wh.Kind, wh.Usage, wh.Exact, want)
 		}
+	}
+}
+
+// TestEvaluateCertifiedCores: each served count is the largest integer
+// every wall allows. BASE's root at budget 0.99515185892833691 lies
+// 5e-7 below 11 cores, which exceed the budget, so the cell serves 10.
+// Without a stacked die the 32nd core of a 32-CEA die leaves no cache
+// (+Inf traffic), so roots just below the die serve 31, bound to the
+// wall whose root they are: a lone energy wall at 1e300, and the
+// bandwidth wall of CC at ratio 1e300.
+func TestEvaluateCertifiedCores(t *testing.T) {
+	const snap = 0.99515185892833691
+	for _, tc := range []struct {
+		sp      *Spec
+		cores   int
+		binding string
+	}{
+		{&Spec{ID: "snap", Axis: Axis{N2: []float64{32}}, Budget: Budget{Envelope: snap}, Cases: []Case{{}}}, 10, scaling.KindBandwidth},
+		{&Spec{ID: "energy", Axis: Axis{N2: []float64{32}}, Envelopes: []Envelope{{Kind: "energy", Limit: 1e300}}, Cases: []Case{{}}}, 31, scaling.KindEnergy},
+		{&Spec{ID: "cc", Axis: Axis{N2: []float64{32}}, Cases: []Case{{Stack: []technique.Spec{{Name: "CC", Params: map[string]float64{"ratio": 1e300}}}}}}, 31, scaling.KindBandwidth},
+	} {
+		o, err := NewEngine().Evaluate(context.Background(), tc.sp)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sp.ID, err)
+		}
+		pt := o.Points[0]
+		if pt.Cores != tc.cores || pt.Binding != tc.binding {
+			t.Errorf("%s: %d cores bound by %s (exact %v), want %d by %s", tc.sp.ID, pt.Cores, pt.Binding, pt.Exact, tc.cores, tc.binding)
+		}
+		for _, wh := range pt.Walls {
+			if math.IsInf(wh.Usage, 0) || math.IsNaN(wh.Usage) || math.IsInf(wh.Headroom, 0) || math.IsNaN(wh.Headroom) ||
+				wh.Headroom < -wh.Limit*scaling.CertifyEps {
+				t.Errorf("%s: %s wall at %d cores: usage %v, headroom %v", tc.sp.ID, wh.Kind, pt.Cores, wh.Usage, wh.Headroom)
+			}
+		}
+	}
+	s := scaling.Default()
+	if at, over := s.Traffic(technique.Combine(), 32, 10), s.Traffic(technique.Combine(), 32, 11); !(at <= snap && snap < over) {
+		t.Errorf("traffic at 10 cores %v, at 11 %v; want the budget %v between them", at, over, snap)
+	}
+}
+
+// TestEvaluateCoresPast2to53: from 2^53 on a float64 no longer holds every
+// integer, so no count there can be certified. Under a compounding 2x
+// envelope BASE's root is 8·2^g cores at generation g: 2^53 at generation
+// 50. The 70-generation spec is a domain error naming the bound, not a
+// wrapped int; 49 generations still solve.
+func TestEvaluateCoresPast2to53(t *testing.T) {
+	sp := &Spec{ID: "big", Budget: Budget{Envelope: 2, Compound: true}, Axis: Axis{Generations: 70}, Cases: []Case{{Label: "BASE"}}}
+	_, err := NewEngine().Evaluate(context.Background(), sp)
+	if !errors.Is(err, robust.ErrDomain) || !strings.Contains(err.Error(), "2^53") {
+		t.Fatalf("err = %v, want a domain error naming 2^53", err)
+	}
+	sp.Axis.Generations = 49
+	o, err := NewEngine().Evaluate(context.Background(), sp)
+	if err != nil {
+		t.Fatalf("49 generations: %v", err)
+	}
+	if pt := o.Points[48]; pt.Cores <= 0 || math.Abs(float64(pt.Cores)-math.Floor(pt.Exact)) > 1 {
+		t.Errorf("generation 49: %d cores, exact %v", pt.Cores, pt.Exact)
 	}
 }
 

@@ -115,7 +115,7 @@ func (osp *OptimizeSpec) AlphaResolved() float64 {
 // to forward evaluation).
 func (osp *OptimizeSpec) Constraint() scaling.Constraint {
 	sp := Spec{Budget: osp.Budget, Envelopes: osp.Envelopes}
-	return sp.constraint(0)
+	return sp.constraintFor(Case{})
 }
 
 // Groups returns the entry's exclusion-group set: the explicit Group or

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 
 	"repro/internal/power"
@@ -375,67 +376,36 @@ func canonicalEnvelopes(envs []Envelope) []Envelope {
 	return out
 }
 
-// constraint resolves the wall set for one case. caseBudget > 0 is the
-// legacy per-case override: it replaces the bandwidth wall's limit
-// (adding a bandwidth wall when the envelope set lacks one); the other
-// walls are untouched.
-func (sp *Spec) constraint(caseBudget float64) scaling.Constraint {
-	if len(sp.Envelopes) == 0 {
-		b := caseBudget
-		if b == 0 {
-			b = sp.envelope()
-		}
-		return scaling.Bandwidth(b, sp.Budget.Compound)
-	}
-	walls := make([]scaling.Wall, 0, len(sp.Envelopes)+1)
-	haveBW := false
+// constraintFor resolves the wall set for one case. It starts from the
+// spec's walls: its envelopes, or the one bandwidth wall its budget
+// implies. A legacy case budget then replaces the bandwidth wall's limit,
+// keeping its Compound flag, and each case envelope replaces the wall of
+// its kind; either joins the set when the spec has no wall of that kind.
+func (sp *Spec) constraintFor(c Case) scaling.Constraint {
+	var walls []scaling.Wall
 	for _, e := range sp.Envelopes {
-		w := e.wall()
-		if bw, ok := w.(scaling.BandwidthWall); ok {
-			haveBW = true
-			if caseBudget > 0 {
-				bw.Budget = caseBudget
-				w = bw
+		walls = append(walls, e.wall())
+	}
+	if len(walls) == 0 {
+		walls = []scaling.Wall{scaling.BandwidthWall{Budget: sp.envelope(), Compound: sp.Budget.Compound}}
+	}
+	var overrides []scaling.Wall
+	if c.Budget > 0 {
+		bw := scaling.BandwidthWall{Budget: c.Budget}
+		for _, w := range walls {
+			if old, ok := w.(scaling.BandwidthWall); ok {
+				bw.Compound = old.Compound
 			}
 		}
-		walls = append(walls, w)
-	}
-	if caseBudget > 0 && !haveBW {
-		walls = append(walls, scaling.BandwidthWall{Budget: caseBudget})
-	}
-	return scaling.NewConstraint(walls...)
-}
-
-// constraintFor resolves the wall set for one case, applying its Envelopes
-// overrides by kind on top of the spec-level walls: a case entry replaces
-// the spec wall of the same kind, or joins the set when the spec has none.
-// Cases without envelopes fall through to the legacy budget path.
-func (sp *Spec) constraintFor(c Case) scaling.Constraint {
-	if len(c.Envelopes) == 0 {
-		return sp.constraint(c.Budget)
-	}
-	var walls []scaling.Wall
-	if len(sp.Envelopes) == 0 {
-		// The implicit spec-level constraint is the single bandwidth wall
-		// (paper default envelope 1.0 unless Budget says otherwise).
-		walls = []scaling.Wall{scaling.BandwidthWall{Budget: sp.envelope(), Compound: sp.Budget.Compound}}
-	} else {
-		walls = make([]scaling.Wall, 0, len(sp.Envelopes)+len(c.Envelopes))
-		for _, e := range sp.Envelopes {
-			walls = append(walls, e.wall())
-		}
+		overrides = append(overrides, bw)
 	}
 	for _, e := range c.Envelopes {
-		w := e.wall()
-		replaced := false
-		for i := range walls {
-			if walls[i].Kind() == w.Kind() {
-				walls[i] = w
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
+		overrides = append(overrides, e.wall())
+	}
+	for _, w := range overrides {
+		if i := slices.IndexFunc(walls, func(old scaling.Wall) bool { return old.Kind() == w.Kind() }); i >= 0 {
+			walls[i] = w
+		} else {
 			walls = append(walls, w)
 		}
 	}

@@ -19,8 +19,10 @@ const TierHeader = "X-Bandwall-Tier"
 // handleMetrics snapshots the process obs registry. The default
 // rendering is a Prometheus-style text exposition (dots in metric names
 // become underscores); ?format=ndjson (or an Accept header of
-// application/x-ndjson) switches to the repo's NDJSON dump — the same
-// lines `bandwall run -metrics` writes, spans included.
+// application/x-ndjson) switches to the repo's NDJSON dump: the counter,
+// gauge and histogram lines `bandwall run -metrics` writes after its
+// per-run trace lines. The registry holds no spans; they live in
+// /v1/trace.
 func (f *Front) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reg := f.reg
 	w.Header().Set(TierHeader, f.tier)
@@ -47,8 +49,9 @@ func (f *Front) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeMetricsText renders counters, gauges, and histograms in the
-// Prometheus text exposition shape. Spans are omitted (they are
-// per-run, unbounded series; the NDJSON format carries them).
+// Prometheus text exposition shape, the same series the NDJSON dump
+// carries. Neither format has spans: requests' traces are served by
+// /v1/trace.
 func writeMetricsText(w io.Writer, reg *obs.Registry) {
 	snap := reg.Snapshot()
 	for _, c := range snap.Counters {
